@@ -2,35 +2,33 @@ package centrality
 
 import (
 	"math"
-	"sort"
 
 	"snap/internal/graph"
+	"snap/internal/par"
 )
 
-// Incremental PageRank across snapshot epochs (internal/ingest). The
-// stationary distribution of an updated graph is usually close to the
-// previous epoch's: instead of restarting power iteration from the
-// uniform vector, PageRankDelta first runs a Gauss–Southwell-style
-// residual push that corrects the carried-over scores locally around
-// the changed vertices, then polishes with the shared warm-start power
-// iteration, which certifies the usual L1 tolerance. Work scales with
-// the size and reach of the delta (bounded by an explicit arc budget),
-// not with the iteration count of a cold start; when the delta touches
-// a large fraction of the graph the method degrades gracefully into a
-// warm power iteration, and callers with no usable previous vector
-// fall back to PageRank outright.
-
-// pushBudgetFactor bounds the residual-push phase to this multiple of
-// the graph's arc count before handing off to the power-iteration
-// polish; beyond that the push is doing a full recompute's work with
-// worse constants.
-const pushBudgetFactor = 2
+// Warm-started PageRank across snapshot epochs (internal/ingest,
+// internal/serve). The stationary distribution of an updated graph is
+// usually close to the previous epoch's, so instead of restarting power
+// iteration from the uniform vector PageRankFrom polishes the
+// carried-over scores with Gauss–Seidel sweeps, which certify the usual
+// L1 tolerance. Iteration count depends on the distance between the
+// start vector and the fixpoint, not on where a cold start would begin.
+// A Gauss–Southwell residual push around the changed vertices used to
+// run ahead of the polish; measured, it never beat the plain warm start
+// by 10 % at any delta size on either graph family and lost by up to
+// 1.5× (DESIGN.md §5h), so the polish is the one warm kernel.
 
 // PageRankFrom computes PageRank warm-started from a previous score
-// vector (renormalized defensively). Falls back to a cold start when
-// prev is unusable. Directed graphs take the PageRankDirected path
-// (cold: the transpose scatter makes warm residual bookkeeping
-// pointless at our scales).
+// vector, which is read, never written: the result is a fresh slice.
+// prev is only a starting point — scores converge to the same fixpoint
+// as PageRank(g, opt) and satisfy the same L1 tolerance, so they agree
+// with the cold result to within the solver tolerance but not bit for
+// bit. Falls back to a cold start when prev is unusable (nil, wrong
+// length, non-positive or non-finite total). Directed graphs take the
+// cold PageRankDirected path: its transpose build and Jacobi loop have
+// no start-vector entry. The sweep is serial in vertex order, so the
+// result is deterministic for any worker count.
 func PageRankFrom(g *graph.Graph, prev []float64, opt PageRankOptions) []float64 {
 	if g.Directed() {
 		return PageRankDirected(g, opt)
@@ -44,51 +42,35 @@ func PageRankFrom(g *graph.Graph, prev []float64, opt PageRankOptions) []float64
 	if rank == nil {
 		return PageRank(g, opt)
 	}
-	return pageRankSeidel(g, rank, opt)
+	ws := seidelPool.Get()
+	defer seidelPool.Put(ws)
+	return ws.polish(g, rank, opt)
 }
 
-// PageRankDelta computes PageRank on g incrementally from the previous
-// epoch's scores, given the vertices whose adjacency changed between
-// the epochs (both endpoints of every inserted or deleted edge).
-// Scores converge to the same fixpoint as PageRank(g, opt) and satisfy
-// the same L1 tolerance, certified by the trailing power-iteration
-// polish. The push phase is serial and processes seeds in sorted
-// order, so the result is deterministic for any worker count.
-func PageRankDelta(g *graph.Graph, prev []float64, seeds []int32, opt PageRankOptions) []float64 {
-	if g.Directed() {
-		return PageRankDirected(g, opt)
-	}
-	opt.fill()
-	n := g.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	x := normalizedCopy(prev, n)
-	if x == nil {
-		return PageRank(g, opt)
-	}
-	if len(seeds) > 0 {
-		residualPush(g, x, seeds, opt)
-	}
-	return pageRankSeidel(g, x, opt)
+// seidelWorkspace is the pooled scratch of the warm kernel: the
+// per-vertex out-shares and the sweep-start copy Aitken extrapolation
+// reads. Both are fully rewritten each sweep, so reuse needs no reset.
+type seidelWorkspace struct {
+	share, prev []float64
 }
 
-// pageRankSeidel polishes a warm-start vector with in-place
-// Gauss–Seidel sweeps: each vertex recomputes its score from the
-// newest neighbor values within the sweep, which roughly halves the
-// iteration count of the Jacobi power method for the same L1
-// successive-sweep tolerance. The sweep is serial in vertex order, so
-// the result is deterministic for any worker count. Dangling mass is
+var seidelPool = par.NewPool(func() *seidelWorkspace { return &seidelWorkspace{} })
+
+// polish runs in-place Gauss–Seidel sweeps on rank: each vertex
+// recomputes its score from the newest neighbor values within the
+// sweep, which roughly halves the iteration count of the Jacobi power
+// method for the same L1 successive-sweep tolerance. Dangling mass is
 // lagged from the sweep start (the standard treatment); a final
 // renormalization removes the O(tol) sum drift Gauss–Seidel incurs
-// mid-sweep. Both solvers converge to the same fixpoint, so scores
-// agree with PageRank(g, opt) to within the solver tolerance — the
-// cold path keeps the Jacobi iteration so from-scratch results stay
-// bit-identical across releases.
-func pageRankSeidel(g *graph.Graph, rank []float64, opt PageRankOptions) []float64 {
+// mid-sweep. The cold path keeps the Jacobi iteration so from-scratch
+// results stay bit-identical across releases.
+func (ws *seidelWorkspace) polish(g *graph.Graph, rank []float64, opt PageRankOptions) []float64 {
 	n := g.NumVertices()
-	share := make([]float64, n)
-	prev := make([]float64, n)
+	if cap(ws.share) < n {
+		ws.share = make([]float64, n)
+		ws.prev = make([]float64, n)
+	}
+	share, prev := ws.share[:n], ws.prev[:n]
 	lastDelta, lastRho := 0.0, 0.0
 	sinceExtrap := 0
 	for it := 0; it < opt.MaxIterations; it++ {
@@ -154,110 +136,6 @@ func pageRankSeidel(g *graph.Graph, rank []float64, opt PageRankOptions) []float
 		}
 	}
 	return rank
-}
-
-// residualPush corrects x in place around the changed region: residuals
-// r[v] = base + d·Σ_{u∈N(v)} x[u]/deg(u) − x[v] are materialized at the
-// seed vertices and their neighbors, and then drained through a FIFO —
-// applying r[v] to x[v] perturbs each neighbor's residual by
-// d·r[v]/deg(v). Vertices re-enter the queue when their residual
-// exceeds θ = tol/n, so a drained queue certifies ||r||₁ ≤ tol and the
-// polish converges in a sweep or two. Vertices the spread reaches that
-// were never materialized start from residual 0 — exact up to the
-// previous epoch's own convergence tolerance, which the polish
-// absorbs. The state is three dense O(n) arrays (float64 + two bools):
-// cheap to allocate per call, and every queue operation is
-// constant-time, so the push costs arcs-walked, not map traffic. The
-// walk stops at an arc budget; whatever error remains is inside the
-// polish's convergence basin.
-func residualPush(g *graph.Graph, x []float64, seeds []int32, opt PageRankOptions) {
-	residualPushBudget(g, x, seeds, opt, pushBudgetFactor)
-}
-
-func residualPushBudget(g *graph.Graph, x []float64, seeds []int32, opt PageRankOptions, factor float64) {
-	n := g.NumVertices()
-	d := opt.Damping
-	var dangling float64
-	for v := 0; v < n; v++ {
-		if g.Offsets[v+1] == g.Offsets[v] {
-			dangling += x[v]
-		}
-	}
-	base := ((1 - d) + d*dangling) / float64(n)
-	theta := opt.Tolerance / float64(n)
-	if theta <= 0 {
-		theta = 1e-12
-	}
-
-	r := make([]float64, n)
-	seen := make([]bool, n) // residual materialized during seeding
-	inq := make([]bool, n)
-	queue := make([]int32, 0, 4*len(seeds))
-
-	resid := func(v int32) float64 {
-		var s float64
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		for a := lo; a < hi; a++ {
-			u := g.Adj[a]
-			if deg := g.Offsets[u+1] - g.Offsets[u]; deg > 0 {
-				s += x[u] / float64(deg)
-			}
-		}
-		return base + d*s - x[v]
-	}
-	touch := func(v int32) {
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		if rv := resid(v); math.Abs(rv) > theta {
-			r[v] = rv
-			queue = append(queue, v)
-			inq[v] = true
-		}
-	}
-	// Frontier of interest: the seeds and their current neighbors, in
-	// sorted unique seed order for determinism (adjacency is sorted).
-	sorted := append([]int32(nil), seeds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, s := range sorted {
-		if s < 0 || int(s) >= n || (i > 0 && sorted[i-1] == s) {
-			continue
-		}
-		touch(s)
-		lo, hi := g.Offsets[s], g.Offsets[s+1]
-		for a := lo; a < hi; a++ {
-			touch(g.Adj[a])
-		}
-	}
-
-	budget := int64(factor * float64(g.NumArcs()))
-	for len(queue) > 0 && budget > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		inq[v] = false
-		rv := r[v]
-		r[v] = 0
-		if math.Abs(rv) <= theta {
-			continue
-		}
-		x[v] += rv
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		deg := hi - lo
-		if deg == 0 {
-			continue
-		}
-		spread := d * rv / float64(deg)
-		budget -= deg
-		for a := lo; a < hi; a++ {
-			w := g.Adj[a]
-			r[w] += spread
-			if !inq[w] && math.Abs(r[w]) > theta {
-				queue = append(queue, w)
-				inq[w] = true
-			}
-		}
-	}
 }
 
 // normalizedCopy returns a fresh copy of prev scaled to sum 1, or nil

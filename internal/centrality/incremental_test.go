@@ -1,10 +1,15 @@
 package centrality
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"snap/internal/datasets"
 	"snap/internal/generate"
 	"snap/internal/graph"
 )
@@ -17,7 +22,7 @@ func l1(a, b []float64) float64 {
 	return s
 }
 
-func perturb(t *testing.T, g *graph.Graph, rng *rand.Rand, nAdd, nDel int) (*graph.Graph, []int32) {
+func perturb(t testing.TB, g *graph.Graph, rng *rand.Rand, nAdd, nDel int) *graph.Graph {
 	t.Helper()
 	n := int32(g.NumVertices())
 	var add, del []graph.Edge
@@ -32,22 +37,18 @@ func perturb(t *testing.T, g *graph.Graph, rng *rand.Rand, nAdd, nDel int) (*gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seeds []int32
-	for _, e := range append(append([]graph.Edge{}, add...), del...) {
-		seeds = append(seeds, e.U, e.V)
-	}
-	return out, seeds
+	return out
 }
 
-func TestPageRankDeltaMatchesFull(t *testing.T) {
+func TestPageRankFromMatchesFull(t *testing.T) {
 	g := generate.RMAT(1<<11, 8<<11, generate.DefaultRMAT(), 5)
 	opt := PageRankOptions{Tolerance: 1e-10}
 	prev := PageRank(g, opt)
 	rng := rand.New(rand.NewSource(2))
 	for step := 0; step < 4; step++ {
-		g2, seeds := perturb(t, g, rng, 40, 20)
+		g2 := perturb(t, g, rng, 40, 20)
 		full := PageRank(g2, opt)
-		inc := PageRankDelta(g2, prev, seeds, opt)
+		inc := PageRankFrom(g2, prev, opt)
 		if d := l1(inc, full); d > 1e-6 {
 			t.Fatalf("step %d: L1(inc, full) = %g", step, d)
 		}
@@ -63,17 +64,17 @@ func TestPageRankDeltaMatchesFull(t *testing.T) {
 	}
 }
 
-func TestPageRankDeltaDeterministic(t *testing.T) {
+func TestPageRankFromDeterministic(t *testing.T) {
 	g := generate.ErdosRenyi(800, 3200, 3)
 	opt := PageRankOptions{}
 	prev := PageRank(g, opt)
 	rng := rand.New(rand.NewSource(4))
-	g2, seeds := perturb(t, g, rng, 25, 10)
+	g2 := perturb(t, g, rng, 25, 10)
 	var ref []float64
 	for _, w := range []int{1, 2, 3, 8} {
 		o := opt
 		o.Workers = w
-		got := PageRankDelta(g2, prev, seeds, o)
+		got := PageRankFrom(g2, prev, o)
 		if ref == nil {
 			ref = got
 			continue
@@ -86,24 +87,28 @@ func TestPageRankDeltaDeterministic(t *testing.T) {
 	}
 }
 
-func TestPageRankDeltaFallbacks(t *testing.T) {
+func TestPageRankFromFallbacks(t *testing.T) {
 	g := generate.ErdosRenyi(300, 900, 7)
 	opt := PageRankOptions{}
 	full := PageRank(g, opt)
 
-	// nil / wrong-length / degenerate prev fall back to a cold start.
+	// nil / wrong-length / degenerate prev fall back to the cold start,
+	// bit for bit.
 	for _, prev := range [][]float64{nil, make([]float64, 10), make([]float64, 300)} {
-		got := PageRankDelta(g, prev, []int32{1, 2}, opt)
-		if d := l1(got, full); d > 1e-6 {
-			t.Fatalf("fallback L1 = %g", d)
+		got := PageRankFrom(g, prev, opt)
+		for i := range full {
+			if got[i] != full[i] {
+				t.Fatalf("fallback (len(prev)=%d) differs from cold at %d", len(prev), i)
+			}
 		}
 	}
 
-	// Directed graphs route to PageRankDirected.
+	// Directed graphs rebuild cold through PageRankDirected whatever
+	// prev holds.
 	dg := graph.MustBuild(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 0}},
 		graph.BuildOptions{Directed: true})
 	want := PageRankDirected(dg, opt)
-	got := PageRankDelta(dg, want, []int32{0}, opt)
+	got := PageRankFrom(dg, []float64{1, 0, 0, 0}, opt)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("directed fallback differs at %d", i)
@@ -111,7 +116,7 @@ func TestPageRankDeltaFallbacks(t *testing.T) {
 	}
 }
 
-func TestPageRankDeltaDanglingVertices(t *testing.T) {
+func TestPageRankFromDanglingVertices(t *testing.T) {
 	// Vertices 8..11 are isolated (dangling under the undirected kernel).
 	var edges []graph.Edge
 	for i := int32(0); i < 8; i++ {
@@ -125,7 +130,7 @@ func TestPageRankDeltaDanglingVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 	full := PageRank(g2, opt)
-	inc := PageRankDelta(g2, prev, []int32{8, 0}, opt)
+	inc := PageRankFrom(g2, prev, opt)
 	if d := l1(inc, full); d > 1e-6 {
 		t.Fatalf("dangling L1 = %g", d)
 	}
@@ -141,5 +146,96 @@ func TestPageRankFromWarmStart(t *testing.T) {
 	}
 	if got := PageRankFrom(g, nil, opt); l1(got, full) > 1e-6 {
 		t.Fatal("nil prev must fall back to cold start")
+	}
+}
+
+// The warm kernel reads prev and returns a fresh slice: serve publishes
+// the previous epoch's vector as an immutable artifact and hands the
+// same slice in as the start vector.
+func TestPageRankFromLeavesPrevUntouched(t *testing.T) {
+	g := generate.RMAT(1<<10, 8<<10, generate.DefaultRMAT(), 9)
+	prev := PageRank(g, PageRankOptions{})
+	keep := append([]float64(nil), prev...)
+	g2 := perturb(t, g, rand.New(rand.NewSource(1)), 30, 10)
+	got := PageRankFrom(g2, prev, PageRankOptions{})
+	if &got[0] == &prev[0] {
+		t.Fatal("result aliases prev")
+	}
+	for i := range prev {
+		if prev[i] != keep[i] {
+			t.Fatalf("prev[%d] was written", i)
+		}
+	}
+}
+
+// Cold PageRank is the analysis path and every warm answer's
+// reference: its bits are pinned to what the commit before the warm
+// chain produced (amd64; other ports may fuse the multiply-adds).
+func TestPageRankColdGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits were taken on amd64")
+	}
+	hash := func(x []float64) uint64 {
+		h := fnv.New64a()
+		var b [8]byte
+		for _, v := range x {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		return h.Sum64()
+	}
+	rmat := generate.RMAT(1<<10, 8<<10, generate.DefaultRMAT(), 9)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		want uint64
+	}{
+		{"karate", datasets.Karate(), 0xd234ab0dbe085477},
+		{"rmat10", rmat, 0x90e05fb08b86223d},
+	} {
+		for _, w := range []int{1, 3} {
+			if got := hash(PageRank(tc.g, PageRankOptions{Workers: w})); got != tc.want {
+				t.Errorf("%s workers=%d: hash %#x, want %#x", tc.name, w, got, tc.want)
+			}
+		}
+	}
+}
+
+// BenchmarkPageRankWarm prices the warm start against the cold build
+// over the delta sizes an epoch commit produces (DESIGN.md §5h has the
+// table, and the residual-push numbers that retired it): delta = the
+// given share of m in edge operations, nine adds of random pairs to one
+// delete of an existing edge. -short shrinks both graphs.
+func BenchmarkPageRankWarm(b *testing.B) {
+	scale, side := 17, 362
+	if testing.Short() {
+		scale, side = 12, 64
+	}
+	opt := PageRankOptions{}
+	for _, gr := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat", generate.RMAT(1<<scale, 8<<scale, generate.DefaultRMAT(), 1)},
+		{"road", generate.RoadMesh(side, side, 0.05, 1)},
+	} {
+		prev := PageRank(gr.g, opt)
+		for _, frac := range []float64{0.001, 0.01, 0.05} {
+			ops := int(frac * float64(gr.g.NumEdges()))
+			next := perturb(b, gr.g, rand.New(rand.NewSource(7)), ops-ops/10, ops/10)
+			tag := fmt.Sprintf("%s/delta=%g%%", gr.name, 100*frac)
+			b.Run(tag+"/cold", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					PageRank(next, opt)
+				}
+			})
+			b.Run(tag+"/warm", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					PageRankFrom(next, prev, opt)
+				}
+			})
+		}
 	}
 }

@@ -56,12 +56,10 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 
 // pageRankPower runs the undirected power iteration to convergence
 // from an arbitrary starting vector (rank is consumed; the returned
-// slice holds the result). The warm-start entry behind PageRank,
-// PageRankFrom, and the residual-push polish: iteration count depends
-// only on the distance between the start vector and the fixpoint, so a
-// vector carried over from the previous snapshot epoch converges in a
-// handful of sweeps. Deterministic at any worker count (each vertex's
-// sum is accumulated serially in arc order).
+// slice holds the result). The cold Jacobi loop behind PageRank; warm
+// starts go through PageRankFrom's Gauss–Seidel polish instead.
+// Deterministic at any worker count (each vertex's sum is accumulated
+// serially in arc order).
 func pageRankPower(g *graph.Graph, rank []float64, opt PageRankOptions) []float64 {
 	n := g.NumVertices()
 	next := make([]float64, n)

@@ -28,20 +28,11 @@ type kernelState struct {
 	cc    *components.Incremental
 	ccSeq uint64
 
-	// PageRank: scores of epoch prSeq plus the seed vertices dirtied
-	// by commits since. Batches are tagged with the epoch they lead
-	// to, so a query pinned to epoch k consumes exactly the batches
-	// with seq <= k and leaves in-flight newer ones. prMu serializes
-	// the (long) computation; prDirtyMu guards only the cheap
-	// commit-side append.
-	prMu       sync.Mutex
-	prScores   []float64
-	prSeq      uint64
-	prHave     bool
-	prDirtyMu  sync.Mutex
-	prTracking bool
-	prDirty    []dirtyBatch
-	prBuffered int
+	// PageRank: the scores of epoch prSeq (nil before the first query),
+	// the next query's warm start. prMu serializes the computation.
+	prMu     sync.Mutex
+	prScores []float64
+	prSeq    uint64
 
 	// Louvain: the previous epoch's partition, used to warm-start the
 	// move engine on the next query.
@@ -53,39 +44,11 @@ type kernelState struct {
 	cmHave   bool
 }
 
-type dirtyBatch struct {
-	seq   uint64
-	seeds []int32
-	// overflow marks a batch whose seeds were dropped because the
-	// buffer outgrew the vertex set — the consumer falls back to a
-	// warm full iteration instead of a push.
-	overflow bool
-}
-
 // publishCommit performs incremental-kernel bookkeeping for one commit
 // and publishes the new epoch. Called with the stream mutex held; add
 // and realDel are the deduped applied delta (realDel only pairs that
 // existed in the superseded snapshot).
 func (k *kernelState) publishCommit(s *Stream, old, e *Epoch, add, realDel []graph.Edge) {
-	k.prDirtyMu.Lock()
-	if k.prTracking {
-		b := dirtyBatch{seq: e.seq}
-		if want := 2 * (len(add) + len(realDel)); k.prBuffered+want > s.n {
-			b.overflow = true
-		} else {
-			b.seeds = make([]int32, 0, 2*(len(add)+len(realDel)))
-			for _, ed := range add {
-				b.seeds = append(b.seeds, ed.U, ed.V)
-			}
-			for _, ed := range realDel {
-				b.seeds = append(b.seeds, ed.U, ed.V)
-			}
-			k.prBuffered += len(b.seeds)
-		}
-		k.prDirty = append(k.prDirty, b)
-	}
-	k.prDirtyMu.Unlock()
-
 	k.ccMu.Lock()
 	if k.cc != nil && k.ccSeq == old.seq {
 		switch {
@@ -190,66 +153,26 @@ func (s *Stream) ConnectedQuery(u, v int32) (bool, error) {
 }
 
 // PageRank returns the PageRank scores of the current epoch,
-// maintained incrementally: the first call pays a full power
-// iteration, and later calls start from the previous epoch's scores —
-// a residual push around the dirtied vertices when the accumulated
-// delta is small (under a quarter of the vertex set), a warm power
-// iteration otherwise. Results satisfy the same tolerance as
-// centrality.PageRank on the pinned snapshot and are deterministic at
-// any worker count. The returned slice is the caller's to keep.
+// maintained across epochs: the first call pays a full power
+// iteration, and later calls warm-start from the scores of the epoch
+// the previous call saw (centrality.PageRankFrom). Results satisfy the
+// same tolerance as centrality.PageRank on the pinned snapshot and are
+// deterministic at any worker count. The returned slice is the
+// caller's to keep.
 func (s *Stream) PageRank(opt centrality.PageRankOptions) []float64 {
 	k := &s.kernels
 	k.prMu.Lock()
 	defer k.prMu.Unlock()
-
-	// Start tracking before pinning: a commit racing with this compute
-	// lands a seq-tagged batch we will consume on the next call.
-	k.prDirtyMu.Lock()
-	k.prTracking = true
-	k.prDirtyMu.Unlock()
-
 	e := s.Pin()
 	if e == nil {
 		return nil
 	}
 	defer e.Close()
-
-	k.prDirtyMu.Lock()
-	var seeds []int32
-	overflow := false
-	rest := k.prDirty[:0]
-	for _, b := range k.prDirty {
-		if b.seq <= e.seq {
-			overflow = overflow || b.overflow
-			seeds = append(seeds, b.seeds...)
-			k.prBuffered -= len(b.seeds)
-		} else {
-			rest = append(rest, b)
-		}
+	if k.prScores == nil || k.prSeq != e.seq {
+		k.prScores = centrality.PageRankFrom(e.g, k.prScores, opt)
+		k.prSeq = e.seq
 	}
-	k.prDirty = rest
-	k.prDirtyMu.Unlock()
-
-	if k.prHave && k.prSeq == e.seq && len(seeds) == 0 && !overflow {
-		return append([]float64(nil), k.prScores...)
-	}
-	var prev []float64
-	if k.prHave && k.prSeq <= e.seq {
-		prev = k.prScores
-	}
-	var scores []float64
-	switch {
-	case prev == nil:
-		scores = centrality.PageRankDelta(e.g, nil, nil, opt) // cold start
-	case overflow || 4*len(seeds) > s.n:
-		scores = centrality.PageRankFrom(e.g, prev, opt) // large delta: warm full iteration
-	default:
-		scores = centrality.PageRankDelta(e.g, prev, seeds, opt)
-	}
-	k.prScores = scores
-	k.prSeq = e.seq
-	k.prHave = true
-	return append([]float64(nil), scores...)
+	return append([]float64(nil), k.prScores...)
 }
 
 // Communities returns a Louvain clustering of the current epoch,

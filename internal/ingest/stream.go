@@ -17,10 +17,9 @@
 // On top of the epochs the stream maintains incremental kernels where
 // incrementality pays: connected components (union-find fast path for
 // inserts, epoch-scoped BFS recompute only when a deletion may split a
-// component), PageRank (residual push seeded from the previous epoch's
-// scores, warm/cold power-iteration fallback for large deltas), and
-// warm-started Louvain (re-seeded from the previous epoch's
-// partition). This is the architecture of NetworKit's dynamic-
+// component), PageRank (warm-started from the previous epoch's
+// scores), and warm-started Louvain (re-seeded from the previous
+// epoch's partition). This is the architecture of NetworKit's dynamic-
 // algorithm suite rebuilt on the repo's parallel kernels, and the
 // paper's "topological analysis of dynamic networks" future-work
 // direction.

@@ -2,6 +2,9 @@ package serve
 
 import "sync"
 
+// kindPageRank is the one artifact kind chained across epochs.
+const kindPageRank = "centrality/pagerank"
+
 // artifactCache holds expensive per-epoch derived structures — exact
 // centrality vectors, community assignments, component labelings,
 // landmark distance oracles — computed at most once per (epoch, kind)
@@ -14,11 +17,22 @@ import "sync"
 // cache remembers which seq its entries belong to and drops the whole
 // map the first time a newer seq is requested. Only the latest epoch's
 // artifacts are retained — an intentional single-version policy, since
-// the server always answers from the newest epoch.
+// the server always answers from the newest epoch — and the cache only
+// ever moves forward: a request still pinned to a superseded epoch
+// builds for itself and leaves the cache alone.
+//
+// One thing survives the roll: the newest finished PageRank vector
+// (warm), which the next epoch's build starts from instead of the
+// uniform vector. It is the published artifact itself, not a copy —
+// artifacts are immutable — and only a finished build ever lands in
+// the slot, so a failed, cancelled or overtaken build leaves the
+// previous vector there.
 type artifactCache struct {
-	mu  sync.Mutex
-	seq uint64
-	m   map[string]*artifact
+	mu      sync.Mutex
+	seq     uint64
+	m       map[string]*artifact
+	warm    []float64
+	warmSeq uint64
 }
 
 type artifact struct {
@@ -34,7 +48,11 @@ type artifact struct {
 // stays valid.
 func (a *artifactCache) get(seq uint64, kind string, build func() (any, error)) (any, error) {
 	a.mu.Lock()
-	if a.m == nil || seq != a.seq {
+	if seq < a.seq {
+		a.mu.Unlock()
+		return build()
+	}
+	if a.m == nil || seq > a.seq {
 		a.m = make(map[string]*artifact, 4)
 		a.seq = seq
 	}
@@ -49,12 +67,26 @@ func (a *artifactCache) get(seq uint64, kind string, build func() (any, error)) 
 
 	art.val, art.err = build()
 	close(art.done)
-	if art.err != nil {
-		a.mu.Lock()
-		if a.seq == seq && a.m[kind] == art {
+	a.mu.Lock()
+	switch {
+	case art.err != nil:
+		if a.m[kind] == art {
 			delete(a.m, kind)
 		}
-		a.mu.Unlock()
+	case kind == kindPageRank && seq >= a.warmSeq:
+		// >= because the cache may have rolled past seq while this
+		// build ran; a newer epoch's finished vector is never replaced
+		// by an older one.
+		a.warm, a.warmSeq = art.val.([]float64), seq
 	}
+	a.mu.Unlock()
 	return art.val, art.err
+}
+
+// warmStart returns the newest finished PageRank vector, or nil before
+// the first build. Callers must not write to it.
+func (a *artifactCache) warmStart() []float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.warm
 }

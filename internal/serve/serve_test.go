@@ -315,12 +315,15 @@ func TestAnalyticsOps(t *testing.T) {
 			t.Fatalf("GET %s: status %d (%v)", q, code, out["error"])
 		}
 	}
-	// Artifact singleflight: pagerank ran once despite two requests.
+	// Artifact singleflight: pagerank ran once despite two requests —
+	// six kinds, six builds — and a static handle never chains.
 	var out map[string]any
 	if code := getJSON(t, ts.URL+"/graphs/g/centrality?kind=pagerank&k=3", &out); code != 200 {
 		t.Fatalf("second pagerank: %d", code)
 	}
-	_ = s
+	if st := s.Snapshot(); st.ArtifactBuilds != 6 || st.ArtifactWarmBuilds != 0 {
+		t.Fatalf("artifact_builds=%d artifact_warm_builds=%d, want 6 and 0", st.ArtifactBuilds, st.ArtifactWarmBuilds)
+	}
 	// Malformed requests fail cleanly.
 	for q, want := range map[string]int{
 		"/graphs/g/bfs":                   http.StatusBadRequest, // no src

@@ -24,11 +24,12 @@
 //
 // Expensive per-epoch artifacts (exact centrality vectors, community
 // assignments, component labelings, landmark distance oracles) are
-// computed once per epoch and singleflighted (artifacts.go). Admission
-// control bounds in-flight heavy queries and fast-fails the overflow
-// with HTTP 429 (limit.go). Request contexts thread into the kernels'
-// level/bucket-loop cancellation hooks, so abandoned queries stop
-// burning cores at the next synchronization boundary.
+// computed once per epoch and singleflighted (artifacts.go); on stream
+// handles each epoch's PageRank warm-starts from the last one built.
+// Admission control bounds in-flight heavy queries and fast-fails the
+// overflow with HTTP 429 (limit.go). Request contexts thread into the
+// kernels' level/bucket-loop cancellation hooks, so abandoned queries
+// stop burning cores at the next synchronization boundary.
 package serve
 
 import (
@@ -121,6 +122,9 @@ type Server struct {
 
 	// Coalescing counters, aggregated across handles.
 	batches, batchedReqs, dedupSaved atomic.Uint64
+	// Artifact builds run, and how many of them started from the
+	// previous epoch's result instead of from scratch.
+	artifactBuilds, artifactWarmBuilds atomic.Uint64
 }
 
 // handle is one registered graph: a static *graph.Graph (possibly an
@@ -377,11 +381,7 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		if int(p.src) >= g.NumVertices() || int(p.dst[0]) >= g.NumVertices() {
 			return nil, seq, errBadVertex
 		}
-		val, err := h.art.get(seq, "oracle", func() (any, error) {
-			if !s.lim.tryAcquire() {
-				return nil, errBusy
-			}
-			defer s.lim.release()
+		val, err := s.artifact(h, seq, "oracle", func() (any, error) {
 			return sketch.BuildOracle(g, sketch.OracleOptions{Workers: s.workers()})
 		})
 		if err != nil {
@@ -413,31 +413,10 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 			return nil, 0, err
 		}
 		defer release()
-		val, err := h.art.get(seq, "centrality/"+kind, func() (any, error) {
-			if !s.lim.tryAcquire() {
-				return nil, errBusy
-			}
-			defer s.lim.release()
-			switch kind {
-			case "degree":
-				return centrality.DegreeCentrality(g), nil
-			case "pagerank":
-				if g.Directed() {
-					return centrality.PageRankDirected(g, centrality.PageRankOptions{Workers: s.workers()}), nil
-				}
-				return centrality.PageRank(g, centrality.PageRankOptions{Workers: s.workers()}), nil
-			case "closeness":
-				// Sampled (Eppstein–Wang) closeness: the serving-grade
-				// estimator; exact closeness is O(n·m) per epoch.
-				return sketch.Closeness(g, sketch.ClosenessOptions{Workers: s.workers()}).Scores, nil
-			default:
-				return nil, badRequest("centrality: unknown kind %q", kind)
-			}
-		})
+		scores, err := s.centralityScores(h, g, seq, kind)
 		if err != nil {
 			return nil, seq, err
 		}
-		scores := val.([]float64)
 		top := centrality.TopKVertices(scores, int(k))
 		b := appendJSONHead(sc.body[:0], h.name, seq, op)
 		b = append(b, `,"kind":"`...)
@@ -469,11 +448,7 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 			return nil, 0, err
 		}
 		defer release()
-		val, err := h.art.get(seq, "community/louvain", func() (any, error) {
-			if !s.lim.tryAcquire() {
-				return nil, errBusy
-			}
-			defer s.lim.release()
+		val, err := s.artifact(h, seq, "community/louvain", func() (any, error) {
 			return community.Louvain(g, community.LouvainOptions{Workers: s.workers()}), nil
 		})
 		if err != nil {
@@ -500,11 +475,7 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 			return nil, 0, err
 		}
 		defer release()
-		val, err := h.art.get(seq, "components", func() (any, error) {
-			if !s.lim.tryAcquire() {
-				return nil, errBusy
-			}
-			defer s.lim.release()
+		val, err := s.artifact(h, seq, "components", func() (any, error) {
 			return components.ConnectedParallel(g, nil, s.workers()), nil
 		})
 		if err != nil {
@@ -564,6 +535,55 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		return sc.body, seq, nil
 	}
 	return nil, 0, errUnknownOp
+}
+
+// artifact returns h's artifact of one kind for the pinned epoch seq,
+// running build under an admission slot at most once per epoch
+// (artifactCache.get singleflights it).
+func (s *Server) artifact(h *handle, seq uint64, kind string, build func() (any, error)) (any, error) {
+	return h.art.get(seq, kind, func() (any, error) {
+		if !s.lim.tryAcquire() {
+			return nil, errBusy
+		}
+		defer s.lim.release()
+		s.artifactBuilds.Add(1)
+		return build()
+	})
+}
+
+// centralityScores returns the per-vertex score artifact of one
+// centrality kind on the pinned (g, seq). PageRank is epoch-chained:
+// the build starts from the newest vector an earlier epoch finished
+// (h.art.warmStart) and polishes it on g to the cold build's L1
+// tolerance, so an answer equals cold PageRank on its own epoch to
+// within that tolerance whatever was queried before. Directed graphs
+// have no warm kernel and rebuild cold.
+func (s *Server) centralityScores(h *handle, g *graph.Graph, seq uint64, kind string) ([]float64, error) {
+	val, err := s.artifact(h, seq, "centrality/"+kind, func() (any, error) {
+		switch kind {
+		case "degree":
+			return centrality.DegreeCentrality(g), nil
+		case "pagerank":
+			warm := h.art.warmStart()
+			if g.Directed() || len(warm) != g.NumVertices() {
+				warm = nil
+			}
+			if warm != nil {
+				s.artifactWarmBuilds.Add(1)
+			}
+			return centrality.PageRankFrom(g, warm, centrality.PageRankOptions{Workers: s.workers()}), nil
+		case "closeness":
+			// Sampled (Eppstein–Wang) closeness: the serving-grade
+			// estimator; exact closeness is O(n·m) per epoch.
+			return sketch.Closeness(g, sketch.ClosenessOptions{Workers: s.workers()}).Scores, nil
+		default:
+			return nil, badRequest("centrality: unknown kind %q", kind)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return val.([]float64), nil
 }
 
 // gatherInt32 indexes vals at each requested vertex, reusing scratch
@@ -654,6 +674,11 @@ type Stats struct {
 	DedupSaved   uint64 `json:"dedup_saved"`
 	Rejected     uint64 `json:"rejected"`
 	Graphs       int    `json:"graphs"`
+	// ArtifactBuilds counts per-epoch artifact builds that ran;
+	// ArtifactWarmBuilds those that started from the previous epoch's
+	// result (epoch-chained PageRank on stream handles).
+	ArtifactBuilds     uint64 `json:"artifact_builds"`
+	ArtifactWarmBuilds uint64 `json:"artifact_warm_builds"`
 }
 
 // Snapshot returns the current counters (also served at /stats).
@@ -672,6 +697,9 @@ func (s *Server) Snapshot() Stats {
 		DedupSaved:   s.dedupSaved.Load(),
 		Rejected:     s.lim.rejectedCount(),
 		Graphs:       n,
+
+		ArtifactBuilds:     s.artifactBuilds.Load(),
+		ArtifactWarmBuilds: s.artifactWarmBuilds.Load(),
 	}
 }
 

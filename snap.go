@@ -851,11 +851,3 @@ func MergeDelta(g *Graph, add, del []Edge) (*Graph, error) {
 func PageRankFrom(g *Graph, prev []float64, opt PageRankOptions) []float64 {
 	return centrality.PageRankFrom(g, prev, opt)
 }
-
-// PageRankDelta computes PageRank incrementally from the previous
-// epoch's scores given the vertices whose adjacency changed: a
-// residual push localizes the correction, and a warm polish certifies
-// the usual tolerance.
-func PageRankDelta(g *Graph, prev []float64, seeds []int32, opt PageRankOptions) []float64 {
-	return centrality.PageRankDelta(g, prev, seeds, opt)
-}

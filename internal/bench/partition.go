@@ -52,12 +52,14 @@ func Partition(cfg Config) {
 	fmt.Fprintf(w, "%-24s %10s %12s %8s %10s %10s %10s %10s %10s %10s\n",
 		"instance", "part(s)", "cut", "bal",
 		"bfs", "bfs-rlb", "bfs-shard", "pr", "pr-rlb", "pr-shard")
+	var ladders []ladder
 	for _, inst := range instances {
 		g := inst.g
 		var res partition.Result
 		var err error
+		var st partition.Stats
 		dPart := timedMin(reps, func() {
-			res, err = partition.MultilevelKWay(g, k, partition.MultilevelOptions{Seed: cfg.Seed})
+			res, err = partition.MultilevelKWay(g, k, partition.MultilevelOptions{Seed: cfg.Seed, Stats: &st})
 		})
 		if err != nil {
 			fmt.Fprintf(w, "%-24s partition failed: %v\n", inst.label, err)
@@ -94,6 +96,31 @@ func Partition(cfg Config) {
 			inst.label, seconds(dPart), res.EdgeCut, res.Balance,
 			seconds(dBFS), seconds(dBFSRlb), seconds(dBFSShard),
 			seconds(dPR), seconds(dPRRlb), seconds(dPRShard))
+		ladders = append(ladders, ladder{inst.label, st})
 	}
 	fmt.Fprintln(w)
+	// The hierarchy behind each partition time above: what every level
+	// shrank to, and what refining it cost (share = evaluated over
+	// passes·n, the rest being what the active-set rule skipped).
+	for _, l := range ladders {
+		fmt.Fprintf(w, "-- k-way levels: %s --\n", l.label)
+		fmt.Fprintf(w, "%5s %10s %10s %8s %8s %7s %12s %7s %10s\n",
+			"level", "n", "arcs", "shrink", "arcs/n", "passes", "evaluated", "share", "moves")
+		for li := 0; li < min(l.st.Levels, partition.MaxStatsLevels); li++ {
+			ls := l.st.Level[li]
+			shrink := "-"
+			if ls.CoarseN > 0 {
+				shrink = fmt.Sprintf("%.3f", float64(ls.CoarseN)/float64(ls.N))
+			}
+			fmt.Fprintf(w, "%5d %10d %10d %8s %8.1f %7d %12d %7.2f %10d\n",
+				li, ls.N, ls.Arcs, shrink, float64(ls.Arcs)/float64(ls.N), ls.Passes,
+				ls.Evaluated, float64(ls.Evaluated)/float64(int64(ls.Passes)*ls.N), ls.Moves)
+		}
+		fmt.Fprintln(w)
+	}
+}
+
+type ladder struct {
+	label string
+	st    partition.Stats
 }

@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"slices"
-
 	"snap/internal/par"
 )
 
@@ -19,12 +17,12 @@ import (
 // round is a pure function of the previous round's state the matching
 // is bit-identical no matter how the rounds are chunked across workers.
 //
-// Contraction is the PR-3 histogram → par.CursorsFromCounts →
-// disjoint-scatter pattern: per-worker histograms of surviving coarse
-// arcs, shared cursors, an atomics-free scatter into per-coarse-vertex
-// buckets, then a degree-aware per-bucket sort with in-pass collapse of
-// parallel edges. Weight sums are integers, so the result is exact and
-// worker-count independent.
+// Contraction is sort-free: each coarse vertex dedupes its members'
+// arcs through a stamp table, and one transposition of the deduplicated
+// arcs — the PR-3 histogram → par.CursorsFromCounts → disjoint-scatter
+// pattern — writes the next level's adjacency in ascending target
+// order (see contract). Weight sums are integers, so the result is
+// exact and worker-count independent.
 
 // wview is the weighted graph a multilevel pass runs on: either the
 // original CSR (ew == nil means unit edge weights, vw == nil means unit
@@ -34,6 +32,9 @@ type wview struct {
 	adj []int32
 	ew  []int64
 	vw  []int64
+	// directed means the adjacency is not known to be symmetric: a
+	// vertex's arcs do not name everyone who has an arc to it.
+	directed bool
 }
 
 func (v wview) n() int { return len(v.off) - 1 }
@@ -197,19 +198,11 @@ func fill32(s []int32, v int32) {
 	}
 }
 
-// ce is a coarse arc observation: target coarse vertex and the weight
-// of one contracted fine edge.
-type ce struct {
-	to int32
-	w  int64
-}
-
-func ceLess(a, b ce) int { return int(a.to) - int(b.to) }
-
-// contract collapses ws.match over level li into level li+1, storing
-// the coarse graph and the fine-to-coarse map in the hierarchy.
-// Returns the coarse vertex count.
-func (ws *Workspace) contract(li, workers int, maxCluster int64) int {
+// assignCoarse turns ws.match over level li into dense coarse ids
+// (ws.lv[li].coarseOf) and cluster weights (ws.cvw), and returns the
+// coarse vertex count. No coarse arc is built: the caller decides from
+// the count alone whether the level is worth contracting.
+func (ws *Workspace) assignCoarse(li int, maxCluster int64) int {
 	v := ws.lv[li].view
 	n := v.n()
 	match := ws.match
@@ -267,144 +260,194 @@ func (ws *Workspace) contract(li, workers int, maxCluster int64) int {
 		cvw[cn] = vwx
 		cn++
 	}
-
-	if workers > n {
-		workers = max(1, n)
-	}
-	// Histogram pass: surviving (non-contracted) arcs per coarse vertex.
-	for len(ws.counts) < workers {
-		ws.counts = append(ws.counts, nil)
-	}
-	for w := 0; w < workers; w++ {
-		ws.counts[w] = scratch(ws.counts[w], int(cn))
-		clear(ws.counts[w])
-	}
-	ws.bucketOff = scratch(ws.bucketOff, int(cn)+1)
-	var total int64
-	if workers > 1 {
-		par.ForChunkedN(n, workers, func(w, lo, hi int) {
-			histRange(v, coarseOf, ws.counts[w], lo, hi)
-		})
-		total = par.CursorsFromCounts(ws.counts[:workers], ws.bucketOff)
-	} else {
-		histRange(v, coarseOf, ws.counts[0], 0, n)
-		total = cursorsSerial(ws.counts[0], ws.bucketOff, int(cn))
-	}
-
-	// Scatter pass into disjoint cursor ranges.
-	ws.arcs = scratch(ws.arcs, int(total))
-	if workers > 1 {
-		par.ForChunkedN(n, workers, func(w, lo, hi int) {
-			scatterRange(v, coarseOf, ws.counts[w], ws.arcs, lo, hi)
-		})
-	} else {
-		scatterRange(v, coarseOf, ws.counts[0], ws.arcs, 0, n)
-	}
-
-	// Aggregate vertex weights serially (O(n), cheap next to arc work).
-	out := &ws.lv[li+1]
-	out.vw = scratch(out.vw, int(cn))
-	clear(out.vw)
-	for x := 0; x < n; x++ {
-		out.vw[coarseOf[x]] += v.vweight(int32(x))
-	}
-
-	// Per-bucket sort + collapse, degree-aware across workers.
-	ws.uniq = scratch(ws.uniq, int(cn))
-	ws.sizes = scratch(ws.sizes, int(cn))
-	for cv := int32(0); cv < cn; cv++ {
-		ws.sizes[cv] = ws.bucketOff[cv+1] - ws.bucketOff[cv]
-	}
-	if workers > 1 {
-		par.ForDegreeAware(ws.sizes, workers, func(_, lo, hi int) {
-			ws.collapseRange(lo, hi)
-		})
-	} else {
-		ws.collapseRange(0, int(cn))
-	}
-
-	out.off = scratch(out.off, int(cn)+1)
-	if workers > 1 {
-		par.PrefixSumInto(out.off, ws.uniq)
-	} else {
-		var acc int64
-		for cv := int32(0); cv < cn; cv++ {
-			out.off[cv] = acc
-			acc += ws.uniq[cv]
-		}
-		out.off[cn] = acc
-	}
-	out.adj = scratch(out.adj, int(out.off[cn]))
-	out.ew = scratch(out.ew, int(out.off[cn]))
-	if workers > 1 {
-		par.ForDegreeAware(ws.uniq, workers, func(_, lo, hi int) {
-			ws.assembleRange(out, lo, hi)
-		})
-	} else {
-		ws.assembleRange(out, 0, int(cn))
-	}
-	out.view = wview{off: out.off, adj: out.adj, ew: out.ew, vw: out.vw}
 	return int(cn)
 }
 
-func histRange(v wview, coarseOf []int32, c []int64, lo, hi int) {
-	for x := lo; x < hi; x++ {
-		cx := coarseOf[x]
-		for a := v.off[x]; a < v.off[x+1]; a++ {
-			if coarseOf[v.adj[a]] != cx {
-				c[cx]++
+// contract materializes level li+1 from the coarse ids assignCoarse
+// left in level li: dedupe, then transpose.
+//
+// Dedupe: fine vertices are bucketed by coarse id, and each coarse
+// vertex folds its members' arcs through a coarse-id-indexed slot
+// table, so parallel edges collapse as they are met — targets in
+// first-seen order, integer weight sums. Row c of the arena starts at
+// rowStart[c] (the running sum of member degrees, an upper bound on
+// what the row can hold) and ends up with uniq[c] arcs.
+//
+// Transpose: arc (s→t, w) is written into row t of the next level as
+// (s, w). Sources are visited in ascending order, so every row comes
+// out strictly ascending without a comparison; and because a level
+// contracted from a symmetric adjacency is symmetric, the transpose IS
+// the level. A directed level gets its in-adjacency this way, so it is
+// transposed back through the arena (the two passes use the level's
+// own buffers and the arena, no third copy).
+//
+// Rows depend only on coarseOf and the fine adjacency, weight sums are
+// integers, and within a row the order is fixed by source id — the
+// level is the same at every worker count.
+func (ws *Workspace) contract(li, cn, workers int) {
+	v := ws.lv[li].view
+	n := v.n()
+	coarseOf := ws.lv[li].coarseOf
+	workers = max(1, min(workers, cn))
+
+	// Bucket fine vertices by coarse id: a counting sort that keeps
+	// fine order inside a bucket. Counts go in two slots up so that the
+	// scatter can use memberOff[c+1] as c's cursor and leave
+	// memberOff[c] as c's start. rowStart is the running sum of member
+	// degrees.
+	ws.memberOff = scratch(ws.memberOff, cn+2)
+	ws.rowStart = scratch(ws.rowStart, cn+1)
+	memberOff, rowStart := ws.memberOff, ws.rowStart
+	members := ws.pref[:n] // the matching is over: its proposals are dead
+	clear(memberOff)
+	clear(rowStart)
+	for x := 0; x < n; x++ {
+		c := coarseOf[x]
+		memberOff[c+2]++
+		rowStart[c+1] += v.off[x+1] - v.off[x]
+	}
+	for c := 0; c < cn; c++ {
+		memberOff[c+2] += memberOff[c+1]
+		rowStart[c+1] += rowStart[c]
+	}
+	for x := 0; x < n; x++ {
+		c := coarseOf[x]
+		members[memberOff[c+1]] = int32(x)
+		memberOff[c+1]++
+	}
+	ws.arcTo = scratch(ws.arcTo, int(rowStart[cn]))
+	ws.arcW = scratch(ws.arcW, int(rowStart[cn]))
+
+	for len(ws.tabs) < workers {
+		ws.tabs = append(ws.tabs, nil)
+	}
+	for w := 0; w < workers; w++ {
+		ws.tabs[w] = scratch(ws.tabs[w], cn)
+	}
+	ws.uniq = scratch(ws.uniq, cn)
+	if workers > 1 {
+		ws.sizes = scratch(ws.sizes, cn)
+		for c := 0; c < cn; c++ {
+			ws.sizes[c] = rowStart[c+1] - rowStart[c]
+		}
+		par.ForDegreeAware(ws.sizes, workers, func(w, lo, hi int) {
+			ws.foldRange(v, coarseOf, members, ws.tabs[w], lo, hi)
+		})
+	} else {
+		ws.foldRange(v, coarseOf, members, ws.tabs[0], 0, cn)
+	}
+
+	out := &ws.lv[li+1]
+	out.vw = scratch(out.vw, cn)
+	copy(out.vw, ws.cvw[:cn])
+	out.off = scratch(out.off, cn+1)
+	var total int64
+	for _, u := range ws.uniq {
+		total += u
+	}
+	out.adj = scratch(out.adj, int(total))
+	out.ew = scratch(out.ew, int(total))
+
+	if !v.directed {
+		ws.transpose(ws.rowStart, ws.uniq, ws.arcTo, ws.arcW, out.off, out.adj, out.ew, workers)
+	} else {
+		ws.inOff = scratch(ws.inOff, cn+1)
+		ws.transpose(ws.rowStart, ws.uniq, ws.arcTo, ws.arcW, ws.inOff, out.adj, out.ew, workers)
+		ws.sizes = scratch(ws.sizes, cn)
+		for c := 0; c < cn; c++ {
+			ws.sizes[c] = ws.inOff[c+1] - ws.inOff[c]
+		}
+		ws.transpose(ws.inOff, ws.sizes, out.adj, out.ew, out.off, ws.arcTo, ws.arcW, workers)
+		copy(out.adj, ws.arcTo[:total])
+		copy(out.ew, ws.arcW[:total])
+	}
+	out.view = wview{off: out.off, adj: out.adj, ew: out.ew, vw: out.vw, directed: v.directed}
+}
+
+// foldRange dedupes the rows of coarse vertices [lo, hi) into the arena
+// through tab, the worker's coarse-id-indexed table: tab[t] packs the
+// coarse source whose row last saw target t (high half) with t's
+// position in that row (low half).
+func (ws *Workspace) foldRange(v wview, coarseOf, members []int32, tab []int64, lo, hi int) {
+	for i := range tab {
+		tab[i] = -1
+	}
+	arcTo, arcW := ws.arcTo, ws.arcW
+	for c := int32(lo); int(c) < hi; c++ {
+		base := ws.rowStart[c]
+		row := int64(c) << 32
+		var cnt int64
+		for _, x := range members[ws.memberOff[c]:ws.memberOff[c+1]] {
+			for a := v.off[x]; a < v.off[x+1]; a++ {
+				cu := coarseOf[v.adj[a]]
+				if cu == c {
+					continue // contracted (or self) edge
+				}
+				ew := int64(1)
+				if v.ew != nil {
+					ew = v.ew[a]
+				}
+				if slot := tab[cu]; slot&^0xffffffff != row {
+					tab[cu] = row | cnt
+					arcTo[base+cnt] = cu
+					arcW[base+cnt] = ew
+					cnt++
+				} else {
+					arcW[base+slot&0xffffffff] += ew
+				}
 			}
+		}
+		ws.uniq[c] = cnt
+	}
+}
+
+// transpose scatters the rows src[start[s] : start[s]+cnt[s]] into
+// their transposed CSR: arc (s→t, w) becomes entry (s, w) of row t in
+// (dstOff, dstTo, dstW), dstOff computed here. It is the histogram →
+// par.CursorsFromCounts → disjoint-scatter pattern over degree-aware
+// source ranges: inside a row, entries land in worker order, and
+// workers own ascending source ranges, so rows ascend. Row boundaries
+// always come from the histogram of what is about to be written —
+// never from the caller's belief that the input is symmetric — so the
+// scatter stays inside dstTo/dstW whatever the adjacency holds.
+func (ws *Workspace) transpose(start, cnt []int64, srcTo []int32, srcW []int64,
+	dstOff []int64, dstTo []int32, dstW []int64, workers int) {
+	rows := len(cnt)
+	// Cleared here, not by the workers: a source range that came out
+	// empty never runs its body.
+	for w := 0; w < workers; w++ {
+		clear(ws.tabs[w])
+	}
+	if workers > 1 {
+		par.ForDegreeAware(cnt, workers, func(w, lo, hi int) {
+			histRows(start, cnt, srcTo, ws.tabs[w], lo, hi)
+		})
+		par.CursorsFromCounts(ws.tabs[:workers], dstOff)
+		par.ForDegreeAware(cnt, workers, func(w, lo, hi int) {
+			scatterRows(start, cnt, srcTo, srcW, ws.tabs[w], dstTo, dstW, lo, hi)
+		})
+		return
+	}
+	histRows(start, cnt, srcTo, ws.tabs[0], 0, rows)
+	cursorsSerial(ws.tabs[0], dstOff, rows)
+	scatterRows(start, cnt, srcTo, srcW, ws.tabs[0], dstTo, dstW, 0, rows)
+}
+
+func histRows(start, cnt []int64, to []int32, c []int64, lo, hi int) {
+	for s := lo; s < hi; s++ {
+		for _, t := range to[start[s] : start[s]+cnt[s]] {
+			c[t]++
 		}
 	}
 }
 
-func scatterRange(v wview, coarseOf []int32, cur []int64, arcs []ce, lo, hi int) {
-	for x := lo; x < hi; x++ {
-		cx := coarseOf[x]
-		for a := v.off[x]; a < v.off[x+1]; a++ {
-			cu := coarseOf[v.adj[a]]
-			if cu == cx {
-				continue // contracted (or self) edge
-			}
-			w := int64(1)
-			if v.ew != nil {
-				w = v.ew[a]
-			}
-			arcs[cur[cx]] = ce{to: cu, w: w}
-			cur[cx]++
-		}
-	}
-}
-
-// collapseRange sorts each bucket in [lo, hi) and folds parallel edges,
-// recording the unique-arc count in ws.uniq.
-func (ws *Workspace) collapseRange(lo, hi int) {
-	for cv := lo; cv < hi; cv++ {
-		b := ws.arcs[ws.bucketOff[cv]:ws.bucketOff[cv+1]]
-		slices.SortFunc(b, ceLess)
-		k := 0
-		for i := 0; i < len(b); {
-			j := i
-			var sum int64
-			for j < len(b) && b[j].to == b[i].to {
-				sum += b[j].w
-				j++
-			}
-			b[k] = ce{to: b[i].to, w: sum}
-			k++
-			i = j
-		}
-		ws.uniq[cv] = int64(k)
-	}
-}
-
-func (ws *Workspace) assembleRange(out *lvl, lo, hi int) {
-	for cv := lo; cv < hi; cv++ {
-		base := out.off[cv]
-		blo := ws.bucketOff[cv]
-		for i := int64(0); i < ws.uniq[cv]; i++ {
-			out.adj[base+i] = ws.arcs[blo+i].to
-			out.ew[base+i] = ws.arcs[blo+i].w
+func scatterRows(start, cnt []int64, to []int32, w []int64, cur []int64, dstTo []int32, dstW []int64, lo, hi int) {
+	for s := lo; s < hi; s++ {
+		for p := start[s]; p < start[s]+cnt[s]; p++ {
+			q := cur[to[p]]
+			cur[to[p]] = q + 1
+			dstTo[q] = int32(s)
+			dstW[q] = w[p]
 		}
 	}
 }
@@ -434,25 +477,34 @@ func (ws *Workspace) coarsenToSize(target int, seed int64, workers int) int {
 	maxCluster := max(ws.lv[0].view.totalVW()/int64(max(target, 1)), 4)
 	levels := 1
 	for ws.lv[levels-1].view.n() > target {
-		cur := ws.lv[levels-1]
+		cur := ws.lv[levels-1].view
 		salt := splitmix64(uint64(seed) + uint64(levels)*0x517cc1b727220a95)
-		ws.matchLevel(cur.view, salt, workers, maxCluster)
+		ws.matchLevel(cur, salt, workers, maxCluster)
+		cn := ws.assignCoarse(levels-1, maxCluster)
+		if cn >= cur.n()*19/20 {
+			break // stalled: mostly unmatched vertices
+		}
 		for len(ws.lv) <= levels {
 			ws.lv = append(ws.lv, lvl{})
 		}
-		cn := ws.contract(levels-1, workers, maxCluster)
-		if cn >= cur.view.n()*19/20 {
-			break // stalled: mostly unmatched vertices
+		ws.contract(levels-1, cn, workers)
+		if ls := ws.levelStats(levels - 1); ls != nil {
+			ls.CoarseN, ls.CoarseArcs = int64(cn), int64(len(ws.lv[levels].adj))
 		}
 		levels++
 	}
 	return levels
 }
 
-// primeLevel0 points the hierarchy root at an input view.
-func (ws *Workspace) primeLevel0(v wview) {
+// primeLevel0 points the hierarchy root at an input view and the run's
+// statistics at st (nil = not recorded).
+func (ws *Workspace) primeLevel0(v wview, st *Stats) {
 	if len(ws.lv) == 0 {
 		ws.lv = append(ws.lv, lvl{})
 	}
 	ws.lv[0].view = v
+	ws.stats = st
+	if st != nil {
+		*st = Stats{}
+	}
 }

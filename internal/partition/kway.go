@@ -38,8 +38,21 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 	seed := sketch.EffectiveSeed(opt.Seed)
 	ws.seedRNG(seed)
 
-	ws.primeLevel0(wview{off: g.Offsets, adj: g.Adj})
+	root := wview{off: g.Offsets, adj: g.Adj, directed: g.Directed()}
+	if g.Weighted() {
+		// The objective is the cut resultFor reports: g.W truncated
+		// per arc, as cutRange does.
+		ws.w0 = scratch(ws.w0, len(g.W))
+		for a, w := range g.W {
+			ws.w0[a] = int64(w)
+		}
+		root.ew = ws.w0
+	}
+	ws.primeLevel0(root, opt.Stats)
 	levels := ws.coarsenToSize(k*opt.CoarsenTarget, seed, workers)
+	if ws.stats != nil {
+		ws.stats.Levels = levels
+	}
 
 	total := ws.lv[0].view.totalVW()
 	ideal := float64(total) / float64(k)
@@ -50,7 +63,7 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 	coarsest.part = scratch(coarsest.part, coarsest.view.n())
 	ws.greedyGrow(coarsest.view, coarsest.part, k, total)
 	ws.ensureWorkers(workers, k)
-	ws.refineLevel(coarsest.view, coarsest.part, k, maxW, minW, opt.RefinePasses, workers)
+	ws.refineLevel(levels-1, k, maxW, minW, opt.RefinePasses, workers)
 
 	// Uncoarsen: project and refine.
 	for li := levels - 2; li >= 0; li-- {
@@ -67,8 +80,9 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 		} else {
 			projectRange(finePart, coarsePart, coarseOf, 0, n)
 		}
-		ws.refineLevel(fine.view, finePart, k, maxW, minW, opt.RefinePasses, workers)
+		ws.refineLevel(li, k, maxW, minW, opt.RefinePasses, workers)
 	}
+	ws.stats = nil // a pooled workspace must not keep the caller's record alive
 	return ws.resultFor(g, ws.lv[0].part, k, workers), nil
 }
 
@@ -153,8 +167,9 @@ func (ws *Workspace) assignVertex(v wview, part []int32, x, p int32, ulen int) i
 }
 
 // refineLevel runs batch-synchronous boundary refinement passes over
-// one level, then enforces the balance cap.
-func (ws *Workspace) refineLevel(v wview, part []int32, k int, maxW, minW int64, passes, workers int) {
+// level li, then enforces the balance cap.
+func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, passes, workers int) {
+	v, part := ws.lv[li].view, ws.lv[li].part
 	n := v.n()
 	weights := ws.weights[:k]
 	clear(weights)
@@ -166,13 +181,19 @@ func (ws *Workspace) refineLevel(v wview, part []int32, k int, maxW, minW int64,
 	for i := range order {
 		order[i] = int32(i)
 	}
+	ws.clean = scratch(ws.clean, n)
+	clear(ws.clean)
+	ls := ws.levelStats(li)
+	if ls != nil {
+		ls.N, ls.Arcs = int64(n), int64(len(v.adj))
+	}
 	for pass := 0; pass < passes; pass++ {
 		ws.shuffleOrder(order)
-		var moves int
-		if workers > 1 {
-			moves = ws.runKWayPassParallel(v, part, k, maxW, minW, workers)
-		} else {
-			moves = ws.runKWayPassSerial(v, part, maxW, minW)
+		moves, evaluated := ws.runKWayPass(v, part, maxW, minW, workers)
+		if ls != nil {
+			ls.Passes++
+			ls.Evaluated += evaluated
+			ls.Moves += int64(moves)
 		}
 		if moves == 0 {
 			break
@@ -185,14 +206,20 @@ func (ws *Workspace) refineLevel(v wview, part []int32, k int, maxW, minW int64,
 // returns the best cut-gain move target with its gain. Returns the
 // current part when no strictly-improving feasible move exists. Ties
 // on gain break toward the lighter part, then the smaller part id, so
-// the answer is independent of the gather (touched-list) order. Reads
-// shared state only — safe to run concurrently with other bestKMove
-// calls.
-func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32, maxW, minW int64) (int32, int64) {
+// the answer is independent of the gather (touched-list) order.
+//
+// pulled reports whether any other part holds more of x's edge weight
+// than its own, the weight window ignored. When it is false no weight
+// change can give x a move: only x or a neighbor changing part can.
+// A vertex the minW floor stopped before its gather reports true.
+//
+// Reads shared state only — safe to run concurrently with other
+// bestKMove calls.
+func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32, maxW, minW int64) (dest int32, gain int64, pulled bool) {
 	pv := part[x]
 	vwx := v.vweight(x)
 	if ws.weights[pv]-vwx < minW {
-		return pv, 0
+		return pv, 0, true
 	}
 	sc.begin()
 	lo, hi := v.off[x], v.off[x+1]
@@ -209,102 +236,115 @@ func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32, 
 	bestP := pv
 	var bestGain int64
 	for _, p := range sc.touched {
-		if p == pv {
+		gain := sc.wsum[p] - internal
+		if p == pv || gain <= 0 {
 			continue
 		}
+		pulled = true
 		if ws.weights[p]+vwx > maxW {
 			continue
 		}
-		gain := sc.wsum[p] - internal
 		if gain > bestGain ||
-			(gain == bestGain && gain > 0 &&
+			(gain == bestGain &&
 				(ws.weights[p] < ws.weights[bestP] ||
 					(ws.weights[p] == ws.weights[bestP] && p < bestP))) {
 			bestGain = gain
 			bestP = p
 		}
 	}
-	return bestP, bestGain
+	return bestP, bestGain, pulled
 }
 
-// applyKMove commits a validated move.
-func (ws *Workspace) applyKMove(v wview, part []int32, x, d int32) {
-	vwx := v.vweight(x)
-	ws.weights[part[x]] -= vwx
-	ws.weights[d] += vwx
-	part[x] = d
-}
-
-// runKWayPassSerial is the workers==1 arm: same propose-then-apply
-// batch structure as the parallel arm (so results match it exactly),
-// written without closures so nothing escapes and a warm pass is
-// alloc-free.
-func (ws *Workspace) runKWayPassSerial(v wview, part []int32, maxW, minW int64) int {
-	sc := ws.psc[0]
+// runKWayPass is one refinement pass over ws.order: every batch is
+// proposed against the frozen batch-start state — across the workers in
+// contiguous chunks, per-worker scatters and candidate buffers, no
+// shared writes — and then re-validated and applied serially in batch
+// order. Concatenating the per-worker candidate buffers in worker order
+// IS the batch order, and the candidate set depends only on the frozen
+// state, so the applied move sequence is identical for every worker
+// count. The lone-worker arm calls the same two functions without a
+// closure, so nothing escapes and a warm pass is alloc-free. Returns
+// the moves applied and the vertices evaluated.
+func (ws *Workspace) runKWayPass(v wview, part []int32, maxW, minW int64, workers int) (moves int, evaluated int64) {
 	n := v.n()
-	moves := 0
+	clear(ws.partial[:workers])
 	for base := 0; base < n; base += kwayBatch {
 		end := min(base+kwayBatch, n)
-		cand := ws.cand[0][:0]
-		for i := base; i < end; i++ {
-			x := ws.order[i]
-			if d, gain := ws.bestKMove(sc, v, part, x, maxW, minW); gain > 0 && d != part[x] {
-				cand = append(cand, x)
-			}
-		}
-		ws.cand[0] = cand
-		for _, x := range cand {
-			d, gain := ws.bestKMove(sc, v, part, x, maxW, minW)
-			if gain <= 0 || d == part[x] {
-				continue
-			}
-			ws.applyKMove(v, part, x, d)
-			moves++
-		}
-	}
-	return moves
-}
-
-// runKWayPassParallel proposes each batch across the workers against
-// the frozen batch-start state (per-worker scatters and candidate
-// buffers, no shared writes), then re-validates and applies serially
-// in batch order. ForChunkedN chunks are contiguous, so concatenating
-// the per-worker candidate buffers in worker order IS the batch order,
-// and the candidate set depends only on the frozen state — the applied
-// move sequence is therefore identical for every worker count.
-func (ws *Workspace) runKWayPassParallel(v wview, part []int32, k int, maxW, minW int64, workers int) int {
-	n := v.n()
-	moves := 0
-	for base := 0; base < n; base += kwayBatch {
-		end := min(base+kwayBatch, n)
-		bn := end - base
-		par.ForChunkedN(bn, workers, func(wk, lo, hi int) {
-			sc := ws.psc[wk]
-			cand := ws.cand[wk][:0]
-			for i := lo; i < hi; i++ {
-				x := ws.order[base+i]
-				if d, gain := ws.bestKMove(sc, v, part, x, maxW, minW); gain > 0 && d != part[x] {
-					cand = append(cand, x)
-				}
-			}
-			ws.cand[wk] = cand
-		})
-		// ForChunkedN clamps to bn workers on short batches; truncate
-		// the unused buffers so stale candidates never replay.
-		used := min(workers, bn)
-		for wk := used; wk < workers; wk++ {
-			ws.cand[wk] = ws.cand[wk][:0]
+		used := 1
+		if workers > 1 {
+			batch := ws.order[base:end]
+			par.ForChunkedN(len(batch), workers, func(wk, lo, hi int) {
+				ws.proposeMoves(wk, v, part, batch[lo:hi], maxW, minW)
+			})
+			// ForChunkedN clamps to len(batch) workers on short batches;
+			// the buffers past that hold an earlier batch's candidates.
+			used = min(workers, len(batch))
+		} else {
+			ws.proposeMoves(0, v, part, ws.order[base:end], maxW, minW)
 		}
 		for wk := 0; wk < used; wk++ {
-			for _, x := range ws.cand[wk] {
-				d, gain := ws.bestKMove(ws.psc[0], v, part, x, maxW, minW)
-				if gain <= 0 || d == part[x] {
-					continue
-				}
-				ws.applyKMove(v, part, x, d)
-				moves++
-			}
+			moves += ws.applyMoves(v, part, ws.cand[wk], maxW, minW)
 		}
+	}
+	for _, e := range ws.partial[:workers] {
+		evaluated += e
+	}
+	return moves, evaluated
+}
+
+// proposeMoves fills worker wk's candidate buffer with the vertices of
+// batch that have a strictly improving feasible move in the frozen
+// state, skipping the ones marked clean.
+//
+// The active-set rule: a vertex that no part pulls on (bestKMove's
+// pulled == false) has no move, and cannot get one from a change of
+// part weights — only from its own or a neighbor's change of part. It
+// is marked clean and skipped until applyMoves, which dirties a mover's
+// neighbors, says otherwise. Evaluating a clean vertex would find gain
+// 0 and touch nothing, so skipping it leaves the candidate sets, the
+// applied moves and the RNG stream exactly as they were. Vertices held
+// back by the weight window or the minW floor stay dirty: weights move
+// with every applied move. On a directed view a mover cannot name the
+// vertices that read its part (its in-neighbors), so nothing is marked.
+func (ws *Workspace) proposeMoves(wk int, v wview, part []int32, batch []int32, maxW, minW int64) {
+	sc := ws.psc[wk]
+	cand := ws.cand[wk][:0]
+	clean := ws.clean
+	var evaluated int64
+	for _, x := range batch {
+		if clean[x] {
+			continue
+		}
+		evaluated++
+		d, gain, pulled := ws.bestKMove(sc, v, part, x, maxW, minW)
+		if gain > 0 && d != part[x] {
+			cand = append(cand, x)
+		} else if !pulled && !v.directed {
+			clean[x] = true
+		}
+	}
+	ws.cand[wk] = cand
+	ws.partial[wk] += evaluated
+}
+
+// applyMoves re-evaluates each candidate against the live state and
+// commits the moves that still strictly decrease the cut, marking each
+// mover's neighbors dirty. Returns the number applied.
+func (ws *Workspace) applyMoves(v wview, part []int32, cand []int32, maxW, minW int64) int {
+	moves := 0
+	for _, x := range cand {
+		d, gain, _ := ws.bestKMove(ws.psc[0], v, part, x, maxW, minW)
+		if gain <= 0 || d == part[x] {
+			continue
+		}
+		vwx := v.vweight(x)
+		ws.weights[part[x]] -= vwx
+		ws.weights[d] += vwx
+		part[x] = d
+		for _, u := range v.adj[v.off[x]:v.off[x+1]] {
+			ws.clean[u] = false
+		}
+		moves++
 	}
 	return moves
 }

@@ -26,6 +26,10 @@ type MultilevelOptions struct {
 	// Workers caps the worker count for the k-way engine (default
 	// par.Workers()).
 	Workers int
+	// Stats, when non-nil, receives the k-way engine's per-level
+	// record of the run (MultilevelKWay and Workspace.KWay only). It
+	// changes nothing about the result.
+	Stats *Stats
 }
 
 func (o *MultilevelOptions) fill() {
@@ -42,7 +46,7 @@ func (o *MultilevelOptions) fill() {
 
 // MultilevelKWay partitions g into k parts with the multilevel k-way
 // scheme (the pmetis/kmetis analogue): parallel heavy-edge handshake
-// matching with counting-sort contraction, greedy growing on the
+// matching with dedupe-and-transpose contraction, greedy growing on the
 // coarsest graph, then projection with batch-synchronous boundary
 // refinement at every level. The result is bit-identical at every
 // worker count. Allocates a fresh result; callers on a hot loop should
@@ -141,7 +145,7 @@ func inducedSplit(w *wgraph, verts []int32, side []int32) (*wgraph, []int32, *wg
 		}
 	}
 	build := func(want int32, count int32) (*wgraph, []int32) {
-		out := &wgraph{vw: make([]int64, count), offsets: make([]int64, count+1)}
+		out := &wgraph{vw: make([]int64, count), offsets: make([]int64, count+1), directed: w.directed}
 		origs := make([]int32, count)
 		// Count arcs.
 		for v := 0; v < n; v++ {
@@ -216,7 +220,7 @@ func multilevelBisect(w *wgraph, frac float64, opt MultilevelOptions, rng *rand.
 func coarsenHierarchy(w *wgraph, target int, seed int64) (levels []*wgraph, maps [][]int32) {
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
-	ws.primeLevel0(wview{off: w.offsets, adj: w.adj, ew: w.ew, vw: w.vw})
+	ws.primeLevel0(wview{off: w.offsets, adj: w.adj, ew: w.ew, vw: w.vw, directed: w.directed}, nil)
 	nl := ws.coarsenToSize(target, seed, 1)
 	levels = make([]*wgraph, nl)
 	levels[0] = w
@@ -224,10 +228,11 @@ func coarsenHierarchy(w *wgraph, target int, seed int64) (levels []*wgraph, maps
 	for li := 1; li < nl; li++ {
 		lv := &ws.lv[li]
 		levels[li] = &wgraph{
-			offsets: slices.Clone(lv.off),
-			adj:     slices.Clone(lv.adj),
-			ew:      slices.Clone(lv.ew),
-			vw:      slices.Clone(lv.vw),
+			offsets:  slices.Clone(lv.off),
+			adj:      slices.Clone(lv.adj),
+			ew:       slices.Clone(lv.ew),
+			vw:       slices.Clone(lv.vw),
+			directed: w.directed,
 		}
 		maps[li-1] = slices.Clone(ws.lv[li-1].coarseOf)
 	}

@@ -216,11 +216,82 @@ func TestCoarsenPreservesTotals(t *testing.T) {
 	}
 }
 
+// Every coarse level must be exactly the quotient of the level below it
+// under coarseOf, in canonical form: each row strictly ascending (so
+// sorted and free of parallel arcs), no self-loops, and every arc
+// weight the sum of the fine arcs it stands for — which conserves the
+// total weight of the arcs that survive. Checked against a map-built
+// quotient at several worker counts, on a symmetric adjacency (where
+// the contraction's single transposition must be the level) and on a
+// directed one (where it must not be).
+func TestContractIsCanonicalQuotient(t *testing.T) {
+	inputs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat", generate.RMAT(3000, 24000, generate.DefaultRMAT(), 9)},
+		{"mesh", generate.RoadMesh(50, 50, 0.05, 9)},
+		{"rmat-directed", directedRMAT(3000, 24000, 9)},
+	}
+	for _, in := range inputs {
+		for _, workers := range []int{1, 2, 5} {
+			ws := AcquireWorkspace()
+			ws.primeLevel0(wview{off: in.g.Offsets, adj: in.g.Adj, directed: in.g.Directed()}, nil)
+			levels := ws.coarsenToSize(40, 7, workers)
+			if levels < 3 {
+				t.Fatalf("%s: only %d levels", in.name, levels)
+			}
+			for li := 0; li+1 < levels; li++ {
+				fine, coarse := ws.lv[li].view, ws.lv[li+1].view
+				coarseOf := ws.lv[li].coarseOf
+				want := make([]map[int32]int64, coarse.n())
+				for x := 0; x < fine.n(); x++ {
+					cx := coarseOf[x]
+					for a := fine.off[x]; a < fine.off[x+1]; a++ {
+						cu := coarseOf[fine.adj[a]]
+						if cu == cx {
+							continue
+						}
+						if want[cx] == nil {
+							want[cx] = map[int32]int64{}
+						}
+						ew := int64(1)
+						if fine.ew != nil {
+							ew = fine.ew[a]
+						}
+						want[cx][cu] += ew
+					}
+				}
+				for c := int32(0); int(c) < coarse.n(); c++ {
+					row := coarse.adj[coarse.off[c]:coarse.off[c+1]]
+					if len(row) != len(want[c]) {
+						t.Fatalf("%s workers=%d level %d: vertex %d has %d arcs, want %d",
+							in.name, workers, li+1, c, len(row), len(want[c]))
+					}
+					for i, u := range row {
+						if u == c {
+							t.Fatalf("%s workers=%d level %d: self-loop at %d", in.name, workers, li+1, c)
+						}
+						if i > 0 && row[i-1] >= u {
+							t.Fatalf("%s workers=%d level %d: row %d not strictly ascending", in.name, workers, li+1, c)
+						}
+						if got := coarse.ew[coarse.off[c]+int64(i)]; got != want[c][u] {
+							t.Fatalf("%s workers=%d level %d: arc %d->%d weighs %d, want %d",
+								in.name, workers, li+1, c, u, got, want[c][u])
+						}
+					}
+				}
+			}
+			ReleaseWorkspace(ws)
+		}
+	}
+}
+
 func TestHeavyEdgeMatchingIsMatching(t *testing.T) {
 	g := generate.RMAT(500, 2000, generate.DefaultRMAT(), 10)
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
-	ws.primeLevel0(wview{off: g.Offsets, adj: g.Adj})
+	ws.primeLevel0(wview{off: g.Offsets, adj: g.Adj}, nil)
 	for _, workers := range []int{1, 3} {
 		ws.matchLevel(ws.lv[0].view, 0xdecafbad, workers, 1<<30)
 		for v := int32(0); int(v) < g.NumVertices(); v++ {

@@ -15,6 +15,9 @@ type wgraph struct {
 	adj     []int32
 	ew      []int64
 	vw      []int64
+	// directed: built from a directed graph, so adj may be asymmetric
+	// (the coarsener's contraction needs to know).
+	directed bool
 }
 
 func (w *wgraph) n() int { return len(w.vw) }
@@ -40,10 +43,11 @@ func (w *wgraph) degree(v int32) int64 {
 func fromGraph(g *graph.Graph) *wgraph {
 	n := g.NumVertices()
 	w := &wgraph{
-		offsets: g.Offsets,
-		adj:     g.Adj,
-		ew:      make([]int64, len(g.Adj)),
-		vw:      make([]int64, n),
+		offsets:  g.Offsets,
+		adj:      g.Adj,
+		ew:       make([]int64, len(g.Adj)),
+		vw:       make([]int64, n),
+		directed: g.Directed(),
 	}
 	for i := range w.ew {
 		w.ew[i] = 1

@@ -22,15 +22,28 @@ type Workspace struct {
 	match []int32
 	pref  []int32
 
-	// Contraction scratch: per-worker histograms/cursors, coarse
-	// bucket boundaries, the arc scatter arena, and per-bucket unique
-	// counts.
-	counts    [][]int64
-	bucketOff []int64
-	arcs      []ce
+	// Contraction scratch: the bucket boundaries of the fine vertices
+	// sorted by coarse id (the sorted list itself reuses pref), each
+	// coarse row's start in the dedupe arena
+	// (rowStart; arcTo/arcW are the arena's target and weight columns)
+	// and its unique-arc count, the per-worker coarse-id-indexed tables
+	// that serve first as dedupe slots and then as transposition
+	// cursors, row weights for the degree-aware splits, the
+	// in-adjacency boundaries a directed level passes through, and the
+	// cluster weights assignCoarse accumulates.
+	memberOff []int32
+	rowStart  []int64
+	arcTo     []int32
+	arcW      []int64
 	uniq      []int64
+	tabs      [][]int64
 	sizes     []int64
+	inOff     []int64
 	cvw       []int64
+
+	// Level-0 edge weights of a weighted input, truncated to integers
+	// the way cutRange reports them.
+	w0 []int64
 
 	// Initial-partition scratch: the maintained unassigned list (ulist
 	// holds the unassigned vertices, upos[v] is v's index in ulist, -1
@@ -40,13 +53,18 @@ type Workspace struct {
 	queue []int32
 
 	// Refinement scratch: part weight accumulators, the pass order,
+	// the skip marks of the active-set rule (see proposeMoves),
 	// per-worker gather scatters and candidate buffers, and per-worker
 	// int64 partials for cut/count reductions.
 	weights []int64
 	order   []int32
+	clean   []bool
 	psc     []*partScatter
 	cand    [][]int32
 	partial []int64
+
+	// stats is the caller's record for the current run, nil when off.
+	stats *Stats
 
 	// LCG state expanded from sketch.EffectiveSeed; all serial
 	// randomness (greedy growing, pass shuffles) consumes it in

@@ -519,6 +519,12 @@ type PartitionResult = partition.Result
 // MultilevelOptions configures the Metis-style partitioners.
 type MultilevelOptions = partition.MultilevelOptions
 
+// PartitionStats is the k-way engine's per-level record of one run
+// (hierarchy sizes, shrink ratios, refinement passes, evaluations and
+// moves): point MultilevelOptions.Stats at one and read it after
+// MultilevelKWay returns. Fixed-size and caller-owned; nil is off.
+type PartitionStats = partition.Stats
+
 // SpectralOptions configures the Chaco-style spectral partitioners.
 type SpectralOptions = partition.SpectralOptions
 
@@ -562,7 +568,7 @@ type PartitionOptions struct {
 }
 
 // Partition computes a k-way partition with the parallel multilevel
-// engine (heavy-edge matching, counting-sort contraction,
+// engine (heavy-edge matching, dedupe-and-transpose contraction,
 // batch-synchronous boundary refinement). The result is deterministic
 // for a given seed regardless of worker count.
 func Partition(g *Graph, opt PartitionOptions) (PartitionResult, error) {

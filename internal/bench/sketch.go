@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
 
 	"snap/internal/bfs"
@@ -79,7 +80,8 @@ func Sketch(cfg Config) {
 	fmt.Fprintf(w, "%-34s %12s %10s %12s %12s %8s\n", "kernel", "wall ms", "speedup", "value", "reference", "err")
 
 	var anf sketch.ANFResult
-	anfDur := bestOf(reps, func() { anf = sketch.ANF(g, sketch.ANFOptions{Seed: cfg.Seed}) })
+	var anfStats sketch.ANFStats
+	anfDur := bestOf(reps, func() { anf = sketch.ANF(g, sketch.ANFOptions{Seed: cfg.Seed, Stats: &anfStats}) })
 
 	var exactDiam int
 	exactDiamDur := bestOf(reps, func() { exactDiam = metrics.Diameter(g) })
@@ -108,6 +110,19 @@ func Sketch(cfg Config) {
 	exactNFms := perSrcMs * float64(n)
 	fmt.Fprintf(w, "exact NF baseline: all-sources BFS measured at %.2f ms/source over %d sources => %.0f s for n=%d; HyperANF speedup %.0fx\n",
 		perSrcMs, refSrc, exactNFms/1000, n, exactNFms/ms(anfDur))
+
+	// Per-sweep record of the run above, and of the same call on a road
+	// mesh of about the same size (MaxSweeps 16, as in the repo
+	// benchmark's session): the small-world fringe collapses into a few
+	// sparse sweeps, the mesh keeps every row changing.
+	side := int(math.Sqrt(float64(n)))
+	road := generate.RoadMesh(side, side, 0.05, cfg.Seed)
+	var roadStats sketch.ANFStats
+	roadDur := bestOf(reps, func() {
+		sketch.ANF(road, sketch.ANFOptions{Seed: cfg.Seed, MaxSweeps: 16, Stats: &roadStats})
+	})
+	printANFStats(w, fmt.Sprintf("RMAT n=%d, %.2f ms", n, ms(anfDur)), &anfStats)
+	printANFStats(w, fmt.Sprintf("RoadMesh %dx%d, MaxSweeps 16, %.2f ms", side, side, ms(roadDur)), &roadStats)
 
 	// Sampled closeness vs the exact kernel, on the largest subinstance
 	// the exact O(nm) kernel finishes comfortably.
@@ -223,6 +238,20 @@ func Sketch(cfg Config) {
 	fmt.Fprintf(w, "sampled pairs: %d (%d connected+covered)   bracketed: %d/%d   exact (lo==hi): %d   mean midpoint error: %.1f%%\n",
 		nq, eligible, within, eligible, exact, 100*sumRel/math.Max(float64(rel), 1))
 	fmt.Fprintln(w)
+}
+
+// printANFStats prints one HyperANF run's per-sweep record.
+func printANFStats(w io.Writer, label string, st *sketch.ANFStats) {
+	fmt.Fprintf(w, "\n-- HyperANF sweeps: %s --\n", label)
+	fmt.Fprintf(w, "%5s %7s %10s %10s %10s %10s\n", "sweep", "mode", "rows", "unions", "words", "changed")
+	for i := 0; i < min(st.Sweeps, sketch.MaxStatsSweeps); i++ {
+		s := st.Sweep[i]
+		mode := "dense"
+		if s.Sparse {
+			mode = "sparse"
+		}
+		fmt.Fprintf(w, "%5d %7s %10d %10d %10d %10d\n", i, mode, s.Rows, s.Unions, s.Words, s.Changed)
+	}
 }
 
 func relErrF(got, want float64) float64 {

@@ -123,6 +123,7 @@ type Engine struct {
 	cur   Frontier  // current level in hybrid form
 	nexts [][]int32 // per-worker discovery buffers (parallel steps)
 	wbuf  []int64   // frontier weight scratch for DegreeAware
+	claim []uint64  // parallel top-down claim keys; unclaimed between levels
 }
 
 // NewEngine returns an engine for graphs with n vertices.
@@ -184,8 +185,11 @@ func (e *Engine) Run(g *graph.Graph, src int32, alive []bool, maxDepth int32) {
 // neighbors, serial or lock-free parallel with per-worker buffers) or
 // bottom-up (unvisited vertices probe the frontier bitmap through
 // their in-arcs), per the Alpha/Beta heuristic. Distances are
-// direction-independent; parents are any valid tree (exact serial
-// parents when top-down with one worker).
+// direction-independent. Parents and the visit order depend on the
+// direction of each level but never on the worker count: a top-down
+// level yields the serial queue loop's parents and order at any worker
+// count, a bottom-up level the first frontier in-neighbor in adjacency
+// order, discovered in ascending vertex order.
 func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -319,10 +323,18 @@ func (e *Engine) stepTopDownSerial(g *graph.Graph, alive []bool, depth int32, lo
 	e.order = order
 }
 
-// stepTopDownParallel expands order[lo:hi] with per-worker next
-// buffers; visitation is claimed with a compare-and-swap on the stamp
-// array (the paper's lock-free scheme), so the only synchronization
-// per level is one barrier.
+// stepTopDownParallel expands order[lo:hi] across workers and produces
+// exactly the serial arm's level: the same parents and the same visit
+// order. The serial queue loop gives u to the first frontier vertex, in
+// frontier order, that has an arc to it, and discovers vertices in
+// (frontier position, arc) order. Two passes reproduce that without
+// locks. The claim pass CAS-mins the packed key (frontier position,
+// arc offset) of every arc into claim[u]. After a barrier, the emit pass
+// walks the same arcs again; the one arc whose key won is u's
+// discovery, so its worker stamps u, sets its parent and appends it.
+// Workers own contiguous ascending frontier ranges, so merging their
+// buffers in worker order yields the serial order. Each emitted vertex
+// resets its claim slot, keeping claim all-unclaimed between levels.
 func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, lo, hi int, workers int, degreeAware bool) {
 	ep := e.epoch
 	stamp, dist, parent := e.stamp, e.dist, e.parent
@@ -331,7 +343,36 @@ func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, 
 		workers = len(front)
 	}
 	e.prepareWorkers(workers)
-	expand := func(w, flo, fhi int) {
+	if n := len(stamp); len(e.claim) < n {
+		e.claim = make([]uint64, n)
+		for i := range e.claim {
+			e.claim[i] = unclaimed
+		}
+	}
+	claim := e.claim
+	claimPass := func(_, flo, fhi int) {
+		for i := flo; i < fhi; i++ {
+			v := front[i]
+			alo, ahi := g.Offsets[v], g.Offsets[v+1]
+			for a := alo; a < ahi; a++ {
+				if alive != nil && !alive[g.EID[a]] {
+					continue
+				}
+				u := g.Adj[a]
+				if stamp[u] == ep {
+					continue
+				}
+				key := uint64(i)<<32 | uint64(a-alo)
+				for {
+					c := atomic.LoadUint64(&claim[u])
+					if c <= key || atomic.CompareAndSwapUint64(&claim[u], c, key) {
+						break
+					}
+				}
+			}
+		}
+	}
+	emitPass := func(w, flo, fhi int) {
 		next := e.nexts[w][:0]
 		for i := flo; i < fhi; i++ {
 			v := front[i]
@@ -341,8 +382,9 @@ func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, 
 					continue
 				}
 				u := g.Adj[a]
-				s := atomic.LoadUint32(&stamp[u])
-				if s != ep && atomic.CompareAndSwapUint32(&stamp[u], s, ep) {
+				if atomic.LoadUint64(&claim[u]) == uint64(i)<<32|uint64(a-alo) {
+					atomic.StoreUint64(&claim[u], unclaimed)
+					stamp[u] = ep
 					dist[u] = depth
 					parent[u] = v
 					next = append(next, u)
@@ -357,12 +399,18 @@ func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, 
 			wbuf = append(wbuf, g.Offsets[v+1]-g.Offsets[v])
 		}
 		e.wbuf = wbuf
-		par.ForDegreeAware(wbuf, workers, expand)
+		par.ForDegreeAware(wbuf, workers, claimPass)
+		par.ForDegreeAware(wbuf, workers, emitPass)
 	} else {
-		par.ForChunkedN(len(front), workers, expand)
+		par.ForChunkedN(len(front), workers, claimPass)
+		par.ForChunkedN(len(front), workers, emitPass)
 	}
 	e.merge(workers)
 }
+
+// unclaimed is the empty claim slot: larger than every packed
+// (frontier position, arc offset) key.
+const unclaimed = ^uint64(0)
 
 // stepBottomUp discovers the next level by scanning unvisited vertices:
 // each probes its in-arcs (pull's adjacency) for a member of the

@@ -183,6 +183,54 @@ func TestEngineSerialMatchesBFSSerial(t *testing.T) {
 	}
 }
 
+// The parallel arms must reproduce the serial arm exactly — the same
+// parents and the same visit order, not just some valid tree — at every
+// worker count, with and without degree-aware chunking, alive masks and
+// direction switches, on one engine reused across all of it.
+func TestEngineParallelMatchesSerial(t *testing.T) {
+	graphs := testGraphs(t)
+	graphs["directed"] = randomDirected(t, 300, 1500, 41)
+	rng := rand.New(rand.NewSource(43))
+	serial, e := frontier.NewEngine(0), frontier.NewEngine(0)
+	for _, gname := range []string{"rmat", "erdosrenyi", "roadmesh", "disconnected", "directed"} {
+		g := graphs[gname]
+		n := g.NumVertices()
+		alive := make([]bool, g.NumEdges())
+		for i := range alive {
+			alive[i] = rng.Intn(5) != 0
+		}
+		serial.Resize(n)
+		e.Resize(n)
+		for _, mask := range [][]bool{nil, alive} {
+			for _, alpha := range []float64{0, frontier.DefaultAlpha} {
+				for trial := 0; trial < 6; trial++ {
+					src := int32(rng.Intn(n))
+					base := frontier.Options{Workers: 1, MaxDepth: -1, Alive: mask, Alpha: alpha}
+					serial.RunOptions(g, src, base)
+					want := append([]int32(nil), serial.Order()...)
+					for _, workers := range []int{1, 2, 4} {
+						for _, degreeAware := range []bool{false, true} {
+							opt := base
+							opt.Workers, opt.DegreeAware = workers, degreeAware
+							e.RunOptions(g, src, opt)
+							got := e.Order()
+							if len(got) != len(want) {
+								t.Fatalf("%s src %d workers %d: reached %d, want %d", gname, src, workers, len(got), len(want))
+							}
+							for i, v := range want {
+								if got[i] != v || e.Parent(v) != serial.Parent(v) {
+									t.Fatalf("%s src %d workers %d degaware %v alpha %v: order[%d] = %d parent %d, want %d parent %d",
+										gname, src, workers, degreeAware, alpha, i, got[i], e.Parent(got[i]), v, serial.Parent(v))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // One engine reused across 60 runs with rotating configurations must
 // never leak state between traversals.
 func TestEngineReuseAcrossRuns(t *testing.T) {

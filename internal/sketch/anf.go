@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"snap/internal/frontier"
@@ -32,6 +33,9 @@ type ANFOptions struct {
 	// Quantile is the effective-diameter quantile (0 means 0.9, the
 	// conventional "90% of reachable pairs" definition).
 	Quantile float64
+	// Stats, when non-nil, receives a per-sweep record of the run. It
+	// changes nothing about the result.
+	Stats *ANFStats
 }
 
 // ANFResult is the estimated neighborhood function and the distance
@@ -76,12 +80,13 @@ type ANFWorkspace struct {
 	sums       []float64 // per-row harmonic sum, maintained incrementally
 	zeros      []int32   // per-row zero-register count, ditto
 	nf         []float64
-	reach      []float64 // aliased by results only when a copy is needed
 	changed    frontier.Frontier
-	changedBuf []int32   // sparse changed list backing the frontier
-	nexts      [][]int32 // per-worker changed-discovery buffers
-	bounds     []int     // degree-aware vertex ranges, one per worker
-	weights    []int64   // per-vertex degree weights for the partition
+	changedBuf []int32      // sparse changed list backing the frontier
+	rows       []uint64     // bitmap of the rows the next sweep visits
+	nexts      [][]int32    // per-worker changed-discovery buffers
+	tallies    []sweepTally // per-worker sweep counts
+	bounds     []int        // degree-aware vertex ranges, one per worker
+	weights    []int64      // per-vertex degree weights for the partition
 }
 
 // NewANFWorkspace returns an empty workspace; Run sizes it on demand.
@@ -120,8 +125,12 @@ func ANF(g *graph.Graph, opt ANFOptions) ANFResult {
 // idempotent — so the result is bit-identical at every worker count.
 // Only rows with a neighbor in the changed frontier are re-unioned:
 // an unchanged neighbor's contribution is already folded into the
-// previous plane, which the new plane starts from. The loop stops at
-// the register fixpoint, reached after at most diameter sweeps.
+// previous plane, which the new plane starts from. While the changed
+// list is long every row is scanned for such neighbors; once it is
+// short (anfSparseBeta) an undirected sweep visits just the neighbors
+// of the changed rows, in ascending order, and copies just the changed
+// rows between planes. The loop stops at the register fixpoint,
+// reached after at most diameter sweeps.
 func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 	n := g.NumVertices()
 	workers := opt.Workers
@@ -140,6 +149,10 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 		quantile = 1
 	}
 	ws.resize(n, p, workers)
+	st := opt.Stats
+	if st != nil {
+		*st = ANFStats{}
+	}
 	if n == 0 {
 		ws.nf = ws.nf[:0]
 		return ANFResult{NF: ws.nf, Reach: ws.est, Registers: p.regs}
@@ -150,6 +163,9 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 	// reused by every sweep (the per-sweep work of a range is
 	// proportional to its degree sum, just like a BFS level's).
 	if workers > 1 {
+		if cap(ws.weights) < n {
+			ws.weights = make([]int64, 0, n)
+		}
 		ws.weights = ws.weights[:0]
 		for v := 0; v < n; v++ {
 			ws.weights = append(ws.weights, g.Offsets[v+1]-g.Offsets[v])
@@ -185,18 +201,29 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 
 	sweeps := 0
 	for sweeps < maxSweeps {
-		// next := cur, then fold changed neighbors into next.
-		copyPlane(ws.next, ws.cur, workers)
-		changedCount := 0
+		// next := cur, then fold changed neighbors into the rows that have
+		// one. After a sweep the two planes differ exactly in the rows that
+		// grew — the changed list — so a sparse sweep copies those rows
+		// only; the first sweep's list is every row.
+		sparse := !g.Directed() && len(ws.changedBuf)*anfSparseBeta < n
+		if sparse {
+			for _, u := range ws.changedBuf {
+				lo := int(u) * p.words
+				copy(ws.next[lo:lo+p.words], ws.cur[lo:lo+p.words])
+			}
+			ws.markNeighbors(g)
+		} else {
+			copyPlane(ws.next, ws.cur, workers)
+			ws.markAll(n)
+		}
 		if workers <= 1 {
 			// Closure-free serial arm: the zero-allocation steady state.
-			buf := ws.sweepRange(g, 0, n, ws.nexts[0][:0])
-			ws.nexts[0] = buf
-			changedCount = len(buf)
+			ws.nexts[0] = ws.sweepRange(g, 0, n, ws.nexts[0][:0], &ws.tallies[0])
 		} else {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				lo, hi := ws.bounds[w], ws.bounds[w+1]
+				ws.tallies[w] = sweepTally{}
 				if lo >= hi {
 					ws.nexts[w] = ws.nexts[w][:0]
 					continue
@@ -204,20 +231,24 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 				wg.Add(1)
 				go func(w, lo, hi int) {
 					defer wg.Done()
-					ws.nexts[w] = ws.sweepRange(g, lo, hi, ws.nexts[w][:0])
+					ws.nexts[w] = ws.sweepRange(g, lo, hi, ws.nexts[w][:0], &ws.tallies[w])
 				}(w, lo, hi)
 			}
 			wg.Wait()
-			for w := 0; w < workers; w++ {
-				changedCount += len(ws.nexts[w])
-			}
+		}
+		changedCount := 0
+		for w := 0; w < workers; w++ {
+			changedCount += len(ws.nexts[w])
+		}
+		if st != nil {
+			st.record(sparse, ws.tallies[:workers], changedCount)
 		}
 		if changedCount == 0 {
 			break
 		}
 		sweeps++
 		// Publish the new plane and the new changed frontier (merged in
-		// worker order — deterministic, and only its bitmap is probed).
+		// worker order, so ascending like every range's discoveries).
 		ws.cur, ws.next = ws.next, ws.cur
 		ws.changedBuf = ws.changedBuf[:0]
 		for w := 0; w < workers; w++ {
@@ -264,42 +295,86 @@ func (ws *ANFWorkspace) initRange(lo, hi int, p hllParams, seedMix uint64) {
 	}
 }
 
-// sweepRange folds the changed neighbors of vertices [lo, hi) from the
-// cur plane into the next plane, appending vertices whose registers
-// grew to buf. Owner-writes only: row v is written by exactly the
-// worker that owns [lo, hi) ∋ v.
-func (ws *ANFWorkspace) sweepRange(g *graph.Graph, lo, hi int, buf []int32) []int32 {
+// anfSparseBeta is the sparse-sweep rule, in the β style of the BFS
+// engine's switch-back test (DESIGN.md §5c): when fewer than n/β rows
+// changed, the next sweep visits only their neighbors instead of
+// scanning every row. Either way a visited row folds the same changed
+// neighbors in the same order; the rule only decides how rows with no
+// changed neighbor are skipped.
+const anfSparseBeta = 8
+
+// markAll selects every row of [0, n) for the next sweep.
+func (ws *ANFWorkspace) markAll(n int) {
+	for i := range ws.rows {
+		ws.rows[i] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		ws.rows[len(ws.rows)-1] = 1<<uint(r) - 1
+	}
+}
+
+// markNeighbors selects the rows with a changed neighbor: on an
+// undirected graph those are the neighbors of the changed rows.
+func (ws *ANFWorkspace) markNeighbors(g *graph.Graph) {
+	rows := ws.rows
+	clear(rows)
+	for _, u := range ws.changedBuf {
+		for _, v := range g.Adj[g.Offsets[u]:g.Offsets[u+1]] {
+			rows[v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+}
+
+// sweepTally counts one worker's share of a sweep for ANFStats.
+type sweepTally struct {
+	rows, unions, words int64
+}
+
+// sweepRange folds the changed neighbors of the marked rows in [lo, hi),
+// in ascending row order, from the cur plane into the next plane,
+// appending rows whose registers grew to buf. Owner-writes only: row v
+// is written by exactly the worker that owns [lo, hi) ∋ v.
+func (ws *ANFWorkspace) sweepRange(g *graph.Graph, lo, hi int, buf []int32, tally *sweepTally) []int32 {
 	p := ws.p
 	cur, next := ws.cur, ws.next
 	changed := &ws.changed
-	for v := lo; v < hi; v++ {
-		alo, ahi := g.Offsets[v], g.Offsets[v+1]
-		grew := false
-		var dst []uint64
-		var dSum float64
-		var dZeros int32
-		for a := alo; a < ahi; a++ {
-			u := g.Adj[a]
-			if !changed.Has(u) {
-				continue
-			}
-			if dst == nil {
-				dst = next[v*p.words : (v+1)*p.words]
-			}
-			s, z, ch := unionRowsSum(dst, cur[int(u)*p.words:(int(u)+1)*p.words], pow2neg)
-			if ch {
-				grew = true
+	var t sweepTally
+	for wi := lo >> 6; wi<<6 < hi; wi++ {
+		base := wi << 6
+		word := ws.rows[wi]
+		if base < lo {
+			word &= ^uint64(0) << uint(lo-base)
+		}
+		if hi-base < 64 {
+			word &= 1<<uint(hi-base) - 1
+		}
+		for ; word != 0; word &= word - 1 {
+			v := base + bits.TrailingZeros64(word)
+			t.rows++
+			dst := next[v*p.words : (v+1)*p.words]
+			var dSum float64
+			var dZeros int32
+			grown := 0
+			for _, u := range g.Adj[g.Offsets[v]:g.Offsets[v+1]] {
+				if !changed.Has(u) {
+					continue
+				}
+				t.unions++
+				s, z, words := unionRowsSum(dst, cur[int(u)*p.words:(int(u)+1)*p.words], pow2neg)
 				dSum += s
 				dZeros += z
+				grown += words
+			}
+			if grown != 0 {
+				t.words += int64(grown)
+				ws.sums[v] += dSum
+				ws.zeros[v] += dZeros
+				ws.est[v] = estimateFrom(ws.sums[v], ws.zeros[v], p)
+				buf = append(buf, int32(v))
 			}
 		}
-		if grew {
-			ws.sums[v] += dSum
-			ws.zeros[v] += dZeros
-			ws.est[v] = estimateFrom(ws.sums[v], ws.zeros[v], p)
-			buf = append(buf, int32(v))
-		}
 	}
+	*tally = t
 	return buf
 }
 
@@ -372,11 +447,16 @@ func (ws *ANFWorkspace) resize(n int, p hllParams, workers int) {
 	if cap(ws.changedBuf) < n {
 		ws.changedBuf = make([]int32, 0, n)
 	}
+	if words := (n + 63) >> 6; cap(ws.rows) < words {
+		ws.rows = make([]uint64, words)
+	} else {
+		ws.rows = ws.rows[:words]
+	}
 	for len(ws.nexts) < workers {
 		ws.nexts = append(ws.nexts, make([]int32, 0, 256))
 	}
-	if cap(ws.weights) < n {
-		ws.weights = make([]int64, 0, n)
+	if len(ws.tallies) < workers {
+		ws.tallies = make([]sweepTally, workers)
 	}
 	if cap(ws.bounds) < workers+1 {
 		ws.bounds = make([]int, 0, workers+1)

@@ -229,6 +229,69 @@ func TestANFZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestANFStatsDescribeTheRun checks the per-sweep record against what
+// the kernel must have done, and that asking for it changes nothing and
+// allocates nothing.
+func TestANFStatsDescribeTheRun(t *testing.T) {
+	g := generate.RMAT(2048, 8192, generate.DefaultRMAT(), 11)
+	n := int64(g.NumVertices())
+	for _, workers := range []int{1, 3} {
+		ws := NewANFWorkspace()
+		want := ANF(g, ANFOptions{Seed: 1, Workers: workers})
+		var st ANFStats
+		got := ws.Run(g, ANFOptions{Seed: 1, Workers: workers, Stats: &st})
+		for i := range want.NF {
+			if got.NF[i] != want.NF[i] {
+				t.Fatalf("workers=%d: NF[%d] changed by Stats", workers, i)
+			}
+		}
+		if st.Sweeps != got.Sweeps+1 {
+			t.Fatalf("workers=%d: %d sweeps recorded, want %d (the run reached the fixpoint)", workers, st.Sweeps, got.Sweeps+1)
+		}
+		first := st.Sweep[0]
+		if first.Sparse || first.Rows != n || first.Unions != int64(g.NumArcs()) {
+			t.Fatalf("workers=%d: first sweep %+v, want dense over %d rows and %d arcs", workers, first, n, g.NumArcs())
+		}
+		sparse := false
+		for i := 0; i < st.Sweeps; i++ {
+			s := st.Sweep[i]
+			sparse = sparse || s.Sparse
+			if !s.Sparse && s.Rows != n {
+				t.Fatalf("workers=%d sweep %d: dense sweep visited %d rows of %d", workers, i, s.Rows, n)
+			}
+			if s.Changed > s.Rows || s.Words < s.Changed || s.Unions < s.Changed {
+				t.Fatalf("workers=%d sweep %d: inconsistent %+v", workers, i, s)
+			}
+		}
+		if last := st.Sweep[st.Sweeps-1]; last.Changed != 0 || last.Words != 0 {
+			t.Fatalf("workers=%d: fixpoint sweep grew %+v", workers, last)
+		}
+		if !sparse {
+			t.Fatalf("workers=%d: no sweep of a converging R-MAT run went sparse", workers)
+		}
+	}
+	ws := NewANFWorkspace()
+	var st ANFStats
+	opt := ANFOptions{Seed: 1, Workers: 1, Stats: &st}
+	ws.Run(g, opt)
+	if allocs := testing.AllocsPerRun(5, func() { ws.Run(g, opt) }); allocs != 0 {
+		t.Fatalf("warm serial ANF run with Stats allocates %.0f times, want 0", allocs)
+	}
+	// A directed graph has no reverse adjacency to push along: every
+	// sweep scans all rows.
+	dg, err := graph.Build(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}},
+		graph.BuildOptions{Directed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ANF(dg, ANFOptions{Stats: &st})
+	for i := 0; i < st.Sweeps; i++ {
+		if st.Sweep[i].Sparse {
+			t.Fatalf("directed sweep %d went sparse", i)
+		}
+	}
+}
+
 // TestANFPathStatistics checks the closed-form path-graph answers:
 // average distance (n+1)/3 and diameter n-1.
 func TestANFPathStatistics(t *testing.T) {
@@ -346,37 +409,72 @@ func TestMaxWordBytes(t *testing.T) {
 	}
 }
 
-// TestUnionRowsSumMatchesScan drives the incremental estimator
-// maintenance against the from-scratch row scan: after any sequence of
-// unions, the maintained (sum, zeros) must equal rowSummary of the
-// resulting registers (up to float round-off in sum's accumulation
-// order, which is fixed — so equality is exact for the zero count and
-// within an ulp-scale tolerance for the sum), and the registers
-// themselves must match plain unionRows.
+// scalarUnion is the per-byte oracle for unionRowsSum: the lane-wise
+// max of the two rows and the number of words in which it differs from
+// dst.
+func scalarUnion(dst, src []uint64) (out []uint64, words int) {
+	out = make([]uint64, len(dst))
+	for i := range dst {
+		for s := uint(0); s < 64; s += 8 {
+			x, y := (dst[i]>>s)&0xff, (src[i]>>s)&0xff
+			out[i] |= max(x, y) << s
+		}
+		if out[i] != dst[i] {
+			words++
+		}
+	}
+	return out, words
+}
+
+// TestUnionRowsSumMatchesScan drives the union against a scalar per-byte
+// max, and its incremental estimator maintenance against the
+// from-scratch row scan: the registers and grown-word count must equal
+// the oracle's, the maintained zero count must equal rowSummary's
+// exactly, and the maintained sum must equal it within ulp-scale
+// round-off (the two accumulate in different orders). Rows are random,
+// equal, or differ by a single grown lane.
 func TestUnionRowsSumMatchesScan(t *testing.T) {
 	p := makeParams(64)
 	rng := NewRNG(3)
-	for trial := 0; trial < 200; trial++ {
-		a := make([]uint64, p.words)
-		b := make([]uint64, p.words)
-		for i := 0; i < 30; i++ {
-			hllInsert(a, mix64(uint64(rng.Int63())), p)
-			hllInsert(b, mix64(uint64(rng.Int63())), p)
+	randomRow := func(k int) []uint64 {
+		r := make([]uint64, p.words)
+		for i := 0; i < k; i++ {
+			hllInsert(r, mix64(uint64(rng.Int63())), p)
 		}
-		viaSum := append([]uint64(nil), a...)
-		viaMax := append([]uint64(nil), a...)
-		sum, zeros := rowSummary(viaSum, pow2neg)
-		dSum, dZeros, changed := unionRowsSum(viaSum, b, pow2neg)
-		changedMax := unionRows(viaMax, b)
-		if changed != changedMax {
-			t.Fatalf("trial %d: changed %v vs %v", trial, changed, changedMax)
-		}
-		for i := range viaSum {
-			if viaSum[i] != viaMax[i] {
-				t.Fatalf("trial %d: registers diverge at word %d", trial, i)
+		return r
+	}
+	for trial := 0; trial < 600; trial++ {
+		a := randomRow(rng.Intn(80))
+		var b []uint64
+		switch trial % 3 {
+		case 0:
+			b = randomRow(rng.Intn(80))
+		case 1:
+			b = append([]uint64(nil), a...)
+		case 2:
+			b = append([]uint64(nil), a...)
+			lane := uint(rng.Intn(p.regs))
+			w, s := lane/8, (lane%8)*8
+			if r := (b[w] >> s) & 0xff; r < 60 {
+				b[w] = b[w]&^(0xff<<s) | (r+1+uint64(rng.Intn(int(60-r))))<<s
 			}
 		}
-		wantSum, wantZeros := rowSummary(viaSum, pow2neg)
+		want, wantWords := scalarUnion(a, b)
+		got := append([]uint64(nil), a...)
+		sum, zeros := rowSummary(got, pow2neg)
+		dSum, dZeros, words := unionRowsSum(got, b, pow2neg)
+		if words != wantWords {
+			t.Fatalf("trial %d: %d words grew, want %d", trial, words, wantWords)
+		}
+		if trial%3 == 1 && words != 0 {
+			t.Fatalf("trial %d: union of equal rows grew %d words", trial, words)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: word %d = %#x, want %#x", trial, i, got[i], want[i])
+			}
+		}
+		wantSum, wantZeros := rowSummary(got, pow2neg)
 		if zeros+dZeros != wantZeros {
 			t.Fatalf("trial %d: zeros %d, want %d", trial, zeros+dZeros, wantZeros)
 		}

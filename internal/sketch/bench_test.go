@@ -31,27 +31,42 @@ func sketchRMAT(scale int) *graph.Graph {
 	return generate.RMAT(n, 8*n, generate.DefaultRMAT(), 1)
 }
 
-func BenchmarkANFRMAT(b *testing.B) {
-	g := sketchRMAT(sketchBenchScale(b))
-	b.ReportAllocs()
-	b.SetBytes(int64(g.NumArcs() * 4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ANF(g, ANFOptions{Seed: 1})
+// BenchmarkANF regenerates the HyperANF numbers of EXPERIMENTS.md and
+// DESIGN.md §5i: the repo benchmark's two graphs and its call
+// (MaxSweeps 16, default registers and seed), cold — a fresh workspace
+// per call — and warm on a reused workspace. -short shrinks the graphs
+// to 2^14 vertices / 128² for CI.
+//
+//	go test -run '^$' -bench BenchmarkANF -benchmem -cpu 1 ./internal/sketch/
+func BenchmarkANF(b *testing.B) {
+	scale, side := 17, 362
+	if testing.Short() {
+		scale, side = 14, 128
 	}
-}
-
-// BenchmarkANFWarm measures the pooled steady state: one workspace
-// reused across runs (the serving-loop shape), serial arm.
-func BenchmarkANFWarm(b *testing.B) {
-	g := sketchRMAT(sketchBenchScale(b))
-	ws := NewANFWorkspace()
-	opt := ANFOptions{Seed: 1, Workers: 1}
-	ws.Run(g, opt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Run(g, opt)
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat", generate.RMAT(1<<scale, 8<<scale, generate.DefaultRMAT(), 1)},
+		{"road", generate.RoadMesh(side, side, 0.05, 1)},
+	}
+	opt := ANFOptions{MaxSweeps: 16}
+	for _, tc := range graphs {
+		b.Run(tc.name+"/cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewANFWorkspace().Run(tc.g, opt)
+			}
+		})
+		b.Run(tc.name+"/warm", func(b *testing.B) {
+			ws := NewANFWorkspace()
+			ws.Run(tc.g, opt)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Run(tc.g, opt)
+			}
+		})
 	}
 }
 

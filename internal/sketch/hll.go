@@ -39,6 +39,9 @@ type hllParams struct {
 	words int     // uint64 words per row = regs/8
 	bits  uint    // log2(regs): hash bits consumed by the bucket index
 	alpha float64 // HyperLogLog bias correction constant
+	// linear[z] is the small-range estimate m·ln(m/z) for z zero
+	// registers, z ∈ [1, regs] (entry 0 unused).
+	linear []float64
 }
 
 func makeParams(registers int) hllParams {
@@ -72,8 +75,23 @@ func makeParams(registers int) hllParams {
 	for 1<<bits < p {
 		bits++
 	}
-	return hllParams{regs: p, words: p / 8, bits: bits, alpha: alpha}
+	return hllParams{regs: p, words: p / 8, bits: bits, alpha: alpha, linear: linearTables[bits]}
 }
+
+// linearTables[b] is hllParams.linear for 2^b registers, built once with
+// the very expression estimateFrom used to evaluate per call, so a
+// lookup returns the same float64 bit for bit.
+var linearTables = func() (t [9][]float64) {
+	for r := minRegisters; r <= maxRegisters; r <<= 1 {
+		m := float64(r)
+		tab := make([]float64, r+1)
+		for z := 1; z <= r; z++ {
+			tab[z] = m * math.Log(m/float64(z))
+		}
+		t[bits.TrailingZeros(uint(r))] = tab
+	}
+	return t
+}()
 
 // mix64 is the splitmix64 finalizer: a fixed bijective scramble whose
 // output bits pass the usual avalanche tests. Element hashes are
@@ -122,59 +140,40 @@ func maxWordBytes(x, y uint64) uint64 {
 	return (x & mask) | (y &^ mask)
 }
 
-// unionRows folds src into dst lane-wise (dst ← dst ⊔ src), reporting
-// whether any register of dst increased. The equal-word fast path
-// matters: in late HyperANF sweeps most neighbor rows are already
-// subsumed, and comparing one word replaces eight register compares.
-func unionRows(dst, src []uint64) bool {
-	changed := false
+// unionRowsSum folds src into dst lane-wise (dst ← dst ⊔ src) and
+// keeps the incremental estimator state (the Boldi–Rosa–Vigna systolic
+// trick): it returns the change to the row's harmonic sum Σ 2^−reg and
+// zero-register count, plus the number of words that grew, so the
+// caller keeps a cardinality estimate in O(grown registers) instead of
+// rescanning all R after every union.
+//
+// Every word is stored whether or not it grew (the byte max of an
+// unchanged word is the word itself), so the only data-dependent
+// branches are the walk over the grown lanes of m^x and its entry test.
+// The walk visits lanes in ascending order within ascending words, and
+// each row has one writer that folds its neighbors in adjacency order,
+// so the float accumulation order — hence the estimate, bit for bit —
+// is the same at every worker count.
+func unionRowsSum(dst, src []uint64, pow *[66]float64) (dSum float64, dZeros int32, words int) {
 	_ = dst[len(src)-1]
 	for i, y := range src {
 		x := dst[i]
-		if x == y {
-			continue
-		}
-		if m := maxWordBytes(x, y); m != x {
-			dst[i] = m
-			changed = true
-		}
-	}
-	return changed
-}
-
-// unionRowsSum is unionRows plus incremental estimator maintenance
-// (the Boldi–Rosa–Vigna systolic trick): it returns the change to the
-// row's harmonic sum Σ 2^−reg and zero-register count, so the caller
-// keeps a cardinality estimate in O(changed registers) instead of
-// rescanning all R after every union. Lane deltas are extracted only
-// from words the max actually changed; each row has one writer and
-// processes its neighbors in adjacency order, so the float
-// accumulation order — hence the estimate, bit for bit — is the same
-// at every worker count.
-func unionRowsSum(dst, src []uint64, pow *[66]float64) (dSum float64, dZeros int32, changed bool) {
-	_ = dst[len(src)-1]
-	for i, y := range src {
-		x := dst[i]
-		if x == y {
-			continue
-		}
 		m := maxWordBytes(x, y)
-		if m == x {
+		dst[i] = m
+		diff := m ^ x
+		if diff == 0 {
 			continue
 		}
-		dst[i] = m
-		changed = true
-		for diff := m ^ x; diff != 0; {
+		words++
+		for diff != 0 {
 			s := uint(bits.TrailingZeros64(diff)) &^ 7
 			old := (x >> s) & 0xff
 			dSum += pow[(m>>s)&0xff] - pow[old]
-			if old == 0 {
-				dZeros--
-			}
+			dZeros -= int32((old - 1) >> 63) // old == 0: one zero register fewer
 			diff &^= 0xff << s
 		}
 	}
-	return dSum, dZeros, changed
+	return dSum, dZeros, words
 }
 
 // rowSummary scans one row into the estimator state: the harmonic sum
@@ -202,7 +201,7 @@ func estimateFrom(sum float64, zeros int32, p hllParams) float64 {
 	m := float64(p.regs)
 	est := p.alpha * m * m / sum
 	if est <= 2.5*m && zeros != 0 {
-		est = m * math.Log(m/float64(zeros))
+		est = p.linear[zeros]
 	}
 	return est
 }

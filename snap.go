@@ -406,6 +406,12 @@ type ANFOptions = sketch.ANFOptions
 // distance statistics.
 type ANFResult = sketch.ANFResult
 
+// ANFStats is HyperANF's per-sweep record of one run (dense or sparse,
+// rows visited, unions, register words grown, rows changed): point
+// ANFOptions.Stats at one and read it after ApproxNeighborhood returns.
+// Fixed-size and caller-owned; nil is off.
+type ANFStats = sketch.ANFStats
+
 // ApproxNeighborhood estimates the neighborhood function NF(t) of g by
 // HyperANF: per-vertex HyperLogLog sketches advanced by level-
 // synchronous union sweeps. One pass yields the effective diameter,

@@ -280,24 +280,6 @@ func BenchmarkWorkspaceMultiSource(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkspaceMultiSourceLegacy measures the deprecated
-// compatibility wrapper, which materializes a dense Result per source
-// and serializes visit — the pre-workspace allocation behavior, kept
-// deliberately as the regression baseline (the last sanctioned caller
-// of bfs.MultiSource in this tree).
-func BenchmarkWorkspaceMultiSourceLegacy(b *testing.B) {
-	g := workspaceGraph()
-	sources := workspaceSources(g.NumVertices(), 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var total int64
-		bfs.MultiSource(g, sources, -1, 0, func(_ int, r bfs.Result) {
-			total += int64(r.Reached())
-		})
-	}
-}
-
 // --- Frontier group: direction-optimizing engine vs always-top-down.
 // On the small-world RMAT graph the bottom-up middle levels should win;
 // on the high-diameter RoadMesh the frontier never gets dense enough to

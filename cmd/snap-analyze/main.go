@@ -107,11 +107,7 @@ func main() {
 				Seed: *seed, ComputeVertex: true,
 			}).Vertex
 		case "pagerank":
-			if g.Directed() {
-				scores = centrality.PageRankDirected(g, centrality.PageRankOptions{})
-			} else {
-				scores = centrality.PageRank(g, centrality.PageRankOptions{})
-			}
+			scores = centrality.PageRank(g, centrality.PageRankOptions{})
 		case "eigenvector":
 			scores = centrality.EigenvectorCentrality(g, 0, 0)
 		default:

@@ -26,10 +26,10 @@ func main() {
 		table   = flag.String("table", "", "table to regenerate: 1, 2, or 3")
 		figure  = flag.String("figure", "", "figure to regenerate: 2, 3a, or 3b")
 		ablate  = flag.Bool("ablations", false, "run the design-choice ablations")
-		loads   = flag.Bool("loads", false, "measure the graph ingest paths (text vs SNP1 vs SNP2)")
-		ingest  = flag.Bool("ingest", false, "measure snapshot-epoch streaming commits and incremental kernels")
+		loads   = flag.Bool("loads", false, "measure the graph ingest paths (text vs SNP2 vs compressed SNP2)")
+		ingest  = flag.Bool("ingest", false, "measure snapshot-epoch streaming commits against from-scratch rebuilds")
 		sk      = flag.Bool("sketch", false, "measure the approximate-analytics tier (HyperANF, sampled closeness, landmark oracle) against the exact kernels")
-		part    = flag.Bool("partition", false, "measure the parallel multilevel partitioner and the partition-blocked shard-local kernel layout")
+		part    = flag.Bool("partition", false, "measure the parallel multilevel partitioner and the partition-blocked kernel layout")
 		srv     = flag.Bool("serve", false, "load-test the serving tier: sustained qps and p50/p99 with and without request coalescing and the result cache")
 		all     = flag.Bool("all", false, "run every experiment in paper order")
 		scale   = flag.Float64("scale", 0.1, "instance scale relative to the paper (1 = full size)")

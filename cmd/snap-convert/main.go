@@ -1,15 +1,16 @@
 // Command snap-convert converts graphs between the supported formats:
-// the SNAP text edge list, the compact binary CSR snapshot (SNP1), the
-// zero-copy mmap container (SNP2, optionally varint delta-compressed),
-// the METIS/Chaco graph format, the DIMACS edge format, and
-// (write-only) GraphViz DOT.
+// the SNAP text edge list, the binary CSR container (SNP2, optionally
+// varint delta-compressed; memory-mapped when read from a file), the
+// METIS/Chaco graph format, the DIMACS edge format, and (write-only)
+// GraphViz DOT. SNP2 also streams: on stdin/stdout it pipes between
+// invocations.
 //
 // Usage:
 //
 //	snap-convert -i g.txt -from text -o g.metis -to metis
-//	snap-convert -i g.metis -from metis -o g.snp -to binary
-//	snap-convert -i g.snp -from binary -o g.snp2 -to snp2 -compress
+//	snap-convert -i g.metis -from metis -o g.snp2 -to snp2 -compress
 //	snap-convert -i g.snp2 -from snp2 -o g.txt -to text
+//	snap-gen -format snp2 | snap-convert -from snp2 -to metis
 package main
 
 import (
@@ -26,8 +27,8 @@ func main() {
 	var (
 		in       = flag.String("i", "-", "input path ('-' = stdin)")
 		out      = flag.String("o", "-", "output path ('-' = stdout)")
-		from     = flag.String("from", "text", "input format: text | binary | snp2 | metis | dimacs")
-		to       = flag.String("to", "text", "output format: text | binary | snp2 | metis | dimacs | dot")
+		from     = flag.String("from", "text", "input format: text | snp2 | metis | dimacs")
+		to       = flag.String("to", "text", "output format: text | snp2 | metis | dimacs | dot")
 		directed = flag.Bool("directed", false, "treat text input as directed")
 		compress = flag.Bool("compress", false, "varint delta-compress adjacency when -to snp2")
 	)
@@ -53,8 +54,6 @@ func main() {
 		switch *from {
 		case "text":
 			g, err = graph.ReadEdgeList(r, *directed)
-		case "binary":
-			g, err = graph.ReadBinary(r)
 		case "snp2":
 			var data []byte
 			if data, err = io.ReadAll(r); err == nil {
@@ -84,8 +83,6 @@ func main() {
 	switch *to {
 	case "text":
 		err = graph.WriteEdgeList(w, g)
-	case "binary":
-		err = graph.WriteBinary(w, g)
 	case "snp2":
 		err = container.Encode(w, g, container.Options{Compress: *compress})
 	case "metis":

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	snap-gen -type rmat -n 100000 -m 400000 -o graph.txt
-//	snap-gen -type road -rows 300 -cols 300 -extra 0.2 -format binary -o road.snp
+//	snap-gen -type road -rows 300 -cols 300 -extra 0.2 -format snp2 -o road.snp2
 //	snap-gen -type rmat -n 1048576 -m 8388608 -format snp2 -compress -o rmat.snp2
 //	snap-gen -type planted -k 8 -csize 500 -pin 0.2 -pout 0.005 -o comm.txt
 package main
@@ -35,7 +35,7 @@ func main() {
 		pout     = flag.Float64("pout", 0.01, "inter-community edge probability (planted)")
 		seed     = flag.Int64("seed", 1, "generator seed")
 		out      = flag.String("o", "-", "output path ('-' = stdout)")
-		format   = flag.String("format", "text", "output format: text | binary | snp2")
+		format   = flag.String("format", "text", "output format: text | snp2")
 		compress = flag.Bool("compress", false, "varint delta-compress adjacency (-format snp2)")
 	)
 	flag.Parse()
@@ -75,8 +75,6 @@ func main() {
 	switch *format {
 	case "text":
 		err = graph.WriteEdgeList(dst, g)
-	case "binary":
-		err = graph.WriteBinary(dst, g)
 	case "snp2":
 		err = container.Encode(dst, g, container.Options{Compress: *compress})
 	default:

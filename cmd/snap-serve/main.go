@@ -1,13 +1,13 @@
 // Command snap-serve is the long-lived graph-analytics server: it
-// loads graphs — zero-copy mmap'd SNP2 containers, SNP1 binaries, or
-// text edge lists — and answers analytics queries over HTTP/JSON under
-// concurrent load, with request coalescing, an epoch-keyed result
-// cache, admission control, and per-query deadlines (internal/serve).
+// loads graphs — zero-copy mmap'd SNP2 containers or text edge lists —
+// and answers analytics queries over HTTP/JSON under concurrent load,
+// with request coalescing, an epoch-keyed result cache, admission
+// control, and per-query deadlines (internal/serve).
 //
 // Usage:
 //
 //	snap-serve -graph web=web.snp2 -graph road=road.txt
-//	snap-serve -stream live=base.snp -addr :9090 -timeout 2s
+//	snap-serve -stream live=base.snp2 -addr :9090 -timeout 2s
 //	snap-serve -rmat 18   # synthetic demo graph named "rmat"
 //
 // Endpoints (GET unless noted):
@@ -111,8 +111,7 @@ func main() {
 }
 
 // loadSpec parses "name=path" and loads the graph by extension: .snp2
-// maps zero-copy, .snp/.bin read the SNP1 binary, anything else parses
-// as a text edge list.
+// maps zero-copy, anything else parses as a text edge list.
 func loadSpec(spec string, directed bool) (string, *graph.Graph) {
 	name, path, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || path == "" {
@@ -120,16 +119,9 @@ func loadSpec(spec string, directed bool) (string, *graph.Graph) {
 	}
 	var g *graph.Graph
 	var err error
-	switch {
-	case strings.HasSuffix(path, ".snp2"):
+	if strings.HasSuffix(path, ".snp2") {
 		g, err = container.Load(path, container.LoadOptions{})
-	case strings.HasSuffix(path, ".snp"), strings.HasSuffix(path, ".bin"):
-		var f *os.File
-		if f, err = os.Open(path); err == nil {
-			g, err = graph.ReadBinary(f)
-			f.Close()
-		}
-	default:
+	} else {
 		var f *os.File
 		if f, err = os.Open(path); err == nil {
 			g, err = graph.ReadEdgeList(f, directed)

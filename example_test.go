@@ -103,12 +103,12 @@ func ExampleNMI() {
 func ExamplePartition() {
 	g := twoTriangles()
 	// Partition into two parts, then reorder the graph so each part
-	// occupies one contiguous id block and run BFS shard-locally.
+	// occupies one contiguous id block and run BFS on the new ids.
 	res, err := snap.Partition(g, snap.PartitionOptions{K: 2})
 	if err != nil {
 		panic(err)
 	}
-	perm, bounds, err := snap.BlockedPerm(g, res.Part, res.K)
+	perm, _, err := snap.BlockedPerm(g, res.Part, res.K)
 	if err != nil {
 		panic(err)
 	}
@@ -116,11 +116,7 @@ func ExamplePartition() {
 	if err != nil {
 		panic(err)
 	}
-	s, err := snap.NewSharded(rg, bounds)
-	if err != nil {
-		panic(err)
-	}
-	dist := s.BFS(inv[0], 0)
+	dist := snap.BFS(rg, inv[0]).Dist
 	fmt.Println(res.EdgeCut, dist[inv[5]])
 	// Output: 1 3
 }

@@ -1,10 +1,11 @@
 // Streaming: the paper's motivating scenario — interaction data
 // arriving as a transient stream, assimilated into snapshot epochs and
 // analyzed online. Each batch of edge events is buffered in a Stream
-// and committed into a fresh immutable CSR epoch; readers pin epochs
-// lock-free while the maintained kernels (incremental connectivity,
-// warm-started PageRank) answer per batch without recomputing from
-// scratch. A final pinned epoch feeds the heavier exploratory kernels.
+// and committed into a fresh immutable CSR epoch; each batch pins the
+// new epoch lock-free, labels its components, and chains PageRank from
+// the previous epoch's scores instead of recomputing from scratch (the
+// serving tier's pattern). A final pinned epoch feeds the heavier
+// exploratory kernels.
 //
 //	go run ./examples/streaming
 package main
@@ -40,6 +41,7 @@ func main() {
 	fmt.Printf("%8s %10s %12s %14s %16s\n",
 		"batch", "edges", "components", "largest (%)", "top PageRank")
 	var recent []snap.Edge
+	var pr []float64 // the last epoch's scores: the next one's warm start
 	for b := 1; b <= batches; b++ {
 		for i := 0; i < perBatch; i++ {
 			u, v := endpoint(), endpoint()
@@ -62,16 +64,16 @@ func main() {
 			panic(err)
 		}
 
-		// Maintained kernels: connectivity rides the union-find fast
-		// path, PageRank warm-starts from the previous epoch's scores.
-		lab := s.Components()
-		_, largest := lab.Largest()
-		pr := s.PageRank(snap.PageRankOptions{})
-		top := snap.TopKVertices(pr, 1)
-
+		// Analytics run on the pinned epoch; PageRank warm-starts from
+		// the previous epoch's scores (the first batch starts cold).
 		e := s.Pin()
+		g := e.Graph()
+		lab := snap.ConnectedComponents(g)
+		_, largest := lab.Largest()
+		pr = snap.PageRankFrom(g, pr, snap.PageRankOptions{})
+		top := snap.TopKVertices(pr, 1)
 		fmt.Printf("%8d %10d %12d %13.1f%% %13d\n",
-			b, e.Graph().NumEdges(), lab.Count,
+			b, g.NumEdges(), lab.Count,
 			100*float64(largest)/float64(n), top[0])
 		e.Close()
 	}
@@ -85,7 +87,6 @@ func main() {
 	fmt.Printf("\nsnapshot (epoch %d): %v\n", e.Seq(), g)
 	st := snap.Degrees(g)
 	fmt.Printf("degrees: max %d, mean %.2f\n", st.Max, st.Mean)
-	pr := s.PageRank(snap.PageRankOptions{})
 	top := snap.TopKVertices(pr, 5)
 	fmt.Println("most influential entities (PageRank):")
 	for rank, v := range top {

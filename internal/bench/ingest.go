@@ -3,28 +3,20 @@ package bench
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
-	"snap/internal/centrality"
-	"snap/internal/components"
 	"snap/internal/generate"
 	"snap/internal/graph"
 	"snap/internal/ingest"
 )
 
 // Ingest measures the snapshot-epoch streaming pipeline on one R-MAT
-// instance (cfg.Scale = 1 is RMAT scale 18; 4 is scale 20):
-//
-//   - Commit latency vs batch size: the delta-merge commit against the
-//     two from-scratch baselines a pre-epoch system pays — re-parsing
-//     the updated text edge list, and re-running Build over the
-//     materialized edge list.
-//   - Incremental kernels vs recompute on a 1% delta: maintained
-//     PageRank (warm start from the previous epoch's scores) vs cold
-//     power iteration, and maintained connected components (union-find
-//     fast path) vs a full sweep.
+// instance (cfg.Scale = 1 is RMAT scale 18; 4 is scale 20): commit
+// latency vs batch size, the delta-merge commit against the two
+// from-scratch baselines a pre-epoch system pays — re-parsing the
+// updated text edge list, and re-running Build over the materialized
+// edge list.
 //
 // This experiment has no counterpart in the paper's evaluation; it
 // sizes the dynamic-graph layer built on the paper's stated
@@ -112,60 +104,6 @@ func Ingest(cfg Config) {
 			ms(buildDur), ratio(buildDur, commitDur))
 	}
 
-	fmt.Fprintf(w, "\n-- incremental kernels vs recompute (1%% delta) --\n")
-	add, del := ingestDelta(g, 0.01, cfg.Seed+13)
-	s := ingest.New(cloneGraph(g), ingest.Options{})
-	defer s.Close()
-
-	// Warm the maintained kernels on the base epoch.
-	prOpt := centrality.PageRankOptions{}
-	s.PageRank(prOpt)
-	s.Components()
-
-	for _, e := range add {
-		s.Add(e.U, e.V)
-	}
-	for _, e := range del {
-		s.Delete(e.U, e.V)
-	}
-	if _, err := s.Commit(); err != nil {
-		panic(err)
-	}
-	e := s.Pin()
-	defer e.Close()
-
-	var inc, full []float64
-	incDur := timed(func() { inc = s.PageRank(prOpt) })
-	fullDur := timed(func() { full = centrality.PageRank(e.Graph(), prOpt) })
-	var l1 float64
-	for i := range full {
-		l1 += math.Abs(inc[i] - full[i])
-	}
-	fmt.Fprintf(w, "%-28s %10.2f ms   full %10.2f ms   speedup %5.1fx   L1 %.2g\n",
-		"PageRank (warm start)", ms(incDur), ms(fullDur), ratio(fullDur, incDur), l1)
-
-	ccDur := timed(func() { s.Components() })
-	var lab components.Labeling
-	ccFullDur := timed(func() { lab = components.Connected(e.Graph(), nil) })
-	fmt.Fprintf(w, "%-28s %10.2f ms   full %10.2f ms   speedup %5.1fx   comps %d\n",
-		"Components (delta w/ splits)", ms(ccDur), ms(ccFullDur), ratio(ccFullDur, ccDur), lab.Count)
-
-	// Insert-only commit: the union-find fast path keeps the tracker
-	// live through the commit, so the post-commit query is a cache hit.
-	add2, _ := ingestDelta(g, 0.01, cfg.Seed+21)
-	for _, e := range add2 {
-		s.Add(e.U, e.V)
-	}
-	if _, err := s.Commit(); err != nil {
-		panic(err)
-	}
-	e2 := s.Pin()
-	defer e2.Close()
-	ccIncDur := timed(func() { s.Components() })
-	var lab2 components.Labeling
-	ccFull2Dur := timed(func() { lab2 = components.Connected(e2.Graph(), nil) })
-	fmt.Fprintf(w, "%-28s %10.2f ms   full %10.2f ms   speedup %5.1fx   comps %d\n",
-		"Components (insert-only)", ms(ccIncDur), ms(ccFull2Dur), ratio(ccFull2Dur, ccIncDur), lab2.Count)
 	fmt.Fprintln(w)
 }
 

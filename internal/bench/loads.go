@@ -13,14 +13,14 @@ import (
 )
 
 // Loads measures the graph ingest paths on one R-MAT instance: the
-// text edge-list parse, the SNP1 binary stream read, the mapped SNP2
-// container, and the varint delta-compressed SNP2 container. For each
-// it reports the on-disk artifact size, the best-of-three warm load
-// time (page cache hot, the steady state of a repeated analysis
-// workflow), the speedup over the text parse, and the heap allocated
-// by the load — the mapped row's near-zero allocation is the zero-copy
-// claim made concrete. This experiment has no counterpart in the
-// paper's evaluation; it sizes the I/O layer added on top of it.
+// text edge-list parse, the mapped SNP2 container, and the varint
+// delta-compressed SNP2 container. For each it reports the on-disk
+// artifact size, the best-of-three warm load time (page cache hot, the
+// steady state of a repeated analysis workflow), the speedup over the
+// text parse, and the heap allocated by the load — the mapped row's
+// near-zero allocation is the zero-copy claim made concrete. This
+// experiment has no counterpart in the paper's evaluation; it sizes the
+// I/O layer added on top of it.
 func Loads(cfg Config) {
 	cfg.fill()
 	w := cfg.Out
@@ -74,15 +74,6 @@ func Loads(cfg Config) {
 				}
 				defer f.Close()
 				return graph.ReadEdgeList(f, false)
-			}},
-		{"snp1", write("g.snp", toFile(func(f *os.File) error { return graph.WriteBinary(f, g) })),
-			func(p string) (*graph.Graph, error) {
-				f, err := os.Open(p)
-				if err != nil {
-					return nil, err
-				}
-				defer f.Close()
-				return graph.ReadBinary(f)
 			}},
 		{"snp2 (mmap)", write("g.snp2", func(p string) error { return container.Save(p, g, container.Options{}) }),
 			func(p string) (*graph.Graph, error) { return container.Load(p, container.LoadOptions{}) }},

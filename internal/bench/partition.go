@@ -8,7 +8,6 @@ import (
 	"snap/internal/generate"
 	"snap/internal/graph"
 	"snap/internal/partition"
-	"snap/internal/shard"
 )
 
 // Partition measures the parallel multilevel k-way engine and the
@@ -20,8 +19,8 @@ import (
 //     road-style mesh, where cuts are small and balance is tight.
 //   - The blocked-layout payoff: BFS and PageRank on the original
 //     vertex order versus the same kernels on the partition-blocked
-//     relabeled graph executed shard-locally, where each shard walks
-//     one contiguous id block and most neighbor reads stay inside it.
+//     relabeled graph, where each part is one contiguous id block and
+//     most neighbor reads stay inside it.
 //
 // The paper partitions to place work, not just to report cut numbers;
 // this experiment closes that loop in-process.
@@ -48,10 +47,9 @@ func Partition(cfg Config) {
 		{fmt.Sprintf("RMAT n=%d m=%d", n, 8*n), generate.RMAT(n, 8*n, generate.DefaultRMAT(), cfg.Seed)},
 		{fmt.Sprintf("mesh %dx%d", side, side), generate.RoadMesh(side, side, 0.1, cfg.Seed+1)},
 	}
-	fmt.Fprintf(w, "== Partition: multilevel k-way (k=%d) + partition-blocked shard-local kernels ==\n", k)
-	fmt.Fprintf(w, "%-24s %10s %12s %8s %10s %10s %10s %10s %10s %10s\n",
-		"instance", "part(s)", "cut", "bal",
-		"bfs", "bfs-rlb", "bfs-shard", "pr", "pr-rlb", "pr-shard")
+	fmt.Fprintf(w, "== Partition: multilevel k-way (k=%d) + partition-blocked layout ==\n", k)
+	fmt.Fprintf(w, "%-24s %10s %12s %8s %10s %10s %10s %10s\n",
+		"instance", "part(s)", "cut", "bal", "bfs", "bfs-rlb", "pr", "pr-rlb")
 	var ladders []ladder
 	for _, inst := range instances {
 		g := inst.g
@@ -65,7 +63,7 @@ func Partition(cfg Config) {
 			fmt.Fprintf(w, "%-24s partition failed: %v\n", inst.label, err)
 			continue
 		}
-		perm, bounds, err := partition.BlockedPerm(g, res.Part, k)
+		perm, _, err := partition.BlockedPerm(g, res.Part, k)
 		if err != nil {
 			fmt.Fprintf(w, "%-24s blocked perm failed: %v\n", inst.label, err)
 			continue
@@ -75,27 +73,16 @@ func Partition(cfg Config) {
 			fmt.Fprintf(w, "%-24s relabel failed: %v\n", inst.label, err)
 			continue
 		}
-		s, err := shard.New(rg, bounds)
-		if err != nil {
-			fmt.Fprintf(w, "%-24s shard wrap failed: %v\n", inst.label, err)
-			continue
-		}
-		// Three timings per kernel: the original vertex order, the
-		// same kernel on the partition-blocked relabeled graph (the
-		// pure layout effect), and the BSP shard-local execution on
-		// the blocked graph (layout + owner-exclusive supersteps).
+		// Two timings per kernel: the original vertex order and the
+		// partition-blocked relabeled graph (the pure layout effect).
 		dBFS := timedMin(reps, func() { bfs.Parallel(g, 0, bfs.Options{}) })
 		dBFSRlb := timedMin(reps, func() { bfs.Parallel(rg, 0, bfs.Options{}) })
-		dBFSShard := timedMin(reps, func() { s.BFS(0, 0) })
 		prOpt := centrality.PageRankOptions{MaxIterations: 30, Tolerance: 1e-15}
 		dPR := timedMin(reps, func() { centrality.PageRank(g, prOpt) })
 		dPRRlb := timedMin(reps, func() { centrality.PageRank(rg, prOpt) })
-		sprOpt := shard.PageRankOptions{MaxIterations: 30, Tolerance: 1e-15}
-		dPRShard := timedMin(reps, func() { s.PageRank(sprOpt) })
-		fmt.Fprintf(w, "%-24s %10.3f %12d %8.3f %10.4f %10.4f %10.4f %10.4f %10.4f %10.4f\n",
+		fmt.Fprintf(w, "%-24s %10.3f %12d %8.3f %10.4f %10.4f %10.4f %10.4f\n",
 			inst.label, seconds(dPart), res.EdgeCut, res.Balance,
-			seconds(dBFS), seconds(dBFSRlb), seconds(dBFSShard),
-			seconds(dPR), seconds(dPRRlb), seconds(dPRShard))
+			seconds(dBFS), seconds(dBFSRlb), seconds(dPR), seconds(dPRRlb))
 		ladders = append(ladders, ladder{inst.label, st})
 	}
 	fmt.Fprintln(w)

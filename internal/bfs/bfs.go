@@ -113,7 +113,7 @@ func DirectionOptimizing(g *graph.Graph, src int32, opt Options) Result {
 // scratch instead of O(len(sources)·n).
 //
 // visit(worker, i, ws) is invoked CONCURRENTLY (there is no global
-// serialization, unlike the legacy MultiSource): worker ids are stable
+// serialization): worker ids are stable
 // and distinct in [0, workers), and each source index i is visited
 // exactly once, so callers reduce without locking either into
 // per-worker accumulators (indexed by worker) or into disjoint
@@ -170,24 +170,4 @@ func MultiSourceWorkspace(g *graph.Graph, sources []int32, maxDepth int32, worke
 		}(w)
 	}
 	wg.Wait()
-}
-
-// MultiSource is the legacy multi-source entry point, kept for
-// compatibility: visit(i, result) calls are serialized under a mutex
-// and each receives a freshly allocated dense Result it may retain.
-//
-// Deprecated: use MultiSourceWorkspace, which neither serializes the
-// reduction nor allocates per source — the mutex gates every worker
-// behind one consumer and the two O(n) arrays per source defeat the
-// pooled-workspace zero-allocation contract. MultiSource survives only
-// for callers that genuinely must retain dense Results; none remain in
-// this tree.
-func MultiSource(g *graph.Graph, sources []int32, maxDepth int32, workers int, visit func(i int, r Result)) {
-	var mu sync.Mutex
-	MultiSourceWorkspace(g, sources, maxDepth, workers, func(_, i int, ws *Workspace) {
-		r := ws.Export()
-		mu.Lock()
-		visit(i, r)
-		mu.Unlock()
-	})
 }

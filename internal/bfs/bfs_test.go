@@ -121,33 +121,6 @@ func TestParallelAliveMask(t *testing.T) {
 	}
 }
 
-func TestMultiSourceVisitsEverySource(t *testing.T) {
-	g := generate.RMAT(300, 1200, generate.DefaultRMAT(), 2)
-	sources := []int32{0, 5, 10, 15}
-	seen := map[int]bool{}
-	MultiSource(g, sources, -1, 3, func(i int, r Result) {
-		seen[i] = true
-		if r.Dist[sources[i]] != 0 {
-			t.Errorf("source %d not at distance 0", sources[i])
-		}
-	})
-	if len(seen) != len(sources) {
-		t.Fatalf("visited %d sources, want %d", len(seen), len(sources))
-	}
-}
-
-func TestMultiSourceDepthLimit(t *testing.T) {
-	g := pathGraph(t, 10)
-	MultiSource(g, []int32{0}, 3, 1, func(_ int, r Result) {
-		if r.Dist[3] != 3 {
-			t.Errorf("dist[3] = %d, want 3", r.Dist[3])
-		}
-		if r.Dist[4] != Unreached {
-			t.Errorf("depth limit ignored: dist[4] = %d", r.Dist[4])
-		}
-	})
-}
-
 func BenchmarkBFSSerial(b *testing.B) {
 	g := generate.RMAT(1<<15, 1<<17, generate.DefaultRMAT(), 1)
 	b.ResetTimer()

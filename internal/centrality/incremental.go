@@ -24,22 +24,18 @@ import (
 // prev is only a starting point — scores converge to the same fixpoint
 // as PageRank(g, opt) and satisfy the same L1 tolerance, so they agree
 // with the cold result to within the solver tolerance but not bit for
-// bit. Falls back to a cold start when prev is unusable (nil, wrong
-// length, non-positive or non-finite total). Directed graphs take the
-// cold PageRankDirected path: its transpose build and Jacobi loop have
-// no start-vector entry. The sweep is serial in vertex order, so the
-// result is deterministic for any worker count.
+// bit. Falls back to the cold PageRank when prev is unusable (nil,
+// wrong length, non-positive or non-finite total) and on directed
+// graphs, whose in-rows the polish does not sweep. The sweep is serial
+// in vertex order, so the result is deterministic for any worker count.
 func PageRankFrom(g *graph.Graph, prev []float64, opt PageRankOptions) []float64 {
-	if g.Directed() {
-		return PageRankDirected(g, opt)
-	}
 	opt.fill()
 	n := g.NumVertices()
 	if n == 0 {
 		return nil
 	}
 	rank := normalizedCopy(prev, n)
-	if rank == nil {
+	if rank == nil || g.Directed() {
 		return PageRank(g, opt)
 	}
 	ws := seidelPool.Get()

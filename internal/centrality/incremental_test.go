@@ -103,17 +103,22 @@ func TestPageRankFromFallbacks(t *testing.T) {
 		}
 	}
 
-	// Directed graphs rebuild cold through PageRankDirected whatever
-	// prev holds.
-	dg := graph.MustBuild(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 0}},
-		graph.BuildOptions{Directed: true})
-	want := PageRankDirected(dg, opt)
+	// Directed graphs rebuild cold through PageRank whatever prev
+	// holds.
+	dg := cycleWithTail()
+	want := PageRank(dg, opt)
 	got := PageRankFrom(dg, []float64{1, 0, 0, 0}, opt)
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("directed fallback differs at %d", i)
 		}
 	}
+}
+
+// cycleWithTail is the directed 3-cycle 0→1→2→0 with the tail 3→0.
+func cycleWithTail() *graph.Graph {
+	return graph.MustBuild(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}, {U: 3, V: 0}},
+		graph.BuildOptions{Directed: true})
 }
 
 func TestPageRankFromDanglingVertices(t *testing.T) {
@@ -170,7 +175,10 @@ func TestPageRankFromLeavesPrevUntouched(t *testing.T) {
 
 // Cold PageRank is the analysis path and every warm answer's
 // reference: its bits are pinned to what the commit before the warm
-// chain produced (amd64; other ports may fuse the multiply-adds).
+// chain produced (amd64; other ports may fuse the multiply-adds). The
+// directed hashes were recorded with the separate directed loop that
+// the pull over graph.Reverse replaced, so both directions share one
+// pinned arithmetic.
 func TestPageRankColdGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits were taken on amd64")
@@ -185,6 +193,7 @@ func TestPageRankColdGolden(t *testing.T) {
 		return h.Sum64()
 	}
 	rmat := generate.RMAT(1<<10, 8<<10, generate.DefaultRMAT(), 9)
+	drmat := graph.MustBuild(rmat.NumVertices(), rmat.EdgeEndpoints(), graph.BuildOptions{Directed: true})
 	for _, tc := range []struct {
 		name string
 		g    *graph.Graph
@@ -192,6 +201,8 @@ func TestPageRankColdGolden(t *testing.T) {
 	}{
 		{"karate", datasets.Karate(), 0xd234ab0dbe085477},
 		{"rmat10", rmat, 0x90e05fb08b86223d},
+		{"rmat10-directed", drmat, 0x210aa7259569825b},
+		{"cycle-with-tail", cycleWithTail(), 0x4e30d7ba7ae72d5e},
 	} {
 		for _, w := range []int{1, 3} {
 			if got := hash(PageRank(tc.g, PageRankOptions{Workers: w})); got != tc.want {

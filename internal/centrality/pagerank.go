@@ -37,9 +37,16 @@ func (o *PageRankOptions) fill() {
 
 // PageRank computes the stationary random-surfer distribution with
 // parallel power iteration (the classic index for "identification of
-// influential entities" the paper's introduction motivates). For
-// undirected graphs each arc is followed both ways; dangling vertices
+// influential entities" the paper's introduction motivates). On
+// directed graphs mass flows along arc direction; on undirected graphs
+// each edge is followed both ways. Dangling vertices (out-degree 0)
 // redistribute uniformly. Scores sum to 1.
+//
+// This is the cold Jacobi loop; warm starts go through PageRankFrom's
+// Gauss–Seidel polish instead. Each vertex pulls the shares of its
+// in-neighbors, the rows of graph.Reverse(g) (g itself when
+// undirected), in ascending source order. Deterministic at any worker
+// count (each vertex's sum is accumulated serially in arc order).
 func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 	opt.fill()
 	n := g.NumVertices()
@@ -51,17 +58,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 	for i := range rank {
 		rank[i] = inv
 	}
-	return pageRankPower(g, rank, opt)
-}
-
-// pageRankPower runs the undirected power iteration to convergence
-// from an arbitrary starting vector (rank is consumed; the returned
-// slice holds the result). The cold Jacobi loop behind PageRank; warm
-// starts go through PageRankFrom's Gauss–Seidel polish instead.
-// Deterministic at any worker count (each vertex's sum is accumulated
-// serially in arc order).
-func pageRankPower(g *graph.Graph, rank []float64, opt PageRankOptions) []float64 {
-	n := g.NumVertices()
+	pull := graph.Reverse(g)
 	next := make([]float64, n)
 	// share[v] = rank[v]/outdeg(v), computed per iteration.
 	share := make([]float64, n)
@@ -78,87 +75,12 @@ func pageRankPower(g *graph.Graph, rank []float64, opt PageRankOptions) []float6
 		}
 		base := (1-opt.Damping)*1 + opt.Damping*dangling
 		base /= float64(n)
-		// Pull formulation: each vertex sums its in-neighbors' shares.
-		// For undirected CSR the adjacency is symmetric, so neighbors
-		// are exactly the in-neighbors; for directed graphs we walk
-		// the reverse arcs via the same CSR (approximation documented
-		// below is avoided by building the transpose once).
 		par.ForChunkedN(n, opt.Workers, func(_, lo, hi int) {
 			for vi := lo; vi < hi; vi++ {
 				var s float64
-				v := int32(vi)
-				alo, ahi := g.Offsets[v], g.Offsets[v+1]
+				alo, ahi := pull.Offsets[vi], pull.Offsets[vi+1]
 				for a := alo; a < ahi; a++ {
-					s += share[g.Adj[a]]
-				}
-				next[vi] = base + opt.Damping*s
-			}
-		})
-		var delta float64
-		for v := 0; v < n; v++ {
-			delta += math.Abs(next[v] - rank[v])
-		}
-		rank, next = next, rank
-		if delta < opt.Tolerance {
-			break
-		}
-	}
-	return rank
-}
-
-// PageRankDirected computes PageRank on a directed graph by building
-// the transpose adjacency once so that mass flows along arc direction.
-func PageRankDirected(g *graph.Graph, opt PageRankOptions) []float64 {
-	if !g.Directed() {
-		return PageRank(g, opt)
-	}
-	opt.fill()
-	n := g.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	// Build transpose: in-neighbors of every vertex.
-	indeg := make([]int64, n)
-	for _, u := range g.Adj {
-		indeg[u]++
-	}
-	offsets := par.PrefixSum(indeg)
-	radj := make([]int32, len(g.Adj))
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	for v := int32(0); int(v) < n; v++ {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		for a := lo; a < hi; a++ {
-			u := g.Adj[a]
-			radj[cursor[u]] = v
-			cursor[u]++
-		}
-	}
-
-	rank := make([]float64, n)
-	next := make([]float64, n)
-	inv := 1 / float64(n)
-	for i := range rank {
-		rank[i] = inv
-	}
-	share := make([]float64, n)
-	for it := 0; it < opt.MaxIterations; it++ {
-		var dangling float64
-		for v := 0; v < n; v++ {
-			d := g.Degree(int32(v)) // out-degree
-			if d == 0 {
-				dangling += rank[v]
-				share[v] = 0
-			} else {
-				share[v] = rank[v] / float64(d)
-			}
-		}
-		base := ((1 - opt.Damping) + opt.Damping*dangling) / float64(n)
-		par.ForChunkedN(n, opt.Workers, func(_, lo, hi int) {
-			for vi := lo; vi < hi; vi++ {
-				var s float64
-				for a := offsets[vi]; a < offsets[vi+1]; a++ {
-					s += share[radj[a]]
+					s += share[pull.Adj[a]]
 				}
 				next[vi] = base + opt.Damping*s
 			}

@@ -64,7 +64,7 @@ func TestPageRankDirectedChain(t *testing.T) {
 	// 0 -> 1 -> 2: rank must accumulate downstream.
 	g, _ := graph.Build(3, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}},
 		graph.BuildOptions{Directed: true})
-	pr := PageRankDirected(g, PageRankOptions{})
+	pr := PageRank(g, PageRankOptions{})
 	if !(pr[2] > pr[1] && pr[1] > pr[0]) {
 		t.Fatalf("directed chain ranks wrong: %v", pr)
 	}
@@ -77,13 +77,20 @@ func TestPageRankDirectedChain(t *testing.T) {
 	}
 }
 
+// A directed graph holding both arcs of every edge is the undirected
+// graph as far as PageRank can tell: same scores, bit for bit.
 func TestPageRankDirectedFallsBackUndirected(t *testing.T) {
 	g := generate.Ring(10)
+	var arcs []graph.Edge
+	for _, e := range g.EdgeEndpoints() {
+		arcs = append(arcs, e, graph.Edge{U: e.V, V: e.U, W: e.W})
+	}
+	dg := graph.MustBuild(g.NumVertices(), arcs, graph.BuildOptions{Directed: true})
 	a := PageRank(g, PageRankOptions{})
-	b := PageRankDirected(g, PageRankOptions{})
+	b := PageRank(dg, PageRankOptions{})
 	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatal("undirected fallback mismatch")
+		if a[i] != b[i] {
+			t.Fatal("symmetric directed graph differs from undirected")
 		}
 	}
 }

@@ -631,36 +631,13 @@ func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering 
 	for lv := 0; lv < maxLevels; lv++ {
 		assign := ws.assign[:nLvl]
 		degsum := ws.degsum[:nLvl]
-		warm := lv == 0 && opt.InitialAssign != nil
-		if warm {
-			// Warm start: seed level 0 from a previous partition (the
-			// ingest layer passes the prior epoch's assignment) instead
-			// of singletons. Community ids live in the same [0, n)
-			// space as vertex ids, so the move engine is unchanged.
-			if len(opt.InitialAssign) != nLvl {
-				panic("community: InitialAssign length != NumVertices")
-			}
-			clear(degsum)
-			for v := 0; v < nLvl; v++ {
-				c := opt.InitialAssign[v]
-				if c < 0 || int(c) >= nLvl {
-					panic("community: InitialAssign id out of range")
-				}
-				assign[v] = c
-				degsum[c] += vw.strength(int32(v))
-			}
-		} else {
-			for v := 0; v < nLvl; v++ {
-				assign[v] = int32(v)
-				degsum[v] = vw.strength(int32(v))
-			}
+		for v := 0; v < nLvl; v++ {
+			assign[v] = int32(v)
+			degsum[v] = vw.strength(int32(v))
 		}
-		moved := ws.localMove(vw, nLvl, m, opt.Seed+int64(lv), workers, louvainPasses, false)
-		if !moved && !warm {
+		if !ws.localMove(vw, nLvl, m, opt.Seed+int64(lv), workers, louvainPasses, false) {
 			break
 		}
-		// A warm level folds its (possibly unmoved) assignment into the
-		// mapping and contracts, so the seed partition is never lost.
 		qc := ws.relabelAssign(nLvl)
 		for v := 0; v < n; v++ {
 			mapping[v] = ws.assign[mapping[v]]

@@ -260,64 +260,3 @@ func checkPLARows(t *testing.T, what string, st *plaState) {
 		}
 	}
 }
-
-// Warm-started Louvain: seeding level 0 from an existing partition must
-// stay worker-invariant, never lose modularity relative to the seed
-// partition, and degenerate to plain Louvain when seeded with
-// singletons.
-func TestLouvainWarmStart(t *testing.T) {
-	for name, g := range moveTestGraphs(t) {
-		cold := Louvain(g, LouvainOptions{Seed: 42})
-
-		// Singleton seed == cold start, bit-identical.
-		n := g.NumVertices()
-		singles := make([]int32, n)
-		for v := range singles {
-			singles[v] = int32(v)
-		}
-		got := Louvain(g, LouvainOptions{Seed: 42, InitialAssign: singles})
-		sameAssign(t, name+"/singleton-seed", cold, got)
-
-		// Warm seed from the cold result: Q must not drop, and the run
-		// must be identical at every worker count.
-		warmRef := Louvain(g, LouvainOptions{Workers: 1, Seed: 42, InitialAssign: cold.Assign})
-		if warmRef.Q < cold.Q-1e-12 {
-			t.Fatalf("%s: warm Q %.9f < seed Q %.9f", name, warmRef.Q, cold.Q)
-		}
-		for _, w := range []int{2, 3, par.Workers() + 2} {
-			got := Louvain(g, LouvainOptions{Workers: w, Seed: 42, InitialAssign: cold.Assign})
-			sameAssign(t, name+"/warm", warmRef, got)
-		}
-
-		// A perturbed seed (a few vertices dislodged) still recovers a
-		// partition at least as good as the perturbed seed itself.
-		rng := rand.New(rand.NewSource(3))
-		perturbed := append([]int32(nil), cold.Assign...)
-		for i := 0; i < n/20+1; i++ {
-			perturbed[rng.Intn(n)] = int32(rng.Intn(n))
-		}
-		qSeed := Modularity(g, perturbed, 0)
-		rec := Louvain(g, LouvainOptions{Seed: 42, InitialAssign: perturbed})
-		if rec.Q < qSeed-1e-12 {
-			t.Fatalf("%s: recovered Q %.9f < perturbed seed Q %.9f", name, rec.Q, qSeed)
-		}
-	}
-}
-
-func TestLouvainWarmStartValidation(t *testing.T) {
-	g := datasets.Karate()
-	for _, bad := range [][]int32{
-		make([]int32, 3),                      // wrong length
-		func() []int32 { a := make([]int32, g.NumVertices()); a[0] = -1; return a }(),
-		func() []int32 { a := make([]int32, g.NumVertices()); a[1] = int32(g.NumVertices()); return a }(),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("want panic on invalid InitialAssign")
-				}
-			}()
-			Louvain(g, LouvainOptions{InitialAssign: bad})
-		}()
-	}
-}

@@ -119,14 +119,6 @@ type LouvainOptions struct {
 	MaxLevels int
 	// Seed drives the deterministic vertex-order pseudo-shuffle.
 	Seed int64
-	// InitialAssign, when non-nil, warm-starts level 0 from an existing
-	// partition (length NumVertices, community ids in [0, NumVertices))
-	// instead of singletons — the snapshot-epoch ingest layer re-seeds
-	// each commit from the previous epoch's communities, so the move
-	// engine only pays for the vertices the delta actually dislodged.
-	// The warm level always folds into the hierarchy, so the result's Q
-	// is never below the seed partition's.
-	InitialAssign []int32
 }
 
 // Louvain is the multilevel local-moving heuristic (Blondel et al.

@@ -5,10 +5,7 @@ import "snap/internal/graph"
 // Incremental connectivity for dynamic networks — the paper's stated
 // future-work direction ("extend SNAP to support the topological
 // analysis of dynamic networks"). Edge insertions are processed online
-// in near-constant amortized time; it is the insert fast path of the
-// snapshot-epoch dynamic-components kernel in internal/ingest, which
-// falls back to an epoch-scoped BFS recompute only when a committed
-// deletion might split a component.
+// in near-constant amortized time by union-find.
 
 // Incremental maintains connected components of a growing graph.
 type Incremental struct {
@@ -65,26 +62,3 @@ func (inc *Incremental) Edges() int { return inc.edges }
 
 // Labeling materializes the current component labeling.
 func (inc *Incremental) Labeling() Labeling { return inc.uf.Labeling() }
-
-// IncrementalFromLabeling seeds an incremental connectivity index from
-// an existing component labeling: vertices labeled together start in
-// one set. The ingest layer uses this to resume the union-find insert
-// fast path right after an epoch-scoped recompute instead of replaying
-// the whole edge set.
-func IncrementalFromLabeling(lab Labeling) *Incremental {
-	n := len(lab.Comp)
-	inc := &Incremental{uf: NewUnionFind(n), comps: lab.Count}
-	rep := make([]int32, lab.Count)
-	for i := range rep {
-		rep[i] = -1
-	}
-	for v, c := range lab.Comp {
-		if rep[c] < 0 {
-			rep[c] = int32(v)
-			inc.uf.rank[v] = 1
-			continue
-		}
-		inc.uf.parent[v] = rep[c]
-	}
-	return inc
-}

@@ -82,34 +82,3 @@ func TestIncrementalAddEdges(t *testing.T) {
 		t.Fatalf("edges = %d, want 5", inc.Edges())
 	}
 }
-
-func TestIncrementalFromLabeling(t *testing.T) {
-	g := generate.ErdosRenyi(400, 500, 11)
-	lab := Connected(g, nil)
-	inc := IncrementalFromLabeling(lab)
-	if inc.Components() != lab.Count {
-		t.Fatalf("components = %d, want %d", inc.Components(), lab.Count)
-	}
-	got := inc.Labeling()
-	for v := range got.Comp {
-		if got.Comp[v] != lab.Comp[v] {
-			t.Fatalf("label mismatch at %d: %d vs %d", v, got.Comp[v], lab.Comp[v])
-		}
-	}
-	// Resumed index must keep merging correctly.
-	var u, v int32 = -1, -1
-	for x := int32(1); int(x) < len(lab.Comp); x++ {
-		if lab.Comp[x] != lab.Comp[0] {
-			u, v = 0, x
-			break
-		}
-	}
-	if u >= 0 {
-		if !inc.AddEdge(u, v) {
-			t.Fatal("cross-component insert must merge")
-		}
-		if inc.Components() != lab.Count-1 || !inc.Connected(u, v) {
-			t.Fatal("merge after resume not reflected")
-		}
-	}
-}

@@ -48,9 +48,6 @@ func TestUseAfterClose(t *testing.T) {
 	if err := WriteEdgeList(io.Discard, g); !errors.Is(err, ErrClosed) {
 		t.Fatalf("WriteEdgeList on closed graph: %v, want ErrClosed", err)
 	}
-	if err := WriteBinary(io.Discard, g); !errors.Is(err, ErrClosed) {
-		t.Fatalf("WriteBinary on closed graph: %v, want ErrClosed", err)
-	}
 	if _, err := MergeDelta(g, []Edge{{U: 0, V: 5}}, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("MergeDelta on closed graph: %v, want ErrClosed", err)
 	}

@@ -28,20 +28,16 @@ func benchScale(b *testing.B) int {
 }
 
 // BenchmarkLoad compares every load path on one RMAT graph: text
-// parse, SNP1 stream read, mapped SNP2, and varint-compressed SNP2
-// (scale set by -short: 14, default 18; EXPERIMENTS.md records scale
-// 18/20 runs via SNAP_BENCH_SCALE). Each sub-benchmark reports the
-// on-disk artifact size as file-MB.
+// parse, mapped SNP2, and varint-compressed SNP2 (scale set by -short:
+// 14, default 18; EXPERIMENTS.md records scale 18/20 runs via
+// SNAP_BENCH_SCALE). Each sub-benchmark reports the on-disk artifact
+// size as file-MB.
 func BenchmarkLoad(b *testing.B) {
 	scale := benchScale(b)
 	g := generate.RMAT(1<<scale, 8<<scale, generate.DefaultRMAT(), 42)
 
 	var text bytes.Buffer
 	if err := graph.WriteEdgeList(&text, g); err != nil {
-		b.Fatal(err)
-	}
-	var snp1 bytes.Buffer
-	if err := graph.WriteBinary(&snp1, g); err != nil {
 		b.Fatal(err)
 	}
 	dir := b.TempDir()
@@ -65,14 +61,6 @@ func BenchmarkLoad(b *testing.B) {
 		b.ReportMetric(float64(text.Len())/(1<<20), "file-MB")
 		for i := 0; i < b.N; i++ {
 			if _, err := graph.ReadEdgeList(bytes.NewReader(text.Bytes()), false); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run(fmt.Sprintf("rmat%d/snp1", scale), func(b *testing.B) {
-		b.ReportMetric(float64(snp1.Len())/(1<<20), "file-MB")
-		for i := 0; i < b.N; i++ {
-			if _, err := graph.ReadBinary(bytes.NewReader(snp1.Bytes())); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -190,42 +190,8 @@ func TestAttributes(t *testing.T) {
 	}
 }
 
-// Failure injection: truncated and corrupted inputs must return errors,
-// never panic.
-func TestReadBinaryTruncated(t *testing.T) {
-	g := smallGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for _, cut := range []int{1, 4, 5, 12, 36, len(full) / 2, len(full) - 1} {
-		if cut >= len(full) {
-			continue
-		}
-		if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-			t.Fatalf("truncation at %d bytes silently accepted", cut)
-		}
-	}
-}
-
-func TestReadBinaryCorruptedHeader(t *testing.T) {
-	g := smallGraph(t)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// Blow up the vertex count field.
-	corrupt := append([]byte(nil), data...)
-	for i := 12; i < 20; i++ {
-		corrupt[i] = 0xFF
-	}
-	if _, err := ReadBinary(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("implausible header accepted")
-	}
-}
-
+// Failure injection: malformed text inputs must return errors, never
+// panic.
 func TestQuickReadEdgeListNeverPanics(t *testing.T) {
 	check := func(junk string) (ok bool) {
 		defer func() {

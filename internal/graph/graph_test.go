@@ -155,49 +155,6 @@ func TestReadEdgeListHeaderN(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	var edges []Edge
-	n := 50
-	for i := 0; i < 200; i++ {
-		edges = append(edges, Edge{
-			U: int32(rng.Intn(n)), V: int32(rng.Intn(n)), W: float64(1 + rng.Intn(9)),
-		})
-	}
-	g, err := Build(n, edges, BuildOptions{Weighted: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip sizes: %v vs %v", g2, g)
-	}
-	for v := int32(0); int(v) < n; v++ {
-		a, b := g.Neighbors(v), g2.Neighbors(v)
-		if len(a) != len(b) {
-			t.Fatalf("degree mismatch at %d", v)
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("adjacency mismatch at %d", v)
-			}
-		}
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a graph")); err == nil {
-		t.Fatal("expected magic error")
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	// Path 0-1-2-3; induce {1, 2, 3} -> path of length 2.
 	g, _ := Build(4, []Edge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}, BuildOptions{})

@@ -3,14 +3,12 @@ package graph
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"strconv"
 	"strings"
 
-	"snap/internal/lebytes"
 	"snap/internal/par"
 )
 
@@ -282,264 +280,4 @@ func headerField(line, key string) (int, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// Binary format (SNP1): a compact little-endian serialization of the
-// CSR arrays, used to snapshot generated graphs between tool
-// invocations. Layout: 4-byte magic, then flags/n/m/arcs as uint64,
-// then the Offsets, Adj, EID, and (if weighted) W arrays back to back.
-// It remains the stream-friendly interchange snapshot; the mmap'd SNP2
-// container (internal/graph/container) is the fast load path.
-
-var binMagic = [4]byte{'S', 'N', 'P', '1'}
-
-const binHeaderSize = 4 + 4*8
-
-// ioChunk is the scratch size for streaming slice<->byte conversions
-// on hosts where the slices cannot be viewed as bytes directly.
-const ioChunk = 1 << 20
-
-// WriteBinary serializes g in the SNP1 binary CSR format. The arrays
-// are written as bulk little-endian byte blocks (on little-endian
-// hosts a direct view of the slice memory, no per-element encoding).
-func WriteBinary(w io.Writer, g *Graph) error {
-	if err := g.CheckOpen(); err != nil {
-		return err
-	}
-	var hdr [binHeaderSize]byte
-	copy(hdr[:4], binMagic[:])
-	var flags uint64
-	if g.Directed() {
-		flags |= 1
-	}
-	if g.Weighted() {
-		flags |= 2
-	}
-	binary.LittleEndian.PutUint64(hdr[4:], flags)
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(g.NumEdges()))
-	binary.LittleEndian.PutUint64(hdr[28:], uint64(len(g.Adj)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := lebytes.WriteInt64s(w, g.Offsets); err != nil {
-		return err
-	}
-	if err := lebytes.WriteInt32s(w, g.Adj); err != nil {
-		return err
-	}
-	if err := lebytes.WriteInt32s(w, g.EID); err != nil {
-		return err
-	}
-	if g.Weighted() {
-		if err := lebytes.WriteFloat64s(w, g.W); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// inputSize reports the bytes left in r when knowable without
-// consuming it (a file, bytes.Reader, or other seeker/measurable),
-// else -1. ReadBinary uses it to reject corrupt headers whose claimed
-// sizes exceed the input before allocating for them.
-func inputSize(r io.Reader) int64 {
-	switch v := r.(type) {
-	case interface{ Len() int }: // bytes.Reader, bytes.Buffer, strings.Reader
-		return int64(v.Len())
-	case io.Seeker:
-		cur, err := v.Seek(0, io.SeekCurrent)
-		if err != nil {
-			return -1
-		}
-		end, err := v.Seek(0, io.SeekEnd)
-		if err != nil {
-			return -1
-		}
-		if _, err := v.Seek(cur, io.SeekStart); err != nil {
-			return -1
-		}
-		return end - cur
-	}
-	return -1
-}
-
-// ReadBinary deserializes a graph written by WriteBinary.
-//
-// The header's claimed sizes are clamped against the remaining input
-// before any payload allocation: when the input size is knowable a
-// lying header fails immediately, and on pure streams the payload
-// arrays grow incrementally with the bytes actually read — either way
-// a corrupt 36-byte header cannot force gigabyte allocations.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	remain := inputSize(r)
-	br := bufio.NewReaderSize(r, 1<<16)
-	var hdr [binHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != binMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", hdr[:4])
-	}
-	flags := binary.LittleEndian.Uint64(hdr[4:])
-	n := binary.LittleEndian.Uint64(hdr[12:])
-	m := binary.LittleEndian.Uint64(hdr[20:])
-	arcs := binary.LittleEndian.Uint64(hdr[28:])
-	if n > 1<<31 || arcs > 1<<33 || m > arcs+1 {
-		return nil, fmt.Errorf("graph: implausible sizes n=%d m=%d arcs=%d", n, m, arcs)
-	}
-	weighted := flags&2 != 0
-	if remain >= 0 {
-		need := 8 * (n + 1)  // offsets
-		need += 2 * 4 * arcs // adj + eid
-		if weighted {
-			need += 8 * arcs
-		}
-		if have := uint64(remain - binHeaderSize); uint64(remain) < binHeaderSize || need > have {
-			return nil, fmt.Errorf("graph: header claims %d payload bytes but input has %d", need, remain-binHeaderSize)
-		}
-	}
-	sized := remain >= 0
-	offsets, err := readInt64s(br, n+1, sized)
-	if err != nil {
-		return nil, fmt.Errorf("graph: offsets section: %w", err)
-	}
-	adj, err := readInt32s(br, arcs, sized)
-	if err != nil {
-		return nil, fmt.Errorf("graph: adjacency section: %w", err)
-	}
-	eid, err := readInt32s(br, arcs, sized)
-	if err != nil {
-		return nil, fmt.Errorf("graph: edge-id section: %w", err)
-	}
-	var wts []float64
-	if weighted {
-		wts, err = readFloat64s(br, arcs, sized)
-		if err != nil {
-			return nil, fmt.Errorf("graph: weight section: %w", err)
-		}
-	}
-	g := &Graph{
-		Offsets:  offsets,
-		Adj:      adj,
-		EID:      eid,
-		W:        wts,
-		directed: flags&1 != 0,
-		numEdges: int(m),
-	}
-	if err := Validate(g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// readInt64s reads count little-endian values. When sized, the count
-// has been validated against the input size and the destination is
-// allocated up front (and, on little-endian hosts, filled by reading
-// straight into its memory). Otherwise the destination grows as chunks
-// arrive, so a lying header allocates only in proportion to the bytes
-// the stream actually delivers before EOF.
-func readInt64s(r io.Reader, count uint64, sized bool) ([]int64, error) {
-	if sized {
-		dst := make([]int64, count)
-		if view, ok := lebytes.Int64Bytes(dst); ok {
-			if _, err := io.ReadFull(r, view); err != nil {
-				return nil, truncated(err)
-			}
-			return dst, nil
-		}
-	}
-	var dst []int64
-	if sized {
-		dst = make([]int64, 0, count)
-	}
-	buf := make([]byte, min(count*8, ioChunk))
-	for got := uint64(0); got < count; {
-		c := min(count-got, uint64(len(buf)/8))
-		b := buf[:c*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, truncated(err)
-		}
-		old := len(dst)
-		dst = append(dst, make([]int64, c)...)
-		lebytes.BytesToInt64s(dst[old:], b)
-		got += c
-	}
-	if dst == nil {
-		dst = []int64{}
-	}
-	return dst, nil
-}
-
-func readInt32s(r io.Reader, count uint64, sized bool) ([]int32, error) {
-	if sized {
-		dst := make([]int32, count)
-		if view, ok := lebytes.Int32Bytes(dst); ok {
-			if _, err := io.ReadFull(r, view); err != nil {
-				return nil, truncated(err)
-			}
-			return dst, nil
-		}
-	}
-	var dst []int32
-	if sized {
-		dst = make([]int32, 0, count)
-	}
-	buf := make([]byte, min(count*4, ioChunk))
-	for got := uint64(0); got < count; {
-		c := min(count-got, uint64(len(buf)/4))
-		b := buf[:c*4]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, truncated(err)
-		}
-		old := len(dst)
-		dst = append(dst, make([]int32, c)...)
-		lebytes.BytesToInt32s(dst[old:], b)
-		got += c
-	}
-	if dst == nil {
-		dst = []int32{}
-	}
-	return dst, nil
-}
-
-func readFloat64s(r io.Reader, count uint64, sized bool) ([]float64, error) {
-	if sized {
-		dst := make([]float64, count)
-		if view, ok := lebytes.Float64Bytes(dst); ok {
-			if _, err := io.ReadFull(r, view); err != nil {
-				return nil, truncated(err)
-			}
-			return dst, nil
-		}
-	}
-	var dst []float64
-	if sized {
-		dst = make([]float64, 0, count)
-	}
-	buf := make([]byte, min(count*8, ioChunk))
-	for got := uint64(0); got < count; {
-		c := min(count-got, uint64(len(buf)/8))
-		b := buf[:c*8]
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, truncated(err)
-		}
-		old := len(dst)
-		dst = append(dst, make([]float64, c)...)
-		lebytes.BytesToFloat64s(dst[old:], b)
-		got += c
-	}
-	if dst == nil {
-		dst = []float64{}
-	}
-	return dst, nil
-}
-
-// truncated maps the io errors of a short payload read onto one
-// descriptive error.
-func truncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return fmt.Errorf("truncated input (%w)", err)
-	}
-	return err
 }

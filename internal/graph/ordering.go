@@ -64,26 +64,6 @@ func RCMOrder(g *Graph) []int32 {
 	return perm
 }
 
-// Permute relabels g under perm (perm[newID] = oldID), returning the
-// relabeled graph and the inverse map (newOf[oldID] = newID).
-func Permute(g *Graph, perm []int32) (*Graph, []int32) {
-	n := g.NumVertices()
-	newOf := make([]int32, n)
-	for newID, oldID := range perm {
-		newOf[oldID] = int32(newID)
-	}
-	edges := g.EdgeEndpoints()
-	out := make([]Edge, len(edges))
-	for i, e := range edges {
-		out[i] = Edge{U: newOf[e.U], V: newOf[e.V], W: e.W}
-	}
-	ng, err := Build(n, out, BuildOptions{Directed: g.Directed(), Weighted: g.Weighted()})
-	if err != nil {
-		panic("graph: permute: " + err.Error())
-	}
-	return ng, newOf
-}
-
 // Bandwidth reports the maximum |u − v| over all edges — the quantity
 // RCM minimizes; lower bandwidth means adjacent vertices have nearby
 // ids and traversals touch fewer cache lines.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -40,12 +41,35 @@ func TestRCMOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestPermutePreservesStructure(t *testing.T) {
+// relabelMatchesBuild relabels g under perm and checks the result
+// against Build on the renamed edge list, the edge-list round trip
+// Relabel replaces: Offsets, Adj and W must be equal (edge ids differ
+// by design — Relabel keeps them, Build renumbers).
+func relabelMatchesBuild(t *testing.T, g *Graph, perm []int32) (*Graph, []int32) {
+	t.Helper()
+	rg, inv, err := Relabel(g, perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := g.EdgeEndpoints()
+	for i, e := range edges {
+		edges[i] = Edge{U: inv[e.U], V: inv[e.V], W: e.W}
+	}
+	want, err := Build(g.NumVertices(), edges, BuildOptions{Directed: g.Directed(), Weighted: g.Weighted()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rg.Offsets, want.Offsets) || !slices.Equal(rg.Adj, want.Adj) || !slices.Equal(rg.W, want.W) {
+		t.Fatal("Relabel differs from Build on the renamed edge list")
+	}
+	return rg, inv
+}
+
+func TestRelabelRCMPreservesStructure(t *testing.T) {
 	g := gridGraph(t, 6, 6)
-	perm := RCMOrder(g)
-	ng, newOf := Permute(g, perm)
+	ng, newOf := relabelMatchesBuild(t, g, RCMOrder(g))
 	if ng.NumVertices() != g.NumVertices() || ng.NumEdges() != g.NumEdges() {
-		t.Fatalf("permute changed sizes: %v vs %v", ng, g)
+		t.Fatalf("relabel changed sizes: %v vs %v", ng, g)
 	}
 	if err := Validate(ng); err != nil {
 		t.Fatal(err)
@@ -53,7 +77,7 @@ func TestPermutePreservesStructure(t *testing.T) {
 	// Every original edge must exist under the new labels.
 	for _, e := range g.EdgeEndpoints() {
 		if !ng.HasEdge(newOf[e.U], newOf[e.V]) {
-			t.Fatalf("edge (%d,%d) lost in permutation", e.U, e.V)
+			t.Fatalf("edge (%d,%d) lost in relabeling", e.U, e.V)
 		}
 	}
 	// Degrees must be preserved pointwise.
@@ -74,10 +98,9 @@ func TestRCMReducesBandwidthOnScrambledGrid(t *testing.T) {
 	for i := range scramble {
 		scramble[i] = int32((i*37 + 11) % g.NumVertices())
 	}
-	sg, _ := Permute(g, scramble)
+	sg, _ := relabelMatchesBuild(t, g, scramble)
 	before := Bandwidth(sg)
-	perm := RCMOrder(sg)
-	rg, _ := Permute(sg, perm)
+	rg, _ := relabelMatchesBuild(t, sg, RCMOrder(sg))
 	after := Bandwidth(rg)
 	if after >= before {
 		t.Fatalf("RCM did not reduce bandwidth: %d -> %d", before, after)

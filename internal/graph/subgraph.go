@@ -78,7 +78,7 @@ func FilterEdges(g *Graph, keep func(eid int32) bool) *Graph {
 // Validate checks the structural invariants of a CSR graph: monotone
 // offsets, in-range adjacency, sorted neighbor lists, in-range edge
 // ids, and — for undirected graphs — arc symmetry with matching edge
-// ids. It is used by tests and by ReadBinary.
+// ids. It is used by tests and by the SNP2 container's validating load.
 func Validate(g *Graph) error {
 	n := g.NumVertices()
 	if len(g.Offsets) != n+1 {

@@ -79,9 +79,9 @@ func BenchmarkIngestRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestPageRankIncremental measures the maintained PageRank
-// after a small-delta commit (warm start from the previous epoch's
-// scores).
+// BenchmarkIngestPageRankIncremental measures PageRank after a
+// small-delta commit, warm-started from the previous epoch's scores
+// (the chain the serving tier runs on stream handles).
 func BenchmarkIngestPageRankIncremental(b *testing.B) {
 	g := benchGraph(b)
 	add, del := benchDelta(g, 0.01, 3)

@@ -8,17 +8,14 @@ import (
 	"testing"
 
 	"snap/internal/bfs"
-	"snap/internal/centrality"
-	"snap/internal/community"
 	"snap/internal/sssp"
 )
 
 // TestStreamReadersDuringCommits is the lock-free-query-path contract
 // under the race detector: concurrent readers pin epochs and run
-// kernels while the writer drives well over ten commits, with more
-// readers hammering the maintained Components/PageRank/Communities
-// kernels at the same time. Any unsynchronized access to a snapshot,
-// the epoch refcount, or kernel state trips -race in CI.
+// kernels while the writer drives well over ten commits. Any
+// unsynchronized access to a snapshot or the epoch refcount trips
+// -race in CI.
 func TestStreamReadersDuringCommits(t *testing.T) {
 	const (
 		n       = 400
@@ -72,23 +69,6 @@ func TestStreamReadersDuringCommits(t *testing.T) {
 			}
 		}(int64(r + 2))
 	}
-	// Maintained-kernel readers: these serialize on their own locks but
-	// must never race with the committing writer.
-	for _, q := range []func(){
-		func() { s.Components() },
-		func() { s.PageRank(centrality.PageRankOptions{Tolerance: 1e-6}) },
-		func() { s.Communities(community.LouvainOptions{Seed: 1}) },
-		func() { s.ConnectedQuery(0, 1) },
-	} {
-		wg.Add(1)
-		go func(query func()) {
-			defer wg.Done()
-			for !stop.Load() {
-				query()
-			}
-		}(q)
-	}
-
 	// The writer: interleaved adds/deletes, committing each batch. Wait
 	// for the first reader pin so commits genuinely overlap readers
 	// even on a single-CPU scheduler.
@@ -123,14 +103,6 @@ func TestStreamReadersDuringCommits(t *testing.T) {
 	}
 	if pins.Load() == 0 {
 		t.Fatal("readers never pinned an epoch")
-	}
-	// After the dust settles the current epoch is exactly the committed
-	// edge set (sanity via the maintained components kernel).
-	lab := s.Components()
-	e := s.Pin()
-	defer e.Close()
-	if len(lab.Comp) != e.Graph().NumVertices() {
-		t.Fatal("final labeling wrong size")
 	}
 }
 

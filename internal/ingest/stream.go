@@ -14,15 +14,11 @@
 // bit-identical to a from-scratch Build of the equivalent edge list at
 // any worker count.
 //
-// On top of the epochs the stream maintains incremental kernels where
-// incrementality pays: connected components (union-find fast path for
-// inserts, epoch-scoped BFS recompute only when a deletion may split a
-// component), PageRank (warm-started from the previous epoch's
-// scores), and warm-started Louvain (re-seeded from the previous
-// epoch's partition). This is the architecture of NetworKit's dynamic-
-// algorithm suite rebuilt on the repo's parallel kernels, and the
-// paper's "topological analysis of dynamic networks" future-work
-// direction.
+// A stream publishes snapshots, not analytics: every kernel runs on a
+// pinned epoch, and a caller that wants an answer to follow the stream
+// chains it itself (internal/serve warm-starts each epoch's PageRank
+// from the last one it built). This is the paper's "topological
+// analysis of dynamic networks" future-work direction.
 package ingest
 
 import (
@@ -79,8 +75,6 @@ type Stream struct {
 	closed  bool
 
 	cur atomic.Pointer[Epoch]
-
-	kernels kernelState
 }
 
 // New wraps an existing immutable snapshot as epoch 0 of a stream. The
@@ -257,11 +251,9 @@ func (s *Stream) commitLocked() (CommitStats, error) {
 	}
 
 	stats := CommitStats{Vertices: s.n, Edges: next.NumEdges()}
-	realDel := del[:0]
 	for _, e := range del {
 		if old.g.HasEdge(e.U, e.V) {
 			stats.Deleted++
-			realDel = append(realDel, e)
 		}
 	}
 	for _, e := range add {
@@ -274,13 +266,8 @@ func (s *Stream) commitLocked() (CommitStats, error) {
 
 	s.seq++
 	stats.Seq = s.seq
-	e := newEpoch(next, s.seq)
-
-	// Incremental-kernel bookkeeping rides inside the publish critical
-	// section (it performs the epoch pointer swap and releases the
-	// stream's reference to the superseded epoch) so every maintained
-	// structure observes commits in order.
-	s.kernels.publishCommit(s, old, e, add, realDel)
+	s.cur.Store(newEpoch(next, s.seq))
+	old.Close()
 
 	clear(s.pending)
 	return stats, nil

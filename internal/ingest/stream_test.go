@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -382,178 +381,5 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatal("self-loop must not buffer")
-	}
-}
-
-func TestStreamComponentsIncremental(t *testing.T) {
-	const n = 200
-	s, err := NewEmpty(n, false, false, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	model := newStreamModel(n, false, false)
-	rng := rand.New(rand.NewSource(21))
-
-	checkAgainstBatch := func(tag string) {
-		t.Helper()
-		got := s.Components()
-		want := components.Connected(model.build(t), nil)
-		if got.Count != want.Count {
-			t.Fatalf("%s: count %d vs %d", tag, got.Count, want.Count)
-		}
-		for v := range want.Comp {
-			if got.Comp[v] != want.Comp[v] {
-				t.Fatalf("%s: label[%d] = %d vs %d", tag, v, got.Comp[v], want.Comp[v])
-			}
-		}
-	}
-
-	// Insert-only commits ride the union-find fast path.
-	for c := 0; c < 5; c++ {
-		for i := 0; i < 60; i++ {
-			u, v := rng.Int31n(n), rng.Int31n(n)
-			s.Add(u, v)
-			model.add(u, v, 0)
-		}
-		s.Commit()
-		checkAgainstBatch(fmt.Sprintf("insert-commit-%d", c))
-	}
-	// Deletions: both the harmless kind (endpoints stay connected) and
-	// the component-splitting kind must produce exact labelings.
-	for c := 0; c < 6; c++ {
-		g := model.build(t)
-		ends := g.EdgeEndpoints()
-		for i := 0; i < 25 && len(ends) > 0; i++ {
-			e := ends[rng.Intn(len(ends))]
-			s.Delete(e.U, e.V)
-			model.del(e.U, e.V)
-		}
-		for i := 0; i < 10; i++ {
-			u, v := rng.Int31n(n), rng.Int31n(n)
-			s.Add(u, v)
-			model.add(u, v, 0)
-		}
-		s.Commit()
-		checkAgainstBatch(fmt.Sprintf("mixed-commit-%d", c))
-	}
-	// A guaranteed split: isolate a pendant vertex.
-	s.Add(0, 1)
-	model.add(0, 1, 0)
-	s.Commit()
-	g := model.build(t)
-	// Delete every edge at vertex 0.
-	for _, v := range g.Neighbors(0) {
-		s.Delete(0, v)
-		model.del(0, v)
-	}
-	s.Commit()
-	checkAgainstBatch("split-commit")
-
-	ok, err := s.ConnectedQuery(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := components.Connected(model.build(t), nil)
-	if ok != (want.Comp[0] == want.Comp[1]) {
-		t.Fatal("ConnectedQuery disagrees with batch labeling")
-	}
-}
-
-func TestStreamPageRankIncremental(t *testing.T) {
-	const n = 500
-	s, err := NewEmpty(n, false, false, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	model := newStreamModel(n, false, false)
-	rng := rand.New(rand.NewSource(31))
-	opt := centrality.PageRankOptions{}
-
-	for i := 0; i < 2000; i++ {
-		u, v := rng.Int31n(n), rng.Int31n(n)
-		s.Add(u, v)
-		model.add(u, v, 0)
-	}
-	s.Commit()
-	for c := 0; c < 6; c++ {
-		got := s.PageRank(opt)
-		want := centrality.PageRank(model.build(t), opt)
-		var l1 float64
-		for i := range want {
-			l1 += math.Abs(got[i] - want[i])
-		}
-		if l1 > 1e-6 {
-			t.Fatalf("commit %d: L1 vs full recompute = %g", c, l1)
-		}
-		// Small delta for the next round: the incremental path.
-		g := model.build(t)
-		ends := g.EdgeEndpoints()
-		for i := 0; i < 10 && len(ends) > 0; i++ {
-			e := ends[rng.Intn(len(ends))]
-			s.Delete(e.U, e.V)
-			model.del(e.U, e.V)
-		}
-		for i := 0; i < 15; i++ {
-			u, v := rng.Int31n(n), rng.Int31n(n)
-			s.Add(u, v)
-			model.add(u, v, 0)
-		}
-		s.Commit()
-	}
-	// Repeated query on an unchanged epoch returns the cache.
-	a := s.PageRank(opt)
-	b := s.PageRank(opt)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("cached PageRank not stable")
-		}
-	}
-}
-
-func TestStreamCommunitiesWarm(t *testing.T) {
-	const n = 300
-	s, err := NewEmpty(n, false, false, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	model := newStreamModel(n, false, false)
-	rng := rand.New(rand.NewSource(41))
-	// Three planted blocks.
-	for i := 0; i < 1800; i++ {
-		b := rng.Intn(3)
-		u := int32(b*100 + rng.Intn(100))
-		v := int32(b*100 + rng.Intn(100))
-		s.Add(u, v)
-		model.add(u, v, 0)
-	}
-	s.Commit()
-	opt := community.LouvainOptions{Seed: 3}
-	c1 := s.Communities(opt)
-	if got := community.Modularity(model.build(t), c1.Assign, 0); math.Abs(got-c1.Q) > 1e-12 {
-		t.Fatalf("reported Q %.9f != recomputed %.9f", c1.Q, got)
-	}
-	// Cached on the same epoch.
-	c2 := s.Communities(opt)
-	if c2.Q != c1.Q || c2.Count != c1.Count {
-		t.Fatal("cached clustering differs")
-	}
-	// Perturb and recommit: the warm start must stay correct and keep
-	// modularity at least at the carried-over partition's level.
-	for i := 0; i < 40; i++ {
-		u, v := rng.Int31n(n), rng.Int31n(n)
-		s.Add(u, v)
-		model.add(u, v, 0)
-	}
-	s.Commit()
-	c3 := s.Communities(opt)
-	g := model.build(t)
-	if got := community.Modularity(g, c3.Assign, 0); math.Abs(got-c3.Q) > 1e-12 {
-		t.Fatalf("warm Q %.9f != recomputed %.9f", c3.Q, got)
-	}
-	if seedQ := community.Modularity(g, c1.Assign, 0); c3.Q < seedQ-1e-12 {
-		t.Fatalf("warm Q %.9f below carried-over partition %.9f", c3.Q, seedQ)
 	}
 }

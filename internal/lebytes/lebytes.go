@@ -1,9 +1,8 @@
 // Package lebytes provides bulk little-endian conversions between
 // numeric slices and raw bytes, plus zero-copy alias casts for mapped
-// files. It is the byte layer under both graph serialization paths:
-// the legacy SNP1 stream format (which previously round-tripped every
-// element through reflection in encoding/binary) and the mmap'd SNP2
-// container (whose sections alias the mapping directly).
+// files. It is the byte layer under the SNP2 container: writes stream
+// the slice memory out in one block, and mapped loads alias their
+// sections directly.
 //
 // On little-endian machines the conversions compile to memmoves and the
 // alias casts are free; on big-endian machines the conversions fall
@@ -99,33 +98,6 @@ func BytesToFloat64s(dst []float64, src []byte) {
 	}
 }
 
-// Int64Bytes returns a read-only little-endian byte view of src
-// without copying, or nil, false on big-endian hosts (where the caller
-// must convert through Int64sToBytes instead). The view aliases src:
-// it is valid only while src is, and must not be written.
-func Int64Bytes(src []int64) ([]byte, bool) {
-	if !nativeLE {
-		return nil, false
-	}
-	return bytesOf(src), true
-}
-
-// Int32Bytes is Int64Bytes for []int32.
-func Int32Bytes(src []int32) ([]byte, bool) {
-	if !nativeLE {
-		return nil, false
-	}
-	return bytesOf(src), true
-}
-
-// Float64Bytes is Int64Bytes for []float64.
-func Float64Bytes(src []float64) ([]byte, bool) {
-	if !nativeLE {
-		return nil, false
-	}
-	return bytesOf(src), true
-}
-
 // streamChunk is the scratch size for streaming writes on hosts where
 // slice memory cannot be viewed as bytes directly.
 const streamChunk = 1 << 20
@@ -134,8 +106,8 @@ const streamChunk = 1 << 20
 // of the slice memory on little-endian hosts, chunked conversion
 // elsewhere.
 func WriteInt64s(w io.Writer, src []int64) error {
-	if view, ok := Int64Bytes(src); ok {
-		_, err := w.Write(view)
+	if nativeLE {
+		_, err := w.Write(bytesOf(src))
 		return err
 	}
 	buf := make([]byte, streamChunk)
@@ -152,8 +124,8 @@ func WriteInt64s(w io.Writer, src []int64) error {
 
 // WriteInt32s is WriteInt64s for []int32.
 func WriteInt32s(w io.Writer, src []int32) error {
-	if view, ok := Int32Bytes(src); ok {
-		_, err := w.Write(view)
+	if nativeLE {
+		_, err := w.Write(bytesOf(src))
 		return err
 	}
 	buf := make([]byte, streamChunk)
@@ -170,8 +142,8 @@ func WriteInt32s(w io.Writer, src []int32) error {
 
 // WriteFloat64s is WriteInt64s for []float64.
 func WriteFloat64s(w io.Writer, src []float64) error {
-	if view, ok := Float64Bytes(src); ok {
-		_, err := w.Write(view)
+	if nativeLE {
+		_, err := w.Write(bytesOf(src))
 		return err
 	}
 	buf := make([]byte, streamChunk)

@@ -287,7 +287,7 @@ func TestWarmVectorOfWrongLengthFallsBackCold(t *testing.T) {
 }
 
 // TestDirectedStreamRebuildsCold pins the documented limit of the
-// chain: PageRankDirected has no start-vector entry, so every epoch of
+// chain: the warm polish sweeps undirected rows only, so every epoch of
 // a directed stream is the cold build, bit for bit.
 func TestDirectedStreamRebuildsCold(t *testing.T) {
 	und := generate.RMAT(1<<8, 1<<10, generate.DefaultRMAT(), 4)
@@ -300,7 +300,7 @@ func TestDirectedStreamRebuildsCold(t *testing.T) {
 		}
 		got := answerRank(t, s, 10)
 		e := st.Pin()
-		cold := centrality.PageRankDirected(e.Graph(), centrality.PageRankOptions{})
+		cold := centrality.PageRank(e.Graph(), centrality.PageRankOptions{})
 		e.Close()
 		for i, v := range got.Top {
 			if got.Score[i] != cold[v] {

@@ -18,8 +18,7 @@
 //   - Community detection: GirvanNewman, PBD, PMA, PLA, Modularity.
 //   - Partitioning: Partition (parallel multilevel k-way),
 //     MultilevelRecursive, SpectralRQI, SpectralLanczos, EdgeCut —
-//     and the blocked layout it enables: BlockedPerm, Relabel,
-//     NewSharded (shard-local BFS/PageRank).
+//     and the blocked layout it enables: BlockedPerm, Relabel.
 //
 // Parallelism: every kernel obeys GOMAXPROCS (or an explicit Workers
 // option). See DESIGN.md for the architecture and EXPERIMENTS.md for
@@ -40,7 +39,6 @@ import (
 	"snap/internal/ingest"
 	"snap/internal/metrics"
 	"snap/internal/partition"
-	"snap/internal/shard"
 	"snap/internal/sketch"
 	"snap/internal/sssp"
 )
@@ -103,12 +101,6 @@ func ReadEdgeList(r io.Reader, directed bool) (*Graph, error) {
 
 // WriteEdgeList writes the text edge-list interchange format.
 func WriteEdgeList(w io.Writer, g *Graph) error { return graph.WriteEdgeList(w, g) }
-
-// ReadBinary reads the compact binary CSR snapshot format (SNP1).
-func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
-
-// WriteBinary writes the compact binary CSR snapshot format (SNP1).
-func WriteBinary(w io.Writer, g *Graph) error { return graph.WriteBinary(w, g) }
 
 // ContainerOptions controls SNP2 container writes; Compress selects the
 // varint delta-encoded adjacency section (about half the raw
@@ -612,8 +604,7 @@ func PartitionInWorkspace(ws *PartitionWorkspace, g *Graph, opt PartitionOptions
 // BlockedPerm computes the partition-blocked relabeling permutation
 // for a partition: perm[newID] = oldID orders vertices by (part,
 // descending degree), and bounds (length k+1) marks each part's
-// contiguous new-id block. Feed perm to Relabel and bounds to
-// NewSharded.
+// contiguous new-id block. Feed perm to Relabel.
 func BlockedPerm(g *Graph, part []int32, k int) (perm, bounds []int32, err error) {
 	return partition.BlockedPerm(g, part, k)
 }
@@ -623,21 +614,6 @@ func BlockedPerm(g *Graph, part []int32, k int) (perm, bounds []int32, err error
 // Edge ids and weights follow their arcs.
 func Relabel(g *Graph, perm []int32) (*Graph, []int32, error) {
 	return graph.Relabel(g, perm)
-}
-
-// ShardedGraph executes kernels shard-locally over a partition-blocked
-// graph: BFS and PageRank run bulk-synchronously with batched
-// cross-shard exchange, bit-identical at every worker count.
-type ShardedGraph = shard.Graph
-
-// ShardedPageRankOptions configures ShardedGraph.PageRank.
-type ShardedPageRankOptions = shard.PageRankOptions
-
-// NewSharded wraps a partition-blocked graph (from Partition +
-// BlockedPerm + Relabel) with its shard bounds for shard-local kernel
-// execution.
-func NewSharded(g *Graph, bounds []int32) (*ShardedGraph, error) {
-	return shard.New(g, bounds)
 }
 
 // Extensions beyond the paper's sections 3-5, implementing its stated
@@ -667,11 +643,9 @@ func NewIncrementalConnectivity(n int) *IncrementalConnectivity {
 type PageRankOptions = centrality.PageRankOptions
 
 // PageRank computes the random-surfer stationary distribution
-// (influential-entity identification).
+// (influential-entity identification); on directed graphs mass flows
+// along arc direction.
 func PageRank(g *Graph, opt PageRankOptions) []float64 {
-	if g.Directed() {
-		return centrality.PageRankDirected(g, opt)
-	}
 	return centrality.PageRank(g, opt)
 }
 
@@ -769,12 +743,8 @@ func BFSDirectionOptimizing(g *Graph, src int32) BFSResult {
 }
 
 // RCMOrder computes a reverse Cuthill-McKee cache-friendly ordering
-// (perm[newID] = oldID).
+// (perm[newID] = oldID); Relabel applies it.
 func RCMOrder(g *Graph) []int32 { return graph.RCMOrder(g) }
-
-// Permute relabels g under perm, returning the relabeled graph and the
-// old-to-new id map.
-func Permute(g *Graph, perm []int32) (*Graph, []int32) { return graph.Permute(g, perm) }
 
 // Bandwidth reports the maximum id distance across any edge (the
 // quantity RCM minimizes).
@@ -823,9 +793,9 @@ func Diameter(g *Graph) int { return metrics.Diameter(g) }
 
 // Stream buffers edge insertions and deletions against the current
 // snapshot and, on Commit, merges them into a fresh immutable Graph
-// published as a new Epoch. Readers pin epochs lock-free and never
-// block behind writers; maintained kernels (Components, PageRank,
-// Communities) answer from incremental state instead of recomputing.
+// published as a new Epoch. Readers pin epochs lock-free, never block
+// behind writers, and run any kernel on the pinned snapshot;
+// PageRankFrom chains PageRank from one epoch to the next.
 type Stream = ingest.Stream
 
 // StreamOptions configures a Stream (auto-commit threshold, merge

@@ -147,10 +147,10 @@ func TestFacadeIO(t *testing.T) {
 		t.Fatalf("text round trip: %v", err)
 	}
 	var bin bytes.Buffer
-	if err := WriteBinary(&bin, g); err != nil {
+	if err := EncodeContainer(&bin, g, ContainerOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := ReadBinary(&bin)
+	g3, err := DecodeContainer(bin.Bytes(), MapLoadOptions{})
 	if err != nil || g3.NumEdges() != g.NumEdges() {
 		t.Fatalf("binary round trip: %v", err)
 	}
@@ -236,10 +236,9 @@ func TestFacadeNewKernels(t *testing.T) {
 			t.Fatal("direction-optimizing BFS differs")
 		}
 	}
-	perm := RCMOrder(g)
-	rg, _ := Permute(g, perm)
-	if Bandwidth(rg) <= 0 || rg.NumEdges() != g.NumEdges() {
-		t.Fatal("rcm/permute")
+	rg, _, err := Relabel(g, RCMOrder(g))
+	if err != nil || Bandwidth(rg) <= 0 || rg.NumEdges() != g.NumEdges() {
+		t.Fatalf("rcm/relabel: %v", err)
 	}
 	scc := StronglyConnectedComponents(g)
 	if scc.Count < 1 {
@@ -457,7 +456,9 @@ func TestFacadeStream(t *testing.T) {
 	if _, err := es.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := es.Components().Count; got != 9 {
+	ee := es.Pin()
+	defer ee.Close()
+	if got := ConnectedComponents(ee.Graph()).Count; got != 9 {
 		t.Fatalf("components after one edge = %d, want 9", got)
 	}
 }

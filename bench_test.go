@@ -330,6 +330,68 @@ func BenchmarkFrontierDirOpt_RoadMesh(b *testing.B) {
 	benchFrontier(b, frontierRoadMesh(), frontier.DefaultAlpha)
 }
 
+// BenchmarkBlockedLayout measures the partition-blocked layout as a
+// pure relabel: the same kernels on the original vertex order
+// (identity) and on the order MultilevelKWay{K:32} → BlockedPerm →
+// Relabel produces (blocked), built untimed. Graphs are the repo
+// benchmark's two, rmat 2^17 and road 362²; -short shrinks them to
+// 2^14 / 128². BFS starts from the same vertex on both orders.
+//
+//	go test -run '^$' -bench BenchmarkBlockedLayout -benchmem -cpu 1 .
+func BenchmarkBlockedLayout(b *testing.B) {
+	scale, side := 17, 362
+	if testing.Short() {
+		scale, side = 14, 128
+	}
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"rmat", generate.RMAT(1<<scale, 8<<scale, generate.DefaultRMAT(), 1)},
+		{"road", generate.RoadMesh(side, side, 0.05, 1)},
+	}
+	prOpt := PageRankOptions{MaxIterations: 30, Tolerance: 1e-15}
+	for _, tc := range graphs {
+		res, err := Partition(tc.g, PartitionOptions{K: 32})
+		if err != nil {
+			b.Fatal(err)
+		}
+		perm, _, err := BlockedPerm(tc.g, res.Part, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		blocked, inv, err := Relabel(tc.g, perm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := frontierSource(tc.g)
+		layouts := []struct {
+			name string
+			g    *graph.Graph
+			src  int32
+		}{
+			{"identity", tc.g, src},
+			{"blocked", blocked, inv[src]},
+		}
+		for _, l := range layouts {
+			b.Run(tc.name+"/pagerank/"+l.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					PageRank(l.g, prOpt)
+				}
+			})
+		}
+		for _, l := range layouts {
+			b.Run(tc.name+"/bfs/"+l.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					bfs.Parallel(l.g, l.src, bfs.Options{})
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkWorkspaceSerialClosenessBaseline is the pre-change closeness
 // inner loop — one freshly allocated bfs.Serial per source — kept so
 // the allocation win of the workspace path stays visible in-tree.

@@ -2,8 +2,9 @@
 // and figure of the paper's evaluation (Section 5). Each experiment
 // prints the paper's reported values next to the values measured on
 // this machine, so the reproduction can be judged row by row.
-// The cmd/snap-bench binary and the root-level testing.B benchmarks
-// are thin wrappers over this package. See EXPERIMENTS.md.
+// The cmd/snap-bench binary is a thin wrapper over this package; the
+// root-level testing.B benchmarks run the same kernels at fixed sizes
+// without it. See EXPERIMENTS.md.
 package bench
 
 import (
@@ -38,8 +39,6 @@ type Config struct {
 	GNMaxN int
 	// Seed drives all generators.
 	Seed int64
-	// Fast shrinks everything further for smoke tests.
-	Fast bool
 }
 
 func (c *Config) fill() {
@@ -61,30 +60,12 @@ func (c *Config) fill() {
 	if c.Seed == 0 {
 		c.Seed = 20080414 // IPDPS 2008
 	}
-	if c.Fast {
-		if c.Scale > 0.02 {
-			c.Scale = 0.02
-		}
-		c.GNMaxN = 300
-		c.Workers = []int{1, 2}
-	}
 }
 
 func timed(f func()) time.Duration {
 	start := time.Now()
 	f()
 	return time.Since(start)
-}
-
-// timedMin reports the fastest of reps timed runs of f.
-func timedMin(reps int, f func()) time.Duration {
-	best := timed(f)
-	for i := 1; i < reps; i++ {
-		if d := timed(f); d < best {
-			best = d
-		}
-	}
-	return best
 }
 
 func seconds(d time.Duration) float64 { return d.Seconds() }
@@ -156,8 +137,8 @@ func Table1(cfg Config) {
 	fmt.Fprintln(w)
 }
 
-// workersAvailable clips a requested sweep entry to something the host
-// can express (GOMAXPROCS is set per measurement).
+// setWorkers sets GOMAXPROCS to one sweep entry for a measurement and
+// returns a function that restores the previous value.
 func setWorkers(n int) (restore func()) {
 	prev := runtime.GOMAXPROCS(n)
 	return func() { runtime.GOMAXPROCS(prev) }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"snap/internal/community"
@@ -9,7 +10,7 @@ import (
 	"snap/internal/graph"
 )
 
-// figure2PBD builds the pBD options used across the figure experiments
+// figurePBDOptions builds the pBD options used across the figure experiments
 // so thread sweeps compare identical work.
 func figurePBDOptions(seed int64, workers int) community.PBDOptions {
 	return community.PBDOptions{
@@ -126,16 +127,14 @@ func Figure3a(cfg Config) {
 	fmt.Fprintf(w, "%-10s %8s %8s %12s %12s %12s %10s %10s %10s\n",
 		"Instance", "n", "m", "GN est(s)", "pBD 1T(s)", "pBD WT(s)", "eng. x", "par. x", "total x")
 
-	maxWorkers := cfg.Workers[len(cfg.Workers)-1]
+	maxWorkers := slices.Max(cfg.Workers)
 	for _, inst := range figure3Instances(cfg) {
 		g := inst.g
 		// pBD, single thread.
 		var removals int
-		var pbd1 community.Clustering
 		restore := setWorkers(1)
 		t1 := timed(func() {
-			var dend *community.Dendrogram
-			pbd1, dend = community.PBD(g, figurePBDOptions(cfg.Seed, 1))
+			_, dend := community.PBD(g, figurePBDOptions(cfg.Seed, 1))
 			removals = dend.Len()
 		})
 		restore()
@@ -174,7 +173,6 @@ func Figure3a(cfg Config) {
 		fmt.Fprintf(w, "%-10s %8d %8d %12.1f %12.2f %12.2f %10.1f %10.2f %10.1f\n",
 			inst.label, g.NumVertices(), g.NumEdges(),
 			gnEst, seconds(t1), seconds(tW), eng, par, eng*par)
-		_ = pbd1
 	}
 	fmt.Fprintf(w, "\nGN est = metered setup + per-removal cost x the removal count pBD used\n")
 	fmt.Fprintf(w, "(an upper bound: GN removals get cheaper as the graph fragments, and pBD\n")
@@ -187,7 +185,7 @@ func Figure3a(cfg Config) {
 func Figure3b(cfg Config) {
 	cfg.fill()
 	w := cfg.Out
-	maxWorkers := cfg.Workers[len(cfg.Workers)-1]
+	maxWorkers := slices.Max(cfg.Workers)
 	fmt.Fprintf(w, "== Figure 3(b): pMA / pLA parallel speedup (1 -> %d threads) ==\n\n", maxWorkers)
 	fmt.Fprintf(w, "%-10s %12s %12s %8s %12s %12s %8s\n",
 		"Instance", "pMA 1T(s)", "pMA WT(s)", "x", "pLA 1T(s)", "pLA WT(s)", "x")
@@ -223,10 +221,5 @@ func All(cfg Config) {
 	Figure3a(cfg)
 	Figure3b(cfg)
 	Ablations(cfg)
-	Loads(cfg)
-	Ingest(cfg)
-	Sketch(cfg)
-	Partition(cfg)
-	Serve(cfg)
 	fmt.Fprintf(cfg.Out, "total harness time: %.1fs\n", time.Since(start).Seconds())
 }

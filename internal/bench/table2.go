@@ -22,11 +22,7 @@ func Table2(cfg Config) {
 		"Network", "n", "GN", "pBD", "pMA", "pLA", "Best known")
 
 	for _, net := range datasets.Table2() {
-		scale := 1.0
-		if cfg.Fast && net.PaperN > 1000 {
-			scale = 0.25
-		}
-		g := net.Build(scale)
+		g := net.Build(1.0)
 		n := g.NumVertices()
 
 		gnCell := "-"
@@ -57,11 +53,7 @@ func Table2(cfg Config) {
 
 		bestCell := "-"
 		if n <= 20000 {
-			steps := 40 * n
-			if cfg.Fast {
-				steps = 5 * n
-			}
-			best := community.Anneal(g, steps, cfg.Seed)
+			best := community.Anneal(g, 40*n, cfg.Seed)
 			bestCell = fmt.Sprintf("%.3f", best.Q)
 		}
 

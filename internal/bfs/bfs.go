@@ -16,9 +16,6 @@ import (
 	"snap/internal/par"
 )
 
-// Unreached marks vertices not reachable from the source.
-const Unreached = frontier.Unreached
-
 // Result holds a BFS tree: hop distances and parents (both -1 when
 // unreached, and Parent[src] == src).
 type Result = frontier.Result

@@ -40,7 +40,7 @@ func TestSerialOnPath(t *testing.T) {
 func TestSerialDisconnected(t *testing.T) {
 	g, _ := graph.Build(4, []graph.Edge{{U: 0, V: 1}}, graph.BuildOptions{})
 	r := Serial(g, 0, nil)
-	if r.Dist[2] != Unreached || r.Parent[2] != -1 {
+	if r.Dist[2] != -1 || r.Parent[2] != -1 {
 		t.Fatal("unreached vertex should stay marked")
 	}
 	if r.Reached() != 2 {
@@ -57,7 +57,7 @@ func TestSerialAliveMask(t *testing.T) {
 	// Kill the middle edge (2-3).
 	alive[g.EdgeIDOf(2, 3)] = false
 	r := Serial(g, 0, alive)
-	if r.Dist[2] != 2 || r.Dist[3] != Unreached {
+	if r.Dist[2] != 2 || r.Dist[3] != -1 {
 		t.Fatalf("mask not respected: %v", r.Dist)
 	}
 }
@@ -86,7 +86,7 @@ func TestParallelParentsFormValidTree(t *testing.T) {
 	g := generate.RMAT(1000, 5000, generate.DefaultRMAT(), 99)
 	r := Parallel(g, 0, Options{Workers: 4})
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		if r.Dist[v] == Unreached {
+		if r.Dist[v] == -1 {
 			continue
 		}
 		p := r.Parent[v]
@@ -116,7 +116,7 @@ func TestParallelAliveMask(t *testing.T) {
 	}
 	alive[g.EdgeIDOf(1, 2)] = false
 	r := Parallel(g, 0, Options{Alive: alive, Workers: 3})
-	if r.Dist[1] != 1 || r.Dist[2] != Unreached {
+	if r.Dist[1] != 1 || r.Dist[2] != -1 {
 		t.Fatalf("alive mask broken: %v", r.Dist)
 	}
 }

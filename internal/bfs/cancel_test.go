@@ -47,7 +47,7 @@ func TestParallelCancel(t *testing.T) {
 						run.name, v, got.Dist[v], want.Dist[v])
 				}
 			case want.Dist[v] > stopAfter:
-				if got.Dist[v] != Unreached {
+				if got.Dist[v] != -1 {
 					deeper++
 				}
 			}

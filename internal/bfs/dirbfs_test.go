@@ -26,7 +26,7 @@ func TestDirectionOptimizingParentsValid(t *testing.T) {
 	g := generate.RMAT(3000, 24000, generate.DefaultRMAT(), 3)
 	r := DirectionOptimizing(g, 0, Options{Workers: 3})
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		if r.Dist[v] == Unreached || v == 0 {
+		if r.Dist[v] == -1 || v == 0 {
 			continue
 		}
 		p := r.Parent[v]

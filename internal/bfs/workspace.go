@@ -10,9 +10,6 @@ import "snap/internal/frontier"
 // kernel packages and the facade use.
 type Workspace = frontier.Engine
 
-// NewWorkspace returns a workspace for graphs with n vertices.
-func NewWorkspace(n int) *Workspace { return frontier.NewEngine(n) }
-
 // AcquireWorkspace returns a pooled workspace sized for n vertices.
 // Release it with ReleaseWorkspace when the traversal loop ends. The
 // pool is shared with every direct frontier.Engine consumer, so

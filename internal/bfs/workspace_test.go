@@ -45,7 +45,7 @@ func checkAgainstSerial(t *testing.T, g *graph.Graph, ws *Workspace, src int32) 
 		if got := ws.Parent(v); got != want.Parent[v] {
 			t.Fatalf("src %d: Parent(%d) = %d, want %d", src, v, got, want.Parent[v])
 		}
-		if want.Dist[v] != Unreached {
+		if want.Dist[v] != -1 {
 			reached++
 			sum += int64(want.Dist[v])
 			if want.Dist[v] > maxD {
@@ -95,7 +95,7 @@ func TestWorkspaceMatchesSerialAcrossFamilies(t *testing.T) {
 	for name, g := range families {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(41))
-			ws := NewWorkspace(g.NumVertices())
+			ws := AcquireWorkspace(g.NumVertices())
 			for trial := 0; trial < 60; trial++ {
 				src := int32(rng.Intn(g.NumVertices()))
 				ws.Run(g, src, nil, -1)
@@ -107,12 +107,12 @@ func TestWorkspaceMatchesSerialAcrossFamilies(t *testing.T) {
 
 func TestWorkspaceDepthLimit(t *testing.T) {
 	g := pathGraph(t, 10)
-	ws := NewWorkspace(g.NumVertices())
+	ws := AcquireWorkspace(g.NumVertices())
 	ws.Run(g, 0, nil, 3)
 	if ws.Dist(3) != 3 {
 		t.Errorf("Dist(3) = %d, want 3", ws.Dist(3))
 	}
-	if ws.Dist(4) != Unreached {
+	if ws.Dist(4) != -1 {
 		t.Errorf("depth limit ignored: Dist(4) = %d", ws.Dist(4))
 	}
 	if ws.Reached() != 4 || ws.MaxDist() != 3 {
@@ -127,9 +127,9 @@ func TestWorkspaceAliveMask(t *testing.T) {
 		alive[i] = true
 	}
 	alive[g.EdgeIDOf(2, 3)] = false
-	ws := NewWorkspace(g.NumVertices())
+	ws := AcquireWorkspace(g.NumVertices())
 	ws.Run(g, 0, alive, -1)
-	if ws.Dist(2) != 2 || ws.Dist(3) != Unreached {
+	if ws.Dist(2) != 2 || ws.Dist(3) != -1 {
 		t.Fatalf("alive mask broken: %d %d", ws.Dist(2), ws.Dist(3))
 	}
 }
@@ -194,7 +194,7 @@ func TestMultiSourceWorkspaceDepthLimit(t *testing.T) {
 		if ws.Dist(3) != 3 {
 			t.Errorf("Dist(3) = %d, want 3", ws.Dist(3))
 		}
-		if ws.Dist(4) != Unreached {
+		if ws.Dist(4) != -1 {
 			t.Errorf("depth limit ignored: Dist(4) = %d", ws.Dist(4))
 		}
 	})

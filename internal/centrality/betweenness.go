@@ -376,72 +376,3 @@ func MaxEdge(scores []float64, alive []bool) int32 {
 	}
 	return best
 }
-
-// TopKEdges returns the ids of the k highest-scoring alive edges in
-// descending score order (ties toward smaller id). Used by pBD to keep
-// a candidate set of known high-centrality edges.
-func TopKEdges(scores []float64, alive []bool, k int) []int32 {
-	type se struct {
-		id int32
-		s  float64
-	}
-	var heap []se // min-heap of size <= k on (s, -id)
-	lessHeap := func(a, b se) bool {
-		if a.s != b.s {
-			return a.s < b.s
-		}
-		return a.id > b.id
-	}
-	push := func(x se) {
-		heap = append(heap, x)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !lessHeap(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	popRoot := func() {
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < last && lessHeap(heap[l], heap[small]) {
-				small = l
-			}
-			if r < last && lessHeap(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-	}
-	for id, s := range scores {
-		if alive != nil && !alive[id] {
-			continue
-		}
-		x := se{id: int32(id), s: s}
-		if len(heap) < k {
-			push(x)
-		} else if k > 0 && lessHeap(heap[0], x) {
-			popRoot()
-			push(x)
-		}
-	}
-	out := make([]int32, len(heap))
-	// Extract ascending, then reverse.
-	for i := len(heap) - 1; i >= 0; i-- {
-		out[i] = heap[0].id
-		popRoot()
-	}
-	return out
-}

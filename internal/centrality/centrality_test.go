@@ -195,9 +195,9 @@ func TestMaxEdgeAndTopK(t *testing.T) {
 	if e := MaxEdge(scores, alive); e != 3 {
 		t.Fatalf("masked MaxEdge = %d, want 3", e)
 	}
-	top := TopKEdges(scores, nil, 3)
+	top := TopKVertices(scores, 3)
 	if len(top) != 3 || top[0] != 1 || top[1] != 3 || top[2] != 2 {
-		t.Fatalf("TopKEdges = %v, want [1 3 2]", top)
+		t.Fatalf("TopKVertices = %v, want [1 3 2]", top)
 	}
 	if e := MaxEdge(nil, nil); e != -1 {
 		t.Fatalf("empty MaxEdge = %d", e)

@@ -154,22 +154,6 @@ func (b *bucketPQ) Max() (id int32, v float64, ok bool) {
 	return best.id, best.val, true
 }
 
-// Get returns the stored value of id.
-func (b *bucketPQ) Get(id int32) (float64, bool) {
-	l, ok := b.loc[id]
-	if !ok {
-		return 0, false
-	}
-	return b.buckets[l.bucket][l.pos].val, true
-}
-
-// Each iterates over all (id, value) pairs in unspecified order.
-func (b *bucketPQ) Each(f func(id int32, v float64)) {
-	for id, l := range b.loc {
-		f(id, b.buckets[l.bucket][l.pos].val)
-	}
-}
-
 // pairHeap is the global lazy max-heap over (community, best ΔQ,
 // partner) triples — Algorithm 2's heap H. Entries are invalidated
 // lazily: popped entries are checked against the row's current

@@ -154,20 +154,6 @@ func NewCommunityStats(g *graph.Graph, assign []int32, count int) *CommunityStat
 	return st
 }
 
-// Q computes modularity from the maintained accounting.
-func (st *CommunityStats) Q() float64 {
-	if st.M == 0 {
-		return 0
-	}
-	var q float64
-	twoM := 2 * st.M
-	for c := range st.Intra {
-		frac := float64(st.DegSum[c]) / twoM
-		q += float64(st.Intra[c])/st.M - frac*frac
-	}
-	return q
-}
-
 var relabelPool = par.NewPool(func() *relabeler { return &relabeler{} })
 
 // densify renumbers arbitrary community labels to [0, Count) in

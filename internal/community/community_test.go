@@ -87,8 +87,17 @@ func TestCommunityStatsMatchModularity(t *testing.T) {
 		assign[v] = int32(v % 5)
 	}
 	st := NewCommunityStats(g, assign, 5)
-	if math.Abs(st.Q()-Modularity(g, assign, 1)) > 1e-9 {
-		t.Fatalf("stats Q %g != modularity %g", st.Q(), Modularity(g, assign, 1))
+	// The divisive algorithms seed their map-backed Q from this
+	// accounting; it must agree with the direct modularity sweep.
+	intra := map[int32]int64{}
+	degsum := map[int32]int64{}
+	for c := range st.Intra {
+		intra[int32(c)] = st.Intra[c]
+		degsum[int32(c)] = st.DegSum[c]
+	}
+	q := modularityFromMaps(intra, degsum, st.M)
+	if math.Abs(q-Modularity(g, assign, 1)) > 1e-9 {
+		t.Fatalf("stats Q %g != modularity %g", q, Modularity(g, assign, 1))
 	}
 }
 

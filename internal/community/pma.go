@@ -44,14 +44,6 @@ func (r *deltaRow) find(id int32) int {
 	return sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= id })
 }
 
-func (r *deltaRow) get(id int32) (float64, bool) {
-	i := r.find(id)
-	if i < len(r.ids) && r.ids[i] == id {
-		return r.vals[i], true
-	}
-	return 0, false
-}
-
 func (r *deltaRow) set(id int32, v float64) {
 	i := r.find(id)
 	if i < len(r.ids) && r.ids[i] == id {

@@ -27,37 +27,6 @@ func Coverage(g *graph.Graph, assign []int32) float64 {
 	return float64(intra) / float64(m)
 }
 
-// Performance is the fraction of vertex pairs classified correctly:
-// intra-community pairs that are edges plus inter-community pairs that
-// are non-edges, over all pairs (Brandes et al., "Engineering graph
-// clustering").
-func Performance(g *graph.Graph, assign []int32, count int) float64 {
-	n := g.NumVertices()
-	if n < 2 {
-		return 1
-	}
-	sizes := make([]int64, count)
-	for _, c := range assign {
-		sizes[c]++
-	}
-	var intraPairs int64
-	for _, s := range sizes {
-		intraPairs += s * (s - 1) / 2
-	}
-	var intraEdges, interEdges int64
-	for _, e := range g.EdgeEndpoints() {
-		if assign[e.U] == assign[e.V] {
-			intraEdges++
-		} else {
-			interEdges++
-		}
-	}
-	totalPairs := int64(n) * int64(n-1) / 2
-	interPairs := totalPairs - intraPairs
-	correct := intraEdges + (interPairs - interEdges)
-	return float64(correct) / float64(totalPairs)
-}
-
 // Conductance returns the conductance of every community: the number
 // of boundary edges divided by the smaller of the community's and the
 // complement's total degree. Lower is better; isolated communities
@@ -94,20 +63,6 @@ func Conductance(g *graph.Graph, assign []int32, count int) []float64 {
 		}
 	}
 	return out
-}
-
-// AvgConductance averages per-community conductance (a common scalar
-// summary; lower is better).
-func AvgConductance(g *graph.Graph, assign []int32, count int) float64 {
-	cs := Conductance(g, assign, count)
-	if len(cs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, c := range cs {
-		s += c
-	}
-	return s / float64(len(cs))
 }
 
 // NMI computes the normalized mutual information between two
@@ -168,31 +123,4 @@ func maxLabel(xs []int32) int32 {
 		}
 	}
 	return mx
-}
-
-// MixingParameter returns the average fraction of each vertex's edges
-// that leave its community (the LFR benchmark's mu). Vertices with no
-// edges are skipped.
-func MixingParameter(g *graph.Graph, assign []int32) float64 {
-	n := g.NumVertices()
-	var sum float64
-	cnt := 0
-	for v := int32(0); int(v) < n; v++ {
-		d := g.Degree(v)
-		if d == 0 {
-			continue
-		}
-		out := 0
-		for _, u := range g.Neighbors(v) {
-			if assign[u] != assign[v] {
-				out++
-			}
-		}
-		sum += float64(out) / float64(d)
-		cnt++
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
 }

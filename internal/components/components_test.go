@@ -286,9 +286,6 @@ func TestSpanningForest(t *testing.T) {
 	if roots != 2 || treeEdges != 3 {
 		t.Fatalf("roots=%d treeEdges=%d", roots, treeEdges)
 	}
-	if w := ForestWeight(g, []int32{0, 1}); w != 2 {
-		t.Fatalf("ForestWeight = %g", w)
-	}
 }
 
 func BenchmarkConnectedParallel(b *testing.B) {

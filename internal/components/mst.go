@@ -1,8 +1,6 @@
 package components
 
 import (
-	"math"
-
 	"snap/internal/graph"
 	"snap/internal/par"
 )
@@ -240,24 +238,4 @@ func SpanningForest(g *graph.Graph) []int32 {
 		}
 	}
 	return parentEdge
-}
-
-// ForestWeight sums the weights of the edges named by ids.
-func ForestWeight(g *graph.Graph, ids []int32) float64 {
-	if len(ids) == 0 {
-		return 0
-	}
-	endpoints := g.EdgeEndpoints()
-	var s float64
-	for _, id := range ids {
-		w := endpoints[id].W
-		if !g.Weighted() {
-			w = 1
-		}
-		s += w
-	}
-	if math.IsNaN(s) {
-		return 0
-	}
-	return s
 }

@@ -95,9 +95,6 @@ func (f *Frontier) Has(v int32) bool {
 // bookkeeping.
 type Stack struct{ items []int32 }
 
-// Reset empties the stack, keeping capacity.
-func (s *Stack) Reset() { s.items = s.items[:0] }
-
 // Push appends v.
 func (s *Stack) Push(v int32) { s.items = append(s.items, v) }
 

@@ -65,11 +65,6 @@ func TestStack(t *testing.T) {
 	if s.Pop() != 9 || s.Pop() != 4 || s.Len() != 0 {
 		t.Fatal("pop order wrong")
 	}
-	s.Push(1)
-	s.Reset()
-	if s.Len() != 0 {
-		t.Fatal("Reset incomplete")
-	}
 }
 
 // naiveDist is a from-scratch BFS oracle independent of the engine.

@@ -6,7 +6,6 @@
 package generate
 
 import (
-	"math"
 	"math/rand"
 
 	"snap/internal/graph"
@@ -301,40 +300,6 @@ func RandomWeights(g *graph.Graph, maxW int, seed int64) *graph.Graph {
 		Directed: g.Directed(),
 		Weighted: true,
 	})
-}
-
-// DegreeExponentEstimate fits a crude power-law exponent to the degree
-// distribution of g via log-log linear regression over degrees >= 2.
-// Returns NaN when fewer than two distinct degrees exist. Used by
-// dataset surrogates to confirm skew.
-func DegreeExponentEstimate(g *graph.Graph) float64 {
-	hist := map[int]int{}
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.Degree(int32(v))
-		if d >= 2 {
-			hist[d]++
-		}
-	}
-	if len(hist) < 2 {
-		return math.NaN()
-	}
-	var sx, sy, sxx, sxy float64
-	var cnt float64
-	for d, c := range hist {
-		x := math.Log(float64(d))
-		y := math.Log(float64(c))
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-		cnt++
-	}
-	denom := cnt*sxx - sx*sx
-	if denom == 0 {
-		return math.NaN()
-	}
-	slope := (cnt*sxy - sx*sy) / denom
-	return -slope
 }
 
 // RewireDegreePreserving returns a copy of g rewired by `swaps` random

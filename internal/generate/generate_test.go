@@ -158,15 +158,6 @@ func TestRandomWeights(t *testing.T) {
 	}
 }
 
-func TestDegreeExponentEstimate(t *testing.T) {
-	g := PreferentialAttachment(5000, 3, 8)
-	gamma := DegreeExponentEstimate(g)
-	// BA networks have gamma ~ 3; accept a generous band.
-	if gamma < 1.0 || gamma > 5.0 {
-		t.Fatalf("gamma = %.2f, outside [1, 5]", gamma)
-	}
-}
-
 func TestRewireDegreePreserving(t *testing.T) {
 	g := PreferentialAttachment(300, 3, 7)
 	r := RewireDegreePreserving(g, 2000, 8)

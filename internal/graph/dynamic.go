@@ -191,18 +191,3 @@ func (d *Dynamic) ToCSR() (*Graph, error) {
 	}
 	return g, nil
 }
-
-// FromCSR thaws a CSR graph into a dynamic graph.
-func FromCSR(g *Graph) (*Dynamic, error) {
-	d := NewDynamic(g.NumVertices(), g.Directed())
-	for u := int32(0); u < int32(g.NumVertices()); u++ {
-		for _, v := range g.Neighbors(u) {
-			if g.Directed() || u < v {
-				if _, err := d.AddEdge(u, v); err != nil {
-					return nil, fmt.Errorf("graph: FromCSR: %w", err)
-				}
-			}
-		}
-	}
-	return d, nil
-}

@@ -53,28 +53,6 @@ func InducedSubgraph(g *Graph, vertices []int32) (*Graph, []int32, error) {
 	return sub, origOf, nil
 }
 
-// FilterEdges returns a copy of g that keeps only edges whose id
-// satisfies keep. Vertex ids are preserved (vertices may become
-// isolated). Used to materialize the residual graph after pBD edge
-// deletions when a caller wants a standalone graph.
-func FilterEdges(g *Graph, keep func(eid int32) bool) *Graph {
-	all := g.EdgeEndpoints()
-	kept := make([]Edge, 0, len(all))
-	for id, e := range all {
-		if keep(int32(id)) {
-			kept = append(kept, e)
-		}
-	}
-	out, err := Build(g.NumVertices(), kept, BuildOptions{
-		Directed: g.Directed(),
-		Weighted: g.Weighted(),
-	})
-	if err != nil {
-		panic("graph: FilterEdges: " + err.Error())
-	}
-	return out
-}
-
 // Validate checks the structural invariants of a CSR graph: monotone
 // offsets, in-range adjacency, sorted neighbor lists, in-range edge
 // ids, and — for undirected graphs — arc symmetry with matching edge

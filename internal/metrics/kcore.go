@@ -74,24 +74,3 @@ func Degeneracy(g *graph.Graph) int {
 	}
 	return int(mx)
 }
-
-// CoreSizes returns the number of vertices with core number >= k for
-// each k (the cumulative core-size profile).
-func CoreSizes(g *graph.Graph) []int {
-	core := KCore(g)
-	var mx int32
-	for _, c := range core {
-		if c > mx {
-			mx = c
-		}
-	}
-	out := make([]int, mx+1)
-	for _, c := range core {
-		out[c]++
-	}
-	// Cumulate from the top: out[k] = #vertices in the k-core.
-	for k := int(mx) - 1; k >= 0; k-- {
-		out[k] += out[k+1]
-	}
-	return out
-}

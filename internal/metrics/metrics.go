@@ -352,42 +352,6 @@ func IsBipartite(g *graph.Graph) bool {
 	return true
 }
 
-// Density is the fraction of possible edges present: 2m / (n(n-1))
-// for undirected graphs, m / (n(n-1)) for directed graphs.
-func Density(g *graph.Graph) float64 {
-	n := float64(g.NumVertices())
-	if n < 2 {
-		return 0
-	}
-	m := float64(g.NumEdges())
-	if g.Directed() {
-		return m / (n * (n - 1))
-	}
-	return 2 * m / (n * (n - 1))
-}
-
-// Reciprocity is the fraction of arcs of a directed graph whose
-// reverse arc also exists (1 for undirected graphs by construction).
-func Reciprocity(g *graph.Graph) float64 {
-	if !g.Directed() {
-		return 1
-	}
-	arcs := 0
-	mutual := 0
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		for _, u := range g.Neighbors(v) {
-			arcs++
-			if g.HasEdge(u, v) {
-				mutual++
-			}
-		}
-	}
-	if arcs == 0 {
-		return 0
-	}
-	return float64(mutual) / float64(arcs)
-}
-
 // PowerLawAlpha estimates the exponent of a power-law degree
 // distribution by the discrete maximum-likelihood estimator
 // (Clauset–Shalizi–Newman): alpha ≈ 1 + n / Σ ln(d_i / (dmin − 1/2)),

@@ -169,31 +169,6 @@ func BenchmarkLocalClustering(b *testing.B) {
 	}
 }
 
-func TestDensity(t *testing.T) {
-	k := generate.Complete(5)
-	if d := Density(k); math.Abs(d-1) > 1e-12 {
-		t.Fatalf("K5 density = %g", d)
-	}
-	g, _ := graph.Build(4, []graph.Edge{{U: 0, V: 1}}, graph.BuildOptions{})
-	if d := Density(g); math.Abs(d-1.0/6) > 1e-12 {
-		t.Fatalf("density = %g, want 1/6", d)
-	}
-}
-
-func TestReciprocity(t *testing.T) {
-	g, _ := graph.Build(3, []graph.Edge{
-		{U: 0, V: 1}, {U: 1, V: 0}, {U: 1, V: 2},
-	}, graph.BuildOptions{Directed: true})
-	// Arcs: 0->1, 1->0, 1->2. Mutual: the first two. 2/3.
-	if r := Reciprocity(g); math.Abs(r-2.0/3) > 1e-12 {
-		t.Fatalf("reciprocity = %g, want 2/3", r)
-	}
-	und := generate.Ring(5)
-	if Reciprocity(und) != 1 {
-		t.Fatal("undirected reciprocity must be 1")
-	}
-}
-
 func TestPowerLawAlpha(t *testing.T) {
 	g := generate.PreferentialAttachment(8000, 3, 11)
 	alpha, cnt := PowerLawAlpha(g, 3)

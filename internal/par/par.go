@@ -23,17 +23,12 @@ func Workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach invokes body(i) for every i in [0, n) using up to Workers()
+// ForEachN invokes body(i) for every i in [0, n) using up to workers
 // goroutines. Indices are divided into contiguous static chunks, one per
 // worker, which matches the paper's static scheduling of O(n) sweeps.
-// ForEach returns once every invocation has completed.
-func ForEach(n int, body func(i int)) {
-	ForEachN(n, Workers(), body)
-}
-
-// ForEachN is ForEach with an explicit worker count. A worker count of
-// one (or n < 2) executes the loop serially on the calling goroutine,
-// avoiding any synchronization overhead.
+// A worker count of one (or n < 2) executes the loop serially on the
+// calling goroutine, avoiding any synchronization overhead. ForEachN
+// returns once every invocation has completed.
 func ForEachN(n, workers int, body func(i int)) {
 	if n <= 0 {
 		return
@@ -93,16 +88,12 @@ func ForChunkedN(n, workers int, body func(worker, lo, hi int)) {
 	wg.Wait()
 }
 
-// ForGuided invokes body(i) for every i in [0, n) using dynamic (guided)
-// scheduling: workers claim fixed-size blocks from a shared counter.
-// This suits loops with irregular per-iteration cost, such as per-vertex
-// work proportional to degree, when a degree-aware static partition is
-// not available.
-func ForGuided(n, grain int, body func(i int)) {
-	ForGuidedN(n, grain, Workers(), body)
-}
-
-// ForGuidedN is ForGuided with an explicit worker count.
+// ForGuidedN invokes body(i) for every i in [0, n) on up to workers
+// goroutines using dynamic (guided) scheduling: workers claim
+// fixed-size blocks of grain indices from a shared counter. This suits
+// loops with irregular per-iteration cost, such as per-vertex work
+// proportional to degree, when a degree-aware static partition is not
+// available.
 func ForGuidedN(n, grain, workers int, body func(i int)) {
 	if n <= 0 {
 		return

@@ -134,33 +134,6 @@ func TestForDegreeAwareCoverage(t *testing.T) {
 	}
 }
 
-func TestSumInt64(t *testing.T) {
-	n := 10000
-	got := SumInt64(n, func(i int) int64 { return int64(i) })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("SumInt64 = %d, want %d", got, want)
-	}
-}
-
-func TestSumFloat64(t *testing.T) {
-	n := 5000
-	got := SumFloat64(n, func(i int) float64 { return 0.5 })
-	if got != float64(n)/2 {
-		t.Fatalf("SumFloat64 = %g, want %g", got, float64(n)/2)
-	}
-}
-
-func TestMaxIndexFloat64(t *testing.T) {
-	vals := make([]float64, 4096)
-	vals[1234] = 7
-	vals[9] = 7 // tie: smaller index must win
-	idx, v := MaxIndexFloat64(len(vals), func(i int) float64 { return vals[i] })
-	if idx != 9 || v != 7 {
-		t.Fatalf("MaxIndexFloat64 = (%d, %g), want (9, 7)", idx, v)
-	}
-}
-
 func TestPrefixSum(t *testing.T) {
 	out := PrefixSum([]int64{3, 0, 2, 5})
 	want := []int64{0, 3, 3, 5, 10}
@@ -168,20 +141,5 @@ func TestPrefixSum(t *testing.T) {
 		if out[i] != want[i] {
 			t.Fatalf("PrefixSum = %v, want %v", out, want)
 		}
-	}
-}
-
-func TestCountInt64(t *testing.T) {
-	got := CountInt64(100, func(i int) bool { return i%3 == 0 })
-	if got != 34 {
-		t.Fatalf("CountInt64 = %d, want 34", got)
-	}
-}
-
-func TestMinMaxInt64(t *testing.T) {
-	vals := []int64{5, -2, 9, 0}
-	mn, mx := MinMaxInt64(len(vals), func(i int) int64 { return vals[i] })
-	if mn != -2 || mx != 9 {
-		t.Fatalf("MinMax = (%d, %d), want (-2, 9)", mn, mx)
 	}
 }

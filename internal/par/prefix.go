@@ -51,53 +51,6 @@ func PrefixSum(x []int64) []int64 {
 	return out
 }
 
-// PrefixSumInto writes the exclusive prefix sums of x into out (which
-// must have length len(x)+1) and returns the grand total. It is the
-// allocation-free form of PrefixSum for pooled-workspace kernels: the
-// serial arm touches nothing but out, so a warm caller pays zero
-// allocations. Large inputs use the same two-pass parallel scan as
-// PrefixSum (the chunk-total scratch is the only allocation, and only
-// on that arm).
-func PrefixSumInto(out, x []int64) int64 {
-	n := len(x)
-	workers := Workers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 1<<14 {
-		var acc int64
-		for i, v := range x {
-			out[i] = acc
-			acc += v
-		}
-		out[n] = acc
-		return acc
-	}
-	chunkTotal := make([]int64, workers)
-	ForChunkedN(n, workers, func(w, lo, hi int) {
-		var s int64
-		for i := lo; i < hi; i++ {
-			s += x[i]
-		}
-		chunkTotal[w] = s
-	})
-	var acc int64
-	for w := 0; w < workers; w++ {
-		t := chunkTotal[w]
-		chunkTotal[w] = acc
-		acc += t
-	}
-	ForChunkedN(n, workers, func(w, lo, hi int) {
-		run := chunkTotal[w]
-		for i := lo; i < hi; i++ {
-			out[i] = run
-			run += x[i]
-		}
-	})
-	out[n] = acc
-	return acc
-}
-
 // CursorsFromCounts converts per-worker bucket histograms into write
 // cursors for a stable parallel counting sort. counts[w][v] holds the
 // number of items worker w will place into bucket v; on return it holds

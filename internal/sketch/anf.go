@@ -68,7 +68,8 @@ type ANFResult struct {
 
 // ANFWorkspace is the reusable state of the HyperANF kernel: two
 // ping-pong register planes, the changed-vertex frontier, and the
-// per-vertex estimate plane. Acquire one per goroutine; a warm
+// per-vertex estimate plane. The zero value is ready to use; Run sizes
+// it on demand. Acquire one per goroutine; a warm
 // workspace runs with zero allocations at Workers <= 1 (the serial
 // arm is closure-free, matching the move-engine discipline). Results
 // returned by Run alias the workspace and are valid until the next
@@ -88,9 +89,6 @@ type ANFWorkspace struct {
 	bounds     []int        // degree-aware vertex ranges, one per worker
 	weights    []int64      // per-vertex degree weights for the partition
 }
-
-// NewANFWorkspace returns an empty workspace; Run sizes it on demand.
-func NewANFWorkspace() *ANFWorkspace { return &ANFWorkspace{} }
 
 var anfPool = par.NewPool(func() *ANFWorkspace { return &ANFWorkspace{} })
 

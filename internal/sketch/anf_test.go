@@ -187,7 +187,7 @@ func TestANFWorkerInvariance(t *testing.T) {
 // of different sizes and register widths; every answer must equal a
 // fresh workspace's.
 func TestANFWorkspaceReuseMatchesFresh(t *testing.T) {
-	ws := NewANFWorkspace()
+	ws := new(ANFWorkspace)
 	runs := []struct {
 		g   *graph.Graph
 		opt ANFOptions
@@ -220,7 +220,7 @@ func TestANFWorkspaceReuseMatchesFresh(t *testing.T) {
 // contract of the serial arm.
 func TestANFZeroAllocSteadyState(t *testing.T) {
 	g := generate.RMAT(2048, 8192, generate.DefaultRMAT(), 11)
-	ws := NewANFWorkspace()
+	ws := new(ANFWorkspace)
 	opt := ANFOptions{Seed: 1, Workers: 1}
 	ws.Run(g, opt) // warm
 	ws.Run(g, opt)
@@ -236,7 +236,7 @@ func TestANFStatsDescribeTheRun(t *testing.T) {
 	g := generate.RMAT(2048, 8192, generate.DefaultRMAT(), 11)
 	n := int64(g.NumVertices())
 	for _, workers := range []int{1, 3} {
-		ws := NewANFWorkspace()
+		ws := new(ANFWorkspace)
 		want := ANF(g, ANFOptions{Seed: 1, Workers: workers})
 		var st ANFStats
 		got := ws.Run(g, ANFOptions{Seed: 1, Workers: workers, Stats: &st})
@@ -270,7 +270,7 @@ func TestANFStatsDescribeTheRun(t *testing.T) {
 			t.Fatalf("workers=%d: no sweep of a converging R-MAT run went sparse", workers)
 		}
 	}
-	ws := NewANFWorkspace()
+	ws := new(ANFWorkspace)
 	var st ANFStats
 	opt := ANFOptions{Seed: 1, Workers: 1, Stats: &st}
 	ws.Run(g, opt)
@@ -495,7 +495,8 @@ func TestHLLEstimateAccuracy(t *testing.T) {
 			for i := 0; i < size; i++ {
 				hllInsert(row, mix64(uint64(i)^seedMix), p)
 			}
-			est := hllEstimate(row, p, pow2neg)
+			sum, zeros := rowSummary(row, pow2neg)
+			est := estimateFrom(sum, zeros, p)
 			bound := 3 * 1.04 / math.Sqrt(float64(p.regs))
 			if relErr(est, float64(size)) > math.Max(bound, 0.05) {
 				t.Errorf("R=%d size=%d: est %.1f (err %.1f%%)", regs, size, est, 100*relErr(est, float64(size)))

@@ -1,8 +1,10 @@
 package sketch
 
 import (
+	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"snap/internal/generate"
@@ -34,8 +36,9 @@ func sketchRMAT(scale int) *graph.Graph {
 // BenchmarkANF regenerates the HyperANF numbers of EXPERIMENTS.md and
 // DESIGN.md §5i: the repo benchmark's two graphs and its call
 // (MaxSweeps 16, default registers and seed), cold — a fresh workspace
-// per call — and warm on a reused workspace. -short shrinks the graphs
-// to 2^14 vertices / 128² for CI.
+// per call — and warm on a reused workspace. After the timed runs it
+// logs one untimed call's per-sweep ANFStats table. -short shrinks the
+// graphs to 2^14 vertices / 128² for CI.
 //
 //	go test -run '^$' -bench BenchmarkANF -benchmem -cpu 1 ./internal/sketch/
 func BenchmarkANF(b *testing.B) {
@@ -55,19 +58,46 @@ func BenchmarkANF(b *testing.B) {
 		b.Run(tc.name+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				NewANFWorkspace().Run(tc.g, opt)
+				new(ANFWorkspace).Run(tc.g, opt)
 			}
 		})
+		logged := false
 		b.Run(tc.name+"/warm", func(b *testing.B) {
-			ws := NewANFWorkspace()
+			ws := new(ANFWorkspace)
 			ws.Run(tc.g, opt)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ws.Run(tc.g, opt)
 			}
+			b.StopTimer()
+			// Logged from the leaf because a parent benchmark's log
+			// shows only under -v; once, whatever the b.N rounds.
+			if !logged {
+				var st ANFStats
+				statsOpt := opt
+				statsOpt.Stats = &st
+				ws.Run(tc.g, statsOpt)
+				b.Logf("HyperANF sweeps: %s\n%s", tc.name, sweepTable(&st))
+				logged = true
+			}
 		})
 	}
+}
+
+// sweepTable formats one HyperANF run's per-sweep record.
+func sweepTable(st *ANFStats) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%5s %7s %10s %10s %10s %10s\n", "sweep", "mode", "rows", "unions", "words", "changed")
+	for i := 0; i < min(st.Sweeps, MaxStatsSweeps); i++ {
+		s := st.Sweep[i]
+		mode := "dense"
+		if s.Sparse {
+			mode = "sparse"
+		}
+		fmt.Fprintf(&sb, "%5d %7s %10d %10d %10d %10d\n", i, mode, s.Rows, s.Unions, s.Words, s.Changed)
+	}
+	return sb.String()
 }
 
 func BenchmarkSampledCloseness(b *testing.B) {

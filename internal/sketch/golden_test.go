@@ -73,7 +73,7 @@ func anfHash(ws *ANFWorkspace, r ANFResult) uint64 {
 // test also proves that nothing a run leaves behind — a plane, a stamp,
 // a changed list sized for another graph — reaches the next one.
 func TestANFGoldenOutputs(t *testing.T) {
-	ws := NewANFWorkspace()
+	ws := new(ANFWorkspace)
 	for _, tc := range anfGoldenCases {
 		if tc.long && testing.Short() {
 			continue

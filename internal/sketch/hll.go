@@ -206,14 +206,7 @@ func estimateFrom(sum float64, zeros int32, p hllParams) float64 {
 	return est
 }
 
-// hllEstimate returns the cardinality estimate of one row from
-// scratch.
-func hllEstimate(row []uint64, p hllParams, pow2neg *[66]float64) float64 {
-	sum, zeros := rowSummary(row, pow2neg)
-	return estimateFrom(sum, zeros, p)
-}
-
-// makePow2Neg builds the 2^−r lookup used by hllEstimate (r ≤ 65).
+// makePow2Neg builds the 2^−r lookup behind the harmonic sums (r ≤ 65).
 func makePow2Neg() *[66]float64 {
 	var t [66]float64
 	for i := range t {

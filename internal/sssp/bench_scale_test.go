@@ -2,6 +2,7 @@ package sssp
 
 import (
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -114,7 +115,10 @@ func deltaSteppingMutexBaseline(g *graph.Graph, src int32, opt DeltaSteppingOpti
 	}
 	delta := opt.Delta
 	if delta <= 0 {
-		delta = DefaultDelta(g)
+		delta = 1
+		if len(g.W) > 0 {
+			delta = defaultDeltaFor(g, slices.Max(g.W))
+		}
 	}
 	n := g.NumVertices()
 	dist := make([]float64, n)

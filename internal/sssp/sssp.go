@@ -121,23 +121,6 @@ func defaultDeltaFor(g *graph.Graph, maxW float64) float64 {
 	return d
 }
 
-// DefaultDelta reports the bucket width the heuristic would select for
-// g — an inspection helper for callers that want to scale it; it
-// rescans g.W, unlike the engine, which computes the max weight once
-// per run and caches it per graph.
-func DefaultDelta(g *graph.Graph) float64 {
-	if g.W == nil {
-		return 1
-	}
-	mx := 0.0
-	for _, w := range g.W {
-		if w > mx {
-			mx = w
-		}
-	}
-	return defaultDeltaFor(g, mx)
-}
-
 type distItem struct {
 	d float64
 	v int32

@@ -15,7 +15,7 @@ import "math/rand"
 type node struct {
 	key         int32
 	priority    uint32
-	size        int32 // subtree size, maintained for Rank/Kth
+	size        int32 // subtree size, so Len is O(1)
 	left, right *node
 }
 
@@ -136,66 +136,6 @@ func (t *Treap) contains(n *node, key int32) bool {
 	return false
 }
 
-// Min returns the smallest key. ok is false for an empty treap.
-func (t *Treap) Min() (key int32, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, false
-	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n.key, true
-}
-
-// Max returns the largest key. ok is false for an empty treap.
-func (t *Treap) Max() (key int32, ok bool) {
-	n := t.root
-	if n == nil {
-		return 0, false
-	}
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key, true
-}
-
-// Kth returns the k-th smallest key (0-indexed). ok is false when
-// k is out of range.
-func (t *Treap) Kth(k int) (key int32, ok bool) {
-	if k < 0 || k >= t.Len() {
-		return 0, false
-	}
-	n := t.root
-	for {
-		ls := int(size(n.left))
-		switch {
-		case k < ls:
-			n = n.left
-		case k > ls:
-			k -= ls + 1
-			n = n.right
-		default:
-			return n.key, true
-		}
-	}
-}
-
-// Rank returns the number of keys strictly less than key.
-func (t *Treap) Rank(key int32) int {
-	r := 0
-	n := t.root
-	for n != nil {
-		if key <= n.key {
-			n = n.left
-		} else {
-			r += int(size(n.left)) + 1
-			n = n.right
-		}
-	}
-	return r
-}
-
 // Each calls f on every key in ascending order. If f returns false the
 // iteration stops early.
 func (t *Treap) Each(f func(key int32) bool) {
@@ -219,13 +159,8 @@ func (t *Treap) Keys() []int32 {
 	return out
 }
 
-// Clone returns a deep copy of the treap sharing no nodes with t.
-func (t *Treap) Clone() *Treap {
-	c := New(t.rng.Int63())
-	c.root = cloneRec(t.root)
-	return c
-}
-
+// cloneRec deep-copies a subtree so the set operations can consume
+// their inputs' structure without modifying them.
 func cloneRec(n *node) *node {
 	if n == nil {
 		return nil

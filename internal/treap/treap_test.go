@@ -43,33 +43,6 @@ func TestKeysSorted(t *testing.T) {
 	}
 }
 
-func TestMinMaxKthRank(t *testing.T) {
-	tr := New(3)
-	for _, k := range []int32{30, 10, 50, 20, 40} {
-		tr.Insert(k)
-	}
-	if mn, ok := tr.Min(); !ok || mn != 10 {
-		t.Fatalf("Min = %d", mn)
-	}
-	if mx, ok := tr.Max(); !ok || mx != 50 {
-		t.Fatalf("Max = %d", mx)
-	}
-	for i, want := range []int32{10, 20, 30, 40, 50} {
-		if got, ok := tr.Kth(i); !ok || got != want {
-			t.Fatalf("Kth(%d) = %d, want %d", i, got, want)
-		}
-	}
-	if _, ok := tr.Kth(5); ok {
-		t.Fatal("Kth(5) should be out of range")
-	}
-	if r := tr.Rank(35); r != 3 {
-		t.Fatalf("Rank(35) = %d, want 3", r)
-	}
-	if r := tr.Rank(10); r != 0 {
-		t.Fatalf("Rank(10) = %d, want 0", r)
-	}
-}
-
 func TestEachEarlyStop(t *testing.T) {
 	tr := FromKeys(4, []int32{1, 2, 3, 4, 5})
 	count := 0
@@ -79,18 +52,6 @@ func TestEachEarlyStop(t *testing.T) {
 	})
 	if count != 3 {
 		t.Fatalf("Each visited %d keys, want 3", count)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	tr := FromKeys(5, []int32{1, 2, 3})
-	cp := tr.Clone()
-	cp.Delete(2)
-	if !tr.Contains(2) {
-		t.Fatal("Clone shares structure with original")
-	}
-	if cp.Contains(2) {
-		t.Fatal("Delete on clone failed")
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"snap/internal/datasets"
 	"snap/internal/graph"
 	"snap/internal/metrics"
+	"snap/internal/sketch"
 )
 
 func main() {
@@ -96,7 +97,11 @@ func main() {
 			scores = centrality.DegreeCentrality(g)
 		case "closeness":
 			if *approx {
-				scores = centrality.ApproxCloseness(g, *samples, *seed, 0)
+				n := *samples
+				if n <= 0 {
+					n = 32
+				}
+				scores = sketch.Closeness(g, sketch.ClosenessOptions{Samples: n, Seed: *seed}).Scores
 			} else {
 				scores = centrality.Closeness(g, centrality.ClosenessOptions{})
 			}

@@ -30,7 +30,7 @@ func main() {
 		{"sparse random", random},
 		{"small-world", small},
 	} {
-		kway, err := snap.MultilevelKWay(inst.g, k, snap.MultilevelOptions{Seed: 1})
+		kway, err := snap.Partition(inst.g, snap.PartitionOptions{K: k, Seed: 1})
 		if err != nil {
 			panic(err)
 		}

@@ -1,0 +1,55 @@
+package community
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+)
+
+// Golden clusterings of the move engine, recorded at commit 3643b0f.
+// Louvain and Refine promise the same clustering bit for bit for a
+// given (graph, seed) at every worker count, so a change to local
+// moving or contraction that moves one of these hashes changed the
+// output, not just the speed.
+var moveGoldens = map[string]struct{ louvain, refine uint64 }{
+	"karate":  {louvain: 0x1075f619ab588980, refine: 0x9daee92bcb4a454f},
+	"planted": {louvain: 0xab0d36e6fc559dc3, refine: 0xab0d36e6fc559dc3},
+	"rmat10":  {louvain: 0x6e7eca769da46833, refine: 0xeb18579eecaf9127},
+}
+
+// clusteringHash is FNV-1a over Assign as little-endian int32s, then the
+// bits of Q, then Count.
+func clusteringHash(c Clustering) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, a := range c.Assign {
+		binary.LittleEndian.PutUint32(b[:4], uint32(a))
+		h.Write(b[:4])
+	}
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(c.Q))
+	h.Write(b[:])
+	binary.LittleEndian.PutUint64(b[:], uint64(c.Count))
+	h.Write(b[:])
+	return h.Sum64()
+}
+
+// One workspace serves every graph at every worker count in turn, so
+// the test also proves that nothing a run leaves behind reaches the
+// next one.
+func TestMoveGoldenClusterings(t *testing.T) {
+	ws := AcquireMoveWorkspace()
+	defer ReleaseMoveWorkspace(ws)
+	for name, g := range moveTestGraphs(t) {
+		want := moveGoldens[name]
+		start, _ := PMA(g, PMAOptions{StopWhenNegative: true})
+		for _, workers := range []int{1, 2, 4} {
+			if h := clusteringHash(ws.Louvain(g, LouvainOptions{Workers: workers, Seed: 1})); h != want.louvain {
+				t.Errorf("%s workers=%d: Louvain hash %#x, want %#x", name, workers, h, want.louvain)
+			}
+			if h := clusteringHash(ws.Refine(g, start, 16, 1, workers)); h != want.refine {
+				t.Errorf("%s workers=%d: Refine hash %#x, want %#x", name, workers, h, want.refine)
+			}
+		}
+	}
+}

@@ -41,18 +41,6 @@ func BenchmarkLouvainRMAT(b *testing.B) {
 	}
 }
 
-// BenchmarkLouvainRMATMapBaseline is the seed implementation (map
-// gathers, graph.Build contraction) — the "before" row of the
-// EXPERIMENTS.md table.
-func BenchmarkLouvainRMATMapBaseline(b *testing.B) {
-	g := communityRMAT(moveBenchScale(b))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		louvainMapBaseline(g, 0, 1)
-	}
-}
-
 func BenchmarkRefineRMAT(b *testing.B) {
 	g := communityRMAT(moveBenchScale(b))
 	start := Singletons(g)
@@ -60,16 +48,6 @@ func BenchmarkRefineRMAT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Refine(g, start, 4, 1)
-	}
-}
-
-func BenchmarkRefineRMATMapBaseline(b *testing.B) {
-	g := communityRMAT(moveBenchScale(b))
-	start := Singletons(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		refineMapBaseline(g, start, 4, 1)
 	}
 }
 

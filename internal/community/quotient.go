@@ -68,7 +68,14 @@ func MakeQuotient(g *graph.Graph, assign []int32, count int) Quotient {
 		edgesW[w] = le
 	})
 	reduceHistograms(q.Intra, intraW)
-	q.Graph = aggregateQuotient(count, concatEdges(edgesW), "quotient")
+	// The assembly kernel's summing dedup aggregates the inter-community
+	// observations: duplicates of a community pair sum their weights in
+	// input order, so the result does not depend on the worker count.
+	qg, err := graph.Build(count, concatEdges(edgesW), graph.BuildOptions{Weighted: true, SumWeights: true})
+	if err != nil {
+		panic("community: quotient: " + err.Error())
+	}
+	q.Graph = qg
 	return q
 }
 
@@ -93,20 +100,6 @@ func concatEdges(parts [][]graph.Edge) []graph.Edge {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// aggregateQuotient collapses raw inter-community edge observations
-// into the weighted community graph. The parallel assembly kernel's
-// summing dedup does the aggregation: duplicates of a community pair
-// sum their weights in input order, so the result is identical to the
-// former map-then-sort path while skipping both the map and the global
-// edge sort.
-func aggregateQuotient(count int, edges []graph.Edge, what string) *graph.Graph {
-	qg, err := graph.Build(count, edges, graph.BuildOptions{Weighted: true, SumWeights: true})
-	if err != nil {
-		panic("community: " + what + ": " + err.Error())
-	}
-	return qg
 }
 
 // LouvainOptions configures the multilevel local-moving heuristic.
@@ -135,69 +128,4 @@ func Louvain(g *graph.Graph, opt LouvainOptions) Clustering {
 	c.Assign = append([]int32(nil), c.Assign...)
 	ReleaseMoveWorkspace(ws)
 	return c
-}
-
-// contractQuotient merges the communities of a quotient into a coarser
-// quotient: sizes, degree sums, and intra weights aggregate, and the
-// surviving inter-community weights collapse. Like MakeQuotient, the
-// vertex fold and edge walk run with per-worker histograms. (The
-// engine's Louvain contracts inside its workspace; this entry point
-// serves quotient-level analyses and the in-tree map baseline.)
-func contractQuotient(level Quotient, qa []int32, qc int) Quotient {
-	workers := par.Workers()
-	out := Quotient{
-		Intra:  make([]int64, qc),
-		Size:   make([]int64, qc),
-		DegSum: make([]int64, qc),
-	}
-	nv := len(qa)
-	sizeW := make([][]int64, workers)
-	degW := make([][]int64, workers)
-	intraVW := make([][]int64, workers)
-	par.ForChunkedN(nv, workers, func(w, lo, hi int) {
-		ls := make([]int64, qc)
-		ld := make([]int64, qc)
-		li := make([]int64, qc)
-		for v := lo; v < hi; v++ {
-			c := qa[v]
-			ls[c] += level.Size[v]
-			ld[c] += level.DegSum[v]
-			li[c] += level.Intra[v]
-		}
-		sizeW[w] = ls
-		degW[w] = ld
-		intraVW[w] = li
-	})
-	reduceHistograms(out.Size, sizeW)
-	reduceHistograms(out.DegSum, degW)
-	reduceHistograms(out.Intra, intraVW)
-	all := level.Graph.EdgeEndpoints()
-	intraEW := make([][]int64, workers)
-	edgesW := make([][]graph.Edge, workers)
-	par.ForChunkedN(len(all), workers, func(w, lo, hi int) {
-		li := make([]int64, qc)
-		le := make([]graph.Edge, 0, hi-lo)
-		for _, e := range all[lo:hi] {
-			ca, cb := qa[e.U], qa[e.V]
-			if ca == cb {
-				// A level edge of weight w is w original edges.
-				li[ca] += int64(e.W)
-				continue
-			}
-			le = append(le, graph.Edge{U: ca, V: cb, W: e.W})
-		}
-		intraEW[w] = li
-		edgesW[w] = le
-	})
-	reduceHistograms(out.Intra, intraEW)
-	out.Graph = aggregateQuotient(qc, concatEdges(edgesW), "contract")
-	return out
-}
-
-func identity(n int) []int32 {
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(i)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 
 	"snap/internal/treap"
 )
@@ -18,12 +17,13 @@ const DefaultTreapThreshold = 64
 // threshold its adjacency migrates to a treap with O(log deg) updates
 // and membership tests.
 //
-// Dynamic is not safe for concurrent mutation; freeze it with ToCSR
-// before handing it to parallel kernels.
+// Dynamic is the point-update structure of the paper's hybrid
+// array/treap representation, kept for the representation ablation;
+// the kernels run on immutable CSR snapshots, and ingest.Stream is the
+// update path that feeds them. Dynamic is not safe for concurrent use.
 type Dynamic struct {
 	directed  bool
 	threshold int
-	numEdges  int
 	small     [][]int32
 	big       []*treap.Treap // nil until a vertex crosses the threshold
 }
@@ -42,23 +42,6 @@ func NewDynamic(n int, directed bool) *Dynamic {
 // vertex's adjacency to a treap. Vertices already migrated stay
 // migrated. A threshold < 1 forces treaps for every vertex.
 func (d *Dynamic) SetTreapThreshold(t int) { d.threshold = t }
-
-// NumVertices reports the number of vertices.
-func (d *Dynamic) NumVertices() int { return len(d.small) }
-
-// NumEdges reports the number of edges (undirected) or arcs (directed).
-func (d *Dynamic) NumEdges() int { return d.numEdges }
-
-// Directed reports whether the graph is directed.
-func (d *Dynamic) Directed() bool { return d.directed }
-
-// Degree reports the out-degree of v.
-func (d *Dynamic) Degree(v int32) int {
-	if t := d.big[v]; t != nil {
-		return t.Len()
-	}
-	return len(d.small[v])
-}
 
 // HasEdge reports whether the arc u->v exists.
 func (d *Dynamic) HasEdge(u, v int32) bool {
@@ -86,7 +69,6 @@ func (d *Dynamic) AddEdge(u, v int32) (bool, error) {
 	if !d.directed {
 		d.insertArc(v, u)
 	}
-	d.numEdges++
 	return true, nil
 }
 
@@ -101,7 +83,6 @@ func (d *Dynamic) DeleteEdge(u, v int32) (bool, error) {
 	if !d.directed {
 		d.deleteArc(v, u)
 	}
-	d.numEdges--
 	return true, nil
 }
 
@@ -142,52 +123,4 @@ func (d *Dynamic) deleteArc(u, v int32) bool {
 		}
 	}
 	return false
-}
-
-// Neighbors returns the neighbors of v in ascending order (a fresh
-// slice; mutating it does not affect the graph).
-func (d *Dynamic) Neighbors(v int32) []int32 {
-	if t := d.big[v]; t != nil {
-		return t.Keys()
-	}
-	out := append([]int32(nil), d.small[v]...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EachNeighbor calls f for every neighbor of v (unspecified order).
-func (d *Dynamic) EachNeighbor(v int32, f func(u int32)) {
-	if t := d.big[v]; t != nil {
-		t.Each(func(k int32) bool { f(k); return true })
-		return
-	}
-	for _, u := range d.small[v] {
-		f(u)
-	}
-}
-
-// ToCSR freezes the dynamic graph into an immutable CSR graph. The
-// edge list is preallocated from NumEdges(), and internal Build
-// failures surface as errors instead of panics.
-//
-// For sustained update/snapshot workloads prefer ingest.Stream, which
-// merges batched deltas against the previous snapshot instead of
-// re-materializing the whole edge list; Dynamic remains the
-// point-update compatibility structure from the paper's hybrid
-// array/treap representation.
-func (d *Dynamic) ToCSR() (*Graph, error) {
-	edges := make([]Edge, 0, d.NumEdges())
-	n := int32(d.NumVertices())
-	for u := int32(0); u < n; u++ {
-		d.EachNeighbor(u, func(v int32) {
-			if d.directed || u < v {
-				edges = append(edges, Edge{U: u, V: v})
-			}
-		})
-	}
-	g, err := Build(int(n), edges, BuildOptions{Directed: d.directed})
-	if err != nil {
-		return nil, fmt.Errorf("graph: ToCSR: %w", err)
-	}
-	return g, nil
 }

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -233,13 +231,10 @@ func TestDynamicAddDelete(t *testing.T) {
 	if !d.HasEdge(0, 1) || !d.HasEdge(1, 0) {
 		t.Fatal("symmetry broken")
 	}
-	if d.NumEdges() != 1 {
-		t.Fatalf("NumEdges = %d", d.NumEdges())
-	}
 	if del, _ := d.DeleteEdge(0, 1); !del {
 		t.Fatal("delete failed")
 	}
-	if d.HasEdge(0, 1) || d.NumEdges() != 0 {
+	if d.HasEdge(0, 1) || d.HasEdge(1, 0) {
 		t.Fatal("delete left residue")
 	}
 	if _, err := d.AddEdge(0, 0); err == nil {
@@ -259,19 +254,15 @@ func TestDynamicTreapMigration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Degree(0) != 100 {
-		t.Fatalf("degree = %d", d.Degree(0))
-	}
 	if d.big[0] == nil {
 		t.Fatal("high-degree vertex did not migrate to treap")
 	}
-	nb := d.Neighbors(0)
-	if len(nb) != 100 {
-		t.Fatalf("neighbors = %d", len(nb))
+	if got := d.big[0].Len(); got != 100 {
+		t.Fatalf("degree = %d", got)
 	}
-	for i := 1; i < len(nb); i++ {
-		if nb[i] <= nb[i-1] {
-			t.Fatal("neighbors not sorted")
+	for v := int32(1); v <= 100; v++ {
+		if !d.HasEdge(0, v) || !d.HasEdge(v, 0) {
+			t.Fatalf("edge (0,%d) lost in the migration", v)
 		}
 	}
 	// Deletion still works post-migration.
@@ -280,32 +271,6 @@ func TestDynamicTreapMigration(t *testing.T) {
 	}
 	if d.HasEdge(0, 50) {
 		t.Fatal("edge survived deletion")
-	}
-}
-
-func TestDynamicCSRRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := NewDynamic(60, false)
-	for i := 0; i < 300; i++ {
-		u, v := int32(rng.Intn(60)), int32(rng.Intn(60))
-		if u != v {
-			d.AddEdge(u, v)
-		}
-	}
-	g, err := d.ToCSR()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != d.NumEdges() {
-		t.Fatalf("edges: csr=%d dyn=%d", g.NumEdges(), d.NumEdges())
-	}
-	for v := int32(0); v < 60; v++ {
-		if !slices.Equal(d.Neighbors(v), g.Neighbors(v)) {
-			t.Fatalf("adjacency mismatch at %d: dyn=%v csr=%v", v, d.Neighbors(v), g.Neighbors(v))
-		}
 	}
 }
 
@@ -336,7 +301,14 @@ func TestQuickDynamicMatchesOracle(t *testing.T) {
 				delete(oracle, key)
 			}
 		}
-		return d.NumEdges() == len(oracle)
+		for u := int32(0); u < int32(n); u++ {
+			for v := int32(0); v < int32(n); v++ {
+				if u != v && d.HasEdge(u, v) != oracle[[2]int32{min32(u, v), max32(u, v)}] {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

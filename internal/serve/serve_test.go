@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -378,6 +379,63 @@ func TestStreamMutation(t *testing.T) {
 	getJSON(t, ts.URL+"/graphs/live/bfs?src=0&dst=3", &dr)
 	if dr.Dist[0] != 3 {
 		t.Fatalf("dist 0→3 = %g, want 3 after commit", dr.Dist[0])
+	}
+}
+
+// spaces is an endless run of JSON whitespace, streamed so an
+// oversized body is never held by the client.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestStreamEdgesRejectsBadRows: a batch holding an endpoint that is
+// not an int32 vertex id or a weight that is not finite and
+// non-negative is answered 400 and stages nothing; a body over the
+// 64 MiB cap is answered 413.
+func TestStreamEdgesRejectsBadRows(t *testing.T) {
+	st, err := ingest.NewEmpty(8, false, true, ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{CoalesceWindow: -1})
+	if err := s.RegisterStream("live", st); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/graphs/live/edges", "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, tc := range []struct {
+		body string
+		want int
+	}{
+		{`{"add":[[0,1],[-0.5,3]]}`, http.StatusBadRequest},
+		{`{"add":[[0,1],[1.7,2]]}`, http.StatusBadRequest},
+		{`{"add":[[0,1],[2,3,-4]]}`, http.StatusBadRequest},
+		{`{"del":[[0,1],[4294967296,1]]}`, http.StatusBadRequest},
+		{`{"add":[[0,1],[2,3,2.5]]}`, http.StatusOK},
+	} {
+		if code := post(strings.NewReader(tc.body)); code != tc.want {
+			t.Errorf("POST %s: status %d, want %d", tc.body, code, tc.want)
+		}
+	}
+	if p := st.Pending(); p != 2 {
+		t.Errorf("pending = %d, want 2: rejected batches must stage nothing", p)
+	}
+	if code := post(io.LimitReader(spaces{}, 64<<20+1)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", code)
 	}
 }
 

@@ -37,7 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"sort"
@@ -716,6 +716,9 @@ type edgeBatch struct {
 	Del [][]float64 `json:"del"`
 }
 
+// maxEdgeBody bounds a POST /edges body; a larger one is answered 413.
+const maxEdgeBody = 64 << 20
+
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	h := s.lookup(r.PathValue("name"))
 	if h == nil {
@@ -727,42 +730,64 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch edgeBatch
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&batch); err != nil {
-		writeBody(w, http.StatusBadRequest, errJSON(err))
-		return
-	}
-	apply := func(rows [][]float64, del bool) error {
-		for _, row := range rows {
-			if len(row) < 2 || (del && len(row) != 2) || len(row) > 3 {
-				return badRequest("edge row wants [u,v] or [u,v,w], got %v", row)
-			}
-			u, v := int32(row[0]), int32(row[1])
-			if del {
-				if err := h.stream.Delete(u, v); err != nil {
-					return err
-				}
-				continue
-			}
-			w := 1.0
-			if len(row) == 3 {
-				w = row[2]
-			}
-			if err := h.stream.AddWeighted(u, v, w); err != nil {
-				return err
-			}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgeBody)).Decode(&batch); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
 		}
-		return nil
+		writeBody(w, code, errJSON(err))
+		return
 	}
-	if err := apply(batch.Del, true); err != nil {
+	del, err := edgeRows(batch.Del, true)
+	if err != nil {
 		writeBody(w, http.StatusBadRequest, errJSON(err))
 		return
 	}
-	if err := apply(batch.Add, false); err != nil {
+	add, err := edgeRows(batch.Add, false)
+	if err != nil {
+		writeBody(w, http.StatusBadRequest, errJSON(err))
+		return
+	}
+	for _, e := range del {
+		if err := h.stream.Delete(e.U, e.V); err != nil {
+			writeBody(w, http.StatusBadRequest, errJSON(err))
+			return
+		}
+	}
+	if err := h.stream.AddEdges(add); err != nil {
 		writeBody(w, http.StatusBadRequest, errJSON(err))
 		return
 	}
 	b, _ := json.Marshal(map[string]int{"pending": h.stream.Pending()})
 	writeBody(w, http.StatusOK, b)
+}
+
+// edgeRows converts the JSON rows of one batch into edges before any
+// is staged. An endpoint must be an integer in int32 range and a weight
+// finite and non-negative (delta-stepping's precondition); the stream
+// itself checks the vertex range.
+func edgeRows(rows [][]float64, del bool) ([]graph.Edge, error) {
+	edges := make([]graph.Edge, 0, len(rows))
+	for _, row := range rows {
+		if len(row) < 2 || (del && len(row) != 2) || len(row) > 3 {
+			return nil, badRequest("edge row wants [u,v] or [u,v,w], got %v", row)
+		}
+		for _, x := range row[:2] {
+			if x != math.Trunc(x) || x < math.MinInt32 || x > math.MaxInt32 {
+				return nil, badRequest("edge endpoint %v is not an int32 vertex id", x)
+			}
+		}
+		e := graph.Edge{U: int32(row[0]), V: int32(row[1]), W: 1}
+		if len(row) == 3 {
+			e.W = row[2]
+			if math.IsNaN(e.W) || math.IsInf(e.W, 0) || e.W < 0 {
+				return nil, badRequest("edge weight %v is not finite and non-negative", e.W)
+			}
+		}
+		edges = append(edges, e)
+	}
+	return edges, nil
 }
 
 func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {

@@ -50,6 +50,21 @@ func TestClosenessFullSamplingIsExact(t *testing.T) {
 	}
 }
 
+// TestClosenessRanksCenterOfPath: on a path, the central vertex must
+// outrank both endpoints even from a sample of the pivots.
+func TestClosenessRanksCenterOfPath(t *testing.T) {
+	const n = 101
+	edges := make([]graph.Edge, 0, n-1)
+	for i := int32(0); i < n-1; i++ {
+		edges = append(edges, graph.Edge{U: i, V: i + 1})
+	}
+	g := graph.MustBuild(n, edges, graph.BuildOptions{})
+	s := Closeness(g, ClosenessOptions{Samples: 40, Seed: 2, Workers: 2}).Scores
+	if s[50] <= s[0] || s[50] <= s[n-1] {
+		t.Fatalf("center %g should beat endpoints %g/%g", s[50], s[0], s[n-1])
+	}
+}
+
 // TestClosenessHoeffdingBound checks the advertised guarantee
 // empirically: across seeds, the fraction of trials where EVERY
 // vertex's estimated average distance lands within eps·Δ of the truth

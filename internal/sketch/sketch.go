@@ -30,7 +30,7 @@ const DefaultSeed int64 = 0x534e4150534b4348
 // EffectiveSeed maps a caller-provided seed to the seed actually used:
 // 0 becomes DefaultSeed, everything else is itself. All sampled
 // kernels (sketch closeness, landmark selection, HLL hashing,
-// metrics.AvgPathLength, centrality.ApproxCloseness) route their seed
+// metrics.AvgPathLength) route their seed
 // through this one function so "seed 0" behaves identically everywhere.
 func EffectiveSeed(seed int64) int64 {
 	if seed == 0 {

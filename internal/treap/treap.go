@@ -3,9 +3,7 @@
 //
 // SNAP stores the adjacency lists of high-degree vertices in treaps so
 // that dynamic graphs with skewed degree distributions support fast
-// insertion, deletion, and membership tests, as well as efficient set
-// operations (union, intersection, difference) via split/join. This
-// package provides exactly that functionality.
+// insertion, deletion, and membership tests.
 package treap
 
 import "math/rand"
@@ -136,40 +134,11 @@ func (t *Treap) contains(n *node, key int32) bool {
 	return false
 }
 
-// Each calls f on every key in ascending order. If f returns false the
-// iteration stops early.
-func (t *Treap) Each(f func(key int32) bool) {
-	each(t.root, f)
-}
-
-func each(n *node, f func(key int32) bool) bool {
-	if n == nil {
-		return true
+// FromKeys builds a treap from keys (duplicates collapse).
+func FromKeys(seed int64, keys []int32) *Treap {
+	t := New(seed)
+	for _, k := range keys {
+		t.Insert(k)
 	}
-	return each(n.left, f) && f(n.key) && each(n.right, f)
-}
-
-// Keys returns all keys in ascending order.
-func (t *Treap) Keys() []int32 {
-	out := make([]int32, 0, t.Len())
-	t.Each(func(k int32) bool {
-		out = append(out, k)
-		return true
-	})
-	return out
-}
-
-// cloneRec deep-copies a subtree so the set operations can consume
-// their inputs' structure without modifying them.
-func cloneRec(n *node) *node {
-	if n == nil {
-		return nil
-	}
-	return &node{
-		key:      n.key,
-		priority: n.priority,
-		size:     n.size,
-		left:     cloneRec(n.left),
-		right:    cloneRec(n.right),
-	}
+	return t
 }

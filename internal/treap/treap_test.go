@@ -26,32 +26,35 @@ func TestInsertContainsDelete(t *testing.T) {
 	}
 }
 
+// inorder returns the treap's keys by an in-order walk.
+func inorder(t *Treap) []int32 {
+	var out []int32
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n != nil {
+			walk(n.left)
+			out = append(out, n.key)
+			walk(n.right)
+		}
+	}
+	walk(t.root)
+	return out
+}
+
 func TestKeysSorted(t *testing.T) {
 	tr := New(2)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 1000; i++ {
 		tr.Insert(int32(rng.Intn(500)))
 	}
-	keys := tr.Keys()
+	keys := inorder(tr)
 	if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-		t.Fatal("Keys not sorted")
+		t.Fatal("in-order keys not sorted")
 	}
 	for i := 1; i < len(keys); i++ {
 		if keys[i] == keys[i-1] {
 			t.Fatal("duplicate key stored")
 		}
-	}
-}
-
-func TestEachEarlyStop(t *testing.T) {
-	tr := FromKeys(4, []int32{1, 2, 3, 4, 5})
-	count := 0
-	tr.Each(func(int32) bool {
-		count++
-		return count < 3
-	})
-	if count != 3 {
-		t.Fatalf("Each visited %d keys, want 3", count)
 	}
 }
 
@@ -87,7 +90,7 @@ func TestQuickSetSemantics(t *testing.T) {
 		if tr.Len() != len(oracle) {
 			return false
 		}
-		for _, k := range tr.Keys() {
+		for _, k := range inorder(tr) {
 			if !oracle[k] {
 				return false
 			}
@@ -99,80 +102,7 @@ func TestQuickSetSemantics(t *testing.T) {
 	}
 }
 
-func toSet(xs []int32) map[int32]bool {
-	s := map[int32]bool{}
-	for _, x := range xs {
-		s[x%128] = true
-	}
-	return s
-}
-
-func fromSet(seed int64, s map[int32]bool) *Treap {
-	tr := New(seed)
-	for k := range s {
-		tr.Insert(k)
-	}
-	return tr
-}
-
-// TestQuickSetOps cross-validates Union/Intersect/Difference against
-// map-based set algebra.
-func TestQuickSetOps(t *testing.T) {
-	check := func(xs, ys []int32) bool {
-		sx, sy := toSet(xs), toSet(ys)
-		tx, ty := fromSet(11, sx), fromSet(22, sy)
-
-		u := Union(tx, ty)
-		for k := range sx {
-			if !u.Contains(k) {
-				return false
-			}
-		}
-		for k := range sy {
-			if !u.Contains(k) {
-				return false
-			}
-		}
-		wantU := 0
-		seen := map[int32]bool{}
-		for k := range sx {
-			seen[k] = true
-		}
-		for k := range sy {
-			seen[k] = true
-		}
-		wantU = len(seen)
-		if u.Len() != wantU {
-			return false
-		}
-
-		in := Intersect(tx, ty)
-		for k := range seen {
-			want := sx[k] && sy[k]
-			if in.Contains(k) != want {
-				return false
-			}
-		}
-
-		df := Difference(tx, ty)
-		for k := range seen {
-			want := sx[k] && !sy[k]
-			if df.Contains(k) != want {
-				return false
-			}
-		}
-		// Inputs must be unmodified.
-		if tx.Len() != len(sx) || ty.Len() != len(sy) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickOrderInvariant: Keys() is always sorted and duplicate-free
+// TestQuickOrderInvariant: the in-order walk is always sorted and duplicate-free
 // after arbitrary insert/delete interleavings.
 func TestQuickOrderInvariant(t *testing.T) {
 	check := func(ops []int32) bool {
@@ -188,7 +118,7 @@ func TestQuickOrderInvariant(t *testing.T) {
 				tr.Delete(k)
 			}
 		}
-		keys := tr.Keys()
+		keys := inorder(tr)
 		for i := 1; i < len(keys); i++ {
 			if keys[i] <= keys[i-1] {
 				return false

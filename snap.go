@@ -5,20 +5,24 @@
 // The package is a facade over the internal kernel packages and is the
 // supported public API:
 //
-//   - Graph construction: Build, NewDynamic, ReadEdgeList, generators
+//   - Graph construction: Build, ReadEdgeList, generators
 //     (RMAT, ErdosRenyi, RoadMesh, WattsStrogatz, ...).
 //   - Graph kernels: BFS, ConnectedComponents, Biconnected, MST,
-//     ShortestPaths.
+//     DeltaStepping.
 //   - Centrality: Degree, Closeness, Betweenness (exact and
 //     adaptive-sampling approximate, vertex and edge).
 //   - Network metrics: clustering coefficients, assortativity,
 //     rich-club, average path length.
-//   - Approximate analytics: ApproxNeighborhood (HyperANF),
-//     EffectiveDiameter, SampledCloseness, NewDistanceOracle.
+//   - Approximate analytics: ApproxNeighborhood (HyperANF: NF curve,
+//     effective diameter, average path length), SampledCloseness,
+//     NewDistanceOracle.
 //   - Community detection: GirvanNewman, PBD, PMA, PLA, Modularity.
 //   - Partitioning: Partition (parallel multilevel k-way),
 //     MultilevelRecursive, SpectralRQI, SpectralLanczos, EdgeCut —
 //     and the blocked layout it enables: BlockedPerm, Relabel.
+//
+// Each kernel has one entry point. Per-call tuning — worker count,
+// cancellation, stats — goes in that kernel's options struct.
 //
 // Parallelism: every kernel obeys GOMAXPROCS (or an explicit Workers
 // option). See DESIGN.md for the architecture and EXPERIMENTS.md for
@@ -26,7 +30,6 @@
 package snap
 
 import (
-	"context"
 	"io"
 
 	"snap/internal/bfs"
@@ -60,10 +63,6 @@ type Edge = graph.Edge
 // the first; AllowMulti keeps parallel edges distinct.
 type BuildOptions = graph.BuildOptions
 
-// Dynamic is the mutable graph with treap-backed high-degree
-// adjacencies.
-type Dynamic = graph.Dynamic
-
 // Build constructs a CSR graph from an edge list. Large inputs are
 // assembled by a parallel counting-sort pipeline (validate, histogram,
 // scatter, per-vertex sort/dedup); the result is bit-identical for any
@@ -72,12 +71,6 @@ type Dynamic = graph.Dynamic
 func Build(n int, edges []Edge, opt BuildOptions) (*Graph, error) {
 	return graph.Build(n, edges, opt)
 }
-
-// NewDynamic returns an empty dynamic graph with n vertices.
-func NewDynamic(n int, directed bool) *Dynamic { return graph.NewDynamic(n, directed) }
-
-// FromDynamic freezes a dynamic graph into CSR form.
-func FromDynamic(d *Dynamic) (*Graph, error) { return d.ToCSR() }
 
 // Undirected returns g or its symmetrized copy when g is directed.
 // Symmetrization merges each vertex's out- and in-adjacency runs
@@ -192,54 +185,25 @@ func BFS(g *Graph, src int32) BFSResult {
 	return bfs.Parallel(g, src, bfs.Options{DegreeAware: true})
 }
 
-// BFSSerial runs the serial reference BFS.
-func BFSSerial(g *Graph, src int32) BFSResult { return bfs.Serial(g, src, nil) }
-
-// BFSOptions tunes the shared frontier engine behind the BFS entry
-// points: worker count, degree-aware frontier partitioning, the
-// direction-optimizing Alpha/Beta switch thresholds, and the reverse
-// (in-adjacency) graph that enables bottom-up steps on directed graphs.
+// BFSOptions tunes the shared frontier engine behind BFSWithOptions:
+// worker count, degree-aware frontier partitioning, the
+// direction-optimizing Alpha/Beta switch thresholds, the reverse
+// (in-adjacency) graph that enables bottom-up steps on directed graphs,
+// a depth bound, and a Cancel hook polled once per level.
 type BFSOptions = bfs.Options
 
-// BFSWithOptions runs the direction-optimizing BFS with explicit
-// engine tuning. Alpha <= 0 selects the default switch threshold;
-// set Beta to tune when the traversal returns to top-down.
+// BFSWithOptions runs the direction-optimizing (top-down / bottom-up
+// hybrid) BFS with explicit engine tuning; the zero options select the
+// default switch thresholds. A run that Cancel stopped returns partial
+// results, which callers must discard.
 func BFSWithOptions(g *Graph, src int32, opt BFSOptions) BFSResult {
 	return bfs.DirectionOptimizing(g, src, opt)
 }
 
-// BFSContext is BFSWithOptions with cooperative cancellation: the
-// context is polled once per frontier level (on top of any Cancel
-// already in opt), and a cancelled or expired context aborts the
-// traversal at the next level boundary and returns ctx.Err(). The
-// partial result is discarded — callers that want partial traversals
-// should bound the work with BFSOptions.MaxDepth instead.
-func BFSContext(ctx context.Context, g *Graph, src int32, opt BFSOptions) (BFSResult, error) {
-	if err := ctx.Err(); err != nil {
-		return BFSResult{}, err
-	}
-	prev := opt.Cancel
-	opt.Cancel = func() bool {
-		return ctx.Err() != nil || (prev != nil && prev())
-	}
-	res := bfs.DirectionOptimizing(g, src, opt)
-	if err := ctx.Err(); err != nil {
-		return BFSResult{}, err
-	}
-	return res, nil
-}
-
-// BFSWorkspace is reusable epoch-stamped BFS state: resetting between
-// sources is O(1), so multi-source traversal loops run allocation-free.
-// Not safe for concurrent use; acquire one per goroutine.
+// BFSWorkspace is the epoch-stamped traversal state BFSMultiSource
+// hands each worker: resetting between sources is O(1), so the loop
+// runs allocation-free. It is valid only inside the visit callback.
 type BFSWorkspace = bfs.Workspace
-
-// AcquireBFSWorkspace returns a pooled traversal workspace sized for n
-// vertices. Release it with ReleaseBFSWorkspace when done.
-func AcquireBFSWorkspace(n int) *BFSWorkspace { return bfs.AcquireWorkspace(n) }
-
-// ReleaseBFSWorkspace returns a workspace to the shared pool.
-func ReleaseBFSWorkspace(ws *BFSWorkspace) { bfs.ReleaseWorkspace(ws) }
 
 // BFSMultiSource runs one BFS per source with per-worker reusable
 // workspaces; visit is called concurrently (stable worker ids, each
@@ -273,44 +237,19 @@ func MST(g *Graph) MSTResult { return components.BoruvkaMST(g, 0) }
 // SSSPResult holds single-source shortest-path distances and parents.
 type SSSPResult = sssp.Result
 
-// ShortestPaths computes SSSP with parallel delta-stepping at the
-// default bucket width and worker count. Use DeltaStepping to tune
-// either, or an SSSPWorkspace for allocation-free multi-source loops.
-func ShortestPaths(g *Graph, src int32) SSSPResult {
-	return sssp.DeltaStepping(g, src, sssp.DeltaSteppingOptions{})
-}
-
 // DeltaSteppingOptions tunes the bucket width (Delta) and parallelism
-// (Workers) of the delta-stepping engine; the zero value selects the
+// (Workers) of the delta-stepping engine, and carries a Cancel hook
+// polled at every bucket phase; the zero value selects the
 // maxWeight/avgDegree heuristic and the full worker pool.
 type DeltaSteppingOptions = sssp.DeltaSteppingOptions
 
 // DeltaStepping computes SSSP with the lock-free parallel
-// delta-stepping engine under explicit options. Dist is bit-identical
-// to Dijkstra for any delta and worker count; unweighted graphs
-// degenerate to the direction-optimizing BFS engine.
+// delta-stepping engine. Dist is bit-identical to Dijkstra for any
+// delta and worker count; unweighted graphs degenerate to the
+// direction-optimizing BFS engine. A run that Cancel stopped returns
+// partial distances, which callers must discard.
 func DeltaStepping(g *Graph, src int32, opt DeltaSteppingOptions) SSSPResult {
 	return sssp.DeltaStepping(g, src, opt)
-}
-
-// DeltaSteppingContext is DeltaStepping with cooperative cancellation:
-// the context is polled at every bucket-phase boundary (on top of any
-// Cancel already in opt), and a cancelled or expired context aborts
-// the run and returns ctx.Err(). An aborted delta-stepping run never
-// finalizes its tentative distances, so no partial result is returned.
-func DeltaSteppingContext(ctx context.Context, g *Graph, src int32, opt DeltaSteppingOptions) (SSSPResult, error) {
-	if err := ctx.Err(); err != nil {
-		return SSSPResult{}, err
-	}
-	prev := opt.Cancel
-	opt.Cancel = func() bool {
-		return ctx.Err() != nil || (prev != nil && prev())
-	}
-	res := sssp.DeltaStepping(g, src, opt)
-	if err := ctx.Err(); err != nil {
-		return SSSPResult{}, err
-	}
-	return res, nil
 }
 
 // SSSPWorkspace is the reusable state of the delta-stepping engine:
@@ -414,20 +353,6 @@ func ApproxNeighborhood(g *Graph, opt ANFOptions) ANFResult {
 	return sketch.ANF(g, opt)
 }
 
-// EffectiveDiameter returns the HyperANF 90%-quantile effective
-// diameter of g with default settings. Use ApproxNeighborhood for
-// custom quantiles, registers, or seeds.
-func EffectiveDiameter(g *Graph) float64 {
-	return sketch.ANF(g, sketch.ANFOptions{}).EffectiveDiameter
-}
-
-// ApproxAvgPathLength estimates the mean shortest-path length via the
-// HyperANF sketch tier (all reachable pairs at once, no source
-// sampling) along with the sketch's diameter estimate.
-func ApproxAvgPathLength(g *Graph) (float64, int) {
-	return metrics.AvgPathLength(g, metrics.PathLengthOptions{Approx: true})
-}
-
 // SampledClosenessOptions configures the Eppstein–Wang sampled
 // closeness estimator (pivot count, or an epsilon/confidence target it
 // is derived from).
@@ -519,17 +444,12 @@ type MultilevelOptions = partition.MultilevelOptions
 
 // PartitionStats is the k-way engine's per-level record of one run
 // (hierarchy sizes, shrink ratios, refinement passes, evaluations and
-// moves): point MultilevelOptions.Stats at one and read it after
-// MultilevelKWay returns. Fixed-size and caller-owned; nil is off.
+// moves): point PartitionOptions.Stats at one and read it after
+// Partition returns. Fixed-size and caller-owned; nil is off.
 type PartitionStats = partition.Stats
 
 // SpectralOptions configures the Chaco-style spectral partitioners.
 type SpectralOptions = partition.SpectralOptions
-
-// MultilevelKWay partitions g into k parts (multilevel k-way).
-func MultilevelKWay(g *Graph, k int, opt MultilevelOptions) (PartitionResult, error) {
-	return partition.MultilevelKWay(g, k, opt)
-}
 
 // MultilevelRecursive partitions g into k parts (recursive bisection).
 func MultilevelRecursive(g *Graph, k int, opt MultilevelOptions) (PartitionResult, error) {
@@ -563,6 +483,9 @@ type PartitionOptions struct {
 	Seed int64
 	// Imbalance is the allowed part-weight overrun (default 0.05).
 	Imbalance float64
+	// Stats, when non-nil, receives the engine's per-level record of
+	// the run.
+	Stats *PartitionStats
 }
 
 // Partition computes a k-way partition with the parallel multilevel
@@ -574,30 +497,7 @@ func Partition(g *Graph, opt PartitionOptions) (PartitionResult, error) {
 		Imbalance: opt.Imbalance,
 		Seed:      opt.Seed,
 		Workers:   opt.Workers,
-	})
-}
-
-// PartitionWorkspace holds the pooled buffers of the multilevel
-// engine; reusing one across calls makes warm partitions allocation-
-// free. Acquire with AcquirePartitionWorkspace and call
-// PartitionInWorkspace; the returned Part slice aliases workspace
-// memory and is valid until the next call with the same workspace.
-type PartitionWorkspace = partition.Workspace
-
-// AcquirePartitionWorkspace takes a pooled partitioner workspace.
-func AcquirePartitionWorkspace() *PartitionWorkspace { return partition.AcquireWorkspace() }
-
-// ReleasePartitionWorkspace returns a workspace to the pool.
-func ReleasePartitionWorkspace(ws *PartitionWorkspace) { partition.ReleaseWorkspace(ws) }
-
-// PartitionInWorkspace runs Partition inside a caller-held workspace.
-// The returned Part aliases workspace memory — clone it if it must
-// outlive the next call.
-func PartitionInWorkspace(ws *PartitionWorkspace, g *Graph, opt PartitionOptions) (PartitionResult, error) {
-	return ws.KWay(g, opt.K, MultilevelOptions{
-		Imbalance: opt.Imbalance,
-		Seed:      opt.Seed,
-		Workers:   opt.Workers,
+		Stats:     opt.Stats,
 	})
 }
 
@@ -693,18 +593,6 @@ func Louvain(g *Graph, opt LouvainOptions) Clustering {
 	return community.Louvain(g, opt)
 }
 
-// MoveWorkspace is the pooled state of the local-moving engine behind
-// Louvain and RefineClustering. Holding one across calls makes
-// repeated runs allocation-free; results returned by its methods alias
-// the workspace.
-type MoveWorkspace = community.MoveWorkspace
-
-// AcquireMoveWorkspace returns a pooled local-moving workspace.
-func AcquireMoveWorkspace() *MoveWorkspace { return community.AcquireMoveWorkspace() }
-
-// ReleaseMoveWorkspace returns a workspace to the pool.
-func ReleaseMoveWorkspace(ws *MoveWorkspace) { community.ReleaseMoveWorkspace(ws) }
-
 // CommunityGraph contracts a clustering into its weighted quotient.
 func CommunityGraph(g *Graph, c Clustering) *Graph {
 	return community.MakeQuotient(g, c.Assign, c.Count).Graph
@@ -735,13 +623,6 @@ func InducedSubgraph(g *Graph, vertices []int32) (*Graph, []int32, error) {
 	return graph.InducedSubgraph(g, vertices)
 }
 
-// BFSDirectionOptimizing runs the direction-optimizing (top-down /
-// bottom-up hybrid) BFS, the fastest traversal on small-world graphs
-// whose middle levels cover most vertices.
-func BFSDirectionOptimizing(g *Graph, src int32) BFSResult {
-	return bfs.DirectionOptimizing(g, src, bfs.Options{})
-}
-
 // RCMOrder computes a reverse Cuthill-McKee cache-friendly ordering
 // (perm[newID] = oldID); Relabel applies it.
 func RCMOrder(g *Graph) []int32 { return graph.RCMOrder(g) }
@@ -759,12 +640,6 @@ func StronglyConnectedComponents(g *Graph) Components {
 // Condensation builds the DAG of strongly connected components.
 func Condensation(g *Graph, scc Components) *Graph {
 	return components.Condensation(g, scc)
-}
-
-// ApproxCloseness estimates closeness centrality by pivot sampling
-// (Eppstein–Wang).
-func ApproxCloseness(g *Graph, samples int, seed int64) []float64 {
-	return centrality.ApproxCloseness(g, samples, seed, 0)
 }
 
 // LabelPropagation runs the Raghavan–Albert–Kumara community heuristic.

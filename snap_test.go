@@ -3,7 +3,10 @@ package snap
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
+
+	"snap/internal/bfs"
 )
 
 // The facade tests exercise the public API end to end the way a
@@ -22,9 +25,6 @@ func TestFacadeBuildAndKernels(t *testing.T) {
 	if r.Dist[5] != 3 {
 		t.Fatalf("BFS dist[5] = %d, want 3", r.Dist[5])
 	}
-	if got := BFSSerial(g, 0); got.Dist[5] != 3 {
-		t.Fatalf("serial BFS differs: %d", got.Dist[5])
-	}
 	cc := ConnectedComponents(g)
 	if cc.Count != 1 {
 		t.Fatalf("components = %d", cc.Count)
@@ -37,7 +37,7 @@ func TestFacadeBuildAndKernels(t *testing.T) {
 	if len(mst.EdgeIDs) != 5 {
 		t.Fatalf("MST edges = %d, want n-1 = 5", len(mst.EdgeIDs))
 	}
-	sp := ShortestPaths(g, 0)
+	sp := DeltaStepping(g, 0, DeltaSteppingOptions{})
 	dj := Dijkstra(g, 0)
 	for v := range sp.Dist {
 		if sp.Dist[v] != dj.Dist[v] {
@@ -110,11 +110,15 @@ func TestFacadeCommunity(t *testing.T) {
 func TestFacadePartitioning(t *testing.T) {
 	mesh := RoadMesh(30, 30, 0, 2)
 	sw := RMAT(900, mesh.NumEdges(), DefaultRMAT(), 2)
-	km, err := MultilevelKWay(mesh, 4, MultilevelOptions{Seed: 1})
+	var st PartitionStats
+	km, err := Partition(mesh, PartitionOptions{K: 4, Seed: 1, Stats: &st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks, err := MultilevelKWay(sw, 4, MultilevelOptions{Seed: 1})
+	if st.Levels == 0 {
+		t.Fatal("PartitionOptions.Stats recorded no levels")
+	}
+	ks, err := Partition(sw, PartitionOptions{K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,6 +150,9 @@ func TestFacadeIO(t *testing.T) {
 	if err != nil || g2.NumEdges() != g.NumEdges() {
 		t.Fatalf("text round trip: %v", err)
 	}
+	if Undirected(g2) != g2 {
+		t.Fatal("Undirected of undirected should be identity")
+	}
 	var bin bytes.Buffer
 	if err := EncodeContainer(&bin, g, ContainerOptions{}); err != nil {
 		t.Fatal(err)
@@ -153,26 +160,6 @@ func TestFacadeIO(t *testing.T) {
 	g3, err := DecodeContainer(bin.Bytes(), MapLoadOptions{})
 	if err != nil || g3.NumEdges() != g.NumEdges() {
 		t.Fatalf("binary round trip: %v", err)
-	}
-}
-
-func TestFacadeDynamic(t *testing.T) {
-	d := NewDynamic(10, false)
-	for v := int32(1); v < 10; v++ {
-		if _, err := d.AddEdge(0, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := FromDynamic(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 9 || g.Degree(0) != 9 {
-		t.Fatalf("dynamic freeze wrong: %v", g)
-	}
-	u := Undirected(g)
-	if u != g {
-		t.Fatal("Undirected of undirected should be identity")
 	}
 }
 
@@ -229,8 +216,8 @@ func TestFacadeNewKernels(t *testing.T) {
 	if len(core) != 400 || Degeneracy(g) <= 0 {
 		t.Fatal("kcore")
 	}
-	r := BFSDirectionOptimizing(g, 0)
-	want := BFSSerial(g, 0)
+	r := BFSWithOptions(g, 0, BFSOptions{})
+	want := bfs.Serial(g, 0, nil)
 	for v := range want.Dist {
 		if r.Dist[v] != want.Dist[v] {
 			t.Fatal("direction-optimizing BFS differs")
@@ -253,12 +240,8 @@ func TestFacadeApproxAnalytics(t *testing.T) {
 	if len(anf.NF) == 0 || anf.AvgPathLength <= 0 || len(anf.Reach) != 600 {
 		t.Fatalf("ANF result: %+v", anf)
 	}
-	if eff := EffectiveDiameter(g); eff <= 0 {
-		t.Fatalf("effective diameter %g", eff)
-	}
-	avg, diam := ApproxAvgPathLength(g)
-	if avg <= 0 || diam <= 0 {
-		t.Fatalf("approx avg path (%g, %d)", avg, diam)
+	if anf.EffectiveDiameter <= 0 || anf.DiameterEstimate <= 0 {
+		t.Fatalf("ANF distances: effective %g, diameter %d", anf.EffectiveDiameter, anf.DiameterEstimate)
 	}
 	sc := SampledCloseness(g, SampledClosenessOptions{Samples: 32, Seed: 1})
 	if len(sc.Scores) != 600 || len(sc.Pivots) != 32 || sc.Epsilon <= 0 {
@@ -268,7 +251,7 @@ func TestFacadeApproxAnalytics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact := BFSSerial(g, 3)
+	exact := BFS(g, 3)
 	for v := int32(0); v < 600; v++ {
 		d := exact.Dist[v]
 		lo, hi := oracle.Estimate(3, v)
@@ -346,8 +329,8 @@ func TestFacadeLatestExtensions(t *testing.T) {
 	if NMI(truth, lpa.Assign) < 0.8 {
 		t.Fatalf("LPA NMI too low")
 	}
-	ac := ApproxCloseness(g, 24, 3)
-	if len(ac) != g.NumVertices() {
+	ac := SampledCloseness(g, SampledClosenessOptions{Samples: 24, Seed: 3})
+	if len(ac.Scores) != g.NumVertices() {
 		t.Fatal("approx closeness size")
 	}
 	rw := RewireDegreePreserving(g, 5000, 4)
@@ -460,5 +443,31 @@ func TestFacadeStream(t *testing.T) {
 	defer ee.Close()
 	if got := ConnectedComponents(ee.Graph()).Count; got != 9 {
 		t.Fatalf("components after one edge = %d, want 9", got)
+	}
+}
+
+// BFS's parallel top-down arm reproduces the serial reference's
+// distances and parents bit for bit, at any GOMAXPROCS.
+func TestFacadeBFSMatchesSerial(t *testing.T) {
+	for name, g := range map[string]*Graph{
+		"rmat10": RMAT(1<<10, 8<<10, DefaultRMAT(), 1),
+		"road32": RoadMesh(32, 32, 0.1, 1),
+	} {
+		for _, src := range []int32{0, 17, 511} {
+			got, want := BFS(g, src), bfs.Serial(g, src, nil)
+			if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
+				t.Fatalf("%s src %d: BFS differs from the serial reference", name, src)
+			}
+		}
+	}
+}
+
+// The HyperANF result carries the default effective diameter; this is
+// the value the former EffectiveDiameter(g) returned on this graph at
+// commit 3643b0f.
+func TestFacadeANFEffectiveDiameter(t *testing.T) {
+	g := RMAT(600, 2400, DefaultRMAT(), 8)
+	if got := ApproxNeighborhood(g, ANFOptions{}).EffectiveDiameter; got != 4.62542684434802 {
+		t.Fatalf("effective diameter %v, want 4.62542684434802", got)
 	}
 }

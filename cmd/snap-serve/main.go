@@ -55,9 +55,9 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		rmat     = flag.Int("rmat", 0, "also serve a synthetic RMAT graph named \"rmat\" at this scale (n = 2^scale, m = 8n)")
 		directed = flag.Bool("directed", false, "treat text edge-list inputs as directed")
-		window   = flag.Duration("window", 0, "coalescing window (0 = default, negative = disabled)")
-		cacheMB  = flag.Int64("cache-mb", 0, "result cache budget in MiB (0 = default, negative = disabled)")
-		inflight = flag.Int("inflight", 0, "max in-flight heavy queries (0 = default, negative = unlimited)")
+		window   = flag.Duration("window", 0, "coalescing window (0 = default 500µs)")
+		cacheMB  = flag.Int64("cache-mb", 0, "result cache budget in MiB (0 = default 64)")
+		inflight = flag.Int("inflight", 0, "max in-flight heavy queries (0 = default 2×GOMAXPROCS)")
 		timeout  = flag.Duration("timeout", 0, "per-query deadline (0 = none)")
 		workers  = flag.Int("workers", 0, "worker cap per kernel invocation (0 = all cores)")
 	)

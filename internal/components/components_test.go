@@ -75,8 +75,14 @@ func sameLabeling(a, b Labeling) bool {
 }
 
 func TestConnectedParallelMatchesSerial(t *testing.T) {
+	var inputs []*graph.Graph
 	for trial := 0; trial < 8; trial++ {
-		g := generate.RMAT(400, 900, generate.DefaultRMAT(), int64(trial))
+		inputs = append(inputs, generate.RMAT(400, 900, generate.DefaultRMAT(), int64(trial)))
+	}
+	// A directed R-MAT: its weak components need both arc directions.
+	und := inputs[0]
+	inputs = append(inputs, graph.MustBuild(und.NumVertices(), und.EdgeEndpoints(), graph.BuildOptions{Directed: true}))
+	for trial, g := range inputs {
 		want := Connected(g, nil)
 		for _, workers := range []int{1, 2, 4} {
 			got := ConnectedParallel(g, nil, workers)

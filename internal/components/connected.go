@@ -110,8 +110,12 @@ func Connected(g *graph.Graph, alive []bool) Labeling {
 // every vertex repeatedly adopts the minimum label in its closed
 // neighborhood, with a jumping pass to collapse label chains. It
 // matches Connected exactly and is used for the O(m)-work per-iteration
-// step of pBD.
+// step of pBD. Directed graphs go to Connected's union-find: labels
+// pulled along out-arcs alone cannot discover weak components.
 func ConnectedParallel(g *graph.Graph, alive []bool, workers int) Labeling {
+	if g.Directed() {
+		return Connected(g, alive)
+	}
 	if workers <= 0 {
 		workers = par.Workers()
 	}

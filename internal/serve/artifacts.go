@@ -1,9 +1,91 @@
 package serve
 
-import "sync"
+import (
+	"sync"
+
+	"snap/internal/centrality"
+	"snap/internal/community"
+	"snap/internal/components"
+	"snap/internal/graph"
+	"snap/internal/sketch"
+)
 
 // kindPageRank is the one artifact kind chained across epochs.
 const kindPageRank = "centrality/pagerank"
+
+// artifactBuilder runs one artifact kernel on a pinned epoch's graph.
+type artifactBuilder func(s *Server, h *handle, g *graph.Graph) (any, error)
+
+// artifactBuilders is the table of per-epoch artifacts, keyed by kind:
+// op, then "/" and the op's kind= or algo= selector where it has one.
+// Every centrality kind builds a []float64 score vector.
+var artifactBuilders = map[string]artifactBuilder{
+	"oracle": func(s *Server, _ *handle, g *graph.Graph) (any, error) {
+		return sketch.BuildOracle(g, sketch.OracleOptions{Workers: s.workers()})
+	},
+	"centrality/degree": func(_ *Server, _ *handle, g *graph.Graph) (any, error) {
+		return centrality.DegreeCentrality(g), nil
+	},
+	// PageRank is epoch-chained: the build starts from the newest vector
+	// an earlier epoch finished (h.art.warmStart) and polishes it on g to
+	// the cold build's L1 tolerance, so an answer equals cold PageRank on
+	// its own epoch to within that tolerance whatever was queried before.
+	// Directed graphs have no warm kernel and rebuild cold.
+	kindPageRank: func(s *Server, h *handle, g *graph.Graph) (any, error) {
+		warm := h.art.warmStart()
+		if g.Directed() || len(warm) != g.NumVertices() {
+			warm = nil
+		}
+		if warm != nil {
+			s.artifactWarmBuilds.Add(1)
+		}
+		return centrality.PageRankFrom(g, warm, centrality.PageRankOptions{Workers: s.workers()}), nil
+	},
+	// Sampled (Eppstein–Wang) closeness: the serving-grade estimator;
+	// exact closeness is O(n·m) per epoch.
+	"centrality/closeness": func(s *Server, _ *handle, g *graph.Graph) (any, error) {
+		return sketch.Closeness(g, sketch.ClosenessOptions{Workers: s.workers()}).Scores, nil
+	},
+	"community/louvain": func(s *Server, _ *handle, g *graph.Graph) (any, error) {
+		return community.Louvain(g, community.LouvainOptions{Workers: s.workers()}), nil
+	},
+	"components": func(s *Server, _ *handle, g *graph.Graph) (any, error) {
+		return components.ConnectedParallel(g, nil, s.workers()), nil
+	},
+}
+
+// pinArtifact pins h's newest epoch and returns its artifact of one
+// kind with the epoch's seq, running the build under an admission slot
+// at most once per epoch (artifactCache.get singleflights it). A kind
+// missing from the table is a bad request before any pin or slot;
+// check, when non-nil, vets the pinned graph before the artifact is
+// looked up. Artifacts share no memory with the graph, so the pin ends
+// when pinArtifact returns.
+func (s *Server) pinArtifact(h *handle, kind string, check func(*graph.Graph) error) (any, uint64, error) {
+	build := artifactBuilders[kind]
+	if build == nil {
+		return nil, 0, badRequest("unknown artifact %q", kind)
+	}
+	g, seq, release, err := h.pin()
+	if err != nil {
+		return nil, 0, err
+	}
+	defer release()
+	if check != nil {
+		if err := check(g); err != nil {
+			return nil, seq, err
+		}
+	}
+	val, err := h.art.get(seq, kind, func() (any, error) {
+		if !s.lim.tryAcquire() {
+			return nil, errBusy
+		}
+		defer s.lim.release()
+		s.artifactBuilds.Add(1)
+		return build(s, h, g)
+	})
+	return val, seq, err
+}
 
 // artifactCache holds expensive per-epoch derived structures — exact
 // centrality vectors, community assignments, component labelings,

@@ -37,7 +37,7 @@ func newStreamServer(t *testing.T, base *graph.Graph) (*Server, *ingest.Stream) 
 	t.Helper()
 	st := ingest.New(base, ingest.Options{})
 	t.Cleanup(func() { st.Close() })
-	s := New(Config{CoalesceWindow: -1})
+	s := New(Config{})
 	if err := s.RegisterStream("live", st); err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +152,22 @@ func TestPinnedReaderDoesNotRollCacheBack(t *testing.T) {
 	warm := h.art.warmStart()
 	builds := s.Snapshot().ArtifactBuilds
 
-	got, err := s.centralityScores(h, oldG, oldSeq, "pagerank")
+	built := 0
+	val, err := h.art.get(oldSeq, kindPageRank, func() (any, error) {
+		built++
+		return artifactBuilders[kindPageRank](s, h, oldG)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := val.([]float64)
 	cold := centrality.PageRank(oldG, centrality.PageRankOptions{})
 	for v := range cold {
 		if d := math.Abs(got[v] - cold[v]); d > 1e-8 {
 			t.Fatalf("pinned epoch %d: vertex %d %g vs cold %g", oldSeq, v, got[v], cold[v])
 		}
 	}
-	if s.Snapshot().ArtifactBuilds != builds+1 {
+	if built != 1 {
 		t.Fatal("the superseded epoch's request did not build for itself")
 	}
 	if w := h.art.warmStart(); &w[0] != &warm[0] {
@@ -173,8 +178,8 @@ func TestPinnedReaderDoesNotRollCacheBack(t *testing.T) {
 	if again := answerRank(t, s, 6); again.Seq != newest.Seq || again.Score[0] != newest.Score[0] {
 		t.Fatalf("newest epoch re-answered differently: %+v vs %+v", again, newest)
 	}
-	if got := s.Snapshot().ArtifactBuilds; got != builds+1 {
-		t.Fatalf("newest epoch's artifact was evicted: %d builds, want %d", got, builds+1)
+	if got := s.Snapshot().ArtifactBuilds; got != builds {
+		t.Fatalf("newest epoch's artifact was evicted: %d builds, want %d", got, builds)
 	}
 }
 

@@ -37,13 +37,9 @@ type centry struct {
 	prev, next *centry
 }
 
-// newResultCache sizes an LRU cache; either bound <= 0 disables the
-// cache entirely (newResultCache returns nil and the nil methods
-// behave as permanent misses).
+// newResultCache sizes an LRU cache of at most maxBytes of bodies and
+// maxEnt entries.
 func newResultCache(maxBytes int64, maxEnt int) *resultCache {
-	if maxBytes <= 0 || maxEnt <= 0 {
-		return nil
-	}
 	return &resultCache{
 		maxBytes: maxBytes,
 		maxEnt:   maxEnt,
@@ -54,9 +50,6 @@ func newResultCache(maxBytes int64, maxEnt int) *resultCache {
 // get returns the cached body for key, or nil. The returned slice is
 // shared and must not be modified.
 func (c *resultCache) get(key []byte) []byte {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	e := c.m[string(key)] // compiler-recognized no-alloc lookup form
 	if e == nil {
@@ -80,7 +73,7 @@ func (c *resultCache) get(key []byte) []byte {
 func (c *resultCache) put(key, body []byte) []byte {
 	stored := make([]byte, len(body))
 	copy(stored, body)
-	if c == nil || int64(len(body)) > c.maxBytes {
+	if int64(len(body)) > c.maxBytes {
 		return stored
 	}
 	e := &centry{key: string(key), body: stored}
@@ -131,11 +124,8 @@ func (c *resultCache) unlink(e *centry) {
 	e.prev, e.next = nil, nil
 }
 
-// stats snapshots the counters (0s for a disabled cache).
+// stats snapshots the counters.
 func (c *resultCache) stats() (hits, misses uint64, entries int, bytes int64) {
-	if c == nil {
-		return 0, 0, 0, 0
-	}
 	hits, misses = c.hits.Load(), c.misses.Load()
 	c.mu.Lock()
 	entries, bytes = len(c.m), c.size

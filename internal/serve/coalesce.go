@@ -4,10 +4,10 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"snap/internal/bfs"
-	"snap/internal/frontier"
 	"snap/internal/sssp"
 )
 
@@ -34,8 +34,7 @@ import (
 // the depth-limited traversal bit for bit.
 //
 // The window trades a bounded latency add (default 500µs) for that
-// aggregation; window <= 0 disables coalescing and every query runs
-// standalone under its own admission slot.
+// aggregation.
 
 const (
 	laneBFS = iota
@@ -66,18 +65,12 @@ type coalescer struct {
 	s *Server
 	h *handle
 
-	mu      chan struct{} // 1-buffered mutex; select-able
+	mu      sync.Mutex
 	pending [laneCount][]*distWaiter
 }
 
-func newCoalescer(s *Server, h *handle) *coalescer {
-	c := &coalescer{s: s, h: h, mu: make(chan struct{}, 1)}
-	c.mu <- struct{}{}
-	return c
-}
-
 // distQuery answers one distance query, batched behind the coalescing
-// window when enabled, standalone otherwise.
+// window.
 func (c *coalescer) distQuery(ctx context.Context, lane int, src, maxDepth int32, dsts []int32) (*distWaiter, error) {
 	w := &distWaiter{
 		src:      src,
@@ -85,13 +78,6 @@ func (c *coalescer) distQuery(ctx context.Context, lane int, src, maxDepth int32
 		dsts:     append([]int32(nil), dsts...),
 		ctx:      ctx,
 		done:     make(chan struct{}),
-	}
-	if c.s.cfg.CoalesceWindow <= 0 {
-		c.runSingle(lane, w)
-		if w.err != nil {
-			return nil, w.err
-		}
-		return w, nil
 	}
 	if err := c.submit(lane, w); err != nil {
 		return nil, err
@@ -113,15 +99,15 @@ func (c *coalescer) distQuery(ctx context.Context, lane int, src, maxDepth int32
 // when it exceeds the admission bound the request fast-fails instead
 // of joining a batch the CPU is not keeping up with.
 func (c *coalescer) submit(lane int, w *distWaiter) error {
-	<-c.mu
-	if len(c.pending[lane]) >= c.s.waitRoom() {
-		c.mu <- struct{}{}
+	c.mu.Lock()
+	if len(c.pending[lane]) >= maxWaiting {
+		c.mu.Unlock()
 		c.s.lim.rejected.Add(1)
 		return errBusy
 	}
 	first := len(c.pending[lane]) == 0
 	c.pending[lane] = append(c.pending[lane], w)
-	c.mu <- struct{}{}
+	c.mu.Unlock()
 	if first {
 		time.AfterFunc(c.s.cfg.CoalesceWindow, func() { c.fire(lane) })
 	}
@@ -129,10 +115,10 @@ func (c *coalescer) submit(lane int, w *distWaiter) error {
 }
 
 func (c *coalescer) fire(lane int) {
-	<-c.mu
+	c.mu.Lock()
 	batch := c.pending[lane]
 	c.pending[lane] = nil
-	c.mu <- struct{}{}
+	c.mu.Unlock()
 	if len(batch) > 0 {
 		c.execute(lane, batch)
 	}
@@ -161,7 +147,7 @@ func (c *coalescer) execute(lane int, batch []*distWaiter) {
 	// One admission slot covers the whole batch. Blocking here is
 	// deliberate: the batch aggregates many clients, and the pending
 	// queue bound in submit already capped how much work can stack up.
-	if err := c.s.lim.acquire(context.Background()); err != nil {
+	if err := c.s.lim.acquire(); err != nil {
 		finish(live, err)
 		return
 	}
@@ -236,54 +222,6 @@ func (c *coalescer) execute(lane int, batch []*distWaiter) {
 			}
 			finish(group, nil)
 		}
-	}
-}
-
-// runSingle is the uncoalesced path: one traversal per request under
-// its own admission slot, with the request context threaded into the
-// kernel's cancellation hook.
-func (c *coalescer) runSingle(lane int, w *distWaiter) {
-	if !c.s.lim.tryAcquire() {
-		w.err = errBusy
-		return
-	}
-	defer c.s.lim.release()
-	g, seq, release, err := c.h.pin()
-	if err != nil {
-		w.err = err
-		return
-	}
-	defer release()
-	if int(w.src) >= g.NumVertices() {
-		w.err = errBadVertex
-		return
-	}
-	w.seq = seq
-	cancel := func() bool { return w.ctx.Err() != nil }
-	switch lane {
-	case laneBFS:
-		ws := bfs.AcquireWorkspace(g.NumVertices())
-		defer bfs.ReleaseWorkspace(ws)
-		ws.RunOptions(g, w.src, frontier.Options{
-			Workers:  c.s.workers(),
-			MaxDepth: w.maxDepth,
-			Alpha:    frontier.DefaultAlpha,
-			Cancel:   cancel,
-		})
-		if err := w.ctx.Err(); err != nil {
-			w.err = err
-			return
-		}
-		fillBFS(w, ws)
-	case laneSSSP:
-		ws := sssp.AcquireWorkspace()
-		defer sssp.ReleaseWorkspace(ws)
-		ws.Run(g, w.src, sssp.DeltaSteppingOptions{Workers: c.s.workers(), Cancel: cancel})
-		if err := w.ctx.Err(); err != nil {
-			w.err = err
-			return
-		}
-		fillSSSP(w, ws)
 	}
 }
 

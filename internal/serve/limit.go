@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"sync/atomic"
 )
@@ -27,22 +26,12 @@ type limiter struct {
 }
 
 // newLimiter builds a limiter with n execution slots and a waiting
-// room of maxWait blocked acquirers. n <= 0 means unlimited: every
-// method succeeds immediately (the nil limiter).
+// room of maxWait blocked acquirers.
 func newLimiter(n int, maxWait int) *limiter {
-	if n <= 0 {
-		return nil
-	}
-	if maxWait < 0 {
-		maxWait = 0
-	}
 	return &limiter{slots: make(chan struct{}, n), maxWait: int64(maxWait)}
 }
 
 func (l *limiter) tryAcquire() bool {
-	if l == nil {
-		return true
-	}
 	select {
 	case l.slots <- struct{}{}:
 		return true
@@ -52,10 +41,7 @@ func (l *limiter) tryAcquire() bool {
 	}
 }
 
-func (l *limiter) acquire(ctx context.Context) error {
-	if l == nil {
-		return nil
-	}
+func (l *limiter) acquire() error {
 	select {
 	case l.slots <- struct{}{}:
 		return nil
@@ -66,25 +52,9 @@ func (l *limiter) acquire(ctx context.Context) error {
 		l.rejected.Add(1)
 		return errBusy
 	}
-	defer l.waiting.Add(-1)
-	select {
-	case l.slots <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	l.slots <- struct{}{}
+	l.waiting.Add(-1)
+	return nil
 }
 
-func (l *limiter) release() {
-	if l == nil {
-		return
-	}
-	<-l.slots
-}
-
-func (l *limiter) rejectedCount() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.rejected.Load()
-}
+func (l *limiter) release() { <-l.slots }

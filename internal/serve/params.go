@@ -41,8 +41,9 @@ func putScratch(s *scratch) { scratchPool.Put(s) }
 
 // parseParams parses a raw query string ("src=3&dst=1,2&maxdepth=4")
 // into sc.p without allocating. The grammar is deliberately narrow —
-// plain decimal values, comma lists, bare identifiers — so no URL
-// unescaping is needed; a '%' or '+' in a value is a parse error.
+// plain decimal values, comma lists, bare identifiers over the graph
+// name alphabet (validName) — so no URL unescaping is needed; a '%' or
+// '+' in a value is a parse error.
 func parseParams(raw string, sc *scratch) error {
 	p := &sc.p
 	*p = params{src: -1, maxDepth: -1, k: -1}
@@ -93,10 +94,15 @@ func parseParams(raw string, sc *scratch) error {
 				return fmt.Errorf("k: %w", err)
 			}
 			p.k = v
-		case "kind":
-			p.kind = val
-		case "algo":
-			p.algo = val
+		case "kind", "algo":
+			if val != "" && !validName(val) {
+				return fmt.Errorf("%s: %q is not a bare identifier", key, val)
+			}
+			if key == "kind" {
+				p.kind = val
+			} else {
+				p.algo = val
+			}
 		default:
 			return fmt.Errorf("unknown parameter %q", key)
 		}

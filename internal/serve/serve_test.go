@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -74,6 +76,29 @@ type distResp struct {
 	Error   string    `json:"error"`
 }
 
+// wantBFS is the oracle answer to a bfs query on handle "g":
+// bfs.Serial's distances masked to maxDepth (< 0 = unlimited).
+func wantBFS(g *graph.Graph, src, maxDepth int32, dsts []int32) distResp {
+	dist := bfs.Serial(g, src, nil).Dist
+	masked := func(d int32) int32 {
+		if maxDepth >= 0 && d > maxDepth {
+			return -1
+		}
+		return d
+	}
+	r := distResp{Graph: "g", Src: int64(src), Ecc: -1, Dst: dsts}
+	for _, d := range dist {
+		if d = masked(d); d >= 0 {
+			r.Reached++
+			r.Ecc = max(r.Ecc, d)
+		}
+	}
+	for _, d := range dsts {
+		r.Dist = append(r.Dist, float64(masked(dist[d])))
+	}
+	return r
+}
+
 // TestBFSMatchesKernel pins response correctness bit-for-bit against a
 // direct kernel run, for unlimited and depth-limited queries, through
 // the full coalescing + caching stack.
@@ -85,7 +110,6 @@ func TestBFSMatchesKernel(t *testing.T) {
 		src      int32
 		maxDepth int32
 	}{{3, -1}, {3, 2}, {200, -1}, {200, 1}, {5, 0}} {
-		want := bfs.Serial(g, tc.src, nil)
 		url := fmt.Sprintf("%s/graphs/g/bfs?src=%d&dst=0,1,9,700", ts.URL, tc.src)
 		if tc.maxDepth >= 0 {
 			url += fmt.Sprintf("&maxdepth=%d", tc.maxDepth)
@@ -94,27 +118,8 @@ func TestBFSMatchesKernel(t *testing.T) {
 		if code := getJSON(t, url, &got); code != 200 {
 			t.Fatalf("src=%d depth=%d: status %d (%s)", tc.src, tc.maxDepth, code, got.Error)
 		}
-		wantReached, wantEcc := 0, int32(-1)
-		for _, d := range want.Dist {
-			if d >= 0 && (tc.maxDepth < 0 || d <= tc.maxDepth) {
-				wantReached++
-				if d > wantEcc {
-					wantEcc = d
-				}
-			}
-		}
-		if got.Reached != wantReached || got.Ecc != wantEcc {
-			t.Fatalf("src=%d depth=%d: reached/ecc = %d/%d, want %d/%d",
-				tc.src, tc.maxDepth, got.Reached, got.Ecc, wantReached, wantEcc)
-		}
-		for j, d := range got.Dst {
-			wd := want.Dist[d]
-			if tc.maxDepth >= 0 && wd > tc.maxDepth {
-				wd = -1
-			}
-			if int32(got.Dist[j]) != wd {
-				t.Fatalf("src=%d depth=%d: dist[%d] = %g, want %d", tc.src, tc.maxDepth, d, got.Dist[j], wd)
-			}
+		if want := wantBFS(g, tc.src, tc.maxDepth, []int32{0, 1, 9, 700}); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("src=%d depth=%d: got %+v, want %+v", tc.src, tc.maxDepth, got, want)
 		}
 	}
 }
@@ -143,40 +148,39 @@ func TestSSSPMatchesKernel(t *testing.T) {
 }
 
 // TestCoalescing pins the batching behavior: concurrent queries inside
-// one window — many of them for the same source — execute as a single
-// batch with deduplicated traversals, and every response is identical
-// to an uncoalesced server's.
+// one window — many of them for the same source, some depth-limited —
+// execute as a single batch with deduplicated traversals, and every
+// response equals bfs.Serial masked to its own depth bound.
 func TestCoalescing(t *testing.T) {
 	g := testGraph(t)
-	s, ts := newTestServer(t, Config{CoalesceWindow: 20 * time.Millisecond, CacheBytes: -1}, g)
-	_, direct := newTestServer(t, Config{CoalesceWindow: -1}, g)
+	s, ts := newTestServer(t, Config{CoalesceWindow: 20 * time.Millisecond}, g)
 
 	const clients = 16
-	urls := make([]string, clients)
-	for i := range urls {
-		// 4 distinct sources across 16 clients → 12 traversals saved.
-		urls[i] = fmt.Sprintf("/graphs/g/bfs?src=%d&dst=1,2,3", 50+i%4)
-	}
+	// 4 distinct sources across 16 clients → 12 traversals saved. Each
+	// source is asked unlimited and at depths 0..2, and distinct dst
+	// lists keep every request a cache miss.
+	src := func(i int) int32 { return int32(50 + i%4) }
+	depth := func(i int) int32 { return int32(i/4 - 1) }
+	dsts := func(i int) []int32 { return []int32{1, 2, int32(100 + i)} }
 	got := make([]distResp, clients)
 	var wg sync.WaitGroup
-	for i := range urls {
+	for i := 0; i < clients; i++ {
+		url := fmt.Sprintf("%s/graphs/g/bfs?src=%d&dst=1,2,%d", ts.URL, src(i), 100+i)
+		if depth(i) >= 0 {
+			url += fmt.Sprintf("&maxdepth=%d", depth(i))
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if code := getJSON(t, ts.URL+urls[i], &got[i]); code != 200 {
+			if code := getJSON(t, url, &got[i]); code != 200 {
 				t.Errorf("client %d: status %d", i, code)
 			}
 		}(i)
 	}
 	wg.Wait()
-	for i := range urls {
-		var want distResp
-		if code := getJSON(t, direct.URL+urls[i], &want); code != 200 {
-			t.Fatalf("direct %d: status %d", i, code)
-		}
-		want.Seq = got[i].Seq
-		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
-			t.Fatalf("client %d: coalesced %+v != direct %+v", i, got[i], want)
+	for i := range got {
+		if want := wantBFS(g, src(i), depth(i), dsts(i)); fmt.Sprint(got[i]) != fmt.Sprint(want) {
+			t.Fatalf("client %d: coalesced %+v, want %+v", i, got[i], want)
 		}
 	}
 	st := s.Snapshot()
@@ -195,7 +199,7 @@ func TestCoalescing(t *testing.T) {
 func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	base := generate.RMAT(256, 1024, generate.DefaultRMAT(), 5)
 	st := ingest.New(base, ingest.Options{})
-	s := New(Config{CoalesceWindow: -1})
+	s := New(Config{})
 	if err := s.RegisterStream("live", st); err != nil {
 		t.Fatal(err)
 	}
@@ -242,34 +246,53 @@ func TestCacheHitAndEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl pins the 429 fast-fail: with one execution slot
-// held, a direct heavy query is rejected rather than queued.
+// TestAdmissionControl pins the 429 fast-fail: with every execution
+// slot held, a direct heavy query is rejected rather than queued. The
+// blocking acquire a coalesced batch takes parks in a bounded waiting
+// room: one waiter fits, the next is rejected.
 func TestAdmissionControl(t *testing.T) {
-	g := testGraph(t)
-	s, ts := newTestServer(t, Config{CoalesceWindow: -1, MaxInFlight: 1, MaxWait: 1}, g)
+	s, ts := newTestServer(t, Config{MaxInFlight: 1}, testGraph(t))
 	if !s.lim.tryAcquire() {
 		t.Fatal("could not occupy the only slot")
 	}
 	defer s.lim.release()
-	var resp distResp
-	if code := getJSON(t, ts.URL+"/graphs/g/bfs?src=1", &resp); code != http.StatusTooManyRequests {
+	if code := getJSON(t, ts.URL+"/graphs/g/subgraph?v=0,1,2", nil); code != http.StatusTooManyRequests {
 		t.Fatalf("saturated server answered %d, want 429", code)
 	}
 	if st := s.Snapshot(); st.Rejected == 0 {
 		t.Fatalf("rejection not counted: %+v", st)
 	}
+
+	l := newLimiter(1, 1)
+	if !l.tryAcquire() {
+		t.Fatal("could not occupy the only slot")
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- l.acquire() }()
+	for l.waiting.Load() == 0 {
+		runtime.Gosched()
+	}
+	if err := l.acquire(); !errors.Is(err, errBusy) {
+		t.Fatalf("acquire past a full waiting room returned %v, want errBusy", err)
+	}
+	l.release()
+	if err := <-parked; err != nil {
+		t.Fatalf("parked waiter: %v", err)
+	}
+	l.release()
 }
 
-// TestQueryTimeout pins cancellation propagation: an already-expired
-// deadline reaches the kernel's poll hook and surfaces as 504, for
-// both the level-synchronous and the bucket loop.
+// TestQueryTimeout pins the query deadline: an already-expired one
+// surfaces as 504 on both distance lanes, through HTTP and through
+// Answer alike.
 func TestQueryTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{CoalesceWindow: -1, QueryTimeout: time.Nanosecond}, weightedGraph(t))
-	_ = s
+	s, ts := newTestServer(t, Config{QueryTimeout: time.Nanosecond}, weightedGraph(t))
 	for _, op := range []string{"bfs", "sssp"} {
-		var resp distResp
-		if code := getJSON(t, fmt.Sprintf("%s/graphs/g/%s?src=1", ts.URL, op), &resp); code != http.StatusGatewayTimeout {
+		if code := getJSON(t, fmt.Sprintf("%s/graphs/g/%s?src=1", ts.URL, op), nil); code != http.StatusGatewayTimeout {
 			t.Fatalf("%s with expired deadline answered %d, want 504", op, code)
+		}
+		if body, code := s.Answer(context.Background(), "g", op, "src=0&dst=1"); code != http.StatusGatewayTimeout {
+			t.Fatalf("Answer %s with expired deadline answered %d (%s), want 504", op, code, body)
 		}
 	}
 }
@@ -280,7 +303,7 @@ func TestQueryTimeout(t *testing.T) {
 func TestClosedGraph(t *testing.T) {
 	g := testGraph(t)
 	g.SetCloser(func() error { return nil }) // stand-in for an mmap release
-	_, ts := newTestServer(t, Config{CoalesceWindow: -1}, g)
+	_, ts := newTestServer(t, Config{}, g)
 	if code := getJSON(t, ts.URL+"/graphs/g/bfs?src=1", nil); code != 200 {
 		t.Fatalf("pre-close query: %d", code)
 	}
@@ -300,7 +323,11 @@ func TestClosedGraph(t *testing.T) {
 // subgraph endpoint through the HTTP surface.
 func TestAnalyticsOps(t *testing.T) {
 	g := testGraph(t)
-	s, ts := newTestServer(t, Config{CoalesceWindow: -1}, g)
+	s, ts := newTestServer(t, Config{}, g)
+	d := graph.MustBuild(g.NumVertices(), g.EdgeEndpoints(), graph.BuildOptions{Directed: true})
+	if err := s.RegisterStatic("d", d); err != nil {
+		t.Fatal(err)
+	}
 	for _, q := range []string{
 		"/graphs/g/centrality?kind=degree&k=5",
 		"/graphs/g/centrality?kind=pagerank&k=5",
@@ -333,10 +360,30 @@ func TestAnalyticsOps(t *testing.T) {
 		"/graphs/g/nosuchop?src=1":        http.StatusNotFound,
 		"/graphs/nosuchgraph/bfs?src=1":   http.StatusNotFound,
 		"/graphs/g/bfs?src=99999999":      http.StatusBadRequest,
+		"/graphs/d/estimate?src=1&dst=9":  http.StatusBadRequest, // the oracle needs an undirected graph
 	} {
 		if code := getJSON(t, ts.URL+q, nil); code != want {
 			t.Fatalf("GET %s: status %d, want %d", q, code, want)
 		}
+	}
+}
+
+// TestUnknownArtifactKind: a kind= or algo= the artifact table lacks is
+// a 400 before any pin or admission slot, so it is answered as such
+// while every slot is held, and builds nothing.
+func TestUnknownArtifactKind(t *testing.T) {
+	s, _ := newTestServer(t, Config{MaxInFlight: 1}, testGraph(t))
+	if !s.lim.tryAcquire() {
+		t.Fatal("could not occupy the only slot")
+	}
+	defer s.lim.release()
+	for op, q := range map[string]string{"centrality": "kind=bogus", "community": "algo=bogus"} {
+		if body, code := s.Answer(context.Background(), "g", op, q); code != http.StatusBadRequest {
+			t.Fatalf("%s?%s: status %d (%s), want 400", op, q, code, body)
+		}
+	}
+	if st := s.Snapshot(); st.ArtifactBuilds != 0 {
+		t.Fatalf("artifact_builds=%d, want 0", st.ArtifactBuilds)
 	}
 }
 
@@ -347,7 +394,7 @@ func TestStreamMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{CoalesceWindow: -1})
+	s := New(Config{})
 	if err := s.RegisterStream("live", st); err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +449,7 @@ func TestStreamEdgesRejectsBadRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(Config{CoalesceWindow: -1})
+	s := New(Config{})
 	if err := s.RegisterStream("live", st); err != nil {
 		t.Fatal(err)
 	}

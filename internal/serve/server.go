@@ -27,9 +27,10 @@
 // computed once per epoch and singleflighted (artifacts.go); on stream
 // handles each epoch's PageRank warm-starts from the last one built.
 // Admission control bounds in-flight heavy queries and fast-fails the
-// overflow with HTTP 429 (limit.go). Request contexts thread into the
-// kernels' level/bucket-loop cancellation hooks, so abandoned queries
-// stop burning cores at the next synchronization boundary.
+// overflow with HTTP 429 (limit.go). A query whose context ends (client
+// gone, QueryTimeout) is answered at once; its batch drops it before
+// the sweep, and an SSSP run whose waiters have all gone stops at its
+// next bucket boundary.
 package serve
 
 import (
@@ -58,53 +59,44 @@ import (
 const (
 	DefaultCoalesceWindow = 500 * time.Microsecond
 	DefaultCacheBytes     = 64 << 20
-	DefaultCacheEntries   = 8192
-	DefaultMaxWait        = 1024
 )
 
-// Config tunes a Server. The zero value serves with coalescing, a
-// 64 MiB result cache, and 2×GOMAXPROCS admission slots; negative
-// values disable the corresponding mechanism.
+// Fixed bounds: the result cache's entry count, and the admission
+// waiting room, which also caps each coalescing lane's pending queue
+// (overflow fast-fails with 429).
+const (
+	cacheEntries = 8192
+	maxWaiting   = 1024
+)
+
+// Config tunes a Server. For every field, a value <= 0 means the
+// default: coalescing, a 64 MiB result cache, 2×GOMAXPROCS admission
+// slots, kernels at par.Workers(), and no query deadline.
 type Config struct {
 	// CoalesceWindow is how long the first distance query of a batch
-	// waits for companions. 0 means DefaultCoalesceWindow; < 0
-	// disables coalescing (every query runs standalone).
+	// waits for companions.
 	CoalesceWindow time.Duration
-	// CacheBytes / CacheEntries bound the result cache. 0 means the
-	// defaults; either < 0 disables the cache.
-	CacheBytes   int64
-	CacheEntries int
+	// CacheBytes bounds the result cache.
+	CacheBytes int64
 	// MaxInFlight bounds concurrently executing heavy queries
-	// (traversals, artifact builds, subgraph extraction). 0 means
-	// 2×GOMAXPROCS; < 0 means unlimited.
+	// (traversal batches, artifact builds, subgraph extraction).
 	MaxInFlight int
-	// MaxWait bounds the admission waiting room and each coalescing
-	// lane's pending queue; overflow fast-fails with 429. 0 means
-	// DefaultMaxWait.
-	MaxWait int
-	// Workers caps the parallelism of each kernel invocation; <= 0
-	// lets the kernels use par.Workers().
+	// Workers caps the parallelism of each kernel invocation.
 	Workers int
-	// QueryTimeout, when > 0, bounds each query's execution; expiry
-	// cancels the running kernel at its next poll point.
+	// QueryTimeout bounds each query's execution; an expired query is
+	// answered 504.
 	QueryTimeout time.Duration
 }
 
 func (c *Config) fill() {
-	if c.CoalesceWindow == 0 {
+	if c.CoalesceWindow <= 0 {
 		c.CoalesceWindow = DefaultCoalesceWindow
 	}
-	if c.CacheBytes == 0 {
+	if c.CacheBytes <= 0 {
 		c.CacheBytes = DefaultCacheBytes
 	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = DefaultCacheEntries
-	}
-	if c.MaxInFlight == 0 {
+	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = DefaultMaxWait
 	}
 }
 
@@ -169,8 +161,8 @@ func New(cfg Config) *Server {
 	cfg.fill()
 	s := &Server{
 		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheBytes, cfg.CacheEntries),
-		lim:     newLimiter(cfg.MaxInFlight, cfg.MaxWait),
+		cache:   newResultCache(cfg.CacheBytes, cacheEntries),
+		lim:     newLimiter(cfg.MaxInFlight, maxWaiting),
 		handles: make(map[string]*handle),
 	}
 	mux := http.NewServeMux()
@@ -190,8 +182,7 @@ func New(cfg Config) *Server {
 // Handler returns the HTTP handler tree.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func (s *Server) workers() int  { return s.cfg.Workers }
-func (s *Server) waitRoom() int { return s.cfg.MaxWait }
+func (s *Server) workers() int { return s.cfg.Workers }
 
 // RegisterStatic serves g under name. The server does not take
 // ownership: closing an mmap'd g while registered is safe (queries
@@ -210,7 +201,7 @@ func (s *Server) register(h *handle) error {
 	if !validName(h.name) {
 		return fmt.Errorf("serve: invalid graph name %q (want [A-Za-z0-9._-]+)", h.name)
 	}
-	h.coal = newCoalescer(s, h)
+	h.coal = &coalescer{s: s, h: h}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.handles[h.name]; ok {
@@ -290,26 +281,22 @@ func errJSON(err error) []byte {
 }
 
 // Answer runs one analytics query against a registered graph and
-// returns the JSON body and HTTP status, bypassing the HTTP plumbing.
-// This is the embeddable entry point — the load harness drives it to
-// measure the serving core without socket noise, and in-process
-// consumers get the same coalescing/caching/admission behavior as
-// remote clients. A result-cache hit allocates nothing.
+// returns the JSON body and HTTP status. It is the one query path:
+// GET /graphs/{name}/{op} is a thin wrapper over it, and in-process
+// consumers (the load harness measures the serving core through it)
+// get the same coalescing/caching/admission behavior as remote clients.
+//
+// Answer parses the raw query into pooled scratch, keys the result
+// cache under the handle's CURRENT epoch seq, and on a hit returns the
+// cached body — allocating nothing. On a miss it computes under the
+// query deadline (compute pins an epoch; the pinned seq may be newer
+// than the keyed one if a commit raced) and inserts under the seq the
+// computation actually observed.
 func (s *Server) Answer(ctx context.Context, graphName, op, rawQuery string) ([]byte, int) {
 	h := s.lookup(graphName)
 	if h == nil {
 		return []byte(`{"error":"unknown graph"}`), http.StatusNotFound
 	}
-	return s.answer(ctx, h, op, rawQuery)
-}
-
-// answer is the core query path, HTTP machinery excluded: parse the
-// raw query into pooled scratch, key the result cache under the
-// handle's CURRENT epoch seq, and on a hit return the cached body —
-// allocating nothing. On a miss, compute (which pins an epoch; the
-// pinned seq may be newer than the keyed one if a commit raced) and
-// insert under the seq the computation actually observed.
-func (s *Server) answer(ctx context.Context, h *handle, op, rawQuery string) ([]byte, int) {
 	sc := getScratch()
 	defer putScratch(sc)
 	if err := parseParams(rawQuery, sc); err != nil {
@@ -319,6 +306,11 @@ func (s *Server) answer(ctx context.Context, h *handle, op, rawQuery string) ([]
 	sc.key = appendKey(sc.key[:0], h.name, seq, op, &sc.p)
 	if body := s.cache.get(sc.key); body != nil {
 		return body, http.StatusOK
+	}
+	if s.cfg.QueryTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
+		defer cancel()
 	}
 	body, ranSeq, err := s.compute(ctx, h, op, sc)
 	if err != nil {
@@ -373,16 +365,14 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		if p.src < 0 || len(p.dst) != 1 {
 			return nil, 0, badRequest("estimate: src and exactly one dst required")
 		}
-		g, seq, release, err := h.pin()
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		if int(p.src) >= g.NumVertices() || int(p.dst[0]) >= g.NumVertices() {
-			return nil, seq, errBadVertex
-		}
-		val, err := s.artifact(h, seq, "oracle", func() (any, error) {
-			return sketch.BuildOracle(g, sketch.OracleOptions{Workers: s.workers()})
+		val, seq, err := s.pinArtifact(h, "oracle", func(g *graph.Graph) error {
+			if int(p.src) >= g.NumVertices() || int(p.dst[0]) >= g.NumVertices() {
+				return errBadVertex
+			}
+			if g.Directed() {
+				return badRequest("estimate: the landmark oracle needs an undirected graph")
+			}
+			return nil
 		})
 		if err != nil {
 			return nil, seq, err
@@ -408,15 +398,11 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		if k > maxListIDs {
 			return nil, 0, badRequest("centrality: k > %d", maxListIDs)
 		}
-		g, seq, release, err := h.pin()
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		scores, err := s.centralityScores(h, g, seq, kind)
+		val, seq, err := s.pinArtifact(h, "centrality/"+kind, nil)
 		if err != nil {
 			return nil, seq, err
 		}
+		scores := val.([]float64)
 		top := centrality.TopKVertices(scores, int(k))
 		b := appendJSONHead(sc.body[:0], h.name, seq, op)
 		b = append(b, `,"kind":"`...)
@@ -440,17 +426,7 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		if algo == "" {
 			algo = "louvain"
 		}
-		if algo != "louvain" {
-			return nil, 0, badRequest("community: unknown algo %q", algo)
-		}
-		g, seq, release, err := h.pin()
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		val, err := s.artifact(h, seq, "community/louvain", func() (any, error) {
-			return community.Louvain(g, community.LouvainOptions{Workers: s.workers()}), nil
-		})
+		val, seq, err := s.pinArtifact(h, "community/"+algo, nil)
 		if err != nil {
 			return nil, seq, err
 		}
@@ -470,14 +446,7 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		return sc.body, seq, nil
 
 	case "components":
-		g, seq, release, err := h.pin()
-		if err != nil {
-			return nil, 0, err
-		}
-		defer release()
-		val, err := s.artifact(h, seq, "components", func() (any, error) {
-			return components.ConnectedParallel(g, nil, s.workers()), nil
-		})
+		val, seq, err := s.pinArtifact(h, "components", nil)
 		if err != nil {
 			return nil, seq, err
 		}
@@ -537,55 +506,6 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 	return nil, 0, errUnknownOp
 }
 
-// artifact returns h's artifact of one kind for the pinned epoch seq,
-// running build under an admission slot at most once per epoch
-// (artifactCache.get singleflights it).
-func (s *Server) artifact(h *handle, seq uint64, kind string, build func() (any, error)) (any, error) {
-	return h.art.get(seq, kind, func() (any, error) {
-		if !s.lim.tryAcquire() {
-			return nil, errBusy
-		}
-		defer s.lim.release()
-		s.artifactBuilds.Add(1)
-		return build()
-	})
-}
-
-// centralityScores returns the per-vertex score artifact of one
-// centrality kind on the pinned (g, seq). PageRank is epoch-chained:
-// the build starts from the newest vector an earlier epoch finished
-// (h.art.warmStart) and polishes it on g to the cold build's L1
-// tolerance, so an answer equals cold PageRank on its own epoch to
-// within that tolerance whatever was queried before. Directed graphs
-// have no warm kernel and rebuild cold.
-func (s *Server) centralityScores(h *handle, g *graph.Graph, seq uint64, kind string) ([]float64, error) {
-	val, err := s.artifact(h, seq, "centrality/"+kind, func() (any, error) {
-		switch kind {
-		case "degree":
-			return centrality.DegreeCentrality(g), nil
-		case "pagerank":
-			warm := h.art.warmStart()
-			if g.Directed() || len(warm) != g.NumVertices() {
-				warm = nil
-			}
-			if warm != nil {
-				s.artifactWarmBuilds.Add(1)
-			}
-			return centrality.PageRankFrom(g, warm, centrality.PageRankOptions{Workers: s.workers()}), nil
-		case "closeness":
-			// Sampled (Eppstein–Wang) closeness: the serving-grade
-			// estimator; exact closeness is O(n·m) per epoch.
-			return sketch.Closeness(g, sketch.ClosenessOptions{Workers: s.workers()}).Scores, nil
-		default:
-			return nil, badRequest("centrality: unknown kind %q", kind)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return val.([]float64), nil
-}
-
 // gatherInt32 indexes vals at each requested vertex, reusing scratch
 // id capacity for the gathered run.
 func gatherInt32(vals []int32, vs []int32, sc *scratch) ([]int32, error) {
@@ -608,18 +528,7 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	h := s.lookup(r.PathValue("name"))
-	if h == nil {
-		writeBody(w, http.StatusNotFound, []byte(`{"error":"unknown graph"}`))
-		return
-	}
-	ctx := r.Context()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	body, status := s.answer(ctx, h, r.PathValue("op"), r.URL.RawQuery)
+	body, status := s.Answer(r.Context(), r.PathValue("name"), r.PathValue("op"), r.URL.RawQuery)
 	writeBody(w, status, body)
 }
 
@@ -695,7 +604,7 @@ func (s *Server) Snapshot() Stats {
 		Batches:      s.batches.Load(),
 		BatchedReqs:  s.batchedReqs.Load(),
 		DedupSaved:   s.dedupSaved.Load(),
-		Rejected:     s.lim.rejectedCount(),
+		Rejected:     s.lim.rejected.Load(),
 		Graphs:       n,
 
 		ArtifactBuilds:     s.artifactBuilds.Load(),

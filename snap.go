@@ -216,7 +216,7 @@ func BFSMultiSource(g *Graph, sources []int32, maxDepth int32, visit func(worker
 type Components = components.Labeling
 
 // ConnectedComponents computes connected components (parallel label
-// propagation).
+// propagation; on a directed graph, weak components by union-find).
 func ConnectedComponents(g *Graph) Components {
 	return components.ConnectedParallel(g, nil, 0)
 }

@@ -330,6 +330,47 @@ func BenchmarkFrontierDirOpt_RoadMesh(b *testing.B) {
 	benchFrontier(b, frontierRoadMesh(), frontier.DefaultAlpha)
 }
 
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// benchmarkGraphs returns the repo benchmark's two graphs at seed 1,
+// rmat 2^17 and road 362²; -short shrinks them to 2^14 / 128².
+func benchmarkGraphs() []namedGraph {
+	scale, side := 17, 362
+	if testing.Short() {
+		scale, side = 14, 128
+	}
+	return []namedGraph{
+		{"rmat", generate.RMAT(1<<scale, 8<<scale, generate.DefaultRMAT(), 1)},
+		{"road", generate.RoadMesh(side, side, 0.05, 1)},
+	}
+}
+
+// BenchmarkFacadeTraversal times the facade's distance-only and
+// membership-only traversals as the repo benchmark's analyze workloads
+// call them: BFS from the max-degree vertex, and ConnectedComponents.
+//
+//	go test -run '^$' -bench BenchmarkFacadeTraversal -benchmem -cpu 1,2 .
+func BenchmarkFacadeTraversal(b *testing.B) {
+	for _, tc := range benchmarkGraphs() {
+		src := frontierSource(tc.g)
+		b.Run(tc.name+"/bfs", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				BFS(tc.g, src)
+			}
+		})
+		b.Run(tc.name+"/components", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ConnectedComponents(tc.g)
+			}
+		})
+	}
+}
+
 // BenchmarkBlockedLayout measures the partition-blocked layout as a
 // pure relabel: the same kernels on the original vertex order
 // (identity) and on the order MultilevelKWay{K:32} → BlockedPerm →
@@ -339,19 +380,8 @@ func BenchmarkFrontierDirOpt_RoadMesh(b *testing.B) {
 //
 //	go test -run '^$' -bench BenchmarkBlockedLayout -benchmem -cpu 1 .
 func BenchmarkBlockedLayout(b *testing.B) {
-	scale, side := 17, 362
-	if testing.Short() {
-		scale, side = 14, 128
-	}
-	graphs := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"rmat", generate.RMAT(1<<scale, 8<<scale, generate.DefaultRMAT(), 1)},
-		{"road", generate.RoadMesh(side, side, 0.05, 1)},
-	}
 	prOpt := PageRankOptions{MaxIterations: 30, Tolerance: 1e-15}
-	for _, tc := range graphs {
+	for _, tc := range benchmarkGraphs() {
 		res, err := Partition(tc.g, PartitionOptions{K: 32})
 		if err != nil {
 			b.Fatal(err)

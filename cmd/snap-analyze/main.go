@@ -78,7 +78,7 @@ func main() {
 
 	if *doComp {
 		start := time.Now()
-		lab := components.ConnectedParallel(g, nil, 0)
+		lab := components.Connected(g, nil)
 		bc := components.Biconnected(g)
 		_, largest := lab.Largest()
 		fmt.Printf("\n-- connectivity (%.2fs) --\n", time.Since(start).Seconds())

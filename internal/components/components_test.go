@@ -1,10 +1,13 @@
 package components
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"snap/internal/frontier"
 	"snap/internal/generate"
 	"snap/internal/graph"
 )
@@ -74,6 +77,76 @@ func sameLabeling(a, b Labeling) bool {
 	return true
 }
 
+// unionFindLabels is the components oracle: one union per alive arc,
+// then UnionFind.Labeling's dense numbering.
+func unionFindLabels(g *graph.Graph, alive []bool) Labeling {
+	uf := NewUnionFind(g.NumVertices())
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		for a := g.Offsets[v]; a < g.Offsets[v+1]; a++ {
+			if alive == nil || alive[g.EID[a]] {
+				uf.Union(v, g.Adj[a])
+			}
+		}
+	}
+	return uf.Labeling()
+}
+
+// halfAlive kills each edge of g with probability 1/2.
+func halfAlive(g *graph.Graph, seed int64) []bool {
+	rng := rand.New(rand.NewSource(seed))
+	alive := make([]bool, g.NumEdges())
+	for i := range alive {
+		alive[i] = rng.Float64() < 0.5
+	}
+	return alive
+}
+
+// frontierSweep is Connected's BFS sweep with the given worker count
+// per traversal, for undirected graphs.
+func frontierSweep(g *graph.Graph, alive []bool, workers int) Labeling {
+	comp := make([]int32, g.NumVertices())
+	for i := range comp {
+		comp[i] = -1
+	}
+	e := frontier.NewEngine(g.NumVertices())
+	opt := frontier.Options{Workers: workers, Alive: alive, MaxDepth: -1, Alpha: frontier.DefaultAlpha}
+	var count int32
+	for v := int32(0); int(v) < g.NumVertices(); v++ {
+		if comp[v] >= 0 {
+			continue
+		}
+		e.RunOptions(g, v, opt)
+		for _, u := range e.Order() {
+			comp[u] = count
+		}
+		count++
+	}
+	return Labeling{Comp: comp, Count: int(count)}
+}
+
+// checkComponents asks Connected for the union-find oracle's labeling
+// exactly — the same dense ids, not just the same partition — since
+// both number components in smallest-member order. On undirected
+// inputs the sweep must also give that labeling with 2 and 4 workers
+// per traversal.
+func checkComponents(t *testing.T, name string, g *graph.Graph, alive []bool) {
+	t.Helper()
+	want, got := unionFindLabels(g, alive), Connected(g, alive)
+	if got.Count != want.Count || !slices.Equal(got.Comp, want.Comp) {
+		t.Fatalf("%s: labeling differs from union-find (%d vs %d comps)", name, got.Count, want.Count)
+	}
+	if g.Directed() {
+		return
+	}
+	for _, workers := range []int{2, 4} {
+		par := frontierSweep(g, alive, workers)
+		if par.Count != want.Count || !slices.Equal(par.Comp, want.Comp) {
+			t.Fatalf("%s workers %d: labeling differs from union-find (%d vs %d comps)",
+				name, workers, par.Count, want.Count)
+		}
+	}
+}
+
 func TestConnectedParallelMatchesSerial(t *testing.T) {
 	var inputs []*graph.Graph
 	for trial := 0; trial < 8; trial++ {
@@ -83,28 +156,30 @@ func TestConnectedParallelMatchesSerial(t *testing.T) {
 	und := inputs[0]
 	inputs = append(inputs, graph.MustBuild(und.NumVertices(), und.EdgeEndpoints(), graph.BuildOptions{Directed: true}))
 	for trial, g := range inputs {
-		want := Connected(g, nil)
-		for _, workers := range []int{1, 2, 4} {
-			got := ConnectedParallel(g, nil, workers)
-			if !sameLabeling(want, got) {
-				t.Fatalf("trial %d workers %d: partitions differ (%d vs %d comps)",
-					trial, workers, want.Count, got.Count)
-			}
-		}
+		checkComponents(t, fmt.Sprintf("trial %d", trial), g, nil)
 	}
 }
 
 func TestConnectedParallelWithMask(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	g := generate.ErdosRenyi(300, 600, 12)
-	alive := make([]bool, g.NumEdges())
-	for i := range alive {
-		alive[i] = rng.Float64() < 0.5
-	}
-	want := Connected(g, alive)
-	got := ConnectedParallel(g, alive, 4)
-	if !sameLabeling(want, got) {
-		t.Fatalf("masked partitions differ: %d vs %d comps", want.Count, got.Count)
+	er := generate.ErdosRenyi(300, 600, 12)
+	checkComponents(t, "masked Erdos-Renyi", er, halfAlive(er, 12))
+	// Masked, yet its giant component still takes a bottom-up level
+	// (checked below), so the sweep's pull arm filters dead arcs.
+	big := generate.RMAT(1<<12, 8<<12, generate.DefaultRMAT(), 3)
+	bigAlive := halfAlive(big, 3)
+	checkComponents(t, "masked RMAT", big, bigAlive)
+
+	// A bottom-up level discovers its vertices in ascending id order,
+	// so the visit order differs from the top-down queue loop's.
+	lab := Connected(big, bigAlive)
+	giant, _ := lab.Largest()
+	seed := int32(slices.Index(lab.Comp, giant))
+	e := frontier.NewEngine(big.NumVertices())
+	e.Run(big, seed, bigAlive, -1)
+	topDown := slices.Clone(e.Order())
+	e.RunOptions(big, seed, frontier.Options{Workers: 1, Alive: bigAlive, MaxDepth: -1, Alpha: frontier.DefaultAlpha})
+	if slices.Equal(topDown, e.Order()) {
+		t.Fatal("the masked RMAT input no longer takes a bottom-up level")
 	}
 }
 
@@ -291,14 +366,6 @@ func TestSpanningForest(t *testing.T) {
 	}
 	if roots != 2 || treeEdges != 3 {
 		t.Fatalf("roots=%d treeEdges=%d", roots, treeEdges)
-	}
-}
-
-func BenchmarkConnectedParallel(b *testing.B) {
-	g := generate.RMAT(1<<15, 1<<17, generate.DefaultRMAT(), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ConnectedParallel(g, nil, 0)
 	}
 }
 

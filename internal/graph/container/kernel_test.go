@@ -15,8 +15,8 @@ import (
 // TestKernelEquivalenceMapped pins the acceptance criterion that every
 // kernel class runs bit-identically on a mapped graph: the
 // level-synchronous frontier engine (BFS), the weighted CAS-relaxation
-// engine (delta-stepping SSSP), label propagation (connected
-// components), and the community move engine (Louvain), each compared
+// engine (delta-stepping SSSP), the direction-optimizing components
+// sweep, and the community move engine (Louvain), each compared
 // against the same kernel on the heap-built original — for the plain
 // mapped container and the varint decoded view.
 func TestKernelEquivalenceMapped(t *testing.T) {
@@ -65,8 +65,8 @@ func TestKernelEquivalenceMapped(t *testing.T) {
 					}
 				}
 			}
-			hc := components.ConnectedParallel(heap, nil, 0)
-			mc := components.ConnectedParallel(mapped, nil, 0)
+			hc := components.Connected(heap, nil)
+			mc := components.Connected(mapped, nil)
 			for v := range hc.Comp {
 				if hc.Comp[v] != mc.Comp[v] {
 					t.Fatalf("components differ at %d: %d vs %d", v, mc.Comp[v], hc.Comp[v])

@@ -49,8 +49,8 @@ var artifactBuilders = map[string]artifactBuilder{
 	"community/louvain": func(s *Server, _ *handle, g *graph.Graph) (any, error) {
 		return community.Louvain(g, community.LouvainOptions{Workers: s.workers()}), nil
 	},
-	"components": func(s *Server, _ *handle, g *graph.Graph) (any, error) {
-		return components.ConnectedParallel(g, nil, s.workers()), nil
+	"components": func(_ *Server, _ *handle, g *graph.Graph) (any, error) {
+		return components.Connected(g, nil), nil
 	},
 }
 

@@ -180,9 +180,14 @@ func PreferentialAttachment(n, k int, seed int64) *Graph {
 // BFSResult is a breadth-first tree (hop distances and parents).
 type BFSResult = bfs.Result
 
-// BFS runs the lock-free level-synchronous parallel BFS from src.
+// BFS runs the direction-optimizing level-synchronous BFS from src
+// with degree-aware frontier partitioning. Distances equal the
+// textbook queue loop's. Parents depend on each level's direction but
+// never on the worker count: a top-down level keeps the queue loop's
+// parent, and a bottom-up level gives each vertex its first frontier
+// neighbor in adjacency order.
 func BFS(g *Graph, src int32) BFSResult {
-	return bfs.Parallel(g, src, bfs.Options{DegreeAware: true})
+	return bfs.DirectionOptimizing(g, src, bfs.Options{DegreeAware: true})
 }
 
 // BFSOptions tunes the shared frontier engine behind BFSWithOptions:
@@ -215,10 +220,13 @@ func BFSMultiSource(g *Graph, sources []int32, maxDepth int32, visit func(worker
 // Components is a partition of the vertices into connected components.
 type Components = components.Labeling
 
-// ConnectedComponents computes connected components (parallel label
-// propagation; on a directed graph, weak components by union-find).
+// ConnectedComponents computes connected components, numbered in
+// smallest-member order: a direction-optimizing BFS sweep from each
+// unlabeled vertex in ascending order (on a directed graph, weak
+// components by union-find). No parent is kept, so the sweep's
+// direction choices never show in the answer.
 func ConnectedComponents(g *Graph) Components {
-	return components.ConnectedParallel(g, nil, 0)
+	return components.Connected(g, nil)
 }
 
 // BiconnectedResult holds articulation points, bridges, and the

@@ -448,15 +448,33 @@ func TestFacadeStream(t *testing.T) {
 
 // BFS's parallel top-down arm reproduces the serial reference's
 // distances and parents bit for bit, at any GOMAXPROCS.
+// snap.BFS runs direction-optimizing: distances are the queue loop's,
+// parents the single-worker direction-optimizing run's (rmat10 takes a
+// bottom-up level, where they differ from the queue loop's), and they
+// always form a BFS tree.
 func TestFacadeBFSMatchesSerial(t *testing.T) {
 	for name, g := range map[string]*Graph{
 		"rmat10": RMAT(1<<10, 8<<10, DefaultRMAT(), 1),
 		"road32": RoadMesh(32, 32, 0.1, 1),
 	} {
 		for _, src := range []int32{0, 17, 511} {
-			got, want := BFS(g, src), bfs.Serial(g, src, nil)
-			if !slices.Equal(got.Dist, want.Dist) || !slices.Equal(got.Parent, want.Parent) {
-				t.Fatalf("%s src %d: BFS differs from the serial reference", name, src)
+			got := BFS(g, src)
+			if !slices.Equal(got.Dist, bfs.Serial(g, src, nil).Dist) {
+				t.Fatalf("%s src %d: BFS distances differ from the serial reference", name, src)
+			}
+			if !slices.Equal(got.Parent, bfs.DirectionOptimizing(g, src, bfs.Options{Workers: 1}).Parent) {
+				t.Fatalf("%s src %d: BFS parents differ from the single-worker run", name, src)
+			}
+			if got.Parent[src] != src {
+				t.Fatalf("%s src %d: source parent %d", name, src, got.Parent[src])
+			}
+			for v, p := range got.Parent {
+				if v == int(src) || got.Dist[v] < 0 {
+					continue
+				}
+				if got.Dist[p] != got.Dist[v]-1 || !g.HasEdge(p, int32(v)) {
+					t.Fatalf("%s src %d: parent %d of %d is not a BFS-tree parent", name, src, p, v)
+				}
 			}
 		}
 	}

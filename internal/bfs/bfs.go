@@ -87,7 +87,7 @@ func DirectionOptimizing(g *graph.Graph, src int32, opt Options) Result {
 	e := frontier.AcquireEngine(g.NumVertices())
 	defer frontier.ReleaseEngine(e)
 	alpha := opt.Alpha
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		alpha = frontier.DefaultAlpha
 	}
 	e.RunOptions(g, src, frontier.Options{

@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"snap/internal/generate"
@@ -18,6 +20,21 @@ func TestDirectionOptimizingMatchesSerial(t *testing.T) {
 						trial, workers, v, got.Dist[v], want.Dist[v])
 				}
 			}
+		}
+	}
+}
+
+// NaN switch thresholds mean the defaults, as 0 does: the same levels
+// run bottom-up, so the parents are the same.
+func TestDirectionOptimizingNaNThresholdsAreDefaults(t *testing.T) {
+	g := generate.RMAT(3000, 24000, generate.DefaultRMAT(), 3)
+	want := DirectionOptimizing(g, 0, Options{Workers: 1})
+	for _, opt := range []Options{
+		{Workers: 1, Alpha: math.NaN()},
+		{Workers: 1, Beta: math.NaN()},
+	} {
+		if got := DirectionOptimizing(g, 0, opt); !slices.Equal(got.Parent, want.Parent) {
+			t.Fatalf("%+v: parents differ from the defaults'", opt)
 		}
 	}
 }

@@ -38,13 +38,13 @@ type ApproxOptions struct {
 }
 
 func (o *ApproxOptions) fill(n int) {
-	if o.SampleFraction <= 0 {
+	if !(o.SampleFraction > 0) {
 		o.SampleFraction = 0.05
 	}
 	if o.MinSamples <= 0 {
 		o.MinSamples = 8
 	}
-	if o.Alpha <= 0 {
+	if !(o.Alpha > 0) {
 		o.Alpha = 5
 	}
 	if o.BatchSize <= 0 {

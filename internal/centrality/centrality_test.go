@@ -3,6 +3,7 @@ package centrality
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snap/internal/generate"
@@ -166,6 +167,23 @@ func TestApproxBetweennessExactWhenBudgetExceedsN(t *testing.T) {
 	for v := range exact.Vertex {
 		if math.Abs(exact.Vertex[v]-appr.Vertex[v]) > 1e-6 {
 			t.Fatal("approx with full budget should be exact")
+		}
+	}
+}
+
+// NaN in a float option means the default, as 0 does. The ring is a
+// graph where the adaptive stop (Alpha) ends sampling before the
+// budget does.
+func TestApproxBetweennessNaNOptionsAreDefaults(t *testing.T) {
+	for _, g := range []*graph.Graph{generate.Ring(1000), generate.RMAT(1000, 4000, generate.DefaultRMAT(), 7)} {
+		want := ApproxBetweenness(g, ApproxOptions{Seed: 1, Workers: 1})
+		for _, opt := range []ApproxOptions{
+			{Seed: 1, Workers: 1, SampleFraction: math.NaN()},
+			{Seed: 1, Workers: 1, Alpha: math.NaN()},
+		} {
+			if got := ApproxBetweenness(g, opt); !slices.Equal(got.Vertex, want.Vertex) {
+				t.Fatalf("n=%d %+v: scores differ from the defaults'", g.NumVertices(), opt)
+			}
 		}
 	}
 }

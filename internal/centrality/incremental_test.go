@@ -205,8 +205,15 @@ func TestPageRankColdGolden(t *testing.T) {
 		{"cycle-with-tail", cycleWithTail(), 0x4e30d7ba7ae72d5e},
 	} {
 		for _, w := range []int{1, 3} {
-			if got := hash(PageRank(tc.g, PageRankOptions{Workers: w})); got != tc.want {
-				t.Errorf("%s workers=%d: hash %#x, want %#x", tc.name, w, got, tc.want)
+			// NaN in a float option means "unset", as 0 does.
+			for _, opt := range []PageRankOptions{
+				{Workers: w},
+				{Workers: w, Damping: math.NaN()},
+				{Workers: w, Tolerance: math.NaN()},
+			} {
+				if got := hash(PageRank(tc.g, opt)); got != tc.want {
+					t.Errorf("%s %+v: hash %#x, want %#x", tc.name, opt, got, tc.want)
+				}
 			}
 		}
 	}

@@ -21,10 +21,10 @@ type PageRankOptions struct {
 }
 
 func (o *PageRankOptions) fill() {
-	if o.Damping <= 0 || o.Damping >= 1 {
+	if !(o.Damping > 0 && o.Damping < 1) {
 		o.Damping = 0.85
 	}
-	if o.Tolerance <= 0 {
+	if !(o.Tolerance > 0) {
 		o.Tolerance = 1e-8
 	}
 	if o.MaxIterations <= 0 {
@@ -108,7 +108,7 @@ func EigenvectorCentrality(g *graph.Graph, maxIter int, tol float64) []float64 {
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	if tol <= 0 {
+	if !(tol > 0) {
 		tol = 1e-9
 	}
 	x := make([]float64, n)

@@ -2,6 +2,7 @@ package centrality
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"snap/internal/generate"
@@ -106,6 +107,10 @@ func TestEigenvectorCentrality(t *testing.T) {
 	edges = append(edges, graph.Edge{U: 4, V: 5}, graph.Edge{U: 5, V: 6})
 	g, _ := graph.Build(7, edges, graph.BuildOptions{})
 	ec := EigenvectorCentrality(g, 0, 0)
+	// A NaN tolerance means the default, as 0 does.
+	if nan := EigenvectorCentrality(g, 0, math.NaN()); !slices.Equal(nan, ec) {
+		t.Fatalf("tol NaN: %v, want %v", nan, ec)
+	}
 	if ec[6] >= ec[0] {
 		t.Fatalf("pendant outranks clique: %v", ec)
 	}

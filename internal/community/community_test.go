@@ -2,6 +2,7 @@ package community
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -425,6 +426,19 @@ func TestPBDDeterministicForFixedSeed(t *testing.T) {
 		if a.Assign[i] != b.Assign[i] {
 			t.Fatal("assignments differ")
 		}
+	}
+}
+
+// A NaN SampleFraction means the default, as 0 does. The component is
+// above SwitchThreshold, so the refresh samples sources.
+func TestPBDNaNSampleFractionIsDefault(t *testing.T) {
+	g := generate.RMAT(300, 1200, generate.DefaultRMAT(), 6)
+	opt := PBDOptions{Seed: 11, SwitchThreshold: 64, MinSamples: 4, Patience: 20}
+	a, _ := PBD(g, opt)
+	opt.SampleFraction = math.NaN()
+	b, _ := PBD(g, opt)
+	if !slices.Equal(a.Assign, b.Assign) {
+		t.Fatal("SampleFraction NaN: clustering differs from the default's")
 	}
 }
 

@@ -38,8 +38,7 @@ func clusteringHash(c Clustering) uint64 {
 // the test also proves that nothing a run leaves behind reaches the
 // next one.
 func TestMoveGoldenClusterings(t *testing.T) {
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	for name, g := range moveTestGraphs(t) {
 		want := moveGoldens[name]
 		start, _ := PMA(g, PMAOptions{StopWhenNegative: true})

@@ -11,7 +11,7 @@ import (
 // edge weights per visited vertex; on power-law graphs that map is the
 // entire inner loop — every probe hashes, every pass re-allocates
 // buckets, and the GC churns on millions of tiny maps. The engine
-// replaces all of them with one pooled, epoch-stamped dense scatter:
+// replaces all of them with one reusable, epoch-stamped dense scatter:
 //
 //   - moveScatter accumulates "weight from v into community c" in a
 //     dense float64 array guarded by a stamp array. A gather costs
@@ -171,12 +171,14 @@ func (vw moveView) strength(v int32) float64 {
 	return float64(vw.off[v+1] - vw.off[v])
 }
 
-// MoveWorkspace is the reusable state of the local-moving engine.
-// Acquire one with AcquireMoveWorkspace, call Louvain/Refine, and
-// release it; after a warm-up run on a given graph size, repeated runs
-// allocate nothing. Clusterings returned by the workspace methods
-// alias workspace memory and are valid until the next call on the same
-// workspace — the package-level Louvain and Refine wrappers copy.
+// MoveWorkspace is the reusable state of the local-moving engine. The
+// zero value is ready to use. A caller that clusters repeatedly holds
+// one and calls its Louvain/Refine methods; after a warm-up run on a
+// given graph size, repeated runs allocate nothing. There is no
+// package pool: the package-level Louvain and Refine build a
+// workspace per call and drop it on return. Clusterings returned by
+// the workspace methods alias workspace memory and are valid until the
+// next call on the same workspace.
 // A workspace is not safe for concurrent use, but its methods
 // parallelize internally across the requested workers.
 type MoveWorkspace struct {
@@ -215,16 +217,6 @@ type MoveWorkspace struct {
 	qIntra []int64
 	qDeg   []int64
 }
-
-var movePool = par.NewPool(func() *MoveWorkspace { return &MoveWorkspace{} })
-
-// AcquireMoveWorkspace returns a pooled workspace for the local-moving
-// engine.
-func AcquireMoveWorkspace() *MoveWorkspace { return movePool.Get() }
-
-// ReleaseMoveWorkspace returns a workspace to the pool. Clusterings
-// returned by the workspace alias its memory and must be copied first.
-func ReleaseMoveWorkspace(ws *MoveWorkspace) { movePool.Put(ws) }
 
 // ensureMove sizes the engine state for n vertices, community ids in
 // [0, k), and the given worker count.
@@ -602,7 +594,7 @@ func (ws *MoveWorkspace) modularityScan(g *graph.Graph, assign []int32, count in
 
 // Louvain runs the multilevel heuristic inside the workspace. The
 // returned Assign aliases workspace memory (valid until the next call
-// on ws); the package-level Louvain wrapper copies it out.
+// on ws).
 func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -663,8 +655,9 @@ func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering 
 
 // Refine improves a clustering by batch-synchronous greedy vertex
 // moves, including detaching into a fresh singleton community; it
-// never decreases Q. The returned Assign aliases workspace memory; the
-// package-level Refine wrapper copies it out.
+// never decreases Q. The returned Assign aliases workspace memory
+// (valid until the next call on ws), or is c.Assign itself when g has
+// no edges.
 func (ws *MoveWorkspace) Refine(g *graph.Graph, c Clustering, maxPasses int, seed int64, workers int) Clustering {
 	if workers <= 0 {
 		workers = par.Workers()

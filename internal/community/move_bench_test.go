@@ -84,8 +84,7 @@ func BenchmarkRefineKarate(b *testing.B) {
 // acceptance criterion.
 func BenchmarkLouvainWorkspaceKarate(b *testing.B) {
 	g := datasets.Karate()
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	opt := LouvainOptions{Workers: 1, Seed: 1}
 	ws.Louvain(g, opt)
 	b.ReportAllocs()
@@ -98,8 +97,7 @@ func BenchmarkLouvainWorkspaceKarate(b *testing.B) {
 func BenchmarkRefineWorkspaceKarate(b *testing.B) {
 	g := datasets.Karate()
 	start := Singletons(g)
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	ws.Refine(g, start, 16, 1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -110,8 +108,7 @@ func BenchmarkRefineWorkspaceKarate(b *testing.B) {
 
 func BenchmarkLouvainWorkspaceRMAT(b *testing.B) {
 	g := communityRMAT(moveBenchScale(b))
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	opt := LouvainOptions{Workers: 1, Seed: 1}
 	ws.Louvain(g, opt)
 	b.ReportAllocs()

@@ -48,8 +48,7 @@ func TestLouvainWorkerInvariance(t *testing.T) {
 }
 
 func TestRefineWorkerInvariance(t *testing.T) {
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	for name, g := range moveTestGraphs(t) {
 		start, _ := PMA(g, PMAOptions{StopWhenNegative: true})
 		ref := ws.Refine(g, start, 8, 7, 1)
@@ -73,8 +72,7 @@ func TestLouvainDeterministicForFixedSeed(t *testing.T) {
 func TestMoveWorkspaceReuseMatchesFresh(t *testing.T) {
 	g := datasets.Karate()
 	planted, _ := generate.PlantedPartition(5, 40, 0.4, 0.005, 8)
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	for i := 0; i < 3; i++ {
 		for name, gr := range map[string]*graph.Graph{"karate": g, "planted": planted} {
 			fresh := Louvain(gr, LouvainOptions{Seed: 5})
@@ -132,8 +130,7 @@ func TestEngineQualityNoWorseThanMapBaseline(t *testing.T) {
 // Louvain and a Refine pass with zero steady-state allocations.
 func TestMoveWorkspaceZeroAllocSteadyState(t *testing.T) {
 	g := datasets.Karate()
-	ws := AcquireMoveWorkspace()
-	defer ReleaseMoveWorkspace(ws)
+	ws := new(MoveWorkspace)
 	opt := LouvainOptions{Workers: 1, Seed: 1}
 	ws.Louvain(g, opt) // warm-up sizes every buffer
 	if n := testing.AllocsPerRun(20, func() { ws.Louvain(g, opt) }); n != 0 {

@@ -49,7 +49,7 @@ func (o *PBDOptions) fill() {
 	if o.Workers <= 0 {
 		o.Workers = par.Workers()
 	}
-	if o.SampleFraction <= 0 {
+	if !(o.SampleFraction > 0) {
 		o.SampleFraction = 0.05
 	}
 	if o.MinSamples <= 0 {

@@ -119,13 +119,10 @@ type LouvainOptions struct {
 // standard fast modularity baseline; it is included for comparison
 // with pBD/pMA/pLA. Each level runs batch-synchronous local moving to
 // convergence, then contracts communities and recurses. The whole
-// hierarchy runs inside a pooled MoveWorkspace; callers that sweep
-// many graphs can hold a workspace and call its Louvain method
-// directly to skip even the per-call result copy.
+// hierarchy runs inside a MoveWorkspace of the call's own, dropped on
+// return (the result keeps only its Assign array), so no level CSR
+// outlives the call; callers that cluster many graphs hold a
+// workspace and call its Louvain method.
 func Louvain(g *graph.Graph, opt LouvainOptions) Clustering {
-	ws := AcquireMoveWorkspace()
-	c := ws.Louvain(g, opt)
-	c.Assign = append([]int32(nil), c.Assign...)
-	ReleaseMoveWorkspace(ws)
-	return c
+	return new(MoveWorkspace).Louvain(g, opt)
 }

@@ -83,15 +83,14 @@ func (st *moveState) freshCommunity() int32 {
 // into a neighboring community or detaching into a fresh singleton. It
 // never decreases Q. This is the post-pass used to approximate the
 // "best known" comparator column of the paper's Table 2 on small
-// instances. The work runs on the pooled batch-synchronous engine
-// (move.go): for a fixed seed the result is identical at every worker
-// count, and holding a MoveWorkspace across calls makes repeated
-// refinement allocation-free.
+// instances. The work runs on the batch-synchronous engine (move.go)
+// in a workspace of the call's own: for a fixed seed the result is
+// identical at every worker count, and holding a MoveWorkspace across
+// calls makes repeated refinement allocation-free. The result never
+// aliases c.
 func Refine(g *graph.Graph, c Clustering, maxPasses int, seed int64) Clustering {
-	ws := AcquireMoveWorkspace()
-	out := ws.Refine(g, c, maxPasses, seed, par.Workers())
+	out := new(MoveWorkspace).Refine(g, c, maxPasses, seed, par.Workers())
 	out.Assign = append([]int32(nil), out.Assign...)
-	ReleaseMoveWorkspace(ws)
 	return out
 }
 

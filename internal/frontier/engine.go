@@ -197,7 +197,7 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 	}
 	n := g.NumVertices()
 	beta := opt.Beta
-	if beta <= 0 {
+	if !(beta > 0) {
 		beta = DefaultBeta
 	}
 	// Bottom-up needs in-adjacency: the graph itself when undirected,

@@ -48,15 +48,15 @@ func FuzzReadContainer(f *testing.F) {
 				f(b)
 				seeds = append(seeds, b)
 			}
-			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:], 1<<40) })          // giant n
-			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 1<<40) })          // giant arcs
-			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<40) })          // giant m
-			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 0xff) })            // unknown flags
-			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[40:], 99) })             // section count
-			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[headerFixed+8:], 17) })  // misaligned off
+			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[16:], 1<<40) })         // giant n
+			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[32:], 1<<40) })         // giant arcs
+			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[24:], 1<<40) })         // giant m
+			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 0xff) })           // unknown flags
+			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[40:], 99) })            // section count
+			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[headerFixed+8:], 17) }) // misaligned off
 			mut(func(b []byte) { binary.LittleEndian.PutUint64(b[headerFixed+16:], ^uint64(0)) })
 			mut(func(b []byte) { copy(b[headerFixed+24:], b[headerFixed:headerFixed+24]) }) // duplicate id
-			mut(func(b []byte) { b[pageSize] ^= 0x40 })                                   // first offsets byte
+			mut(func(b []byte) { b[pageSize] ^= 0x40 })                                     // first offsets byte
 			if len(valid) > 2*pageSize {
 				mut(func(b []byte) { b[2*pageSize+1] ^= 0x81 }) // adjacency/varint bytes
 			}

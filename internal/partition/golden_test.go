@@ -78,8 +78,7 @@ func partHash(part []int32) uint64 {
 // test also proves that nothing a run leaves behind — skip marks, dedupe
 // stamps, level buffers sized for another graph — reaches the next one.
 func TestKWayGoldenPartitions(t *testing.T) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
+	ws := new(Workspace)
 	for _, tc := range goldenCases {
 		if tc.long && testing.Short() {
 			continue

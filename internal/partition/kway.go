@@ -24,8 +24,7 @@ const kwayBatch = 4096
 
 // KWay partitions g into k parts with the multilevel k-way scheme
 // inside the workspace. The returned Result.Part aliases workspace
-// memory (valid until the next call on ws); the package-level
-// MultilevelKWay wrapper copies it out.
+// memory (valid until the next call on ws).
 func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result, error) {
 	if err := validateK(g, k); err != nil {
 		return Result{}, err
@@ -82,7 +81,7 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 		}
 		ws.refineLevel(li, k, maxW, minW, opt.RefinePasses, workers)
 	}
-	ws.stats = nil // a pooled workspace must not keep the caller's record alive
+	ws.stats = nil // a held workspace must not keep the caller's record alive
 	return ws.resultFor(g, ws.lv[0].part, k, workers), nil
 }
 

@@ -41,8 +41,7 @@ func BenchmarkKWay(b *testing.B) {
 		})
 		logged := false
 		b.Run(tc.name+"/warm", func(b *testing.B) {
-			ws := AcquireWorkspace()
-			defer ReleaseWorkspace(ws)
+			ws := new(Workspace)
 			if _, err := ws.KWay(tc.g, k, MultilevelOptions{}); err != nil {
 				b.Fatal(err)
 			}

@@ -53,8 +53,7 @@ func TestKWayWorkerInvariance(t *testing.T) {
 // A reused workspace must produce exactly what a fresh one does.
 func TestKWayWorkspaceReuseMatchesFresh(t *testing.T) {
 	graphs := kwayTestGraphs()
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
+	ws := new(Workspace)
 	for round := 0; round < 2; round++ {
 		for _, tc := range graphs {
 			fresh, err := (&Workspace{}).KWay(tc.g, tc.k, MultilevelOptions{Seed: 21, Workers: 1})
@@ -73,7 +72,7 @@ func TestKWayWorkspaceReuseMatchesFresh(t *testing.T) {
 }
 
 // Warm repeats on the serial arm must not allocate: every buffer the
-// engine touches is pooled in the workspace — the level-0 integer
+// engine touches is kept in the workspace — the level-0 integer
 // weights of a weighted input and a caller's Stats record included.
 func TestKWayWarmRepeatsDoNotAllocate(t *testing.T) {
 	g := generate.RMAT(1<<12, 8<<12, generate.DefaultRMAT(), 14)
@@ -87,7 +86,7 @@ func TestKWayWarmRepeatsDoNotAllocate(t *testing.T) {
 		{"weighted", generate.RandomWeights(g, 100, 15), MultilevelOptions{Seed: 5, Workers: 1}},
 		{"stats", g, MultilevelOptions{Seed: 5, Workers: 1, Stats: &st}},
 	} {
-		ws := AcquireWorkspace()
+		ws := new(Workspace)
 		if _, err := ws.KWay(tc.g, 8, tc.opt); err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +98,6 @@ func TestKWayWarmRepeatsDoNotAllocate(t *testing.T) {
 		if allocs > 0 {
 			t.Errorf("%s: warm KWay allocated %.1f times per run, want 0", tc.name, allocs)
 		}
-		ReleaseWorkspace(ws)
 	}
 }
 

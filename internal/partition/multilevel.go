@@ -2,7 +2,6 @@ package partition
 
 import (
 	"math/rand"
-	"slices"
 
 	"snap/internal/graph"
 	"snap/internal/sketch"
@@ -36,7 +35,7 @@ func (o *MultilevelOptions) fill() {
 	if o.CoarsenTarget <= 0 {
 		o.CoarsenTarget = 30
 	}
-	if o.Imbalance <= 0 {
+	if !(o.Imbalance > 0) {
 		o.Imbalance = 0.05
 	}
 	if o.RefinePasses <= 0 {
@@ -49,17 +48,12 @@ func (o *MultilevelOptions) fill() {
 // matching with dedupe-and-transpose contraction, greedy growing on the
 // coarsest graph, then projection with batch-synchronous boundary
 // refinement at every level. The result is bit-identical at every
-// worker count. Allocates a fresh result; callers on a hot loop should
-// use Workspace.KWay directly.
+// worker count. Each call runs in its own workspace, which it drops on
+// return (Result.Part is that workspace's level-0 part array), so no
+// scratch outlives the call; callers that partition repeatedly should
+// hold a Workspace and call its KWay method.
 func MultilevelKWay(g *graph.Graph, k int, opt MultilevelOptions) (Result, error) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	res, err := ws.KWay(g, k, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Part = slices.Clone(res.Part)
-	return res, nil
+	return new(Workspace).KWay(g, k, opt)
 }
 
 // MultilevelRecursive partitions g into k parts (k a power of two is
@@ -216,10 +210,11 @@ func multilevelBisect(w *wgraph, frac float64, opt MultilevelOptions, rng *rand.
 // weighted graph and copies the hierarchy out: levels (finest first,
 // levels[0] == w) and the fine-to-coarse maps (maps[i] maps level i to
 // level i+1 ids). Used by the bisection and spectral paths, which own
-// their levels across recursive splits.
+// their levels across recursive splits. The workspace is the call's
+// own, so the levels take over its per-level buffers (each level has
+// its own) and the rest of its scratch is dropped on return.
 func coarsenHierarchy(w *wgraph, target int, seed int64) (levels []*wgraph, maps [][]int32) {
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
+	ws := new(Workspace)
 	ws.primeLevel0(wview{off: w.offsets, adj: w.adj, ew: w.ew, vw: w.vw, directed: w.directed}, nil)
 	nl := ws.coarsenToSize(target, seed, 1)
 	levels = make([]*wgraph, nl)
@@ -227,14 +222,8 @@ func coarsenHierarchy(w *wgraph, target int, seed int64) (levels []*wgraph, maps
 	maps = make([][]int32, nl-1)
 	for li := 1; li < nl; li++ {
 		lv := &ws.lv[li]
-		levels[li] = &wgraph{
-			offsets:  slices.Clone(lv.off),
-			adj:      slices.Clone(lv.adj),
-			ew:       slices.Clone(lv.ew),
-			vw:       slices.Clone(lv.vw),
-			directed: w.directed,
-		}
-		maps[li-1] = slices.Clone(ws.lv[li-1].coarseOf)
+		levels[li] = &wgraph{offsets: lv.off, adj: lv.adj, ew: lv.ew, vw: lv.vw, directed: w.directed}
+		maps[li-1] = ws.lv[li-1].coarseOf
 	}
 	return levels, maps
 }

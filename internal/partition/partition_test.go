@@ -235,7 +235,7 @@ func TestContractIsCanonicalQuotient(t *testing.T) {
 	}
 	for _, in := range inputs {
 		for _, workers := range []int{1, 2, 5} {
-			ws := AcquireWorkspace()
+			ws := new(Workspace)
 			ws.primeLevel0(wview{off: in.g.Offsets, adj: in.g.Adj, directed: in.g.Directed()}, nil)
 			levels := ws.coarsenToSize(40, 7, workers)
 			if levels < 3 {
@@ -282,15 +282,13 @@ func TestContractIsCanonicalQuotient(t *testing.T) {
 					}
 				}
 			}
-			ReleaseWorkspace(ws)
 		}
 	}
 }
 
 func TestHeavyEdgeMatchingIsMatching(t *testing.T) {
 	g := generate.RMAT(500, 2000, generate.DefaultRMAT(), 10)
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
+	ws := new(Workspace)
 	ws.primeLevel0(wview{off: g.Offsets, adj: g.Adj}, nil)
 	for _, workers := range []int{1, 3} {
 		ws.matchLevel(ws.lv[0].view, 0xdecafbad, workers, 1<<30)

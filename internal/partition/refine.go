@@ -4,7 +4,7 @@ import "math/rand"
 
 // Bisection-side refinement helpers used by the recursive-bisection and
 // spectral pipelines. The direct k-way engine's initial partition and
-// refinement live in kway.go on the pooled Workspace.
+// refinement live in kway.go on the reusable Workspace.
 
 // growBisection seeds side 0 from a random vertex and grows it to the
 // target fraction of total weight; the rest is side 1.

@@ -33,7 +33,7 @@ func (o *SpectralOptions) fill(defaultIter int) {
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = defaultIter
 	}
-	if o.Tolerance <= 0 {
+	if !(o.Tolerance > 0) {
 		o.Tolerance = 1e-4
 	}
 	o.refinePasses = 4

@@ -1,15 +1,14 @@
 package partition
 
-import (
-	"snap/internal/par"
-)
-
-// Workspace is the reusable state of the multilevel k-way engine.
-// Acquire one with AcquireWorkspace, call KWay, and release it; after a
-// warm-up run on a given graph, repeated runs allocate nothing on the
-// serial arm (workers == 1). Partitions returned by workspace methods
-// alias workspace memory and are valid until the next call on the same
-// workspace — the package-level MultilevelKWay wrapper copies.
+// Workspace is the reusable state of the multilevel k-way engine. The
+// zero value is ready to use. A caller that partitions repeatedly holds
+// one and calls KWay; after a warm-up run on a given graph, repeated
+// runs allocate nothing on the serial arm (workers == 1). There is no
+// package pool: a one-shot call (MultilevelKWay) builds its own
+// workspace and drops it, so the ladder's scratch is garbage as soon as
+// the call returns. Partitions returned by workspace methods alias
+// workspace memory and are valid until the next call on the same
+// workspace.
 // A workspace is not safe for concurrent use, but its methods
 // parallelize internally across the requested workers.
 type Workspace struct {
@@ -85,16 +84,6 @@ type lvl struct {
 	ew  []int64
 	vw  []int64
 }
-
-var wsPool = par.NewPool(func() *Workspace { return &Workspace{} })
-
-// AcquireWorkspace returns a pooled partitioner workspace.
-func AcquireWorkspace() *Workspace { return wsPool.Get() }
-
-// ReleaseWorkspace returns a workspace to the pool. Partitions
-// returned by workspace methods alias its memory and must be copied
-// first.
-func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // scratch returns buf resized to n, reallocating only on growth, so a
 // warm workspace reuses its arrays allocation-free. Contents are

@@ -69,11 +69,11 @@ type ANFResult struct {
 // ANFWorkspace is the reusable state of the HyperANF kernel: two
 // ping-pong register planes, the changed-vertex frontier, and the
 // per-vertex estimate plane. The zero value is ready to use; Run sizes
-// it on demand. Acquire one per goroutine; a warm
+// it on demand. Use one per goroutine; a warm
 // workspace runs with zero allocations at Workers <= 1 (the serial
 // arm is closure-free, matching the move-engine discipline). Results
 // returned by Run alias the workspace and are valid until the next
-// Run or Release.
+// Run on it.
 type ANFWorkspace struct {
 	p          hllParams
 	cur, next  []uint64 // n rows x p.words registers, ping-pong planes
@@ -90,26 +90,13 @@ type ANFWorkspace struct {
 	weights    []int64      // per-vertex degree weights for the partition
 }
 
-var anfPool = par.NewPool(func() *ANFWorkspace { return &ANFWorkspace{} })
-
-// AcquireANFWorkspace returns a pooled workspace. Release it with
-// ReleaseANFWorkspace when done.
-func AcquireANFWorkspace() *ANFWorkspace { return anfPool.Get() }
-
-// ReleaseANFWorkspace returns a workspace to the pool. The caller must
-// not use ws (or results aliasing it) afterwards.
-func ReleaseANFWorkspace(ws *ANFWorkspace) { anfPool.Put(ws) }
-
-// ANF estimates the neighborhood function of g with a pooled
-// workspace, copying the result out so it survives workspace reuse.
+// ANF estimates the neighborhood function of g in a workspace of its
+// own, which it drops on return (the result keeps only the NF and
+// estimate planes), so no register plane outlives the call. Callers
+// that repeat the kernel hold an ANFWorkspace and call its Run method.
 // See ANFWorkspace.Run for the kernel.
 func ANF(g *graph.Graph, opt ANFOptions) ANFResult {
-	ws := AcquireANFWorkspace()
-	r := ws.Run(g, opt)
-	r.NF = append([]float64(nil), r.NF...)
-	r.Reach = append([]float64(nil), r.Reach...)
-	ReleaseANFWorkspace(ws)
-	return r
+	return new(ANFWorkspace).Run(g, opt)
 }
 
 // Run executes the HyperANF sweep loop on g.
@@ -140,7 +127,7 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 	}
 	p := makeParams(opt.Registers)
 	quantile := opt.Quantile
-	if quantile <= 0 {
+	if !(quantile > 0) {
 		quantile = 0.9
 	}
 	if quantile > 1 {

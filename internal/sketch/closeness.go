@@ -56,10 +56,10 @@ func ClosenessSamples(n int, eps, confidence float64) int {
 	if n <= 0 {
 		return 0
 	}
-	if eps <= 0 {
+	if !(eps > 0) {
 		eps = 0.1
 	}
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		confidence = 0.95
 	}
 	k := int(math.Ceil(math.Log(2*float64(n)/(1-confidence)) / (2 * eps * eps)))
@@ -77,7 +77,7 @@ func closenessEpsilon(n, k int, confidence float64) float64 {
 	if n <= 0 || k <= 0 {
 		return 0
 	}
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		confidence = 0.95
 	}
 	return math.Sqrt(math.Log(2*float64(n)/(1-confidence)) / (2 * float64(k)))
@@ -108,7 +108,7 @@ func Closeness(g *graph.Graph, opt ClosenessOptions) ClosenessResult {
 		workers = par.Workers()
 	}
 	confidence := opt.Confidence
-	if confidence <= 0 || confidence >= 1 {
+	if !(confidence > 0 && confidence < 1) {
 		confidence = 0.95
 	}
 	samples := opt.Samples

@@ -128,8 +128,12 @@ func TestClosenessSamplesFormula(t *testing.T) {
 	if k := ClosenessSamples(0, 0.1, 0.95); k != 0 {
 		t.Fatalf("empty graph wants 0 samples, got %d", k)
 	}
+	// NaN means the default, as 0 does: eps 0.1 at confidence 0.95.
+	if k := ClosenessSamples(1000, math.NaN(), math.NaN()); k != 530 {
+		t.Fatalf("ClosenessSamples(1000, NaN, NaN) = %d, want 530", k)
+	}
 	// Round-trip: eps achieved by the returned k is <= the requested eps.
-	k := ClosenessSamples(1 << 20, 0.05, 0.99)
+	k := ClosenessSamples(1<<20, 0.05, 0.99)
 	if got := closenessEpsilon(1<<20, k, 0.99); got > 0.05+1e-9 {
 		t.Fatalf("achieved eps %.4f > requested 0.05", got)
 	}

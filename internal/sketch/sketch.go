@@ -7,7 +7,7 @@
 // Hoeffding error bounds, and a k-landmark distance oracle answering
 // point-to-point distance queries in O(k).
 //
-// Every kernel follows the house rules of the exact tier: pooled
+// Every kernel follows the house rules of the exact tier: reusable
 // epoch-free workspaces that reach zero allocations per run once warm,
 // seeded deterministic hashing and sampling so serial and parallel
 // runs are bit-identical at any worker count, and estimates whose

@@ -400,7 +400,7 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 	}
 	maxW := ws.maxWeight(g, workers)
 	delta := opt.Delta
-	if delta <= 0 {
+	if !(delta > 0) {
 		delta = defaultDeltaFor(g, maxW)
 	}
 	ws.preparePartition(g, delta, workers)

@@ -93,7 +93,9 @@ func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 			tc{base.name + "/allequal", reweight(base.g, equalW, 13)},
 		)
 	}
-	deltas := []float64{0, 0.01, 1e9} // default heuristic, tiny (window overflow), huge (single bucket)
+	// Default heuristic, tiny (window overflow), huge (single bucket),
+	// and NaN, which must mean the default as 0 does.
+	deltas := []float64{0, 0.01, 1e9, math.NaN()}
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for _, c := range cases {
 		src := int32(1)

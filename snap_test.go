@@ -122,6 +122,11 @@ func TestFacadePartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A NaN Imbalance means the default, as 0 does.
+	kn, err := Partition(sw, PartitionOptions{K: 4, Seed: 1, Imbalance: math.NaN()})
+	if err != nil || !slices.Equal(kn.Part, ks.Part) {
+		t.Fatalf("Imbalance NaN: err %v, partition differs from the default's", err)
+	}
 	if ks.EdgeCut <= km.EdgeCut {
 		t.Fatalf("small-world cut %d should exceed mesh cut %d", ks.EdgeCut, km.EdgeCut)
 	}
@@ -132,8 +137,13 @@ func TestFacadePartitioning(t *testing.T) {
 	if err != nil || rec.Balance > 1.2 {
 		t.Fatalf("recursive: %v balance %.2f", err, rec.Balance)
 	}
-	if _, err := SpectralRQI(mesh, 2, SpectralOptions{Seed: 1}); err != nil {
+	rqi, err := SpectralRQI(mesh, 2, SpectralOptions{Seed: 1})
+	if err != nil {
 		t.Fatalf("spectral rqi on mesh: %v", err)
+	}
+	// A NaN Tolerance means the default, as 0 does.
+	if nan, err := SpectralRQI(mesh, 2, SpectralOptions{Seed: 1, Tolerance: math.NaN()}); err != nil || !slices.Equal(nan.Part, rqi.Part) {
+		t.Fatalf("spectral rqi, Tolerance NaN: err %v, partition differs from the default's", err)
 	}
 	if _, err := SpectralLanczos(mesh, 2, SpectralOptions{Seed: 1}); err != nil {
 		t.Fatalf("spectral lanczos on mesh: %v", err)
@@ -485,7 +495,10 @@ func TestFacadeBFSMatchesSerial(t *testing.T) {
 // commit 3643b0f.
 func TestFacadeANFEffectiveDiameter(t *testing.T) {
 	g := RMAT(600, 2400, DefaultRMAT(), 8)
-	if got := ApproxNeighborhood(g, ANFOptions{}).EffectiveDiameter; got != 4.62542684434802 {
-		t.Fatalf("effective diameter %v, want 4.62542684434802", got)
+	// A NaN Quantile means the default, as 0 does.
+	for _, q := range []float64{0, math.NaN()} {
+		if got := ApproxNeighborhood(g, ANFOptions{Quantile: q}).EffectiveDiameter; got != 4.62542684434802 {
+			t.Fatalf("Quantile %v: effective diameter %v, want 4.62542684434802", q, got)
+		}
 	}
 }

@@ -71,16 +71,7 @@ func (ws *seidelWorkspace) polish(g *graph.Graph, rank []float64, opt PageRankOp
 	sinceExtrap := 0
 	for it := 0; it < opt.MaxIterations; it++ {
 		copy(prev, rank)
-		var dangling float64
-		for v := 0; v < n; v++ {
-			if deg := g.Offsets[v+1] - g.Offsets[v]; deg == 0 {
-				dangling += rank[v]
-				share[v] = 0
-			} else {
-				share[v] = rank[v] / float64(deg)
-			}
-		}
-		base := ((1 - opt.Damping) + opt.Damping*dangling) / float64(n)
+		base := outShares(g, rank, share, opt.Damping)
 		var delta float64
 		for vi := 0; vi < n; vi++ {
 			lo, hi := g.Offsets[vi], g.Offsets[vi+1]

@@ -63,18 +63,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 	// share[v] = rank[v]/outdeg(v), computed per iteration.
 	share := make([]float64, n)
 	for it := 0; it < opt.MaxIterations; it++ {
-		var dangling float64
-		for v := 0; v < n; v++ {
-			d := g.Degree(int32(v))
-			if d == 0 {
-				dangling += rank[v]
-				share[v] = 0
-			} else {
-				share[v] = rank[v] / float64(d)
-			}
-		}
-		base := (1-opt.Damping)*1 + opt.Damping*dangling
-		base /= float64(n)
+		base := outShares(g, rank, share, opt.Damping)
 		par.ForChunkedN(n, opt.Workers, func(_, lo, hi int) {
 			for vi := lo; vi < hi; vi++ {
 				var s float64
@@ -95,6 +84,25 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 		}
 	}
 	return rank
+}
+
+// outShares is the preamble both PageRank sweeps (the cold Jacobi loop
+// and PageRankFrom's Gauss–Seidel polish) run at the start of each
+// iteration: it sets share[v] = rank[v]/outdeg(v), 0 for a dangling v,
+// and returns the term every vertex's new score starts from,
+// ((1−d) + d·dangling mass)/n.
+func outShares(g *graph.Graph, rank, share []float64, damping float64) float64 {
+	n := len(rank)
+	var dangling float64
+	for v := 0; v < n; v++ {
+		if deg := g.Offsets[v+1] - g.Offsets[v]; deg == 0 {
+			dangling += rank[v]
+			share[v] = 0
+		} else {
+			share[v] = rank[v] / float64(deg)
+		}
+	}
+	return ((1 - damping) + damping*dangling) / float64(n)
 }
 
 // EigenvectorCentrality computes the principal-eigenvector centrality

@@ -26,17 +26,12 @@ import (
 // Determinism: arcs reach each vertex ordered by (worker id, position
 // within worker chunk) = ascending cleaned-edge index, and every sort
 // uses the total key (neighbor, cleaned index). The output is
-// therefore bit-identical for any worker count, and identical to the
-// stable serial reference builder (buildSerial).
+// therefore bit-identical for any worker count, and identical to a
+// stable global sort of the cleaned edges (the test oracle).
 
-// serialBuildThreshold is the edge count below which Build runs the
-// serial reference path: goroutine fan-out and per-worker histograms
-// cost more than they save on tiny inputs.
-const serialBuildThreshold = 1 << 12
-
-// buildParallel is the parallel CSR assembly kernel behind Build.
-// It produces bit-identical output to buildSerial for every option
-// combination and any workers >= 1.
+// buildParallel is the parallel CSR assembly kernel behind Build. Its
+// output depends on the options and the edges only, never on workers
+// (>= 1).
 func buildParallel(n int, edges []Edge, opt BuildOptions, workers int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -52,7 +47,7 @@ func buildParallel(n int, edges []Edge, opt BuildOptions, workers int) (*Graph, 
 	}
 
 	// Phase 1: parallel validation. The earliest offending edge wins so
-	// the error message matches the serial builder's.
+	// the error message does not depend on workers.
 	badAt := make([]int, workers)
 	for w := range badAt {
 		badAt[w] = -1
@@ -182,9 +177,9 @@ func assembleMulti(n int, clean []Edge, opt BuildOptions, workers int) *Graph {
 // cleaned order within each bucket), each bucket is sorted by
 // (head, position) and compacted — first weight wins, or weights sum
 // under SumWeights — and edge ids are the ranks of the unique pairs in
-// (tail, head) order, exactly the ids the global-sort serial builder
-// assigns. Undirected graphs get their mirror arcs from a second
-// counting-sort scatter that preserves sorted adjacency.
+// (tail, head) order, exactly the ids a stable global sort assigns.
+// Undirected graphs get their mirror arcs from a second counting-sort
+// scatter that preserves sorted adjacency.
 func assembleDedup(n int, clean []Edge, opt BuildOptions, workers int) *Graph {
 	if workers > len(clean) {
 		workers = max(1, len(clean))
@@ -431,20 +426,9 @@ func parallelSortAdjacencies(g *Graph, workers int) {
 		deg[v] = g.Offsets[v+1] - g.Offsets[v]
 	}
 	par.ForDegreeAware(deg, workers, func(w, lo, hi int) {
-		var s arcPairSorter
-		s.g = g
+		s := arcPairSorter{g: g}
 		for v := lo; v < hi; v++ {
-			blo, bhi := g.Offsets[v], g.Offsets[v+1]
-			d := int(bhi - blo)
-			if d < 2 {
-				continue
-			}
-			if d <= insertionSortCutoff {
-				insertionSortArcs(g, blo, bhi)
-				continue
-			}
-			s.lo, s.n = blo, d
-			sort.Sort(&s)
+			s.sortRange(g.Offsets[v], g.Offsets[v+1])
 		}
 	})
 }
@@ -477,6 +461,19 @@ type arcPairSorter struct {
 	g  *Graph
 	lo int64
 	n  int
+}
+
+// sortRange orders arcs [lo, hi) of s.g by (neighbor, edge id): an
+// insertion sort up to insertionSortCutoff arcs, sort.Sort above. The
+// key is total, so the result does not depend on the starting order;
+// Build and Relabel both order their rows here.
+func (s *arcPairSorter) sortRange(lo, hi int64) {
+	if hi-lo <= insertionSortCutoff {
+		insertionSortArcs(s.g, lo, hi)
+		return
+	}
+	s.lo, s.n = lo, int(hi-lo)
+	sort.Sort(s)
 }
 
 func (s *arcPairSorter) Len() int { return s.n }

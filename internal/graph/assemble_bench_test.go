@@ -52,10 +52,9 @@ func benchScale(b *testing.B) int {
 	return 18
 }
 
-// BenchmarkBuild compares the seed-style serial builder against the
-// parallel assembly kernel at several worker counts on an RMAT graph
-// (scale set by -short: 14, default 18; EXPERIMENTS.md records scale
-// 18–20 runs).
+// BenchmarkBuild times the parallel assembly kernel at several worker
+// counts on an RMAT graph (scale set by -short: 14, default 18;
+// EXPERIMENTS.md records scale 18–20 runs).
 func BenchmarkBuild(b *testing.B) {
 	scale := benchScale(b)
 	n, edges := rmatEdges(scale, 8, 42)
@@ -66,14 +65,6 @@ func BenchmarkBuild(b *testing.B) {
 		{"undirected", BuildOptions{Weighted: true}},
 		{"directed", BuildOptions{Directed: true, Weighted: true}},
 	} {
-		b.Run(fmt.Sprintf("rmat%d/%s/serial", scale, opt.tag), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := buildSerial(n, edges, opt.o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("rmat%d/%s/par-w%d", scale, opt.tag, workers), func(b *testing.B) {
 				b.ReportAllocs()

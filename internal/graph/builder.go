@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-
-	"snap/internal/par"
-)
+import "snap/internal/par"
 
 // BuildOptions controls CSR construction.
 type BuildOptions struct {
@@ -31,17 +26,11 @@ type BuildOptions struct {
 // Build constructs a CSR graph with n vertices from edges.
 // Endpoints outside [0, n) are an error.
 //
-// Construction runs the parallel assembly kernel (see assemble.go)
-// above a small size threshold and a serial reference path below it;
-// both produce bit-identical graphs: edge ids are deterministic ranks
-// (input order with AllowMulti, sorted unique-pair order without), and
-// adjacency arcs are ordered by (neighbor, edge id).
+// Construction runs the parallel assembly kernel (see assemble.go) at
+// every size; its output is the same at any worker count: edge ids are
+// deterministic ranks (input order with AllowMulti, sorted unique-pair
+// order without), and adjacency arcs are ordered by (neighbor, edge id).
 func Build(n int, edges []Edge, opt BuildOptions) (*Graph, error) {
-	if len(edges) < serialBuildThreshold {
-		return buildSerial(n, edges, opt)
-	}
-	// Even at one worker the assembly kernel wins: counting-sort
-	// placement plus short per-vertex sorts beat the global sort.
 	return buildParallel(n, edges, opt, par.Workers())
 }
 
@@ -53,135 +42,4 @@ func MustBuild(n int, edges []Edge, opt BuildOptions) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-// buildSerial is the serial reference builder: a stable global sort
-// plus counting pass. The parallel kernel is property-tested to be
-// bit-identical to it across the full option matrix.
-func buildSerial(n int, edges []Edge, opt BuildOptions) (*Graph, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("graph: negative vertex count %d", n)
-	}
-	for _, e := range edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
-		}
-	}
-	clean := make([]Edge, 0, len(edges))
-	for _, e := range edges {
-		if e.U == e.V && !opt.AllowSelfLoops {
-			continue
-		}
-		if !opt.Directed && e.U > e.V {
-			e.U, e.V = e.V, e.U
-		}
-		clean = append(clean, e)
-	}
-	if !opt.AllowMulti {
-		// Stable, so the first occurrence of each duplicate pair leads
-		// its run: first-wins (and SumWeights summation order) are
-		// pinned to input order.
-		sort.SliceStable(clean, func(i, j int) bool {
-			if clean[i].U != clean[j].U {
-				return clean[i].U < clean[j].U
-			}
-			return clean[i].V < clean[j].V
-		})
-		dedup := clean[:0]
-		for i, e := range clean {
-			if i > 0 && e.U == dedup[len(dedup)-1].U && e.V == dedup[len(dedup)-1].V {
-				if opt.SumWeights {
-					dedup[len(dedup)-1].W += e.W
-				}
-				continue
-			}
-			dedup = append(dedup, e)
-		}
-		clean = dedup
-	}
-	m := len(clean)
-
-	// Count arcs per vertex.
-	deg := make([]int64, n)
-	for _, e := range clean {
-		deg[e.U]++
-		if !opt.Directed {
-			deg[e.V]++
-		}
-	}
-	offsets := make([]int64, n+1)
-	var acc int64
-	for v := 0; v < n; v++ {
-		offsets[v] = acc
-		acc += deg[v]
-	}
-	offsets[n] = acc
-
-	adj := make([]int32, acc)
-	eid := make([]int32, acc)
-	var w []float64
-	if opt.Weighted {
-		w = make([]float64, acc)
-	}
-	cursor := make([]int64, n)
-	copy(cursor, offsets[:n])
-	place := func(u, v int32, id int32, wt float64) {
-		c := cursor[u]
-		adj[c] = v
-		eid[c] = id
-		if w != nil {
-			w[c] = wt
-		}
-		cursor[u] = c + 1
-	}
-	for i, e := range clean {
-		place(e.U, e.V, int32(i), e.W)
-		if !opt.Directed {
-			place(e.V, e.U, int32(i), e.W)
-		}
-	}
-
-	g := &Graph{
-		Offsets:  offsets,
-		Adj:      adj,
-		EID:      eid,
-		W:        w,
-		directed: opt.Directed,
-		numEdges: m,
-	}
-	g.sortAdjacencies()
-	return g, nil
-}
-
-// sortAdjacencies sorts each vertex's arcs by neighbor id, carrying the
-// parallel EID and W entries along. Arcs are placed in ascending edge
-// id order, so the stable sort yields the canonical (neighbor, edge id)
-// arc order.
-func (g *Graph) sortAdjacencies() {
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		s := arcSorter{g: g, lo: lo, n: int(hi - lo)}
-		sort.Stable(s)
-	}
-}
-
-type arcSorter struct {
-	g  *Graph
-	lo int64
-	n  int
-}
-
-func (s arcSorter) Len() int { return s.n }
-func (s arcSorter) Less(i, j int) bool {
-	return s.g.Adj[s.lo+int64(i)] < s.g.Adj[s.lo+int64(j)]
-}
-func (s arcSorter) Swap(i, j int) {
-	a, b := s.lo+int64(i), s.lo+int64(j)
-	g := s.g
-	g.Adj[a], g.Adj[b] = g.Adj[b], g.Adj[a]
-	g.EID[a], g.EID[b] = g.EID[b], g.EID[a]
-	if g.W != nil {
-		g.W[a], g.W[b] = g.W[b], g.W[a]
-	}
 }

@@ -14,10 +14,12 @@ import (
 //
 // The permutation is applied directly on the CSR arrays — no edge-list
 // round trip: new offsets come from a permuted-degree prefix sum, each
-// row is scattered with remapped neighbor ids and re-sorted (carrying
-// EID and W along), and all passes run data-parallel over disjoint
-// rows. Edge ids and weights are preserved arc-for-arc, so relabeling
-// commutes with every EID- or weight-indexed kernel.
+// row is scattered with remapped neighbor ids and re-sorted by
+// (neighbor, edge id) with Build's row sort, carrying EID and W along,
+// and all passes run data-parallel over disjoint rows. Edge ids and
+// weights are preserved arc-for-arc, so relabeling commutes with every
+// EID- or weight-indexed kernel, and the arcs come out in the order
+// Build gives the renamed edge list.
 func Relabel(g *Graph, perm []int32) (*Graph, []int32, error) {
 	if err := g.CheckOpen(); err != nil {
 		return nil, nil, err
@@ -50,124 +52,24 @@ func Relabel(g *Graph, perm []int32) (*Graph, []int32, error) {
 	})
 	offsets := par.PrefixSum(deg)
 
-	adj := make([]int32, len(g.Adj))
-	var eid []int32
-	if g.EID != nil {
-		eid = make([]int32, len(g.EID))
-	}
-	var w []float64
+	rg := WrapCSR(offsets, make([]int32, len(g.Adj)), make([]int32, len(g.EID)), nil, g.Directed(), g.NumEdges())
 	if g.W != nil {
-		w = make([]float64, len(g.W))
+		rg.W = make([]float64, len(g.W))
 	}
-	sizes := deg // reuse: row sizes for degree-aware chunking
-	par.ForDegreeAware(sizes, workers, func(_, lo, hi int) {
+	par.ForDegreeAware(deg, workers, func(_, lo, hi int) {
+		s := arcPairSorter{g: rg}
 		for v := lo; v < hi; v++ {
-			old := perm[v]
+			src, end := g.Offsets[perm[v]], g.Offsets[perm[v]+1]
 			dst := offsets[v]
-			src := g.Offsets[old]
-			rowLen := int(g.Offsets[old+1] - src)
-			for i := 0; i < rowLen; i++ {
-				adj[dst+int64(i)] = inv[g.Adj[src+int64(i)]]
+			for i, u := range g.Adj[src:end] {
+				rg.Adj[dst+int64(i)] = inv[u]
 			}
-			if eid != nil {
-				copy(eid[dst:dst+int64(rowLen)], g.EID[src:src+int64(rowLen)])
+			copy(rg.EID[dst:], g.EID[src:end])
+			if rg.W != nil {
+				copy(rg.W[dst:], g.W[src:end])
 			}
-			if w != nil {
-				copy(w[dst:dst+int64(rowLen)], g.W[src:src+int64(rowLen)])
-			}
-			sortRow(adj[dst:dst+int64(rowLen)],
-				eidRow(eid, dst, rowLen), wRow(w, dst, rowLen))
+			s.sortRange(dst, offsets[v+1])
 		}
 	})
-	return WrapCSR(offsets, adj, eid, w, g.Directed(), g.NumEdges()), inv, nil
-}
-
-func eidRow(eid []int32, dst int64, n int) []int32 {
-	if eid == nil {
-		return nil
-	}
-	return eid[dst : dst+int64(n)]
-}
-
-func wRow(w []float64, dst int64, n int) []float64 {
-	if w == nil {
-		return nil
-	}
-	return w[dst : dst+int64(n)]
-}
-
-// sortRow sorts one adjacency row by neighbor id, carrying the
-// parallel eid/weight arrays along: in-place insertion sort for
-// typical short rows, switching to an in-place heapsort for hub rows
-// where insertion's O(d²) bites. Both are allocation-free and
-// deterministic; tie order among multi-edges is deterministic though
-// not source-stable on the heapsort path.
-func sortRow(adj []int32, eid []int32, w []float64) {
-	if len(adj) > 48 {
-		heapSortRow(adj, eid, w)
-		return
-	}
-	for i := 1; i < len(adj); i++ {
-		ai, var1, var2 := adj[i], int32(0), 0.0
-		if eid != nil {
-			var1 = eid[i]
-		}
-		if w != nil {
-			var2 = w[i]
-		}
-		j := i - 1
-		for j >= 0 && adj[j] > ai {
-			adj[j+1] = adj[j]
-			if eid != nil {
-				eid[j+1] = eid[j]
-			}
-			if w != nil {
-				w[j+1] = w[j]
-			}
-			j--
-		}
-		adj[j+1] = ai
-		if eid != nil {
-			eid[j+1] = var1
-		}
-		if w != nil {
-			w[j+1] = var2
-		}
-	}
-}
-
-func heapSortRow(adj []int32, eid []int32, w []float64) {
-	swap := func(i, j int) {
-		adj[i], adj[j] = adj[j], adj[i]
-		if eid != nil {
-			eid[i], eid[j] = eid[j], eid[i]
-		}
-		if w != nil {
-			w[i], w[j] = w[j], w[i]
-		}
-	}
-	n := len(adj)
-	sift := func(root, end int) {
-		for {
-			child := 2*root + 1
-			if child >= end {
-				return
-			}
-			if child+1 < end && adj[child] < adj[child+1] {
-				child++
-			}
-			if adj[root] >= adj[child] {
-				return
-			}
-			swap(root, child)
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		sift(i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		swap(0, end)
-		sift(0, end)
-	}
+	return rg, inv, nil
 }

@@ -28,6 +28,23 @@ func relabelTestGraph(t *testing.T, weighted bool) *Graph {
 	return g
 }
 
+// relabelMultiHub is a 40-vertex weighted multigraph whose hub, vertex
+// 0, has 120 arcs to 39 neighbors: about three parallel arcs per
+// neighbor, each with its own weight, in a row past the insertion-sort
+// cutoff. An unstable row sort reorders those parallel arcs.
+func relabelMultiHub() *Graph {
+	rng := rand.New(rand.NewSource(3))
+	var edges []Edge
+	for i := 0; i < 120; i++ {
+		edges = append(edges, Edge{U: 0, V: int32(1 + rng.Intn(39)), W: float64(i + 1)})
+	}
+	for i := 0; i < 60; i++ {
+		u, v := int32(1+rng.Intn(39)), int32(1+rng.Intn(39))
+		edges = append(edges, Edge{U: u, V: v, W: float64(200 + i)})
+	}
+	return MustBuild(40, edges, BuildOptions{Weighted: true, AllowMulti: true})
+}
+
 func shuffledPerm(n int, seed int64) []int32 {
 	rng := rand.New(rand.NewSource(seed))
 	perm := make([]int32, n)
@@ -39,8 +56,16 @@ func shuffledPerm(n int, seed int64) []int32 {
 }
 
 func TestRelabelRoundTrip(t *testing.T) {
-	for _, weighted := range []bool{false, true} {
-		g := relabelTestGraph(t, weighted)
+	for _, tc := range []struct {
+		g     *Graph
+		multi bool
+	}{
+		{relabelTestGraph(t, false), false},
+		{relabelTestGraph(t, true), false},
+		{relabelMultiHub(), true},
+	} {
+		g := tc.g
+		weighted := g.Weighted()
 		n := g.NumVertices()
 		perm := shuffledPerm(n, 42)
 		rg, inv, err := Relabel(g, perm)
@@ -53,8 +78,12 @@ func TestRelabelRoundTrip(t *testing.T) {
 				t.Fatalf("perm[inv[%d]] = %d", old, perm[inv[old]])
 			}
 		}
-		if err := Validate(rg); err != nil {
-			t.Fatalf("relabeled graph invalid: %v", err)
+		// Validate resolves arcs via EdgeIDOf, which cannot tell
+		// parallel arcs apart: simple graphs only.
+		if !tc.multi {
+			if err := Validate(rg); err != nil {
+				t.Fatalf("relabeled graph invalid: %v", err)
+			}
 		}
 		if rg.NumEdges() != g.NumEdges() || rg.NumArcs() != g.NumArcs() {
 			t.Fatalf("edge counts changed: %d/%d vs %d/%d",
@@ -91,6 +120,16 @@ func TestRelabelRoundTrip(t *testing.T) {
 				want[ar]--
 			}
 		}
+		// Relabel keeps every edge id, and so does Build with
+		// AllowMulti on the renamed edge list (ids are input
+		// positions): the two must agree arc for arc, parallel arcs
+		// included, in the canonical (neighbor, edge id) order.
+		renamed := g.EdgeEndpoints()
+		for i := range renamed {
+			renamed[i].U, renamed[i].V = inv[renamed[i].U], inv[renamed[i].V]
+		}
+		requireIdentical(t, "relabel vs build", rg,
+			MustBuild(n, renamed, BuildOptions{Directed: g.Directed(), Weighted: weighted, AllowMulti: true}))
 	}
 }
 

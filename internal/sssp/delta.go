@@ -32,8 +32,6 @@ const (
 	maxSlots = int64(1) << 14
 	// infBits is math.Float64bits(+Inf), the clean state of distBits.
 	infBits = uint64(0x7FF0000000000000)
-	// noArc is the clean state of parentArc (identity of CAS-min).
-	noArc = int64(math.MaxInt64)
 )
 
 // Workspace is the reusable state of the delta-stepping engine.
@@ -41,31 +39,27 @@ const (
 // results through Dist/Parent/Result; after a warm-up run on a given
 // graph, repeated sources allocate nothing. Between runs the vertex-
 // indexed arrays satisfy a clean invariant (dist +Inf, parent -1,
-// distBits infBits, parentArc noArc) restored sparsely — O(touched),
-// not O(n) — from the previous run's reach set, mirroring the
-// PR-1 epoch-stamped scheme. Not safe for concurrent use.
+// distBits infBits) restored sparsely — O(touched), not O(n) — from
+// the previous run's reach set, mirroring the epoch-stamped traversal
+// workspaces. Not safe for concurrent use.
 type Workspace struct {
 	// Outputs of the last Run (clean invariant between runs).
 	dist   []float64
 	parent []int32
 
 	// Relaxation state (clean invariant between runs).
-	distBits  []uint64 // atomic float64 bit casts
-	parentArc []int64  // atomic min certifying arc index
-	touched   []int32  // vertices reached by the last run
+	distBits []uint64 // atomic float64 bit casts
+	touched  []int32  // vertices reached by the last run
 
 	// Light/heavy arc partition, cached per (graph, delta): arcs of v
 	// occupy arcAdj/arcW[g.Offsets[v]:g.Offsets[v+1]] with light arcs
 	// (w <= delta) packed before lightEnd[v] and heavy after, so the
 	// light-phase inner loop never re-tests w > delta.
-	arcAdj         []int32
-	arcW           []float64
-	arcW32         []float32
-	lightEnd       []int64
-	cachedPart     *graph.Graph
-	cachedDelta    float64
-	cachedAllHeavy bool // no light arcs at all (delta below the minimum weight)
-	cachedW32      bool // every weight round-trips through float32 exactly
+	arcAdj      []int32
+	arcW        []float64
+	lightEnd    []int64
+	cachedPart  *graph.Graph
+	cachedDelta float64
 
 	// Max edge weight, computed once per run and cached per graph: it
 	// feeds both the default delta heuristic and the window size.
@@ -91,10 +85,6 @@ type Workspace struct {
 	unionSlots []int32
 	slotStamp  []uint32
 	slotEpoch  uint32
-
-	// parentArcUsed marks that the last run wrote parentArc (directed
-	// graphs only), so reset can skip restoring it otherwise.
-	parentArcUsed bool
 
 	// Per-run engine state, embedded so Run allocates nothing: a
 	// stack-declared run header would escape into the parallel-phase
@@ -166,10 +156,6 @@ func (ws *Workspace) resize(n int) {
 		for i := range ws.distBits {
 			ws.distBits[i] = infBits
 		}
-		ws.parentArc = make([]int64, cap(ws.dist))
-		for i := range ws.parentArc {
-			ws.parentArc[i] = noArc
-		}
 		ws.stampD = make([]uint32, cap(ws.dist))
 		ws.stampS = make([]uint32, cap(ws.dist))
 		ws.epochD = 0
@@ -178,21 +164,12 @@ func (ws *Workspace) resize(n int) {
 	ws.dist = ws.dist[:n]
 	ws.parent = ws.parent[:n]
 	ws.distBits = ws.distBits[:n]
-	ws.parentArc = ws.parentArc[:n]
 	ws.stampD = ws.stampD[:n]
 	ws.stampS = ws.stampS[:n]
 }
 
 // reset restores the clean invariant from the previous run's reach set.
-// parentArc is only written by directed runs (undirected runs resolve
-// parents bucket by bucket), so its restore is gated on the dirty flag.
 func (ws *Workspace) reset() {
-	if ws.parentArcUsed {
-		ws.parentArcUsed = false
-		for _, v := range ws.touched {
-			ws.parentArc[v] = noArc
-		}
-	}
 	for _, v := range ws.touched {
 		ws.dist[v] = Inf
 		ws.parent[v] = -1
@@ -250,58 +227,36 @@ func (ws *Workspace) preparePartition(g *graph.Graph, delta float64, workers int
 	if cap(ws.arcAdj) < nA {
 		ws.arcAdj = make([]int32, nA)
 		ws.arcW = make([]float64, nA)
-		ws.arcW32 = make([]float32, nA)
 	}
 	ws.arcAdj = ws.arcAdj[:nA]
 	ws.arcW = ws.arcW[:nA]
-	ws.arcW32 = ws.arcW32[:nA]
 	if cap(ws.lightEnd) < n {
 		ws.lightEnd = make([]int64, n)
 	}
 	ws.lightEnd = ws.lightEnd[:n]
-	var notW32 int32
 	par.ForChunkedN(n, workers, func(_, lo, hi int) {
-		inexact := false
 		for v := lo; v < hi; v++ {
 			alo, ahi := g.Offsets[v], g.Offsets[v+1]
 			e := alo
 			for a := alo; a < ahi; a++ {
 				if w := g.W[a]; w <= delta {
-					w32 := float32(w)
-					inexact = inexact || float64(w32) != w
 					ws.arcAdj[e] = g.Adj[a]
 					ws.arcW[e] = w
-					ws.arcW32[e] = w32
 					e++
 				}
 			}
 			ws.lightEnd[v] = e
 			for a := alo; a < ahi; a++ {
 				if w := g.W[a]; w > delta {
-					w32 := float32(w)
-					inexact = inexact || float64(w32) != w
 					ws.arcAdj[e] = g.Adj[a]
 					ws.arcW[e] = w
-					ws.arcW32[e] = w32
 					e++
 				}
 			}
 		}
-		if inexact {
-			atomic.StoreInt32(&notW32, 1)
-		}
 	})
 	ws.cachedPart = g
 	ws.cachedDelta = delta
-	ws.cachedW32 = notW32 == 0
-	allHeavy := true
-	for v := 0; v < n; v++ {
-		if ws.lightEnd[v] != g.Offsets[v] {
-			allHeavy = false
-			break
-		}
-	}
-	ws.cachedAllHeavy = allHeavy
 }
 
 // sizeBuckets sizes the cyclic window and per-worker state for k slots
@@ -354,18 +309,14 @@ func bucketOf(d, delta float64) int64 {
 // [base, base+k); base <= cur <= base+k always holds, and base only
 // advances in redistributeFar once every window slot has drained.
 type deltaRun struct {
-	ws       *Workspace
-	g        *graph.Graph
-	delta    float64
-	k        int64
-	base     int64
-	cur      int64
-	queued   int64
-	workers  int
-	allHeavy bool
-	// settleEpoch is the run-wide settle stamp epoch for the fused
-	// all-heavy single-worker drain (see processBucketAllHeavy).
-	settleEpoch uint32
+	ws      *Workspace
+	g       *graph.Graph
+	delta   float64
+	k       int64
+	base    int64
+	cur     int64
+	queued  int64
+	workers int
 }
 
 // Run computes SSSP from src into the workspace. Results are exposed
@@ -411,10 +362,7 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 	ws.sizeBuckets(k, workers)
 
 	r := &ws.run
-	*r = deltaRun{ws: ws, g: g, delta: delta, k: k, workers: workers, allHeavy: ws.cachedAllHeavy}
-	if r.allHeavy && workers == 1 && !g.Directed() {
-		r.settleEpoch = nextEpoch(&ws.epochS, ws.stampS)
-	}
+	*r = deltaRun{ws: ws, g: g, delta: delta, k: k, workers: workers}
 	atomic.StoreUint64(&ws.distBits[src], 0) // Float64bits(0) == 0
 	ws.touched = append(ws.touched, src)
 	ws.slots[0] = append(ws.slots[0][:0], src)
@@ -430,12 +378,12 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 		// monotonically and the scan never needs to look back; anything
 		// at or past base+k sits in the far list. cur is deliberately
 		// NOT advanced past a drained bucket: a heavy-phase relaxation
-		// can round fl(dv+w) back into bucket cur (see
-		// processBucketAllHeavy), and slot cur%k next recurs at bucket
-		// cur+k — outside the window — so skipping it would strand the
-		// entry (hanging the queued count, or dropping the improved
-		// vertex's relaxations as stale). Rescanning from cur re-drains
-		// the slot until it stays empty, in every heavy arm.
+		// (w > delta) can still round fl(dv+w) back into bucket cur when
+		// dv sits just below the bucket's upper edge, and slot cur%k
+		// next recurs at bucket cur+k — outside the window — so
+		// skipping it would strand the entry (hanging the queued count,
+		// or dropping the improved vertex's relaxations as stale).
+		// Rescanning from cur re-drains the slot until it stays empty.
 		found := false
 		for b := r.cur; b < r.base+r.k; b++ {
 			if len(ws.slots[b%r.k]) > 0 {
@@ -601,10 +549,6 @@ func (r *deltaRun) merge() int64 {
 func (r *deltaRun) processBucket() {
 	ws := r.ws
 	g := r.g
-	if r.workers == 1 && r.allHeavy && !g.Directed() {
-		r.processBucketAllHeavy()
-		return
-	}
 	s := r.cur % r.k
 	epochS := nextEpoch(&ws.epochS, ws.stampS)
 	for len(ws.slots[s]) > 0 {
@@ -746,172 +690,6 @@ func (r *deltaRun) processBucket() {
 	ws.settled = ws.settled[:0]
 }
 
-// processBucketAllHeavy is the single-worker undirected drain for runs
-// whose delta sits below the minimum edge weight, so no arc is light —
-// the shape the default heuristic produces on the weighted R-MAT
-// instances, i.e. the benchmark hot path. With no light arcs a
-// bucket's vertices cannot re-relax each other (a heavy relaxation
-// from bucket cur lands past cur) and every certifying neighbor
-// settled in a strictly earlier bucket, so a vertex is final the first
-// time it is drained: the drain, the heavy phase, and the parent
-// certification collapse into one pass guarded by one run-wide settle
-// stamp — no live list, no settled list, no per-entry staleness
-// division, no lightEnd loads, and the relaxation commit inlined.
-//
-// The one wrinkle is float rounding: fl(dv+w) can fall a hair short of
-// the next bucket boundary and re-enter bucket cur, occasionally
-// improving an already-settled vertex. The commit detects that case
-// and clears the vertex's settle stamp (0 never matches an epoch), so
-// the outer re-drain loop reprocesses it — and requeues anything it
-// had relaxed at the stale distance — exactly like the general path's
-// staleness machinery, just off the hot loop.
-func (r *deltaRun) processBucketAllHeavy() {
-	ws := r.ws
-	if ws.cachedW32 {
-		// Weight-compressed flavor: when every weight round-trips
-		// through float32 exactly (integer weights, in particular),
-		// fl(dv + float64(float32(w))) == fl(dv + w) bit for bit, and
-		// streaming 4-byte weights halves the loop's dominant memory
-		// traffic.
-		r.processBucketAllHeavyW32()
-		return
-	}
-	g := r.g
-	s := r.cur % r.k
-	epoch := r.settleEpoch
-	pf := int64(0)
-	for len(ws.slots[s]) > 0 {
-		// Detach the drained batch from the slot storage by swapping in
-		// the live scratch array: the b == cur rounding requeue below
-		// appends back into slot s, and with a shared backing array a
-		// burst of requeues could overwrite entries not yet read. The
-		// two arrays ping-pong across iterations, so steady state still
-		// allocates nothing.
-		entries := ws.slots[s]
-		ws.slots[s] = ws.live[:0]
-		ws.live = entries
-		r.queued -= int64(len(entries))
-		for i, v := range entries {
-			// The loop is latency-bound on the first cache lines of each
-			// vertex's arc segment (settle order is effectively random),
-			// so touch the segment a few entries ahead; the sink
-			// accumulator keeps the loads from being dead-code
-			// eliminated, and the store below publishes it.
-			if i+6 < len(entries) {
-				o := g.Offsets[entries[i+6]]
-				pf += int64(ws.arcAdj[o]) + int64(math.Float64bits(ws.arcW[o]))
-			}
-			// One stamp covers duplicate entries, entries superseded by
-			// settling in an earlier bucket, and the settle itself.
-			if ws.stampS[v] == epoch {
-				continue
-			}
-			ws.stampS[v] = epoch
-			dvBits := ws.distBits[v]
-			dv := math.Float64frombits(dvBits)
-			p := int32(-1)
-			for a, end := g.Offsets[v], g.Offsets[v+1]; a < end; a++ {
-				u := ws.arcAdj[a]
-				w := ws.arcW[a]
-				old := ws.distBits[u]
-				if old > dvBits {
-					nd := dv + w
-					bits := math.Float64bits(nd)
-					if old <= bits {
-						continue
-					}
-					ws.distBits[u] = bits
-					if old == infBits {
-						ws.touched = append(ws.touched, u)
-					}
-					b := bucketOf(nd, r.delta)
-					if b >= r.base+r.k {
-						ws.far = append(ws.far, u)
-					} else {
-						if b == r.cur {
-							ws.stampS[u] = 0 // rounding edge: force reprocessing
-						}
-						bs := b % r.k
-						ws.slots[bs] = append(ws.slots[bs], u)
-					}
-					r.queued++
-				} else if math.Float64frombits(old)+w == dv && (p < 0 || u < p) {
-					p = u
-				}
-			}
-			ws.parent[v] = p
-		}
-	}
-	prefetchSink = pf
-}
-
-// processBucketAllHeavyW32 is processBucketAllHeavy reading the
-// float32 weight copy; see the dispatch comment there for why the
-// arithmetic is bit-identical.
-func (r *deltaRun) processBucketAllHeavyW32() {
-	ws := r.ws
-	g := r.g
-	s := r.cur % r.k
-	epoch := r.settleEpoch
-	pf := int64(0)
-	for len(ws.slots[s]) > 0 {
-		// Detached batch: rounding requeues append to slot s, which must
-		// not alias the batch being read (see processBucketAllHeavy).
-		entries := ws.slots[s]
-		ws.slots[s] = ws.live[:0]
-		ws.live = entries
-		r.queued -= int64(len(entries))
-		for i, v := range entries {
-			if i+6 < len(entries) {
-				o := g.Offsets[entries[i+6]]
-				pf += int64(ws.arcAdj[o]) + int64(math.Float32bits(ws.arcW32[o]))
-			}
-			if ws.stampS[v] == epoch {
-				continue
-			}
-			ws.stampS[v] = epoch
-			dvBits := ws.distBits[v]
-			dv := math.Float64frombits(dvBits)
-			p := int32(-1)
-			for a, end := g.Offsets[v], g.Offsets[v+1]; a < end; a++ {
-				u := ws.arcAdj[a]
-				w := float64(ws.arcW32[a])
-				old := ws.distBits[u]
-				if old > dvBits {
-					nd := dv + w
-					bits := math.Float64bits(nd)
-					if old <= bits {
-						continue
-					}
-					ws.distBits[u] = bits
-					if old == infBits {
-						ws.touched = append(ws.touched, u)
-					}
-					b := bucketOf(nd, r.delta)
-					if b >= r.base+r.k {
-						ws.far = append(ws.far, u)
-					} else {
-						if b == r.cur {
-							ws.stampS[u] = 0 // rounding edge: force reprocessing
-						}
-						bs := b % r.k
-						ws.slots[bs] = append(ws.slots[bs], u)
-					}
-					r.queued++
-				} else if math.Float64frombits(old)+w == dv && (p < 0 || u < p) {
-					p = u
-				}
-			}
-			ws.parent[v] = p
-		}
-	}
-	prefetchSink = pf
-}
-
-// prefetchSink absorbs the prefetching loads of processBucketAllHeavy
-// so the compiler cannot eliminate them.
-var prefetchSink int64
-
 // resolveParents assigns deterministic parents to the vertices settled
 // by the bucket that just completed, for undirected graphs. Every
 // certifying neighbor u of a settled v (dist[u] + w == dist[v], exact
@@ -1010,118 +788,55 @@ func (r *deltaRun) redistributeFar() {
 
 // finalize converts the converged distance bits to the output arrays
 // and, for directed graphs, resolves deterministic parents (undirected
-// graphs resolved them bucket by bucket in resolveParents): one sweep
-// over each reached vertex's out-arcs min-reduces into parentArc, for
-// any neighbor the arc certifies (dist[u] + w == dist[v], exact float
-// equality — the arc of the last successful relaxation always
-// qualifies), the key (arc index << 31 | tail). The arc index
-// determines the tail, so ordering by key is ordering by arc index,
-// and the minimum key both picks the documented minimum-index
-// certifying arc and carries its tail — the O(touched) resolve pass
-// then needs no second arc sweep. Graphs with 2^31 or more arcs (keys
-// would overflow) take a two-pass fallback: min-reduce the bare arc
-// index, then rescan to map winning arcs back to tails.
+// graphs resolved them bucket by bucket in resolveParents) in the same
+// sweep over the reached vertices; see finalizeRange.
 func (r *deltaRun) finalize(src int32) {
 	ws := r.ws
-	g := r.g
 	touched := ws.touched
-	if !g.Directed() {
-		// Parents were resolved bucket by bucket (resolveParents); only
-		// the distance bits need converting. O(touched), no arc sweep.
-		if r.workers == 1 {
-			for _, v := range touched {
-				ws.dist[v] = math.Float64frombits(ws.distBits[v])
-			}
-		} else {
-			par.ForChunkedN(len(touched), r.workers, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					v := touched[i]
-					ws.dist[v] = math.Float64frombits(ws.distBits[v])
-				}
-			})
-		}
-		ws.parent[src] = src
-		return
-	}
-	ws.parentArcUsed = true
-	if g.NumArcs() < 1<<31 {
-		const tailMask = int64(1)<<31 - 1
-		if r.workers == 1 {
-			for _, u := range touched {
-				du := math.Float64frombits(ws.distBits[u])
-				for a, end := g.Offsets[u], g.Offsets[u+1]; a < end; a++ {
-					v := g.Adj[a]
-					if du+g.W[a] == math.Float64frombits(ws.distBits[v]) {
-						if key := a<<31 | int64(u); key < ws.parentArc[v] {
-							ws.parentArc[v] = key
-						}
-					}
-				}
-			}
-			for _, v := range touched {
-				ws.dist[v] = math.Float64frombits(ws.distBits[v])
-				if key := ws.parentArc[v]; key != noArc {
-					ws.parent[v] = int32(key & tailMask)
-				}
-			}
-			ws.parent[src] = src
-			return
-		}
+	if r.workers == 1 {
+		r.finalizeRange(touched)
+	} else {
 		par.ForChunkedN(len(touched), r.workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				u := touched[i]
-				du := math.Float64frombits(ws.distBits[u])
-				for a, end := g.Offsets[u], g.Offsets[u+1]; a < end; a++ {
-					v := g.Adj[a]
-					if du+g.W[a] == math.Float64frombits(ws.distBits[v]) {
-						casMinInt64(&ws.parentArc[v], a<<31|int64(u))
-					}
-				}
-			}
+			r.finalizeRange(touched[lo:hi])
 		})
-		par.ForChunkedN(len(touched), r.workers, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := touched[i]
-				ws.dist[v] = math.Float64frombits(ws.distBits[v])
-				if key := ws.parentArc[v]; key != noArc {
-					ws.parent[v] = int32(key & tailMask)
-				}
-			}
-		})
-		ws.parent[src] = src
-		return
 	}
-	par.ForChunkedN(len(touched), r.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := touched[i]
-			du := math.Float64frombits(ws.distBits[u])
-			for a, end := g.Offsets[u], g.Offsets[u+1]; a < end; a++ {
-				v := g.Adj[a]
-				if du+g.W[a] == math.Float64frombits(ws.distBits[v]) {
-					casMinInt64(&ws.parentArc[v], a)
-				}
-			}
-		}
-	})
-	par.ForChunkedN(len(touched), r.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := touched[i]
-			ws.dist[u] = math.Float64frombits(ws.distBits[u])
-			for a, end := g.Offsets[u], g.Offsets[u+1]; a < end; a++ {
-				if ws.parentArc[g.Adj[a]] == a {
-					ws.parent[g.Adj[a]] = u
-				}
-			}
-		}
-	})
 	ws.parent[src] = src
 }
 
-func casMinInt64(addr *int64, v int64) {
-	for {
-		old := atomic.LoadInt64(addr)
-		if old <= v || atomic.CompareAndSwapInt64(addr, old, v) {
-			return
+// finalizeRange converts the distance bits of the reached vertices us
+// and, on a directed graph, offers each u in us as the parent of every
+// out-neighbor v its arc certifies (dist[u] + w == dist[v], exact float
+// equality — the arc of the last successful relaxation always
+// qualifies) by CAS-minning u into parent[v], where -1 (unset) compares
+// as uint32 above every vertex. Arcs are numbered row-major, so among
+// the arcs certifying v the minimum index has the minimum tail: the
+// smallest certifying tail is the documented minimum-index parent, at
+// any arc count.
+func (r *deltaRun) finalizeRange(us []int32) {
+	ws := r.ws
+	g := r.g
+	directed := g.Directed()
+	for _, u := range us {
+		du := math.Float64frombits(ws.distBits[u])
+		ws.dist[u] = du
+		if !directed {
+			continue
+		}
+		for a, end := g.Offsets[u], g.Offsets[u+1]; a < end; a++ {
+			v := g.Adj[a]
+			// An unreached v (infBits) has no parent, even where du+w
+			// overflows to +Inf; it is not in touched, so reset would
+			// never clear a tail written here.
+			if dv := ws.distBits[v]; dv == infBits || du+g.W[a] != math.Float64frombits(dv) {
+				continue
+			}
+			p := &ws.parent[v]
+			for {
+				old := atomic.LoadInt32(p)
+				if uint32(old) <= uint32(u) || atomic.CompareAndSwapInt32(p, old, u) {
+					break
+				}
+			}
 		}
 	}
 }

@@ -26,6 +26,10 @@ func reweight(g *graph.Graph, pick func(rng *rand.Rand) float64, seed int64) *gr
 func uniformW(rng *rand.Rand) float64 { return float64(1 + rng.Intn(10)) }
 func equalW(*rand.Rand) float64       { return 3 }
 
+// wideW is the benchmark's weight range (1–100), where the default
+// delta leaves light arcs on every RMAT vertex class.
+func wideW(rng *rand.Rand) float64 { return float64(1 + rng.Intn(100)) }
+
 // heavyTailW spans three orders of magnitude so the default delta
 // leaves many heavy arcs and tiny deltas overflow the cyclic window.
 func heavyTailW(rng *rand.Rand) float64 {
@@ -93,6 +97,21 @@ func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 			tc{base.name + "/allequal", reweight(base.g, equalW, 13)},
 		)
 	}
+	// Directed multigraph: every ER edge three times with the distinct
+	// weights w, w+1, w+2 in random arc order, so exactly one arc of
+	// each parallel run can certify its head and it is often not the
+	// run's first. Pins the minimum certifying tail to the minimum
+	// certifying arc index when a tail owns several arcs to v.
+	mrng := rand.New(rand.NewSource(14))
+	var multiEdges []graph.Edge
+	for _, e := range dirEdges {
+		w := uniformW(mrng)
+		for _, k := range mrng.Perm(3) {
+			multiEdges = append(multiEdges, graph.Edge{U: e.U, V: e.V, W: w + float64(k)})
+		}
+	}
+	cases = append(cases, tc{"directed-multi/distinct", graph.MustBuild(200, multiEdges,
+		graph.BuildOptions{Directed: true, Weighted: true, AllowMulti: true})})
 	// Default heuristic, tiny (window overflow), huge (single bucket),
 	// and NaN, which must mean the default as 0 does.
 	deltas := []float64{0, 0.01, 1e9, math.NaN()}
@@ -189,25 +208,39 @@ func TestDeltaSteppingFarOverflow(t *testing.T) {
 
 // TestDeltaSteppingSteadyStateAllocs pins the zero-allocation claim:
 // once a workspace has run a source on a graph, further single-worker
-// runs on that graph allocate nothing.
+// runs on that graph allocate nothing. The inputs cover weights 1–10
+// (default delta below the minimum weight: no light arcs), the
+// benchmark's weights 1–100 (light and heavy arcs), and a directed
+// graph (parents resolved in finalize).
 func TestDeltaSteppingSteadyStateAllocs(t *testing.T) {
-	g := reweight(generate.RMAT(1<<10, 1<<13, generate.DefaultRMAT(), 9), uniformW, 31)
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	// Warm the buffers over the same source cycle the measurement uses:
-	// steady state means the per-slot arrays and worker buffers have
-	// grown to the high-water mark of the workload.
-	for s, i := int32(0), 0; i < 12; i++ {
-		ws.Run(g, s, DeltaSteppingOptions{Workers: 1})
-		s = (s + 41) % int32(g.NumVertices())
-	}
-	src := int32(0)
-	allocs := testing.AllocsPerRun(10, func() {
-		ws.Run(g, src, DeltaSteppingOptions{Workers: 1})
-		src = (src + 41) % int32(g.NumVertices())
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Run allocates %.1f times per run, want 0", allocs)
+	rmat := generate.RMAT(1<<10, 1<<13, generate.DefaultRMAT(), 9)
+	directed := graph.MustBuild(rmat.NumVertices(), rmat.EdgeEndpoints(), graph.BuildOptions{Directed: true})
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"uniform", reweight(rmat, uniformW, 31)},
+		{"wide", reweight(rmat, wideW, 32)},
+		{"directed", reweight(directed, uniformW, 33)},
+	} {
+		g := c.g
+		ws := AcquireWorkspace()
+		// Warm the buffers over the same source cycle the measurement
+		// uses: steady state means the per-slot arrays and worker
+		// buffers have grown to the high-water mark of the workload.
+		for s, i := int32(0), 0; i < 12; i++ {
+			ws.Run(g, s, DeltaSteppingOptions{Workers: 1})
+			s = (s + 41) % int32(g.NumVertices())
+		}
+		src := int32(0)
+		allocs := testing.AllocsPerRun(10, func() {
+			ws.Run(g, src, DeltaSteppingOptions{Workers: 1})
+			src = (src + 41) % int32(g.NumVertices())
+		})
+		ReleaseWorkspace(ws)
+		if allocs != 0 {
+			t.Fatalf("%s: steady-state Run allocates %.1f times per run, want 0", c.name, allocs)
+		}
 	}
 }
 
@@ -263,10 +296,10 @@ func requireReentryTriple(t *testing.T) {
 // after bucket 5's heavy phase queues vertex 2 into slot 5, the run
 // must re-drain that slot before advancing (slot 5 next recurs at
 // bucket 5+k, outside the window), or 2's onward relaxations are lost
-// and vertex 3 comes out unreached. The light 2-3 arc keeps the run
-// off the fused all-heavy drain, and the far arc 0-4 overflows the
-// capped window so a regression surfaces as a wrong answer rather
-// than a livelock on a non-empty queue.
+// and vertex 3 comes out unreached. The light 2-3 arc gives the run a
+// light phase, and the far arc 0-4 overflows the capped window so a
+// regression surfaces as a wrong answer rather than a livelock on a
+// non-empty queue.
 func TestDeltaSteppingHeavyRoundingReentry(t *testing.T) {
 	requireReentryTriple(t)
 	edges := []graph.Edge{
@@ -298,14 +331,16 @@ func TestDeltaSteppingHeavyRoundingReentry(t *testing.T) {
 	}
 }
 
-// TestDeltaSteppingAllHeavyReentryAliasing pins the fused all-heavy
-// drain against requeues outpacing the batch scan: bucket 5's batch is
-// [1, 2], and draining vertex 1 rounds two heavy relaxations (to 3 and
-// 4) back into bucket 5. If the drained batch still shares storage
-// with slot 5, the second requeue overwrites the unread entry for
-// vertex 2, which then never settles — no parent, and its pendant
-// neighbor 6 never reached. Every arc is heavy, the graph undirected,
-// and workers is 1, which is exactly the processBucketAllHeavy shape.
+// TestDeltaSteppingAllHeavyReentryAliasing pins the single-worker
+// bucket drain against requeues outpacing the batch scan: bucket 5's
+// batch is [1, 2], and the heavy phase of vertex 1 rounds two
+// relaxations (to 3 and 4) back into bucket 5. If the drained batch
+// still shared storage with slot 5, the second requeue would overwrite
+// the unread entry for vertex 2, which then never settles — no parent,
+// and its pendant neighbor 6 never reached. Every arc is heavy (no
+// light phase refills the slot), the graph undirected, and workers 1,
+// so the requeues come from processBucket's fused heavy-plus-parent
+// sweep.
 func TestDeltaSteppingAllHeavyReentryAliasing(t *testing.T) {
 	requireReentryTriple(t)
 	edges := []graph.Edge{

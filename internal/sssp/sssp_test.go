@@ -122,4 +122,18 @@ func TestDeltaSteppingDirected(t *testing.T) {
 			t.Fatalf("directed dist[%d] = %g, want %g", v, r.Dist[v], d)
 		}
 	}
+	// dist[1] + w overflows to +Inf, which equals vertex 2's unreached
+	// distance without certifying it: 2 keeps parent -1.
+	g, err = graph.Build(3, []graph.Edge{{U: 0, V: 1, W: 1e308}, {U: 1, V: 2, W: 1e308}},
+		graph.BuildOptions{Directed: true, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		r = DeltaStepping(g, 0, DeltaSteppingOptions{Workers: workers})
+		if !math.IsInf(r.Dist[2], 1) || r.Parent[2] != -1 {
+			t.Fatalf("workers=%d: overflowed vertex 2 has dist %g parent %d, want +Inf and -1",
+				workers, r.Dist[2], r.Parent[2])
+		}
+	}
 }

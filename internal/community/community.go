@@ -124,36 +124,6 @@ func Modularity(g *graph.Graph, assign []int32, workers int) float64 {
 	return q
 }
 
-// CommunityStats holds the per-community accounting (intra-edge count
-// and total degree) that the divisive algorithms update incrementally.
-type CommunityStats struct {
-	Intra  []int64 // intra-community edges of the ORIGINAL graph
-	DegSum []int64 // total original degree
-	M      float64 // original edge count
-}
-
-// NewCommunityStats computes per-community accounting for assign with
-// community ids in [0, count).
-func NewCommunityStats(g *graph.Graph, assign []int32, count int) *CommunityStats {
-	st := &CommunityStats{
-		Intra:  make([]int64, count),
-		DegSum: make([]int64, count),
-		M:      float64(g.NumEdges()),
-	}
-	n := g.NumVertices()
-	for vi := 0; vi < n; vi++ {
-		v := int32(vi)
-		c := assign[v]
-		st.DegSum[c] += int64(g.Degree(v))
-		for _, u := range g.Neighbors(v) {
-			if u > v && assign[u] == c {
-				st.Intra[c]++
-			}
-		}
-	}
-	return st
-}
-
 var relabelPool = par.NewPool(func() *relabeler { return &relabeler{} })
 
 // densify renumbers arbitrary community labels to [0, Count) in

@@ -84,20 +84,22 @@ func TestQuickModularityBounds(t *testing.T) {
 func TestCommunityStatsMatchModularity(t *testing.T) {
 	g := generate.RMAT(200, 800, generate.DefaultRMAT(), 8)
 	assign := make([]int32, g.NumVertices())
+	members := make([][]int32, 5)
 	for v := range assign {
 		assign[v] = int32(v % 5)
+		members[v%5] = append(members[v%5], int32(v))
 	}
-	st := NewCommunityStats(g, assign, 5)
-	// The divisive algorithms seed their map-backed Q from this
-	// accounting; it must agree with the direct modularity sweep.
-	intra := map[int32]int64{}
-	degsum := map[int32]int64{}
-	for c := range st.Intra {
-		intra[int32(c)] = st.Intra[c]
-		degsum[int32(c)] = st.DegSum[c]
+	// The divisive loop's totals Q = I/m − S/(4m²) must agree with the
+	// direct modularity sweep.
+	var in int64
+	var sq uint64
+	for c, mem := range members {
+		intra, degsum := communityStats(g, assign, int32(c), mem)
+		in += intra
+		sq += uint64(degsum) * uint64(degsum)
 	}
-	q := modularityFromMaps(intra, degsum, st.M)
-	if math.Abs(q-Modularity(g, assign, 1)) > 1e-9 {
+	q := totalsQ(in, sq, g.NumEdges())
+	if math.Abs(q-Modularity(g, assign, 1)) > 1e-12 {
 		t.Fatalf("stats Q %g != modularity %g", q, Modularity(g, assign, 1))
 	}
 }
@@ -142,10 +144,8 @@ func TestGirvanNewmanKarateQuality(t *testing.T) {
 
 func TestGirvanNewmanMaxRemovals(t *testing.T) {
 	g := datasets.Karate()
-	iterations := 0
-	GirvanNewman(g, GNOptions{MaxRemovals: 5, OnRemoval: func(int) { iterations++ }})
-	if iterations != 5 {
-		t.Fatalf("OnRemoval fired %d times, want 5", iterations)
+	if _, dend := GirvanNewman(g, GNOptions{MaxRemovals: 5}); dend.Len() != 5 {
+		t.Fatalf("dendrogram has %d events, want 5", dend.Len())
 	}
 }
 
@@ -163,6 +163,16 @@ func TestPBDTwoTriangles(t *testing.T) {
 	want := 6.0/7.0 - 0.5
 	if best.Count != 2 || math.Abs(best.Q-want) > 1e-9 {
 		t.Fatalf("pBD: count=%d Q=%g, want 2 / %g", best.Count, best.Q, want)
+	}
+	// Removing a self-loop never splits a community, even when it is
+	// its vertex's only edge.
+	loop := graph.MustBuild(7, append(g.EdgeEndpoints(), graph.Edge{U: 6, V: 6}), graph.BuildOptions{AllowSelfLoops: true})
+	best, dend := PBD(loop, PBDOptions{Seed: 1})
+	if best.Count != 3 || dend.Len() != loop.NumEdges() {
+		t.Fatalf("pBD with a self-loop: count=%d after %d removals, want 3 after %d", best.Count, dend.Len(), loop.NumEdges())
+	}
+	if q := Modularity(loop, best.Assign, 1); math.Abs(q-best.Q) > 1e-12 {
+		t.Fatalf("pBD with a self-loop: reported Q %g != recomputed %g", best.Q, q)
 	}
 }
 

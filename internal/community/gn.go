@@ -1,16 +1,9 @@
 package community
 
-import (
-	"sort"
+import "snap/internal/graph"
 
-	"snap/internal/bfs"
-	"snap/internal/centrality"
-	"snap/internal/components"
-	"snap/internal/graph"
-	"snap/internal/par"
-)
-
-// GNOptions configures the Girvan–Newman baseline.
+// GNOptions configures the Girvan–Newman baseline, which is PBD's
+// removal loop at exact settings (see GirvanNewman).
 type GNOptions struct {
 	// Workers bounds parallelism; <= 0 means par.Workers().
 	Workers int
@@ -23,10 +16,6 @@ type GNOptions struct {
 	// a generous patience recovers the full-run answer at a fraction
 	// of the cost on large instances.
 	Patience int
-	// OnRemoval, when non-nil, is called after every removal with the
-	// iteration index — used by the benchmark harness to meter
-	// per-iteration cost on instances too large for a full run.
-	OnRemoval func(iter int)
 }
 
 // GirvanNewman is the exact edge-betweenness divisive algorithm
@@ -34,186 +23,19 @@ type GNOptions struct {
 // remove the highest-scoring edge, and track the modularity of the
 // connected-component partition, returning the best clustering seen.
 //
-// Exactness is preserved while avoiding redundant work: removing an
-// edge only perturbs shortest paths inside its own connected
-// component, so betweenness is recomputed only for the affected
-// component(s), with cached scores reused elsewhere. Traversals within
-// the recomputation are distributed over workers (coarse-grained).
+// It runs PBD with every member of a component as a source
+// (SampleFraction 1), a refresh after every removal (RefreshInterval
+// 1) and no bridge boost. Exactness is preserved while avoiding
+// redundant work: removing an edge only perturbs shortest paths inside
+// its own component, so only the affected component's (or both
+// fragments') scores are recomputed, with cached scores reused
+// elsewhere.
 func GirvanNewman(g *graph.Graph, opt GNOptions) (Clustering, *Dendrogram) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	m := g.NumEdges()
-	maxRemovals := opt.MaxRemovals
-	if maxRemovals <= 0 || maxRemovals > m {
-		maxRemovals = m
-	}
-
-	alive := make([]bool, m)
-	for i := range alive {
-		alive[i] = true
-	}
-
-	// Initial partition: connected components of the input.
-	lab := components.Connected(g, alive)
-	assign := lab.Comp
-	members := make(map[int32][]int32, lab.Count)
-	for v, c := range assign {
-		members[c] = append(members[c], int32(v))
-	}
-	nextComm := int32(lab.Count)
-	stats := NewCommunityStats(g, assign, lab.Count)
-	// Stats indexed by community id; switch to map-backed growth.
-	intra := make(map[int32]int64, lab.Count)
-	degsum := make(map[int32]int64, lab.Count)
-	for c := 0; c < lab.Count; c++ {
-		intra[int32(c)] = stats.Intra[c]
-		degsum[int32(c)] = stats.DegSum[c]
-	}
-	q := modularityFromMaps(intra, degsum, float64(m))
-	dend := NewDendrogram(assign, int(nextComm), q)
-
-	// Full exact edge betweenness once.
-	scores := centrality.Betweenness(g, centrality.BetweennessOptions{
-		Workers:     workers,
-		Alive:       alive,
-		ComputeEdge: true,
-	}).Edge
-
-	endpoints := g.EdgeEndpoints()
-	clusters := lab.Count
-	sinceBest := 0
-	// One epoch-stamped workspace serves every split-check BFS across
-	// all removals: O(1) reset per check instead of two O(n) arrays.
-	ws := bfs.AcquireWorkspace(g.NumVertices())
-	defer bfs.ReleaseWorkspace(ws)
-	for iter := 0; iter < maxRemovals; iter++ {
-		em := centrality.MaxEdge(scores, alive)
-		if em < 0 {
-			break
-		}
-		alive[em] = false
-		u, v := endpoints[em].U, endpoints[em].V
-		comm := assign[u]
-
-		// Does the removal split comm? BFS from u over alive edges.
-		ws.Run(g, u, alive, -1)
-		split := !ws.Visited(v)
-		if split {
-			// Relabel the side containing u.
-			newComm := nextComm
-			nextComm++
-			var sideU, sideV []int32
-			for _, w := range members[comm] {
-				if ws.Visited(w) {
-					assign[w] = newComm
-					sideU = append(sideU, w)
-				} else {
-					sideV = append(sideV, w)
-				}
-			}
-			members[newComm] = sideU
-			members[comm] = sideV
-			recomputeStats(g, assign, newComm, sideU, intra, degsum)
-			recomputeStats(g, assign, comm, sideV, intra, degsum)
-			clusters++
-			q = modularityFromMaps(intra, degsum, float64(m))
-		}
-		// Recompute betweenness for the affected component(s):
-		// zero scores of their alive edges, then accumulate fresh
-		// traversals from their vertices only.
-		affected := members[comm]
-		if split {
-			affected = append(append([]int32(nil), affected...), members[nextComm-1]...)
-		}
-		zeroComponentScores(g, affected, alive, scores)
-		if len(affected) > 1 {
-			part := centrality.Betweenness(g, centrality.BetweennessOptions{
-				Workers:     workers,
-				Alive:       alive,
-				ComputeEdge: true,
-				Sources:     affected,
-			})
-			for id, s := range part.Edge {
-				if s != 0 {
-					scores[id] += s
-				}
-			}
-		}
-		prevBest := dend.BestQ
-		dend.Record(DendrogramEvent{
-			Step:     iter,
-			A:        comm,
-			B:        nextComm - 1,
-			EdgeID:   em,
-			Clusters: clusters,
-			Q:        q,
-		}, assign, clusters)
-		if opt.OnRemoval != nil {
-			opt.OnRemoval(iter)
-		}
-		if dend.BestQ > prevBest {
-			sinceBest = 0
-		} else {
-			sinceBest++
-			if opt.Patience > 0 && sinceBest >= opt.Patience {
-				break
-			}
-		}
-	}
-	return dend.Best(), dend
-}
-
-// recomputeStats refreshes the intra/degsum accounting of community c
-// whose member list is members. Modularity is always measured against
-// the ORIGINAL graph (Newman–Girvan), so intra counts original edges
-// between members, regardless of alive status.
-func recomputeStats(g *graph.Graph, assign []int32, c int32, members []int32, intra, degsum map[int32]int64) {
-	var mi, di int64
-	for _, v := range members {
-		di += int64(g.Degree(v))
-		for _, u := range g.Neighbors(v) {
-			if u > v && assign[u] == c {
-				mi++
-			}
-		}
-	}
-	intra[c] = mi
-	degsum[c] = di
-}
-
-func modularityFromMaps(intra, degsum map[int32]int64, m float64) float64 {
-	if m == 0 {
-		return 0
-	}
-	// Sum in sorted key order: float addition is not associative, and
-	// map iteration order is random, so an unsorted sum would make
-	// runs with identical seeds differ in the last few bits of Q.
-	keys := make([]int32, 0, len(intra))
-	for c := range intra {
-		keys = append(keys, c)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var q float64
-	twoM := 2 * m
-	for _, c := range keys {
-		frac := float64(degsum[c]) / twoM
-		q += float64(intra[c])/m - frac*frac
-	}
-	return q
-}
-
-// zeroComponentScores clears the cached betweenness of every alive
-// edge incident to the given vertices (exactly the edges whose scores
-// the follow-up component-local recomputation will repopulate).
-func zeroComponentScores(g *graph.Graph, vertices []int32, alive []bool, scores []float64) {
-	for _, v := range vertices {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		for a := lo; a < hi; a++ {
-			if id := g.EID[a]; alive[id] {
-				scores[id] = 0
-			}
-		}
-	}
+	return PBD(g, PBDOptions{
+		Workers:         opt.Workers,
+		SampleFraction:  1,
+		RefreshInterval: 1,
+		MaxRemovals:     opt.MaxRemovals,
+		Patience:        opt.Patience,
+	})
 }

@@ -5,6 +5,9 @@ import (
 	"hash/fnv"
 	"math"
 	"testing"
+
+	"snap/internal/generate"
+	"snap/internal/graph"
 )
 
 // Golden clusterings of the move engine, recorded at commit 3643b0f.
@@ -49,6 +52,69 @@ func TestMoveGoldenClusterings(t *testing.T) {
 			if h := clusteringHash(ws.Refine(g, start, 16, 1, workers)); h != want.refine {
 				t.Errorf("%s workers=%d: Refine hash %#x, want %#x", name, workers, h, want.refine)
 			}
+		}
+	}
+}
+
+// Golden trajectories of the divisive engine at Workers 1, recorded at
+// commit 7b352ee. The hash covers the best clustering's Assign and
+// Count and the dendrogram's removal sequence, so a change that
+// reorders one removal moves it. Q is not hashed; it is checked
+// against Modularity instead.
+var divisiveGoldens = map[string]uint64{
+	"pbd/karate":  0x8df2affc6946e7e6,
+	"pbd/planted": 0x4f83a9f3a625c750,
+	"pbd/rmat300": 0x991225f1269424bb,
+	"gn/karate":   0x3ade1a5c088e05a7,
+}
+
+// divisiveHash is FNV-1a over Assign as little-endian int32s, then
+// Count, then every event's EdgeID.
+func divisiveHash(c Clustering, d *Dendrogram) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, a := range c.Assign {
+		binary.LittleEndian.PutUint32(b[:4], uint32(a))
+		h.Write(b[:4])
+	}
+	binary.LittleEndian.PutUint64(b[:], uint64(c.Count))
+	h.Write(b[:])
+	for _, ev := range d.Events {
+		binary.LittleEndian.PutUint32(b[:4], uint32(ev.EdgeID))
+		h.Write(b[:4])
+	}
+	return h.Sum64()
+}
+
+func TestDivisiveGoldens(t *testing.T) {
+	graphs := moveTestGraphs(t)
+	karate, planted := graphs["karate"], graphs["planted"]
+	rmat := generate.RMAT(300, 1200, generate.DefaultRMAT(), 1)
+	runs := []struct {
+		name string
+		g    *graph.Graph
+		run  func(g *graph.Graph) (Clustering, *Dendrogram)
+	}{
+		{"pbd/karate", karate, func(g *graph.Graph) (Clustering, *Dendrogram) {
+			return PBD(g, PBDOptions{Workers: 1, Seed: 1})
+		}},
+		{"pbd/planted", planted, func(g *graph.Graph) (Clustering, *Dendrogram) {
+			return PBD(g, PBDOptions{Workers: 1, Seed: 1})
+		}},
+		{"pbd/rmat300", rmat, func(g *graph.Graph) (Clustering, *Dendrogram) {
+			return PBD(g, PBDOptions{Workers: 1, Seed: 1, SwitchThreshold: 64})
+		}},
+		{"gn/karate", karate, func(g *graph.Graph) (Clustering, *Dendrogram) {
+			return GirvanNewman(g, GNOptions{Workers: 1})
+		}},
+	}
+	for _, r := range runs {
+		best, dend := r.run(r.g)
+		if h := divisiveHash(best, dend); h != divisiveGoldens[r.name] {
+			t.Errorf("%s: hash %#x, want %#x", r.name, h, divisiveGoldens[r.name])
+		}
+		if q := Modularity(r.g, best.Assign, 1); math.Abs(q-best.Q) > 1e-12 {
+			t.Errorf("%s: reported Q %g, Modularity %g", r.name, best.Q, q)
 		}
 	}
 }

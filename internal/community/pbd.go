@@ -3,6 +3,7 @@ package community
 import (
 	"math/rand"
 
+	"snap/internal/bfs"
 	"snap/internal/centrality"
 	"snap/internal/components"
 	"snap/internal/graph"
@@ -64,17 +65,20 @@ func (o *PBDOptions) fill() {
 }
 
 // PBD is the parallel approximate-betweenness divisive clustering
-// algorithm (pBD). It follows the Girvan–Newman structure but replaces
-// exact betweenness with adaptive sampled approximation while
-// components are large, switching to exact component-local betweenness
-// once the graph has fragmented below SwitchThreshold; connectivity
-// after each cut is tested with a bidirectional search, and modularity
-// and the dendrogram are maintained incrementally (the parallel O(m)
-// steps 6–7 of Algorithm 1 reduce to incremental O(split) updates plus
-// parallel traversals).
+// algorithm (pBD), Girvan–Newman's removal loop engineered. While a
+// component is larger than SwitchThreshold, its edge betweenness is
+// estimated from a fixed SampleFraction of its vertices as sources
+// (floored at MinSamples) and refreshed every RefreshInterval
+// removals; at or below the threshold it is exact and refreshed on
+// every split. Connectivity after each cut is tested with the
+// bidirectional search bfs.STSearch, and modularity and the dendrogram
+// are maintained incrementally (the parallel O(m) steps 6–7 of
+// Algorithm 1 reduce to incremental O(split) updates plus parallel
+// traversals). It is the package's only divisive loop: GirvanNewman
+// runs it at exact settings.
 func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 	opt.fill()
-	m := g.NumEdges()
+	n, m := g.NumVertices(), g.NumEdges()
 	maxRemovals := opt.MaxRemovals
 	if maxRemovals <= 0 || maxRemovals > m {
 		maxRemovals = m
@@ -87,41 +91,42 @@ func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 	}
 	lab := components.Connected(g, alive)
 	assign := lab.Comp
-	members := make(map[int32][]int32, lab.Count)
+	// Community ids stay below n: every split adds one community, and
+	// there are never more communities than vertices.
+	members := make([][]int32, n)
 	for v, c := range assign {
 		members[c] = append(members[c], int32(v))
 	}
 	nextComm := int32(lab.Count)
-	st := NewCommunityStats(g, assign, lab.Count)
-	intra := make(map[int32]int64, lab.Count)
-	degsum := make(map[int32]int64, lab.Count)
-	for c := 0; c < lab.Count; c++ {
-		intra[int32(c)] = st.Intra[c]
-		degsum[int32(c)] = st.DegSum[c]
-	}
-	q := modularityFromMaps(intra, degsum, float64(m))
-	dend := NewDendrogram(assign, int(nextComm), q)
 
-	// Optional step 1: bridges are likely high-centrality edges; give
-	// them an initial score boost so the first removals consider them
-	// even before a full estimate refresh.
-	bridgeBoost := make(map[int32]bool)
-	if opt.UseBridgeHeuristic {
-		bc := components.Biconnected(g)
-		for _, b := range bc.Bridges() {
-			bridgeBoost[b] = true
-		}
+	// Q = totalsQ(in, sq, m), kept current as communities split.
+	intra, degsum := make([]int64, n), make([]int64, n)
+	var in int64
+	var sq uint64
+	account := func(c int32) {
+		in -= intra[c]
+		sq -= uint64(degsum[c]) * uint64(degsum[c])
+		intra[c], degsum[c] = communityStats(g, assign, c, members[c])
+		in += intra[c]
+		sq += uint64(degsum[c]) * uint64(degsum[c])
 	}
-
-	// Initial approximate scores over each initial component.
 	scores := make([]float64, m)
-	for c := int32(0); c < nextComm; c++ {
+	stale := make([]int, n) // removals since the community's last refresh
+	refresh := func(c int32) {
+		zeroComponentScores(g, members[c], alive, scores)
 		refreshScores(g, alive, members[c], scores, opt, rng)
+		stale[c] = 0
 	}
-	for b := range bridgeBoost {
-		// A bridge carries all s-t dependencies across it; make sure
-		// sampling noise cannot hide it at the start.
-		if alive[b] {
+	for c := int32(0); c < nextComm; c++ {
+		account(c)
+		refresh(c)
+	}
+	dend := NewDendrogram(assign, int(nextComm), totalsQ(in, sq, m))
+
+	// Optional step 1: a bridge carries all s-t dependencies across
+	// it; boost its initial score so sampling noise cannot hide it.
+	if opt.UseBridgeHeuristic {
+		for _, b := range components.Biconnected(g).Bridges() {
 			scores[b] *= 1.5
 		}
 	}
@@ -129,7 +134,7 @@ func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 	endpoints := g.EdgeEndpoints()
 	clusters := lab.Count
 	sinceBest := 0
-	stale := make(map[int32]int, lab.Count) // removals since last refresh
+	var search bfs.STSearch
 	for iter := 0; iter < maxRemovals; iter++ {
 		em := centrality.MaxEdge(scores, alive)
 		if em < 0 {
@@ -139,29 +144,23 @@ func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 		u, v := endpoints[em].U, endpoints[em].V
 		comm := assign[u]
 
-		side, connected := bidirSplit(g, alive, u, v)
-		if !connected {
+		if connected, _, side := search.Run(g, u, v, alive); !connected {
 			newComm := nextComm
 			nextComm++
-			inSide := make(map[int32]bool, len(side))
-			for _, w := range side {
-				inSide[w] = true
-			}
-			var other []int32
-			for _, w := range members[comm] {
-				if !inSide[w] {
-					other = append(other, w)
-				}
-			}
+			side = append([]int32(nil), side...) // side aliases search
 			for _, w := range side {
 				assign[w] = newComm
 			}
-			members[newComm] = side
-			members[comm] = other
-			recomputeStats(g, assign, newComm, side, intra, degsum)
-			recomputeStats(g, assign, comm, other, intra, degsum)
+			var other []int32
+			for _, w := range members[comm] {
+				if assign[w] == comm {
+					other = append(other, w)
+				}
+			}
+			members[newComm], members[comm] = side, other
+			account(newComm)
+			account(comm)
 			clusters++
-			q = modularityFromMaps(intra, degsum, float64(m))
 
 			// A split partially invalidates both fragments' scores
 			// (cross-fragment dependencies died with the cut edge).
@@ -171,32 +170,15 @@ func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 			// are pushed toward their next scheduled refresh. Eager
 			// whole-fragment refreshes on every split would dominate
 			// the runtime on graphs that peel, e.g. R-MAT peripheries.
-			for _, frag := range [2][]int32{side, other} {
-				c := assign[frag[0]]
-				if len(frag) <= opt.SwitchThreshold {
-					zeroComponentScores(g, frag, alive, scores)
-					refreshScores(g, alive, frag, scores, opt, rng)
-					stale[c] = 0
-				} else {
-					stale[c] += 2
-					if stale[c] >= opt.RefreshInterval {
-						zeroComponentScores(g, frag, alive, scores)
-						refreshScores(g, alive, frag, scores, opt, rng)
-						stale[c] = 0
-					}
+			for _, c := range [2]int32{newComm, comm} {
+				if stale[c] += 2; len(members[c]) <= opt.SwitchThreshold || stale[c] >= opt.RefreshInterval {
+					refresh(c)
 				}
 			}
-		} else {
-			// No split: reuse the cached candidate ranking until
-			// RefreshInterval removals have accumulated, then refresh
-			// (exactly for components at or below the switch
-			// threshold, sampled above it).
-			stale[comm]++
-			if stale[comm] >= opt.RefreshInterval {
-				zeroComponentScores(g, members[comm], alive, scores)
-				refreshScores(g, alive, members[comm], scores, opt, rng)
-				stale[comm] = 0
-			}
+		} else if stale[comm]++; stale[comm] >= opt.RefreshInterval {
+			// No split: the cached candidate ranking serves until
+			// RefreshInterval removals have accumulated.
+			refresh(comm)
 		}
 
 		prevBest := dend.BestQ
@@ -206,7 +188,7 @@ func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 			B:        nextComm - 1,
 			EdgeID:   em,
 			Clusters: clusters,
-			Q:        q,
+			Q:        totalsQ(in, sq, m),
 		}, assign, clusters)
 		if dend.BestQ > prevBest {
 			sinceBest = 0
@@ -218,6 +200,48 @@ func PBD(g *graph.Graph, opt PBDOptions) (Clustering, *Dendrogram) {
 		}
 	}
 	return dend.Best(), dend
+}
+
+// totalsQ is modularity from two exact totals, Q = I/m − S/(4m²), with
+// I = Σ intra and S = Σ degsum² over the communities (S < (2m)² fits a
+// uint64). Integer totals make Q a function of the partition alone,
+// whatever order it was reached in.
+func totalsQ(in int64, sq uint64, m int) float64 {
+	if m == 0 {
+		return 0
+	}
+	fm := float64(m)
+	return float64(in)/fm - float64(sq)/(4*fm*fm)
+}
+
+// communityStats returns the intra-edge count and total degree of
+// community c, whose member list is members. Modularity is always
+// measured against the ORIGINAL graph (Newman–Girvan), so intra counts
+// original edges between members, regardless of alive status.
+func communityStats(g *graph.Graph, assign []int32, c int32, members []int32) (intra, degsum int64) {
+	for _, v := range members {
+		degsum += int64(g.Degree(v))
+		for _, u := range g.Neighbors(v) {
+			if u > v && assign[u] == c {
+				intra++
+			}
+		}
+	}
+	return intra, degsum
+}
+
+// zeroComponentScores clears the cached betweenness of every alive
+// edge incident to the given vertices (exactly the edges whose scores
+// the follow-up component-local recomputation will repopulate).
+func zeroComponentScores(g *graph.Graph, vertices []int32, alive []bool, scores []float64) {
+	for _, v := range vertices {
+		lo, hi := g.Offsets[v], g.Offsets[v+1]
+		for a := lo; a < hi; a++ {
+			if id := g.EID[a]; alive[id] {
+				scores[id] = 0
+			}
+		}
+	}
 }
 
 // refreshScores recomputes the betweenness estimate of every alive
@@ -262,61 +286,4 @@ func sampleVertices(comp []int32, k int, rng *rand.Rand) []int32 {
 		cp[i], cp[j] = cp[j], cp[i]
 	}
 	return cp[:k]
-}
-
-// bidirSplit tests whether u and v are still connected after removing
-// the edge between them, by alternating BFS waves from both endpoints.
-// If they are disconnected it returns the full vertex set of the side
-// whose wave exhausted first (the smaller side) and connected=false.
-func bidirSplit(g *graph.Graph, alive []bool, u, v int32) (side []int32, connected bool) {
-	visitU := map[int32]bool{u: true}
-	visitV := map[int32]bool{v: true}
-	frontU := []int32{u}
-	frontV := []int32{v}
-	orderU := []int32{u}
-	orderV := []int32{v}
-	for {
-		// Expand the smaller frontier.
-		if len(frontU) <= len(frontV) {
-			var hit bool
-			frontU, orderU, hit = expandWave(g, alive, frontU, orderU, visitU, visitV)
-			if hit {
-				return nil, true
-			}
-			if len(frontU) == 0 {
-				return orderU, false
-			}
-		} else {
-			var hit bool
-			frontV, orderV, hit = expandWave(g, alive, frontV, orderV, visitV, visitU)
-			if hit {
-				return nil, true
-			}
-			if len(frontV) == 0 {
-				return orderV, false
-			}
-		}
-	}
-}
-
-func expandWave(g *graph.Graph, alive []bool, front, order []int32, mine, theirs map[int32]bool) (nf, no []int32, hit bool) {
-	var next []int32
-	for _, v := range front {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		for a := lo; a < hi; a++ {
-			if alive != nil && !alive[g.EID[a]] {
-				continue
-			}
-			u := g.Adj[a]
-			if theirs[u] {
-				return nil, order, true
-			}
-			if !mine[u] {
-				mine[u] = true
-				next = append(next, u)
-				order = append(order, u)
-			}
-		}
-	}
-	return next, order, false
 }

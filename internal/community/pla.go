@@ -6,6 +6,7 @@ import (
 
 	"snap/internal/components"
 	"snap/internal/graph"
+	"snap/internal/metrics"
 	"snap/internal/par"
 )
 
@@ -78,7 +79,7 @@ func PLA(g *graph.Graph, opt PLAOptions) Clustering {
 	// Precompute the local metric scores once.
 	var metric []float64
 	if opt.Metric == MetricClusteringCoeff {
-		metric = localClusteringScores(g, workers)
+		metric = metrics.LocalClustering(g, workers)
 	} else {
 		metric = make([]float64, n)
 		for v := 0; v < n; v++ {
@@ -442,26 +443,4 @@ func (st *plaState) fold(s, o int32) {
 	st.member[s] = nil
 	st.degsum[o] += st.degsum[s]
 	st.degsum[s] = 0
-}
-
-// localClusteringScores computes local clustering coefficients on the
-// shared sorted-adjacency intersection kernel (metrics uses the same
-// one; importing metrics here would be an upward dependency).
-func localClusteringScores(g *graph.Graph, workers int) []float64 {
-	n := g.NumVertices()
-	out := make([]float64, n)
-	par.ForGuidedN(n, 64, workers, func(vi int) {
-		v := int32(vi)
-		adj := g.Neighbors(v)
-		d := len(adj)
-		if d < 2 {
-			return
-		}
-		links := 0
-		for i := 0; i < d; i++ {
-			links += graph.SortedIntersectCount(g.Neighbors(adj[i]), adj[i+1:])
-		}
-		out[vi] = 2 * float64(links) / (float64(d) * float64(d-1))
-	})
-	return out
 }

@@ -589,8 +589,8 @@ func (e *Engine) Export() Result {
 }
 
 // enginePool amortizes engines across kernel invocations: closeness,
-// diameter, average path length, connected components, and the GN
-// split check all borrow from the same pool, so back-to-back analyses
+// diameter, average path length and connected components all borrow
+// from the same pool, so back-to-back analyses
 // on same-sized graphs reach allocation-free steady state.
 var enginePool = par.NewPool(func() *Engine { return &Engine{} })
 

@@ -6,10 +6,12 @@
 // traversals reset in O(1) and run allocation-free.
 //
 // The BFS, components, metrics (iFUB diameter, path lengths,
-// bipartiteness), Brandes betweenness, community (GN split checks), and
-// unweighted SSSP kernels all drive their frontier loops through this
-// package instead of hand-rolling queue bookkeeping, so a tuning win
-// here is inherited by every traversal consumer at once.
+// bipartiteness), Brandes betweenness (behind the divisive community
+// kernels), and unweighted SSSP kernels all drive their frontier loops
+// through this package instead of hand-rolling queue bookkeeping, so a
+// tuning win here is inherited by every traversal consumer at once.
+// The one exception is bfs.STSearch, the bidirectional s-t search,
+// whose two waves share one signed level-mark array.
 package frontier
 
 // Frontier is one BFS level in its hybrid representation. The sparse

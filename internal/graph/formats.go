@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -44,13 +45,15 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 }
 
 // ReadMETIS parses the METIS graph format (optionally with edge
-// weights, fmt code 1 or 001).
+// weights, fmt code 1 or 001). Blank lines before the header are
+// skipped; after it, every line but a % comment is a vertex, so a
+// blank one is a vertex without neighbors.
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var n, m int
 	weighted := false
-	line, err := nextDataLine(sc)
+	line, err := nextDataLine(sc, true)
 	if err != nil {
 		return nil, fmt.Errorf("graph: METIS: missing header: %v", err)
 	}
@@ -64,6 +67,9 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	if m, err = strconv.Atoi(fields[1]); err != nil {
 		return nil, err
 	}
+	if n < 0 || m < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: METIS: bad header %q", line)
+	}
 	if len(fields) >= 3 {
 		code := strings.TrimLeft(fields[2], "0")
 		switch code {
@@ -74,9 +80,10 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 			return nil, fmt.Errorf("graph: METIS: unsupported fmt %q (vertex weights not supported)", fields[2])
 		}
 	}
-	edges := make([]Edge, 0, m)
+	// m sizes nothing: a header that lies must not allocate.
+	var edges []Edge
 	for v := 0; v < n; v++ {
-		line, err := nextDataLine(sc)
+		line, err := nextDataLine(sc, false)
 		if err != nil {
 			return nil, fmt.Errorf("graph: METIS: vertex %d: %v", v+1, err)
 		}
@@ -107,11 +114,13 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	return Build(n, edges, BuildOptions{Weighted: weighted})
 }
 
-func nextDataLine(sc *bufio.Scanner) (string, error) {
+// nextDataLine returns the next line that is not a % comment, and
+// with skipBlank not a blank line either.
+func nextDataLine(sc *bufio.Scanner, skipBlank bool) (string, error) {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
-			continue // METIS comments start with %
+		if line == "" && skipBlank || strings.HasPrefix(line, "%") {
+			continue
 		}
 		return line, nil
 	}
@@ -155,6 +164,9 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 			v, err := strconv.Atoi(fields[2])
 			if err != nil {
 				return nil, err
+			}
+			if v < 0 || v > math.MaxInt32 {
+				return nil, fmt.Errorf("graph: DIMACS line %d: vertex count %d out of range", lineNo, v)
 			}
 			n = v
 		case "e", "a":

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -18,32 +20,53 @@ func smallGraph(t *testing.T) *Graph {
 	return g
 }
 
-func TestMETISRoundTrip(t *testing.T) {
-	g := smallGraph(t)
-	var buf bytes.Buffer
-	if err := WriteMETIS(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadMETIS(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip sizes: %v vs %v", g2, g)
-	}
-	for v := int32(0); int(v) < g.NumVertices(); v++ {
-		a, b := g.Neighbors(v), g2.Neighbors(v)
-		if len(a) != len(b) {
-			t.Fatalf("degree mismatch at %d", v)
+// isolatedGraphs adds vertices without neighbors to g: one in the
+// middle of the id range and one at its end. METIS writes each as a
+// blank line.
+func isolatedGraphs(t *testing.T, g *Graph) []*Graph {
+	t.Helper()
+	n := g.NumVertices()
+	var mid []Edge
+	for _, e := range g.EdgeEndpoints() {
+		if e.U >= 2 {
+			e.U++
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("adjacency mismatch at %d", v)
+		if e.V >= 2 {
+			e.V++
+		}
+		mid = append(mid, e)
+	}
+	opt := BuildOptions{Weighted: g.Weighted()}
+	return []*Graph{g, MustBuild(n+1, mid, opt), MustBuild(n+1, g.EdgeEndpoints(), opt)}
+}
+
+func TestMETISRoundTrip(t *testing.T) {
+	for _, g := range isolatedGraphs(t, smallGraph(t)) {
+		var buf bytes.Buffer
+		if err := WriteMETIS(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadMETIS(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() {
+			t.Fatalf("round trip sizes: %v vs %v", g2, g)
+		}
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			a, b := g.Neighbors(v), g2.Neighbors(v)
+			if len(a) != len(b) {
+				t.Fatalf("degree mismatch at %d", v)
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("adjacency mismatch at %d", v)
+				}
 			}
 		}
-	}
-	if !g2.Weighted() || g2.TotalWeight() != g.TotalWeight() {
-		t.Fatalf("weights lost: %g vs %g", g2.TotalWeight(), g.TotalWeight())
+		if !g2.Weighted() || g2.TotalWeight() != g.TotalWeight() {
+			t.Fatalf("weights lost: %g vs %g", g2.TotalWeight(), g.TotalWeight())
+		}
 	}
 }
 
@@ -56,9 +79,25 @@ func TestMETISUnweightedRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "4 3\n") {
 		t.Fatalf("header: %q", buf.String()[:10])
 	}
-	g2, err := ReadMETIS(&buf)
-	if err != nil || g2.NumEdges() != 3 {
-		t.Fatalf("round trip: %v %v", g2, err)
+	for _, g := range isolatedGraphs(t, g) {
+		buf.Reset()
+		if err := WriteMETIS(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadMETIS(&buf)
+		if err != nil || g2.NumVertices() != g.NumVertices() || g2.NumEdges() != 3 {
+			t.Fatalf("round trip: %v %v", g2, err)
+		}
+		for v := int32(0); int(v) < g.NumVertices(); v++ {
+			if !slices.Equal(g.Neighbors(v), g2.Neighbors(v)) {
+				t.Fatalf("adjacency mismatch at %d", v)
+			}
+		}
+	}
+	// A hand-written file: vertex 2 has no neighbors.
+	g2, err := ReadMETIS(strings.NewReader("4 2\n3\n\n1 4\n3\n"))
+	if err != nil || g2.NumVertices() != 4 || g2.NumEdges() != 2 || g2.Degree(1) != 0 {
+		t.Fatalf("blank vertex line: %v %v", g2, err)
 	}
 }
 
@@ -90,6 +129,21 @@ func TestMETISErrors(t *testing.T) {
 	if _, err := ReadMETIS(strings.NewReader("2 1\n9\n1\n")); err == nil {
 		t.Fatal("out-of-range neighbor should fail")
 	}
+	// Bad headers fail before anything is sized from them.
+	for _, in := range []string{
+		"1 -1\n\n",
+		"-1 0\n",
+		"-3 -3\n",
+		"4294967296 0\n",
+		"1\n\n",
+		"x 1\n\n",
+		"1 y\n\n",
+		"3 1\n2\n1\n", // vertex 3's line is missing
+	} {
+		if _, err := ReadMETIS(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadMETIS(%q) should fail", in)
+		}
+	}
 }
 
 func TestDIMACSRoundTrip(t *testing.T) {
@@ -119,6 +173,14 @@ func TestDIMACSErrors(t *testing.T) {
 	}
 	if _, err := ReadDIMACS(strings.NewReader("c only comments\n")); err == nil {
 		t.Fatal("missing problem line should fail")
+	}
+	// A vertex count outside [0, MaxInt32] is its own error: ids
+	// above MaxInt32 would wrap in int32.
+	for _, in := range []string{"p edge -1 0\n", "p edge 2147483648 1\ne 2147483648 1\n"} {
+		_, err := ReadDIMACS(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "vertex count") {
+			t.Errorf("ReadDIMACS(%q): %v, want a vertex count error", in, err)
+		}
 	}
 }
 
@@ -220,4 +282,48 @@ func TestQuickReadMETISNeverPanics(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzReadMETIS throws arbitrary text at ReadMETIS. It must never
+// panic (nor size anything from a lying header), and any graph it
+// accepts must come back unchanged through WriteMETIS and ReadMETIS:
+// same vertex and edge counts, rows and weight bits.
+func FuzzReadMETIS(f *testing.F) {
+	for _, seed := range []string{
+		"% comment\n3 2\n% another\n2 3\n1\n1\n",
+		"4 2\n3\n\n1 4\n3\n",
+		"3 1 001\n2 0.5\n1 0.5\n\n",
+		"2 1 011\n2\n1\n",
+		"1 -1\n\n",
+		"2 1\n9\n1\n",
+		"3 3\n2 2 3\n1 1\n1\n",
+		"2 1 1\n2 NaN\n1 NaN\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		g, err := ReadMETIS(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteMETIS(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadMETIS(&buf)
+		if err != nil {
+			t.Fatalf("rereading %q: %v", buf.String(), err)
+		}
+		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() || g2.Weighted() != g.Weighted() {
+			t.Fatalf("round trip: %v vs %v", g2, g)
+		}
+		if !slices.Equal(g2.Offsets, g.Offsets) || !slices.Equal(g2.Adj, g.Adj) {
+			t.Fatalf("round trip changed the rows of %q", in)
+		}
+		for a := range g.Adj {
+			if math.Float64bits(g2.ArcWeight(int64(a))) != math.Float64bits(g.ArcWeight(int64(a))) {
+				t.Fatalf("round trip changed arc %d's weight: %g vs %g", a, g2.ArcWeight(int64(a)), g.ArcWeight(int64(a)))
+			}
+		}
+	})
 }

@@ -408,7 +408,9 @@ func Modularity(g *Graph, assign []int32) float64 {
 // GNOptions configures the Girvan–Newman baseline.
 type GNOptions = community.GNOptions
 
-// GirvanNewman runs the exact edge-betweenness divisive baseline.
+// GirvanNewman runs the exact edge-betweenness divisive baseline:
+// PBD's removal loop with every vertex a source and a refresh after
+// every removal.
 func GirvanNewman(g *Graph, opt GNOptions) (Clustering, *Dendrogram) {
 	return community.GirvanNewman(g, opt)
 }
@@ -569,7 +571,8 @@ func WeightedBetweenness(g *Graph, opt BetweennessOptions) CentralityScores {
 }
 
 // STConnectivity answers an s-t connectivity query with bidirectional
-// search, returning reachability and hop distance.
+// search, returning reachability and hop distance (along out-arcs on a
+// directed graph).
 func STConnectivity(g *Graph, s, t int32) (bool, int32) {
 	return bfs.STConnectivity(g, s, t)
 }

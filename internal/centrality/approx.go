@@ -154,13 +154,14 @@ func ApproxVertexBetweenness(g *graph.Graph, v int32, opt ApproxOptions) (score 
 	perm := rng.Perm(n)
 	threshold := opt.Alpha * float64(n)
 	st := acquireBrandesState(n)
-	defer releaseBrandesState(st)
+	defer st.release()
 	acc := make([]float64, n)
 	budget := n // the adaptive test is the primary stop; exactness the fallback
 	used := 0
 	for used < budget {
 		s := int32(perm[used])
-		st.run(g, s, opt.Alive, acc, nil)
+		st.sweep(g, s, opt.Alive, nil, false)
+		st.fold(acc, nil)
 		used++
 		if used >= opt.MinSamples && acc[v] >= threshold {
 			break

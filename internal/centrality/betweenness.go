@@ -1,16 +1,22 @@
 // Package centrality implements SNAP's centrality kernels: degree and
 // closeness centrality, exact betweenness centrality (Brandes'
-// algorithm) for vertices and edges in both coarse-grained (parallel
-// over sources, O(p(m+n)) memory) and fine-grained (parallel within a
-// traversal, O(m+n) memory) forms, and the adaptive-sampling
-// approximate betweenness of Bader, Kintali, Madduri & Mihail (WAW
-// 2007) that powers the pBD community detection algorithm.
+// algorithm) for vertices and edges, unweighted (BFS) and weighted
+// (Dijkstra), and the adaptive-sampling approximate betweenness of
+// Bader, Kintali, Madduri & Mihail (WAW 2007) that powers the pBD
+// community detection algorithm.
+//
+// Every betweenness kernel runs on one driver, brandes: the paper's
+// coarse-grained form, whole traversals in parallel, one per source.
+// Each source's dependencies are folded into the totals strictly in
+// source order, so every vertex and edge receives the same additions in
+// the same order as the serial loop, and the scores are bit-identical
+// at every worker count.
 package centrality
 
 import (
 	"math"
+	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"snap/internal/frontier"
 	"snap/internal/graph"
@@ -33,7 +39,8 @@ type Scores struct {
 
 // BetweennessOptions configures betweenness computation.
 type BetweennessOptions struct {
-	// Workers bounds parallelism; <= 0 means par.Workers().
+	// Workers bounds parallelism; <= 0 means par.Workers(). The scores
+	// do not depend on it.
 	Workers int
 	// Alive restricts traversal to edges with Alive[eid] == true.
 	Alive []bool
@@ -45,83 +52,152 @@ type BetweennessOptions struct {
 	// vertices (sampled approximation). Scores are NOT rescaled; use
 	// ScaleSampled to extrapolate.
 	Sources []int32
-	// FineGrained parallelizes within each traversal (O(m+n) memory)
-	// instead of across traversals (O(p(m+n)) memory).
-	FineGrained bool
 }
 
 // Betweenness computes exact (or source-sampled) betweenness
 // centrality on an unweighted graph via Brandes' dependency
 // accumulation.
 func Betweenness(g *graph.Graph, opt BetweennessOptions) Scores {
+	return brandes(g, opt, acquireBrandesState)
+}
+
+// A sweeper is one pooled Brandes traversal state. sweep and fold
+// alternate: sweep leaves a source's dependencies in the state, and
+// fold adds them into the totals and restores the state's clean
+// invariant.
+type sweeper interface {
+	// sweep traverses from s and accumulates its dependencies. Edge
+	// dependencies go straight into edge when it is non-nil, and are
+	// logged in sweep order for fold when logEdges is set.
+	sweep(g *graph.Graph, s int32, alive []bool, edge []float64, logEdges bool)
+	// fold adds the last sweep's vertex dependencies into vertex and
+	// its logged edge dependencies into edge (either may be nil).
+	fold(vertex, edge []float64)
+	// release returns the state to its pool.
+	release()
+}
+
+// edgeDep is one logged edge dependency: c is added to edge id.
+type edgeDep struct {
+	id int32
+	c  float64
+}
+
+// foldLog adds logged edge dependencies into edge in log order and
+// empties the log.
+func foldLog(log []edgeDep, edge []float64) []edgeDep {
+	for _, d := range log {
+		edge[d.id] += d.c
+	}
+	return log[:0]
+}
+
+// brandes runs one sweep per source on workers goroutines and folds
+// the sources into the totals in source order (see brandesRun).
+func brandes(g *graph.Graph, opt BetweennessOptions, acquire func(n int) sweeper) Scores {
 	if !opt.ComputeVertex && !opt.ComputeEdge {
 		opt.ComputeVertex = true
 		opt.ComputeEdge = true
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
+	n := g.NumVertices()
 	sources := opt.Sources
 	if sources == nil {
-		n := g.NumVertices()
 		sources = make([]int32, n)
 		for i := range sources {
 			sources[i] = int32(i)
 		}
 	}
-	if opt.FineGrained {
-		return betweennessFine(g, opt, sources, workers)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = par.Workers()
 	}
-	return betweennessCoarse(g, opt, sources, workers)
-}
-
-// betweennessCoarse distributes whole traversals across workers, each
-// with private accumulators — the paper's coarse-grained strategy with
-// O(p(m+n)) space.
-func betweennessCoarse(g *graph.Graph, opt BetweennessOptions, sources []int32, workers int) Scores {
-	n := g.NumVertices()
-	m := g.NumEdges()
-	type acc struct {
-		vertex []float64
-		edge   []float64
+	r := &brandesRun{
+		g: g, alive: opt.Alive, sources: sources, acquire: acquire,
+		free:   make(chan sweeper, 2*workers),
+		parked: make([]sweeper, 2*workers),
 	}
-	accs := make([]acc, workers)
-	par.ForChunkedN(len(sources), workers, func(w, lo, hi int) {
-		st := acquireBrandesState(n)
-		a := acc{}
-		if opt.ComputeVertex {
-			a.vertex = make([]float64, n)
-		}
-		if opt.ComputeEdge {
-			a.edge = make([]float64, m)
-		}
-		for i := lo; i < hi; i++ {
-			st.run(g, sources[i], opt.Alive, a.vertex, a.edge)
-		}
-		releaseBrandesState(st)
-		accs[w] = a
-	})
-	out := Scores{Sources: len(sources)}
+	r.out.Sources = len(sources)
 	if opt.ComputeVertex {
-		out.Vertex = make([]float64, n)
+		r.out.Vertex = make([]float64, n)
 	}
 	if opt.ComputeEdge {
-		out.Edge = make([]float64, m)
+		r.out.Edge = make([]float64, g.NumEdges())
 	}
-	for _, a := range accs {
-		for i, v := range a.vertex {
-			out.Vertex[i] += v
-		}
-		for i, v := range a.edge {
-			out.Edge[i] += v
+	for range 2 * workers {
+		r.free <- nil // acquired on first use
+	}
+	par.ForEachN(workers, workers, func(int) { r.work() })
+	close(r.free)
+	for st := range r.free {
+		if st != nil {
+			st.release()
 		}
 	}
 	if !g.Directed() {
-		halve(out.Vertex)
-		halve(out.Edge)
+		halve(r.out.Vertex)
+		halve(r.out.Edge)
 	}
-	return out
+	return r.out
+}
+
+// brandesRun is one call's ordered fold. Workers claim source indices
+// from a counter. The source whose turn it is when claimed adds its
+// edge dependencies straight into the totals; any other logs them and
+// parks its state when done. Whoever folds the source whose turn it is
+// advances the turn and folds every parked successor. At most
+// 2×workers states are in flight; a worker takes a state before it
+// claims an index, so the source holding the turn always has one.
+type brandesRun struct {
+	g       *graph.Graph
+	alive   []bool
+	sources []int32
+	acquire func(n int) sweeper
+	out     Scores
+	free    chan sweeper // idle states; nil until first use
+	parked  []sweeper    // swept sources awaiting their turn, by index mod window
+	next    atomic.Int64 // next source index to claim
+	mu      sync.Mutex   // guards turn, parked and folding into out
+	turn    int          // index of the next source to fold
+}
+
+func (r *brandesRun) work() {
+	window := len(r.parked)
+	for {
+		st := <-r.free
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.sources) {
+			r.free <- st
+			return
+		}
+		if st == nil {
+			st = r.acquire(r.g.NumVertices())
+		}
+		r.mu.Lock()
+		inTurn := i == r.turn
+		r.mu.Unlock()
+		if inTurn {
+			// The turn cannot pass i before this worker folds it, so
+			// nothing else writes the totals meanwhile.
+			st.sweep(r.g, r.sources[i], r.alive, r.out.Edge, false)
+		} else {
+			st.sweep(r.g, r.sources[i], r.alive, nil, r.out.Edge != nil)
+		}
+		r.mu.Lock()
+		if i != r.turn {
+			// Claimed but unfolded indices are at most window
+			// consecutive ones from turn on, so their slots differ.
+			r.parked[i%window] = st
+			r.mu.Unlock()
+			continue
+		}
+		for st != nil {
+			st.fold(r.out.Vertex, r.out.Edge)
+			r.free <- st // never blocks: free has room for every state
+			r.turn++
+			st, r.parked[r.turn%window] = r.parked[r.turn%window], nil
+		}
+		r.mu.Unlock()
+	}
 }
 
 func halve(xs []float64) {
@@ -130,36 +206,30 @@ func halve(xs []float64) {
 	}
 }
 
-// brandesState is the per-worker scratch of one Brandes traversal. The
-// forward BFS phase lives in a shared frontier engine (epoch-stamped
-// distances, O(1) reset); sigma/delta maintain a clean-between-runs
-// invariant — every entry is 0 whenever no run is in progress — so a
-// run resets nothing up front and instead sparsely restores exactly the
-// vertices it touched (the engine's visitation order) before
-// returning: O(touched) per source instead of wholesale O(n)
-// re-zeroing.
+// brandesState is the BFS sweeper. The forward BFS phase lives in a
+// shared frontier engine (epoch-stamped distances, O(1) reset);
+// sigma/delta maintain a clean-between-runs invariant — every entry is
+// 0 whenever no sweep is pending — so a sweep resets nothing up front
+// and fold instead sparsely restores exactly the vertices it touched
+// (the engine's visitation order): O(touched) per source instead of
+// wholesale O(n) re-zeroing.
 type brandesState struct {
 	eng   *frontier.Engine
 	sigma []float64
 	delta []float64
+	log   []edgeDep // a logged sweep's edge dependencies (emptied by fold)
 }
 
 // brandesPool amortizes Brandes scratch across calls: the batched
-// sampling loop of ApproxBetweenness re-acquires states every batch
-// and gets the previous batch's allocations back.
+// sampling loop of ApproxBetweenness and pBD's per-component refreshes
+// re-acquire states every call and get the previous call's allocations
+// back.
 var brandesPool = par.NewPool(func() *brandesState { return &brandesState{} })
 
 // acquireBrandesState returns a pooled state sized for n vertices,
-// satisfying the clean invariant. Release with releaseBrandesState.
-func acquireBrandesState(n int) *brandesState {
+// satisfying the clean invariant.
+func acquireBrandesState(n int) sweeper {
 	st := brandesPool.Get()
-	st.resize(n)
-	return st
-}
-
-func releaseBrandesState(st *brandesState) { brandesPool.Put(st) }
-
-func (st *brandesState) resize(n int) {
 	if st.eng == nil {
 		st.eng = frontier.NewEngine(n)
 	} else {
@@ -170,21 +240,23 @@ func (st *brandesState) resize(n int) {
 		st.delta = make([]float64, n)
 	} else {
 		// Shrinks and in-cap grows keep the clean invariant: every
-		// entry ever touched by a run was restored on that run's exit,
-		// and never-touched capacity is zero from allocation.
+		// entry ever touched by a sweep was restored by its fold, and
+		// never-touched capacity is zero from allocation.
 		st.sigma = st.sigma[:n]
 		st.delta = st.delta[:n]
 	}
+	return st
 }
 
-// run performs one source traversal and accumulates dependencies into
-// vertexAcc and/or edgeAcc (either may be nil). The forward BFS phase
-// is the shared frontier engine's serial run; path counts are then
+func (st *brandesState) release() { brandesPool.Put(st) }
+
+// sweep performs one source traversal. The forward BFS phase is the
+// shared frontier engine's serial run; path counts are then
 // accumulated by one push sweep over the visitation order. Distances
 // are read through the engine's raw array, which is safe here: every
 // alive-arc neighbor of a reached vertex is itself reached, so no
 // stale-epoch entry is ever consulted.
-func (st *brandesState) run(g *graph.Graph, s int32, alive []bool, vertexAcc, edgeAcc []float64) {
+func (st *brandesState) sweep(g *graph.Graph, s int32, alive []bool, edge []float64, logEdges bool) {
 	eng, sigma, delta := st.eng, st.sigma, st.delta
 	eng.Run(g, s, alive, -1)
 	order := eng.Order()
@@ -219,132 +291,27 @@ func (st *brandesState) run(g *graph.Graph, s int32, alive []bool, vertexAcc, ed
 			if dist[v] == dist[w]-1 {
 				c := sigma[v] * coeff
 				delta[v] += c
-				if edgeAcc != nil {
-					edgeAcc[g.EID[a]] += c
+				if edge != nil {
+					edge[g.EID[a]] += c
+				} else if logEdges {
+					st.log = append(st.log, edgeDep{g.EID[a], c})
 				}
 			}
 		}
-		if vertexAcc != nil {
-			vertexAcc[w] += delta[w]
-		}
-	}
-	// Restore the clean invariant sparsely: only vertices in the
-	// visitation order carry sigma/delta state (the engine's distances
-	// reset themselves by epoch).
-	for _, v := range order {
-		sigma[v] = 0
-		delta[v] = 0
 	}
 }
 
-// betweennessFine runs traversals one at a time but parallelizes the
-// level-synchronous forward and backward sweeps — the O(m+n)-memory
-// strategy for graphs too large for per-worker accumulators.
-func betweennessFine(g *graph.Graph, opt BetweennessOptions, sources []int32, workers int) Scores {
-	n := g.NumVertices()
-	m := g.NumEdges()
-	out := Scores{Sources: len(sources)}
-	if opt.ComputeVertex {
-		out.Vertex = make([]float64, n)
-	}
-	if opt.ComputeEdge {
-		out.Edge = make([]float64, m)
-	}
-	// sigma/delta follow the same clean-between-sources invariant as
-	// brandesState: initialized densely once, then restored sparsely
-	// after each source over exactly the visited vertices. The forward
-	// BFS — frontier bookkeeping, CAS claiming, and per-level windows —
-	// is entirely the shared engine's parallel top-down run; reading
-	// its raw distance array is safe because every alive-arc neighbor
-	// of a reached vertex is itself reached (no stale-epoch entry is
-	// consulted).
-	sigma := make([]float64, n)
-	delta := make([]float64, n)
-	eng := frontier.AcquireEngine(n)
-	defer frontier.ReleaseEngine(eng)
-	fopt := frontier.Options{Workers: workers, Alive: opt.Alive, MaxDepth: -1}
-
-	for _, s := range sources {
-		eng.RunOptions(g, s, fopt)
-		dist := eng.DistData()
-		sigma[s] = 1
-		// Sigma accumulation level by level: each vertex pulls from its
-		// predecessors, so no atomics are needed — u is owned by
-		// exactly one worker, and the previous level is settled.
-		for d := int32(1); d < int32(eng.NumLevels()); d++ {
-			level := eng.Level(d)
-			par.ForChunkedN(len(level), workers, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					u := level[i]
-					var acc float64
-					alo, ahi := g.Offsets[u], g.Offsets[u+1]
-					for a := alo; a < ahi; a++ {
-						if opt.Alive != nil && !opt.Alive[g.EID[a]] {
-							continue
-						}
-						v := g.Adj[a]
-						if dist[v] == d-1 {
-							acc += sigma[v]
-						}
-					}
-					sigma[u] = acc
-				}
-			})
+// fold adds the sweep's dependencies into the totals and restores the
+// clean invariant sparsely: only vertices in the visitation order carry
+// sigma/delta state (the engine's distances reset themselves by epoch).
+func (st *brandesState) fold(vertex, edge []float64) {
+	st.log = foldLog(st.log, edge)
+	for i, v := range st.eng.Order() {
+		if vertex != nil && i > 0 {
+			vertex[v] += st.delta[v]
 		}
-		// Backward sweep, one level at a time; delta of deeper levels
-		// is final when a level is processed, and within a level each
-		// w is owned by one worker. Accumulation into predecessors'
-		// delta and into edge scores uses atomic float adds.
-		for li := int32(eng.NumLevels()) - 1; li > 0; li-- {
-			level := eng.Level(li)
-			par.ForChunkedN(len(level), workers, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					w := level[i]
-					coeff := (1 + delta[w]) / sigma[w]
-					alo, ahi := g.Offsets[w], g.Offsets[w+1]
-					for a := alo; a < ahi; a++ {
-						if opt.Alive != nil && !opt.Alive[g.EID[a]] {
-							continue
-						}
-						v := g.Adj[a]
-						if dist[v] == dist[w]-1 {
-							c := sigma[v] * coeff
-							atomicAddFloat64(&delta[v], c)
-							if out.Edge != nil {
-								atomicAddFloat64(&out.Edge[g.EID[a]], c)
-							}
-						}
-					}
-					if out.Vertex != nil {
-						out.Vertex[w] += delta[w]
-					}
-				}
-			})
-		}
-		// Restore the clean invariant sparsely: the engine's order
-		// holds exactly the vertices this source's traversal touched.
-		for _, v := range eng.Order() {
-			sigma[v] = 0
-			delta[v] = 0
-		}
-	}
-	if !g.Directed() {
-		halve(out.Vertex)
-		halve(out.Edge)
-	}
-	return out
-}
-
-// atomicAddFloat64 adds delta to *addr with a CAS loop over the bit
-// pattern. The stdlib has no atomic float64 add.
-func atomicAddFloat64(addr *float64, delta float64) {
-	bits := (*uint64)(unsafe.Pointer(addr))
-	for {
-		old := atomic.LoadUint64(bits)
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(bits, old, nw) {
-			return
-		}
+		st.sigma[v] = 0
+		st.delta[v] = 0
 	}
 }
 

@@ -71,28 +71,6 @@ func TestBetweennessCycleSplitsPaths(t *testing.T) {
 	}
 }
 
-func TestFineGrainedMatchesCoarse(t *testing.T) {
-	for trial := 0; trial < 5; trial++ {
-		g := generate.RMAT(200, 800, generate.DefaultRMAT(), int64(trial))
-		coarse := Betweenness(g, BetweennessOptions{ComputeVertex: true, ComputeEdge: true})
-		fine := Betweenness(g, BetweennessOptions{
-			ComputeVertex: true, ComputeEdge: true, FineGrained: true, Workers: 4,
-		})
-		for v := range coarse.Vertex {
-			if math.Abs(coarse.Vertex[v]-fine.Vertex[v]) > 1e-6 {
-				t.Fatalf("trial %d: vertex %d: coarse %g fine %g",
-					trial, v, coarse.Vertex[v], fine.Vertex[v])
-			}
-		}
-		for e := range coarse.Edge {
-			if math.Abs(coarse.Edge[e]-fine.Edge[e]) > 1e-6 {
-				t.Fatalf("trial %d: edge %d: coarse %g fine %g",
-					trial, e, coarse.Edge[e], fine.Edge[e])
-			}
-		}
-	}
-}
-
 func TestBetweennessWorkerCountInvariance(t *testing.T) {
 	g := generate.RMAT(150, 600, generate.DefaultRMAT(), 9)
 	base := Betweenness(g, BetweennessOptions{Workers: 1, ComputeVertex: true})

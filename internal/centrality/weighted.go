@@ -10,109 +10,42 @@ import (
 // WeightedBetweenness computes exact betweenness centrality on a graph
 // with positive edge weights, using Brandes' algorithm with Dijkstra
 // traversals (the paper's path definitions sum edge weights; this is
-// the weighted counterpart of the BFS-based kernel). Unweighted graphs
-// fall back to the faster BFS variant. Coarse-grained parallel over
-// sources with per-worker accumulators; traversal scratch comes from a
-// shared pool and resets sparsely between sources, so a batch of
-// sources pays O(touched) bookkeeping per traversal, not O(n).
+// the weighted counterpart of the BFS-based kernel) on the same
+// source-ordered driver. Unweighted graphs fall back to the faster BFS
+// variant.
 func WeightedBetweenness(g *graph.Graph, opt BetweennessOptions) Scores {
 	if !g.Weighted() {
 		return Betweenness(g, opt)
 	}
-	if !opt.ComputeVertex && !opt.ComputeEdge {
-		opt.ComputeVertex = true
-		opt.ComputeEdge = true
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	sources := opt.Sources
-	if sources == nil {
-		n := g.NumVertices()
-		sources = make([]int32, n)
-		for i := range sources {
-			sources[i] = int32(i)
-		}
-	}
-	n := g.NumVertices()
-	m := g.NumEdges()
-	type acc struct {
-		vertex []float64
-		edge   []float64
-	}
-	accs := make([]acc, workers)
-	par.ForChunkedN(len(sources), workers, func(w, lo, hi int) {
-		st := acquireDijkstraBrandes(n)
-		a := acc{}
-		if opt.ComputeVertex {
-			a.vertex = make([]float64, n)
-		}
-		if opt.ComputeEdge {
-			a.edge = make([]float64, m)
-		}
-		for i := lo; i < hi; i++ {
-			st.run(g, sources[i], opt.Alive, a.vertex, a.edge)
-		}
-		releaseDijkstraBrandes(st)
-		accs[w] = a
-	})
-	out := Scores{Sources: len(sources)}
-	if opt.ComputeVertex {
-		out.Vertex = make([]float64, n)
-	}
-	if opt.ComputeEdge {
-		out.Edge = make([]float64, m)
-	}
-	for _, a := range accs {
-		for i, v := range a.vertex {
-			out.Vertex[i] += v
-		}
-		for i, v := range a.edge {
-			out.Edge[i] += v
-		}
-	}
-	if !g.Directed() {
-		halve(out.Vertex)
-		halve(out.Edge)
-	}
-	return out
+	return brandes(g, opt, acquireDijkstraBrandes)
 }
 
-// dijkstraBrandes is the per-worker state of one weighted traversal.
-// Like brandesState, its vertex-indexed arrays keep a clean invariant
-// between runs — dist +Inf, sigma/delta 0, done false — restored
-// sparsely over the settle order on each run's exit, so acquiring a
-// pooled state and running many sources does no O(n) re-initialization.
+// dijkstraBrandes is the Dijkstra sweeper. Like brandesState, its
+// vertex-indexed arrays keep a clean invariant between sweeps — dist
+// +Inf, sigma/delta 0, done false — restored sparsely over the settle
+// order by fold, so acquiring a pooled state and running many sources
+// does no O(n) re-initialization.
 type dijkstraBrandes struct {
 	dist  []float64 // clean: +Inf
 	sigma []float64 // clean: 0
 	delta []float64 // clean: 0
 	done  []bool    // clean: false
-	order []int32   // vertices in settle order (emptied per run)
-	heap  []wbItem  // binary min-heap scratch (emptied per run)
+	order []int32   // vertices in settle order (emptied per sweep)
+	heap  []wbItem  // binary min-heap scratch (emptied per sweep)
+	log   []edgeDep // a logged sweep's edge dependencies (emptied by fold)
 }
 
-// wbPool amortizes weighted-Brandes scratch across calls; the batched
-// loops of WeightedBetweenness re-acquire per worker chunk and get the
-// previous chunk's allocations back.
+// wbPool amortizes weighted-Brandes scratch across calls.
 var wbPool = par.NewPool(func() *dijkstraBrandes { return &dijkstraBrandes{} })
 
 // acquireDijkstraBrandes returns a pooled state sized for n vertices,
-// satisfying the clean invariant. Release with releaseDijkstraBrandes.
-func acquireDijkstraBrandes(n int) *dijkstraBrandes {
+// satisfying the clean invariant.
+func acquireDijkstraBrandes(n int) sweeper {
 	st := wbPool.Get()
-	st.resize(n)
-	return st
-}
-
-func releaseDijkstraBrandes(st *dijkstraBrandes) { wbPool.Put(st) }
-
-func (st *dijkstraBrandes) resize(n int) {
 	if cap(st.dist) < n {
 		// Fresh allocations are filled to capacity so later in-capacity
 		// regrows stay clean; previously used entries were restored by
-		// the run that touched them.
+		// the fold that followed the sweep that touched them.
 		st.dist = make([]float64, n)
 		st.dist = st.dist[:cap(st.dist)]
 		for i := range st.dist {
@@ -126,7 +59,10 @@ func (st *dijkstraBrandes) resize(n int) {
 	st.sigma = st.sigma[:n]
 	st.delta = st.delta[:n]
 	st.done = st.done[:n]
+	return st
 }
+
+func (st *dijkstraBrandes) release() { wbPool.Put(st) }
 
 // wbItem is one heap entry: a tentative distance and its vertex.
 type wbItem struct {
@@ -180,7 +116,7 @@ func (st *dijkstraBrandes) hpop() wbItem {
 
 const wbEps = 1e-12
 
-func (st *dijkstraBrandes) run(g *graph.Graph, s int32, alive []bool, vertexAcc, edgeAcc []float64) {
+func (st *dijkstraBrandes) sweep(g *graph.Graph, s int32, alive []bool, edge []float64, logEdges bool) {
 	dist, sigma, delta := st.dist, st.sigma, st.delta
 	order := st.order[:0]
 	dist[s] = 0
@@ -226,22 +162,29 @@ func (st *dijkstraBrandes) run(g *graph.Graph, s int32, alive []bool, vertexAcc,
 			if math.Abs(dist[v]+g.W[a]-dist[w]) <= wbEps {
 				c := sigma[v] * coeff
 				delta[v] += c
-				if edgeAcc != nil {
-					edgeAcc[g.EID[a]] += c
+				if edge != nil {
+					edge[g.EID[a]] += c
+				} else if logEdges {
+					st.log = append(st.log, edgeDep{g.EID[a], c})
 				}
 			}
 		}
-		if vertexAcc != nil {
-			vertexAcc[w] += delta[w]
-		}
 	}
-	// Restore the clean invariant sparsely: every vertex whose state was
-	// written is settled (each relaxed vertex carries a heap entry, and
-	// Dijkstra drains the heap), so the settle order covers them all.
-	for _, v := range order {
-		dist[v] = math.Inf(1)
-		sigma[v] = 0
-		delta[v] = 0
+}
+
+// fold adds the sweep's dependencies into the totals and restores the
+// clean invariant sparsely: every vertex whose state was written is
+// settled (each relaxed vertex carries a heap entry, and Dijkstra drains
+// the heap), so the settle order covers them all.
+func (st *dijkstraBrandes) fold(vertex, edge []float64) {
+	st.log = foldLog(st.log, edge)
+	for i, v := range st.order {
+		if vertex != nil && i > 0 {
+			vertex[v] += st.delta[v]
+		}
+		st.dist[v] = math.Inf(1)
+		st.sigma[v] = 0
+		st.delta[v] = 0
 		st.done[v] = false
 	}
 }

@@ -56,11 +56,12 @@ func TestMoveGoldenClusterings(t *testing.T) {
 	}
 }
 
-// Golden trajectories of the divisive engine at Workers 1, recorded at
-// commit 7b352ee. The hash covers the best clustering's Assign and
-// Count and the dendrogram's removal sequence, so a change that
-// reorders one removal moves it. Q is not hashed; it is checked
-// against Modularity instead.
+// Golden trajectories of the divisive engine, recorded at commit
+// 7b352ee with Workers 1. Betweenness folds its sources in source
+// order, so they hold bit for bit at every worker count. The hash
+// covers the best clustering's Assign and Count and the dendrogram's
+// removal sequence, so a change that reorders one removal moves it. Q
+// is not hashed; it is checked against Modularity instead.
 var divisiveGoldens = map[string]uint64{
 	"pbd/karate":  0x8df2affc6946e7e6,
 	"pbd/planted": 0x4f83a9f3a625c750,
@@ -93,28 +94,30 @@ func TestDivisiveGoldens(t *testing.T) {
 	runs := []struct {
 		name string
 		g    *graph.Graph
-		run  func(g *graph.Graph) (Clustering, *Dendrogram)
+		run  func(g *graph.Graph, workers int) (Clustering, *Dendrogram)
 	}{
-		{"pbd/karate", karate, func(g *graph.Graph) (Clustering, *Dendrogram) {
-			return PBD(g, PBDOptions{Workers: 1, Seed: 1})
+		{"pbd/karate", karate, func(g *graph.Graph, w int) (Clustering, *Dendrogram) {
+			return PBD(g, PBDOptions{Workers: w, Seed: 1})
 		}},
-		{"pbd/planted", planted, func(g *graph.Graph) (Clustering, *Dendrogram) {
-			return PBD(g, PBDOptions{Workers: 1, Seed: 1})
+		{"pbd/planted", planted, func(g *graph.Graph, w int) (Clustering, *Dendrogram) {
+			return PBD(g, PBDOptions{Workers: w, Seed: 1})
 		}},
-		{"pbd/rmat300", rmat, func(g *graph.Graph) (Clustering, *Dendrogram) {
-			return PBD(g, PBDOptions{Workers: 1, Seed: 1, SwitchThreshold: 64})
+		{"pbd/rmat300", rmat, func(g *graph.Graph, w int) (Clustering, *Dendrogram) {
+			return PBD(g, PBDOptions{Workers: w, Seed: 1, SwitchThreshold: 64})
 		}},
-		{"gn/karate", karate, func(g *graph.Graph) (Clustering, *Dendrogram) {
-			return GirvanNewman(g, GNOptions{Workers: 1})
+		{"gn/karate", karate, func(g *graph.Graph, w int) (Clustering, *Dendrogram) {
+			return GirvanNewman(g, GNOptions{Workers: w})
 		}},
 	}
 	for _, r := range runs {
-		best, dend := r.run(r.g)
-		if h := divisiveHash(best, dend); h != divisiveGoldens[r.name] {
-			t.Errorf("%s: hash %#x, want %#x", r.name, h, divisiveGoldens[r.name])
-		}
-		if q := Modularity(r.g, best.Assign, 1); math.Abs(q-best.Q) > 1e-12 {
-			t.Errorf("%s: reported Q %g, Modularity %g", r.name, best.Q, q)
+		for _, workers := range []int{1, 2, 4} {
+			best, dend := r.run(r.g, workers)
+			if h := divisiveHash(best, dend); h != divisiveGoldens[r.name] {
+				t.Errorf("%s workers=%d: hash %#x, want %#x", r.name, workers, h, divisiveGoldens[r.name])
+			}
+			if q := Modularity(r.g, best.Assign, 1); math.Abs(q-best.Q) > 1e-12 {
+				t.Errorf("%s workers=%d: reported Q %g, Modularity %g", r.name, workers, best.Q, q)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package components
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -349,6 +350,31 @@ func TestBoruvkaSpanningForestOnUnweighted(t *testing.T) {
 	for _, id := range mst.EdgeIDs {
 		if !uf.Union(eps[id].U, eps[id].V) {
 			t.Fatalf("edge %d creates a cycle", id)
+		}
+	}
+}
+
+// BoruvkaMST returns the same EdgeIDs in the same order and the same
+// TotalWeight bits on every run and at every worker count. Float
+// weights make the summation order visible in TotalWeight.
+func TestBoruvkaDeterministic(t *testing.T) {
+	base := generate.RMAT(2000, 8000, generate.DefaultRMAT(), 1)
+	rng := rand.New(rand.NewSource(5))
+	edges := base.EdgeEndpoints()
+	for i := range edges {
+		edges[i].W = rng.Float64()
+	}
+	g := graph.MustBuild(base.NumVertices(), edges, graph.BuildOptions{Weighted: true})
+	want := BoruvkaMST(g, 1)
+	for rep := 0; rep < 3; rep++ {
+		for _, workers := range []int{1, 2, 4} {
+			got := BoruvkaMST(g, workers)
+			if !slices.Equal(got.EdgeIDs, want.EdgeIDs) {
+				t.Fatalf("rep %d workers=%d: EdgeIDs differ from the first run's", rep, workers)
+			}
+			if math.Float64bits(got.TotalWeight) != math.Float64bits(want.TotalWeight) {
+				t.Fatalf("rep %d workers=%d: TotalWeight %v, first run %v", rep, workers, got.TotalWeight, want.TotalWeight)
+			}
 		}
 	}
 }

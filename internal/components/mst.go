@@ -1,6 +1,8 @@
 package components
 
 import (
+	"slices"
+
 	"snap/internal/graph"
 	"snap/internal/par"
 )
@@ -18,7 +20,9 @@ type MST struct {
 // of every current component (ties broken by edge id for determinism),
 // then contracts the chosen edges with a union-find. Small-world graphs
 // need only O(log n) rounds. Unweighted graphs yield an arbitrary
-// (deterministic) spanning forest of weight = #edges chosen.
+// (deterministic) spanning forest of weight = #edges chosen. The result
+// — EdgeIDs in order and TotalWeight bit for bit — is the same on every
+// run and at every worker count.
 func BoruvkaMST(g *graph.Graph, workers int) MST {
 	if workers <= 0 {
 		workers = par.Workers()
@@ -68,8 +72,17 @@ func BoruvkaMST(g *graph.Graph, workers int) MST {
 		if len(best) == 0 {
 			break
 		}
+		// Contract in ascending representative order, so the forest's
+		// edge order and the summation order of its weight do not depend
+		// on map iteration.
+		reps := make([]int32, 0, len(best))
+		for r := range best {
+			reps = append(reps, r)
+		}
+		slices.Sort(reps)
 		merged := 0
-		for _, c := range best {
+		for _, r := range reps {
+			c := best[r]
 			if uf.Union(c.u, c.v) {
 				chosen = append(chosen, c.eid)
 				total += c.w

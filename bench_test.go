@@ -415,7 +415,7 @@ func BenchmarkBlockedLayout(b *testing.B) {
 			b.Run(tc.name+"/bfs/"+l.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					bfs.Parallel(l.g, l.src, bfs.Options{})
+					bfs.Serial(l.g, l.src, nil)
 				}
 			})
 		}

@@ -71,16 +71,14 @@ func Ablations(cfg Config) {
 	}
 	fmt.Fprintf(w, "  (exact variant removal-capped; per-removal cost is the contrast)\n\n")
 
-	// --- 3: BFS scheduling and direction strategies. ---
+	// --- 3: BFS direction strategies. ---
 	sw := generate.RMAT(int(100000*clamp01(cfg.Scale*10)), int(800000*clamp01(cfg.Scale*10)),
 		generate.DefaultRMAT(), cfg.Seed)
-	fmt.Fprintf(w, "parallel BFS on skewed R-MAT (n=%d, m=%d):\n", sw.NumVertices(), sw.NumEdges())
+	fmt.Fprintf(w, "BFS on skewed R-MAT (n=%d, m=%d):\n", sw.NumVertices(), sw.NumEdges())
 	bfsVariants := []struct {
 		label string
 		run   func()
 	}{
-		{"static frontier chunks", func() { bfs.Parallel(sw, 0, bfs.Options{}) }},
-		{"degree-aware partitioning", func() { bfs.Parallel(sw, 0, bfs.Options{DegreeAware: true}) }},
 		{"direction-optimizing", func() { bfs.DirectionOptimizing(sw, 0, bfs.Options{}) }},
 		{"serial reference", func() { bfs.Serial(sw, 0, nil) }},
 	}

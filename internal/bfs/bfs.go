@@ -1,10 +1,10 @@
 // Package bfs implements SNAP's breadth-first search kernels: a serial
-// reference, the lock-free level-synchronous parallel BFS with
-// degree-aware frontier partitioning, and the direction-optimizing
-// variant — all thin entry points over the shared frontier.Engine,
-// the traversal core the paper's centrality and community kernels
-// build on for small-world networks (low diameter means few
-// synchronization barriers).
+// reference, the level-synchronous direction-optimizing BFS (serial
+// top-down levels, parallel bottom-up sweeps), the multi-source
+// fan-out and the bidirectional s-t search — thin entry points over the
+// shared frontier.Engine, the traversal core the paper's centrality and
+// community kernels build on for small-world networks (low diameter
+// means few synchronization barriers).
 package bfs
 
 import (
@@ -20,20 +20,17 @@ import (
 // unreached, and Parent[src] == src).
 type Result = frontier.Result
 
-// Options configures a parallel traversal.
+// Options configures a direction-optimizing traversal.
 type Options struct {
-	// Workers bounds parallelism; <= 0 means par.Workers().
+	// Workers bounds the parallelism of bottom-up sweeps; <= 0 means
+	// par.Workers(). Top-down levels run serially at any worker count.
 	Workers int
 	// Alive, when non-nil, restricts traversal to arcs whose edge id
 	// has Alive[eid] == true. Used by the divisive clustering
 	// algorithm, which logically deletes edges.
 	Alive []bool
-	// DegreeAware enables work-estimate-based frontier partitioning,
-	// the paper's fix for skewed degree distributions.
-	DegreeAware bool
-	// Alpha and Beta tune the direction-optimizing heuristic (only
-	// honored by DirectionOptimizing); <= 0 means the frontier
-	// package defaults.
+	// Alpha and Beta tune the direction-optimizing heuristic; <= 0
+	// means the frontier package defaults.
 	Alpha, Beta float64
 	// Reverse supplies the in-adjacency CSR required for bottom-up
 	// steps on directed graphs (see graph.Reverse); nil makes
@@ -47,30 +44,12 @@ type Options struct {
 }
 
 // Serial runs a textbook serial BFS through a pooled engine; the
-// reference oracle for the parallel kernels, and the fast path for
-// small fragments.
+// reference oracle for the direction-optimizing kernel, and the fast
+// path for small fragments.
 func Serial(g *graph.Graph, src int32, alive []bool) Result {
 	e := frontier.AcquireEngine(g.NumVertices())
 	defer frontier.ReleaseEngine(e)
 	e.Run(g, src, alive, -1)
-	return e.Export()
-}
-
-// Parallel runs the level-synchronous parallel BFS: vertices at each
-// level are expanded concurrently, visitation is claimed with a
-// compare-and-swap on the engine's stamp array (the paper's lock-free
-// scheme), and each worker accumulates its slice of the next frontier
-// locally, so the only synchronization per level is one barrier.
-func Parallel(g *graph.Graph, src int32, opt Options) Result {
-	e := frontier.AcquireEngine(g.NumVertices())
-	defer frontier.ReleaseEngine(e)
-	e.RunOptions(g, src, frontier.Options{
-		Workers:     opt.Workers,
-		Alive:       opt.Alive,
-		MaxDepth:    -1,
-		DegreeAware: opt.DegreeAware,
-		Cancel:      opt.Cancel,
-	})
 	return e.Export()
 }
 
@@ -81,8 +60,9 @@ func Parallel(g *graph.Graph, src int32, opt Options) Result {
 // large fraction of the remaining edges. On small-world graphs the
 // middle levels contain most of the graph, and bottom-up sweeps touch
 // each unvisited vertex once instead of scanning the frontier's entire
-// (huge) neighborhood. Directed graphs run bottom-up only when
-// opt.Reverse supplies the in-adjacency CSR.
+// (huge) neighborhood. Top-down levels run the serial queue loop;
+// opt.Workers splits the bottom-up sweeps. Directed graphs run
+// bottom-up only when opt.Reverse supplies the in-adjacency CSR.
 func DirectionOptimizing(g *graph.Graph, src int32, opt Options) Result {
 	e := frontier.AcquireEngine(g.NumVertices())
 	defer frontier.ReleaseEngine(e)
@@ -91,14 +71,13 @@ func DirectionOptimizing(g *graph.Graph, src int32, opt Options) Result {
 		alpha = frontier.DefaultAlpha
 	}
 	e.RunOptions(g, src, frontier.Options{
-		Workers:     opt.Workers,
-		Alive:       opt.Alive,
-		MaxDepth:    -1,
-		Alpha:       alpha,
-		Beta:        opt.Beta,
-		DegreeAware: opt.DegreeAware,
-		Reverse:     opt.Reverse,
-		Cancel:      opt.Cancel,
+		Workers:  opt.Workers,
+		Alive:    opt.Alive,
+		MaxDepth: -1,
+		Alpha:    alpha,
+		Beta:     opt.Beta,
+		Reverse:  opt.Reverse,
+		Cancel:   opt.Cancel,
 	})
 	return e.Export()
 }

@@ -68,14 +68,12 @@ func TestParallelMatchesSerialOnRandomGraphs(t *testing.T) {
 		g := generate.RMAT(500, 2000, generate.DefaultRMAT(), int64(trial))
 		src := int32(rng.Intn(g.NumVertices()))
 		want := Serial(g, src, nil)
-		for _, da := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 4} {
-				got := Parallel(g, src, Options{Workers: workers, DegreeAware: da})
-				for v := range want.Dist {
-					if got.Dist[v] != want.Dist[v] {
-						t.Fatalf("trial %d workers %d da %v: dist[%d] = %d, want %d",
-							trial, workers, da, v, got.Dist[v], want.Dist[v])
-					}
+		for _, workers := range []int{2, 3, 4} {
+			got := DirectionOptimizing(g, src, Options{Workers: workers})
+			for v := range want.Dist {
+				if got.Dist[v] != want.Dist[v] {
+					t.Fatalf("trial %d workers %d: dist[%d] = %d, want %d",
+						trial, workers, v, got.Dist[v], want.Dist[v])
 				}
 			}
 		}
@@ -84,7 +82,7 @@ func TestParallelMatchesSerialOnRandomGraphs(t *testing.T) {
 
 func TestParallelParentsFormValidTree(t *testing.T) {
 	g := generate.RMAT(1000, 5000, generate.DefaultRMAT(), 99)
-	r := Parallel(g, 0, Options{Workers: 4})
+	r := DirectionOptimizing(g, 0, Options{Workers: 4})
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
 		if r.Dist[v] == -1 {
 			continue
@@ -115,7 +113,7 @@ func TestParallelAliveMask(t *testing.T) {
 		alive[i] = true
 	}
 	alive[g.EdgeIDOf(1, 2)] = false
-	r := Parallel(g, 0, Options{Alive: alive, Workers: 3})
+	r := DirectionOptimizing(g, 0, Options{Alive: alive, Workers: 3})
 	if r.Dist[1] != 1 || r.Dist[2] != -1 {
 		t.Fatalf("alive mask broken: %v", r.Dist)
 	}
@@ -126,13 +124,5 @@ func BenchmarkBFSSerial(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Serial(g, 0, nil)
-	}
-}
-
-func BenchmarkBFSParallel(b *testing.B) {
-	g := generate.RMAT(1<<15, 1<<17, generate.DefaultRMAT(), 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Parallel(g, 0, Options{DegreeAware: true})
 	}
 }

@@ -3,6 +3,7 @@ package bfs
 import (
 	"testing"
 
+	"snap/internal/frontier"
 	"snap/internal/generate"
 )
 
@@ -20,8 +21,11 @@ func TestParallelCancel(t *testing.T) {
 		name string
 		bfs  func(cancel func() bool) Result
 	}{
-		{"parallel", func(cancel func() bool) Result {
-			return Parallel(g, src, Options{Workers: 2, Cancel: cancel})
+		{"topdown", func(cancel func() bool) Result {
+			ws := AcquireWorkspace(g.NumVertices())
+			defer ReleaseWorkspace(ws)
+			ws.RunOptions(g, src, frontier.Options{Workers: 2, MaxDepth: -1, Cancel: cancel})
+			return ws.Export()
 		}},
 		{"diropt", func(cancel func() bool) Result {
 			return DirectionOptimizing(g, src, Options{Workers: 2, Cancel: cancel})

@@ -1,8 +1,6 @@
 package frontier
 
 import (
-	"sync/atomic"
-
 	"snap/internal/graph"
 	"snap/internal/par"
 )
@@ -51,7 +49,8 @@ func (r Result) Reached() int {
 
 // Options configures one Engine traversal.
 type Options struct {
-	// Workers bounds parallelism; <= 0 means par.Workers().
+	// Workers bounds the parallelism of bottom-up sweeps; <= 0 means
+	// par.Workers(). Top-down levels run serially at any worker count.
 	Workers int
 	// Alive, when non-nil, restricts traversal to arcs whose edge id
 	// has Alive[eid] == true (logical edge deletion, used by divisive
@@ -69,9 +68,6 @@ type Options struct {
 	// Beta sets the top-down resume threshold (frontier < n/Beta);
 	// <= 0 means DefaultBeta.
 	Beta float64
-	// DegreeAware partitions top-down frontiers by out-degree sum
-	// instead of vertex count — the paper's fix for skewed degrees.
-	DegreeAware bool
 	// Reverse supplies the in-adjacency CSR (graph.Reverse) that
 	// bottom-up steps scan on directed graphs. When nil, directed
 	// traversals silently fall back to always-top-down.
@@ -120,10 +116,8 @@ type Engine struct {
 	order  []int32  // visited vertices in BFS order; order[0] = src
 	bounds []int32  // level d occupies order[bounds[d]:bounds[d+1]]
 
-	cur   Frontier  // current level in hybrid form
-	nexts [][]int32 // per-worker discovery buffers (parallel steps)
-	wbuf  []int64   // frontier weight scratch for DegreeAware
-	claim []uint64  // parallel top-down claim keys; unclaimed between levels
+	cur   Frontier  // bitmap of the level a bottom-up step probes
+	nexts [][]int32 // per-worker discovery buffers (parallel bottom-up steps)
 }
 
 // NewEngine returns an engine for graphs with n vertices.
@@ -181,15 +175,15 @@ func (e *Engine) Run(g *graph.Graph, src int32, alive []bool, maxDepth int32) {
 }
 
 // RunOptions performs a level-synchronous BFS from src under opt. Each
-// level is expanded either top-down (frontier pushes to unvisited
-// neighbors, serial or lock-free parallel with per-worker buffers) or
-// bottom-up (unvisited vertices probe the frontier bitmap through
-// their in-arcs), per the Alpha/Beta heuristic. Distances are
+// level is expanded either top-down (the serial queue loop: frontier
+// pushes to unvisited neighbors) or bottom-up (unvisited vertices,
+// split across workers, probe the frontier bitmap through their
+// in-arcs), per the Alpha/Beta heuristic. Distances are
 // direction-independent. Parents and the visit order depend on the
 // direction of each level but never on the worker count: a top-down
-// level yields the serial queue loop's parents and order at any worker
-// count, a bottom-up level the first frontier in-neighbor in adjacency
-// order, discovered in ascending vertex order.
+// level yields the queue loop's parents and order, a bottom-up level
+// the first frontier in-neighbor in adjacency order, discovered in
+// ascending vertex order.
 func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 	workers := opt.Workers
 	if workers <= 0 {
@@ -231,13 +225,6 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 			explored += g.Offsets[v+1] - g.Offsets[v]
 		}
 	}
-	levelEdges := func(lo, hi int) int64 {
-		var s int64
-		for _, v := range e.order[lo:hi] {
-			s += g.Offsets[v+1] - g.Offsets[v]
-		}
-		return s
-	}
 
 	levelStart, levelEnd := 0, 1
 	prevSize := 0
@@ -272,8 +259,10 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 				// frontierEdges·Alpha > unexploredEdges.
 				bottomUp = false
 				if size > prevSize && float64(size)*beta >= float64(n) {
+					sumTo(levelStart)
+					before := explored
 					sumTo(levelEnd)
-					curEdges := levelEdges(levelStart, levelEnd)
+					curEdges := explored - before
 					bottomUp = curEdges > int64(n-levelEnd) &&
 						float64(curEdges)*opt.Alpha > float64(totalArcs-explored)
 				}
@@ -282,12 +271,9 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 			}
 		}
 		if bottomUp {
-			e.cur.SetSparse(e.order[levelStart:levelEnd], levelEdges(levelStart, levelEnd))
-			e.stepBottomUp(g, pull, opt.Alive, depth+1, workers)
-		} else if workers <= 1 || size <= 1 {
-			e.stepTopDownSerial(g, opt.Alive, depth+1, levelStart, levelEnd)
+			e.stepBottomUp(g, pull, opt.Alive, depth+1, levelStart, levelEnd, workers)
 		} else {
-			e.stepTopDownParallel(g, opt.Alive, depth+1, levelStart, levelEnd, workers, opt.DegreeAware)
+			e.stepTopDown(g, opt.Alive, depth+1, levelStart, levelEnd)
 		}
 		levelStart, levelEnd = levelEnd, len(e.order)
 		if levelEnd > levelStart {
@@ -297,10 +283,12 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 	}
 }
 
-// stepTopDownSerial expands order[lo:hi] in place — the textbook queue
+// stepTopDown expands order[lo:hi] in place — the textbook queue
 // loop, restricted to one level so its results are bit-identical to
-// the classic serial BFS.
-func (e *Engine) stepTopDownSerial(g *graph.Graph, alive []bool, depth int32, lo, hi int) {
+// the classic serial BFS. It runs serially at every worker count: a
+// lock-free parallel expansion lost to this loop at every measured
+// frontier size on two cores (DESIGN.md §5c).
+func (e *Engine) stepTopDown(g *graph.Graph, alive []bool, depth int32, lo, hi int) {
 	ep := e.epoch
 	stamp, dist, parent := e.stamp, e.dist, e.parent
 	order := e.order
@@ -323,177 +311,60 @@ func (e *Engine) stepTopDownSerial(g *graph.Graph, alive []bool, depth int32, lo
 	e.order = order
 }
 
-// stepTopDownParallel expands order[lo:hi] across workers and produces
-// exactly the serial arm's level: the same parents and the same visit
-// order. The serial queue loop gives u to the first frontier vertex, in
-// frontier order, that has an arc to it, and discovers vertices in
-// (frontier position, arc) order. Two passes reproduce that without
-// locks. The claim pass CAS-mins the packed key (frontier position,
-// arc offset) of every arc into claim[u]. After a barrier, the emit pass
-// walks the same arcs again; the one arc whose key won is u's
-// discovery, so its worker stamps u, sets its parent and appends it.
-// Workers own contiguous ascending frontier ranges, so merging their
-// buffers in worker order yields the serial order. Each emitted vertex
-// resets its claim slot, keeping claim all-unclaimed between levels.
-func (e *Engine) stepTopDownParallel(g *graph.Graph, alive []bool, depth int32, lo, hi int, workers int, degreeAware bool) {
-	ep := e.epoch
-	stamp, dist, parent := e.stamp, e.dist, e.parent
-	front := e.order[lo:hi]
-	if workers > len(front) {
-		workers = len(front)
-	}
-	e.prepareWorkers(workers)
-	if n := len(stamp); len(e.claim) < n {
-		e.claim = make([]uint64, n)
-		for i := range e.claim {
-			e.claim[i] = unclaimed
-		}
-	}
-	claim := e.claim
-	claimPass := func(_, flo, fhi int) {
-		for i := flo; i < fhi; i++ {
-			v := front[i]
-			alo, ahi := g.Offsets[v], g.Offsets[v+1]
-			for a := alo; a < ahi; a++ {
-				if alive != nil && !alive[g.EID[a]] {
-					continue
-				}
-				u := g.Adj[a]
-				if stamp[u] == ep {
-					continue
-				}
-				key := uint64(i)<<32 | uint64(a-alo)
-				for {
-					c := atomic.LoadUint64(&claim[u])
-					if c <= key || atomic.CompareAndSwapUint64(&claim[u], c, key) {
-						break
-					}
-				}
-			}
-		}
-	}
-	emitPass := func(w, flo, fhi int) {
-		next := e.nexts[w][:0]
-		for i := flo; i < fhi; i++ {
-			v := front[i]
-			alo, ahi := g.Offsets[v], g.Offsets[v+1]
-			for a := alo; a < ahi; a++ {
-				if alive != nil && !alive[g.EID[a]] {
-					continue
-				}
-				u := g.Adj[a]
-				if atomic.LoadUint64(&claim[u]) == uint64(i)<<32|uint64(a-alo) {
-					atomic.StoreUint64(&claim[u], unclaimed)
-					stamp[u] = ep
-					dist[u] = depth
-					parent[u] = v
-					next = append(next, u)
-				}
-			}
-		}
-		e.nexts[w] = next
-	}
-	if degreeAware {
-		wbuf := e.wbuf[:0]
-		for _, v := range front {
-			wbuf = append(wbuf, g.Offsets[v+1]-g.Offsets[v])
-		}
-		e.wbuf = wbuf
-		par.ForDegreeAware(wbuf, workers, claimPass)
-		par.ForDegreeAware(wbuf, workers, emitPass)
-	} else {
-		par.ForChunkedN(len(front), workers, claimPass)
-		par.ForChunkedN(len(front), workers, emitPass)
-	}
-	e.merge(workers)
-}
-
-// unclaimed is the empty claim slot: larger than every packed
-// (frontier position, arc offset) key.
-const unclaimed = ^uint64(0)
-
-// stepBottomUp discovers the next level by scanning unvisited vertices:
-// each probes its in-arcs (pull's adjacency) for a member of the
-// frozen frontier bitmap and adopts the first alive one as parent.
-// Writes are owner-only per vertex, so chunks need no atomics, and the
-// parent choice is adjacency-order deterministic regardless of worker
-// count.
-func (e *Engine) stepBottomUp(g, pull *graph.Graph, alive []bool, depth int32, workers int) {
+// stepBottomUp discovers the level after order[lo:hi] by scanning
+// unvisited vertices: each probes its in-arcs (pull's adjacency) for a
+// member of the frozen frontier bitmap and adopts the first alive one
+// as parent. Writes are owner-only per vertex, so chunks need no
+// atomics, and the parent choice is adjacency-order deterministic
+// regardless of worker count.
+func (e *Engine) stepBottomUp(g, pull *graph.Graph, alive []bool, depth int32, lo, hi, workers int) {
 	n := g.NumVertices()
-	e.cur.Densify(n)
-	cur := &e.cur
-	ep := e.epoch
-	stamp, dist, parent := e.stamp, e.dist, e.parent
+	e.cur.Set(e.order[lo:hi], n)
+	workers = min(workers, n) // ForChunkedN then runs every worker's chunk
 	if workers <= 1 {
-		// Inline single-worker sweep: the pull loop is the hot path of
-		// serial direction-optimizing traversals (multi-source kernels),
-		// so it must not pay scheduler or closure overhead per level.
-		order := e.order
-		for vi := 0; vi < n; vi++ {
-			if stamp[vi] == ep {
-				continue
-			}
-			alo, ahi := pull.Offsets[vi], pull.Offsets[vi+1]
-			for a := alo; a < ahi; a++ {
-				if alive != nil && !alive[pull.EID[a]] {
-					continue
-				}
-				if cur.Has(pull.Adj[a]) {
-					stamp[vi] = ep
-					dist[vi] = depth
-					parent[vi] = pull.Adj[a]
-					order = append(order, int32(vi))
-					break
-				}
-			}
-		}
-		e.order = order
+		// Direct call: the pull loop is the hot path of serial
+		// direction-optimizing traversals (multi-source kernels), so it
+		// must not pay scheduler or closure overhead per level.
+		e.order = e.pullRange(pull, alive, depth, 0, n, e.order)
 		return
 	}
-	e.prepareWorkers(workers)
-	par.ForChunkedN(n, workers, func(w, lo, hi int) {
-		next := e.nexts[w][:0]
-		for vi := lo; vi < hi; vi++ {
-			if stamp[vi] == ep {
-				continue
-			}
-			alo, ahi := pull.Offsets[vi], pull.Offsets[vi+1]
-			for a := alo; a < ahi; a++ {
-				if alive != nil && !alive[pull.EID[a]] {
-					continue
-				}
-				if cur.Has(pull.Adj[a]) {
-					stamp[vi] = ep
-					dist[vi] = depth
-					parent[vi] = pull.Adj[a]
-					next = append(next, int32(vi))
-					break
-				}
-			}
-		}
-		e.nexts[w] = next
-	})
-	e.merge(workers)
-}
-
-// prepareWorkers sizes and empties the per-worker discovery buffers.
-// The reset matters: schedulers may skip a worker entirely (an empty
-// degree-aware range), and merge must not pick up its previous level.
-func (e *Engine) prepareWorkers(workers int) {
 	for len(e.nexts) < workers {
 		e.nexts = append(e.nexts, make([]int32, 0, 256))
 	}
-	for w := 0; w < workers; w++ {
-		e.nexts[w] = e.nexts[w][:0]
+	par.ForChunkedN(n, workers, func(w, vlo, vhi int) {
+		e.nexts[w] = e.pullRange(pull, alive, depth, vlo, vhi, e.nexts[w][:0])
+	})
+	// Worker order keeps the level sorted by vertex id.
+	for _, next := range e.nexts[:workers] {
+		e.order = append(e.order, next...)
 	}
 }
 
-// merge appends the per-worker buffers to the visitation order (worker
-// index order keeps bottom-up levels sorted by vertex id).
-func (e *Engine) merge(workers int) {
-	for w := 0; w < workers; w++ {
-		e.order = append(e.order, e.nexts[w]...)
+// pullRange runs the bottom-up probe for the vertices in [lo, hi),
+// appending each one it discovers to next in ascending vertex order.
+func (e *Engine) pullRange(pull *graph.Graph, alive []bool, depth int32, lo, hi int, next []int32) []int32 {
+	ep := e.epoch
+	stamp, dist, parent := e.stamp, e.dist, e.parent
+	cur := e.cur // a local copy, so the stores below do not force a reload
+	for vi := lo; vi < hi; vi++ {
+		if stamp[vi] == ep {
+			continue
+		}
+		alo, ahi := pull.Offsets[vi], pull.Offsets[vi+1]
+		for a := alo; a < ahi; a++ {
+			if alive != nil && !alive[pull.EID[a]] {
+				continue
+			}
+			if u := pull.Adj[a]; cur.Has(u) {
+				stamp[vi] = ep
+				dist[vi] = depth
+				parent[vi] = u
+				next = append(next, int32(vi))
+				break
+			}
+		}
 	}
+	return next
 }
 
 // Visited reports whether v was reached by the latest run.

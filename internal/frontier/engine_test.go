@@ -131,20 +131,19 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// engineConfigs cover serial/parallel, degree-aware, heuristic
-// direction optimization, and forced switches at every level.
+// engineConfigs cover one and four workers, heuristic direction
+// optimization, and forced switches at every level.
 func engineConfigs() map[string]frontier.Options {
 	alwaysUp := func(int32) bool { return true }
 	alternate := func(d int32) bool { return d%2 == 1 }
 	return map[string]frontier.Options{
-		"serial-topdown":    {Workers: 1, MaxDepth: -1},
-		"parallel-topdown":  {Workers: 4, MaxDepth: -1},
-		"parallel-degaware": {Workers: 4, MaxDepth: -1, DegreeAware: true},
-		"do-serial":         {Workers: 1, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
-		"do-parallel":       {Workers: 4, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
-		"do-aggressive":     {Workers: 4, MaxDepth: -1, Alpha: 1000, Beta: 1000},
-		"force-bottomup":    {Workers: 4, MaxDepth: -1, ForceBottomUp: alwaysUp},
-		"force-alternate":   {Workers: 1, MaxDepth: -1, ForceBottomUp: alternate},
+		"serial-topdown":   {Workers: 1, MaxDepth: -1},
+		"parallel-topdown": {Workers: 4, MaxDepth: -1},
+		"do-serial":        {Workers: 1, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
+		"do-parallel":      {Workers: 4, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
+		"do-aggressive":    {Workers: 4, MaxDepth: -1, Alpha: 1000, Beta: 1000},
+		"force-bottomup":   {Workers: 4, MaxDepth: -1, ForceBottomUp: alwaysUp},
+		"force-alternate":  {Workers: 1, MaxDepth: -1, ForceBottomUp: alternate},
 	}
 }
 
@@ -183,10 +182,10 @@ func TestEngineSerialMatchesBFSSerial(t *testing.T) {
 	}
 }
 
-// The parallel arms must reproduce the serial arm exactly — the same
-// parents and the same visit order, not just some valid tree — at every
-// worker count, with and without degree-aware chunking, alive masks and
-// direction switches, on one engine reused across all of it.
+// Every worker count must reproduce the Workers-1 run exactly — the
+// same parents and the same visit order, not just some valid tree —
+// with and without alive masks and direction switches, on one engine
+// reused across all of it.
 func TestEngineParallelMatchesSerial(t *testing.T) {
 	graphs := testGraphs(t)
 	graphs["directed"] = randomDirected(t, 300, 1500, 41)
@@ -209,25 +208,39 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 					serial.RunOptions(g, src, base)
 					want := append([]int32(nil), serial.Order()...)
 					for _, workers := range []int{1, 2, 4} {
-						for _, degreeAware := range []bool{false, true} {
-							opt := base
-							opt.Workers, opt.DegreeAware = workers, degreeAware
-							e.RunOptions(g, src, opt)
-							got := e.Order()
-							if len(got) != len(want) {
-								t.Fatalf("%s src %d workers %d: reached %d, want %d", gname, src, workers, len(got), len(want))
-							}
-							for i, v := range want {
-								if got[i] != v || e.Parent(v) != serial.Parent(v) {
-									t.Fatalf("%s src %d workers %d degaware %v alpha %v: order[%d] = %d parent %d, want %d parent %d",
-										gname, src, workers, degreeAware, alpha, i, got[i], e.Parent(got[i]), v, serial.Parent(v))
-								}
+						opt := base
+						opt.Workers = workers
+						e.RunOptions(g, src, opt)
+						got := e.Order()
+						if len(got) != len(want) {
+							t.Fatalf("%s src %d workers %d: reached %d, want %d", gname, src, workers, len(got), len(want))
+						}
+						for i, v := range want {
+							if got[i] != v || e.Parent(v) != serial.Parent(v) {
+								t.Fatalf("%s src %d workers %d alpha %v: order[%d] = %d parent %d, want %d parent %d",
+									gname, src, workers, alpha, i, got[i], e.Parent(got[i]), v, serial.Parent(v))
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// Top-down levels run the serial queue loop at every worker count, so
+// a warmed engine's always-top-down run allocates nothing even when
+// asked for four workers: no level forks goroutines.
+func TestEngineTopDownAllocsZero(t *testing.T) {
+	g := generate.RoadMesh(60, 60, 0.05, 13)
+	e := frontier.NewEngine(g.NumVertices())
+	opt := frontier.Options{Workers: 4, MaxDepth: -1, Alpha: 0}
+	e.RunOptions(g, 0, opt)
+	if e.NumLevels() < 50 {
+		t.Fatalf("road mesh has %d levels, want a deep traversal", e.NumLevels())
+	}
+	if allocs := testing.AllocsPerRun(20, func() { e.RunOptions(g, 0, opt) }); allocs != 0 {
+		t.Fatalf("RunOptions allocated %v times per run, want 0", allocs)
 	}
 }
 

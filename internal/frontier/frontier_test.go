@@ -8,50 +8,28 @@ import (
 	"snap/internal/graph"
 )
 
+// Set turns a sparse vertex list into the dense bitmap Has probes;
+// a second Set replaces the first, also over a smaller universe.
 func TestFrontierSparseDense(t *testing.T) {
 	var f Frontier
-	if f.Len() != 0 || f.Edges() != 0 {
-		t.Fatal("zero value not empty")
-	}
-	f.Add(3, 5)
-	f.Add(7, 2)
-	f.Add(64, 1)
-	if f.Len() != 3 || f.Edges() != 8 {
-		t.Fatalf("Len/Edges = %d/%d, want 3/8", f.Len(), f.Edges())
-	}
-	if f.Dense() {
-		t.Fatal("dense before Densify")
-	}
-	f.Densify(100)
-	if !f.Dense() {
-		t.Fatal("not dense after Densify")
-	}
+	f.Set([]int32{3, 7, 64, 99}, 100)
 	for v := int32(0); v < 100; v++ {
-		want := v == 3 || v == 7 || v == 64
+		want := v == 3 || v == 7 || v == 64 || v == 99
 		if f.Has(v) != want {
 			t.Fatalf("Has(%d) = %v, want %v", v, f.Has(v), want)
 		}
 	}
-	// Mutation invalidates the bitmap; re-densify picks up the change.
-	f.Add(99, 0)
-	if f.Dense() {
-		t.Fatal("Add did not invalidate bitmap")
+	f.Set([]int32{1, 2}, 8)
+	for v := int32(0); v < 64; v++ {
+		if f.Has(v) != (v == 1 || v == 2) {
+			t.Fatalf("after shrinking Set: Has(%d) = %v", v, f.Has(v))
+		}
 	}
-	f.Densify(100)
-	if !f.Has(99) || !f.Has(3) {
-		t.Fatal("re-densify lost members")
-	}
-	f.Reset()
-	if f.Len() != 0 || f.Edges() != 0 || f.Dense() {
-		t.Fatal("Reset incomplete")
-	}
-	f.SetSparse([]int32{1, 2}, 9)
-	if f.Len() != 2 || f.Edges() != 9 {
-		t.Fatal("SetSparse wrong")
-	}
-	f.Densify(8)
-	if !f.Has(1) || !f.Has(2) || f.Has(3) {
-		t.Fatal("bitmap after SetSparse wrong")
+	f.Set(nil, 130)
+	for v := int32(0); v < 130; v++ {
+		if f.Has(v) {
+			t.Fatalf("empty Set kept %d", v)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"snap/internal/par"
@@ -35,6 +36,11 @@ import (
 func buildParallel(n int, edges []Edge, opt BuildOptions, workers int) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
+	}
+	if n > math.MaxInt32 {
+		// Vertex ids are int32: a larger n is unaddressable, and its
+		// O(n) arrays would be allocated before any edge is read.
+		return nil, fmt.Errorf("graph: vertex count %d exceeds int32 ids", n)
 	}
 	if workers < 1 {
 		workers = 1

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -312,6 +313,9 @@ func TestBuildParallelErrors(t *testing.T) {
 	}
 	if _, err := buildParallel(-1, nil, BuildOptions{}, 4); err == nil {
 		t.Fatal("want error for negative vertex count")
+	}
+	if _, err := buildParallel(math.MaxInt32+1, nil, BuildOptions{}, 4); err == nil {
+		t.Fatal("want error for a vertex count int32 ids cannot address")
 	}
 }
 

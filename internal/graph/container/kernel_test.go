@@ -48,8 +48,8 @@ func TestKernelEquivalenceMapped(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, src := range []int32{0, 1, 511} {
-				hb := bfs.Parallel(heap, src, bfs.Options{DegreeAware: true})
-				mb := bfs.Parallel(mapped, src, bfs.Options{DegreeAware: true})
+				hb := bfs.DirectionOptimizing(heap, src, bfs.Options{Workers: 2})
+				mb := bfs.DirectionOptimizing(mapped, src, bfs.Options{Workers: 2})
 				for v := range hb.Dist {
 					if hb.Dist[v] != mb.Dist[v] || hb.Parent[v] != mb.Parent[v] {
 						t.Fatalf("BFS from %d differs at %d: (%d,%d) vs (%d,%d)",

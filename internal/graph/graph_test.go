@@ -142,6 +142,14 @@ func TestReadEdgeListErrors(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("a b\n"), false); err == nil {
 		t.Fatal("want parse error for non-numeric")
 	}
+	// Vertex counts past int32 ids, from the header and from the
+	// largest id, are errors rather than multi-GB allocations.
+	if _, err := ReadEdgeList(strings.NewReader("# n=3000000000\n0 1\n"), false); err == nil {
+		t.Fatal("want error for header n beyond int32 ids")
+	}
+	if _, err := ReadEdgeList(strings.NewReader("0 2147483647\n"), false); err == nil {
+		t.Fatal("want error for id 2^31-1, which makes n = 2^31")
+	}
 }
 
 func TestReadEdgeListHeaderN(t *testing.T) {

@@ -168,7 +168,7 @@ func TestServerShapedPinQueryRelease(t *testing.T) {
 					bfs.ReleaseWorkspace(ws)
 				case 1: // BFS torn down mid-run (deadline/disconnect shape)
 					polls := 0
-					bfs.Parallel(g, src, bfs.Options{
+					bfs.DirectionOptimizing(g, src, bfs.Options{
 						Workers: 2,
 						Cancel:  func() bool { polls++; return polls > 2 },
 					})

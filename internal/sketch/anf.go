@@ -82,7 +82,7 @@ type ANFWorkspace struct {
 	zeros      []int32   // per-row zero-register count, ditto
 	nf         []float64
 	changed    frontier.Frontier
-	changedBuf []int32      // sparse changed list backing the frontier
+	changedBuf []int32      // the changed rows, ascending; changed is their bitmap
 	rows       []uint64     // bitmap of the rows the next sweep visits
 	nexts      [][]int32    // per-worker changed-discovery buffers
 	tallies    []sweepTally // per-worker sweep counts
@@ -175,8 +175,7 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 	for v := 0; v < n; v++ {
 		ws.changedBuf = append(ws.changedBuf, int32(v))
 	}
-	ws.changed.SetSparse(ws.changedBuf, 0)
-	ws.changed.Densify(n)
+	ws.changed.Set(ws.changedBuf, n)
 
 	ws.nf = append(ws.nf[:0], ws.sumEst())
 	maxSweeps := opt.MaxSweeps
@@ -239,8 +238,7 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 		for w := 0; w < workers; w++ {
 			ws.changedBuf = append(ws.changedBuf, ws.nexts[w]...)
 		}
-		ws.changed.SetSparse(ws.changedBuf, 0)
-		ws.changed.Densify(n)
+		ws.changed.Set(ws.changedBuf, n)
 		// Serial index-order reduction: bit-identical at any worker
 		// count (a per-worker partial-sum merge would round differently
 		// as the worker count changes the grouping).

@@ -124,7 +124,7 @@ func (o *Oracle) buildFarthest(g *graph.Graph, k, workers int) {
 	}
 	ws := bfs.AcquireWorkspace(n)
 	defer bfs.ReleaseWorkspace(ws)
-	opt := frontier.Options{Workers: workers, MaxDepth: -1, Alpha: frontier.DefaultAlpha, DegreeAware: true}
+	opt := frontier.Options{Workers: workers, MaxDepth: -1, Alpha: frontier.DefaultAlpha}
 
 	next := int32(0)
 	for v := int32(1); int(v) < n; v++ {

@@ -180,21 +180,22 @@ func PreferentialAttachment(n, k int, seed int64) *Graph {
 // BFSResult is a breadth-first tree (hop distances and parents).
 type BFSResult = bfs.Result
 
-// BFS runs the direction-optimizing level-synchronous BFS from src
-// with degree-aware frontier partitioning. Distances equal the
-// textbook queue loop's. Parents depend on each level's direction but
-// never on the worker count: a top-down level keeps the queue loop's
-// parent, and a bottom-up level gives each vertex its first frontier
-// neighbor in adjacency order.
+// BFS runs the direction-optimizing level-synchronous BFS from src:
+// top-down levels run the serial queue loop, and bottom-up sweeps are
+// split across all workers. Distances equal the textbook queue loop's.
+// Parents depend on each level's direction but never on the worker
+// count: a top-down level keeps the queue loop's parent, and a
+// bottom-up level gives each vertex its first frontier neighbor in
+// adjacency order.
 func BFS(g *Graph, src int32) BFSResult {
-	return bfs.DirectionOptimizing(g, src, bfs.Options{DegreeAware: true})
+	return bfs.DirectionOptimizing(g, src, bfs.Options{})
 }
 
 // BFSOptions tunes the shared frontier engine behind BFSWithOptions:
-// worker count, degree-aware frontier partitioning, the
+// the worker count of bottom-up sweeps, an alive-edge mask, the
 // direction-optimizing Alpha/Beta switch thresholds, the reverse
 // (in-adjacency) graph that enables bottom-up steps on directed graphs,
-// a depth bound, and a Cancel hook polled once per level.
+// and a Cancel hook polled once per level.
 type BFSOptions = bfs.Options
 
 // BFSWithOptions runs the direction-optimizing (top-down / bottom-up

@@ -120,6 +120,14 @@ func BenchmarkTable2_PLA_Email(b *testing.B) {
 	}
 }
 
+func BenchmarkTable2_Spectral_Email(b *testing.B) {
+	g := table2Email()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		community.SpectralCommunities(g, community.SpectralOptions{Seed: int64(i)})
+	}
+}
+
 // --- Figure 2: scaling workload on RMAT-SF ---
 
 func figure2Graph() *graph.Graph {

@@ -104,7 +104,7 @@ func main() {
 	}
 	if want("spectral") {
 		run("spec", func() (community.Clustering, *community.Dendrogram) {
-			return community.SpectralCommunities(g, community.SpectralOptions{Seed: *seed, Refine: true}), nil
+			return community.SpectralCommunities(g, community.SpectralOptions{Seed: *seed}), nil
 		})
 	}
 	if want("louvain") {

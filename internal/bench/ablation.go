@@ -121,7 +121,7 @@ func Ablations(cfg Config) {
 			return community.Louvain(ge, community.LouvainOptions{Seed: cfg.Seed})
 		}},
 		{"leading-eigenvector", func() community.Clustering {
-			return community.SpectralCommunities(ge, community.SpectralOptions{Seed: cfg.Seed, Refine: true})
+			return community.SpectralCommunities(ge, community.SpectralOptions{Seed: cfg.Seed})
 		}},
 	} {
 		var c community.Clustering

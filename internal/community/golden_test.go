@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"snap/internal/datasets"
 	"snap/internal/generate"
 	"snap/internal/graph"
 )
@@ -118,6 +119,47 @@ func TestDivisiveGoldens(t *testing.T) {
 			if q := Modularity(r.g, best.Assign, 1); math.Abs(q-best.Q) > 1e-12 {
 				t.Errorf("%s workers=%d: reported Q %g, Modularity %g", r.name, workers, best.Q, q)
 			}
+		}
+	}
+}
+
+// Golden leading-eigenvector clusterings (seed 1) on the shared Lanczos
+// solver. powerQ is the modularity the method reached at commit 9fd2ea9
+// with its own shifted power iteration (500 steps per split); karate
+// and planted kept their hashes across the move, E-mail gained. A
+// re-recorded hash must not fall more than 0.002 below powerQ.
+var spectralGoldens = []struct {
+	name   string
+	g      func() *graph.Graph
+	hash   uint64
+	powerQ float64
+}{
+	{name: "karate", g: datasets.Karate, hash: 0x12748946bb91aeca, powerQ: 0.4188},
+	{name: "planted", g: func() *graph.Graph {
+		g, _ := generate.PlantedPartition(4, 25, 0.5, 0.01, 7)
+		return g
+	}, hash: 0x226fbaff562af72d, powerQ: 0.6871},
+	{name: "email", g: func() *graph.Graph {
+		net, err := datasets.ByLabel("E-mail")
+		if err != nil {
+			panic(err)
+		}
+		return net.Build(1)
+	}, hash: 0x67514f82a5a28ded, powerQ: 0.5312},
+}
+
+func TestSpectralGoldens(t *testing.T) {
+	for _, tc := range spectralGoldens {
+		g := tc.g()
+		c := SpectralCommunities(g, SpectralOptions{Seed: 1})
+		if h := clusteringHash(c); h != tc.hash {
+			t.Errorf("%s: hash %#x (Q %.17g, count %d), want %#x", tc.name, h, c.Q, c.Count, tc.hash)
+		}
+		if c.Q < tc.powerQ-0.002 {
+			t.Errorf("%s: Q %.4f, more than 0.002 below %.4f", tc.name, c.Q, tc.powerQ)
+		}
+		if q := Modularity(g, c.Assign, 1); math.Abs(q-c.Q) > 1e-12 {
+			t.Errorf("%s: reported Q %g, Modularity %g", tc.name, c.Q, q)
 		}
 	}
 }

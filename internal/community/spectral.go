@@ -1,9 +1,9 @@
 package community
 
 import (
-	"math"
 	"math/rand"
 
+	"snap/internal/eigen"
 	"snap/internal/graph"
 )
 
@@ -11,21 +11,21 @@ import (
 // small-world networks, and efficient parallel implementations of
 // spectral algorithms that optimize modularity." This file implements
 // Newman's leading-eigenvector method (PNAS 2006): communities are
-// split recursively by the sign pattern of the dominant eigenvector of
+// split recursively by the sign pattern of the leading eigenvector of
 // the modularity matrix B = A − k kᵀ/2m, restricted to the subgraph
 // under consideration, with a KL-style sign-flip refinement per split.
+// The eigenvector comes from internal/eigen's Lanczos, the solver the
+// Chaco-LAN partitioner uses.
 
 // SpectralOptions configures the spectral modularity maximizer.
 type SpectralOptions struct {
-	// MaxIterations bounds the power iteration per split (default 500).
-	MaxIterations int
-	// Refine applies single-vertex sign-flip refinement to every
-	// split (Newman's suggested "KL-style" polish). Default true via
-	// NewSpectralOptions; the zero value disables it.
-	Refine bool
-	// Seed drives the random starting vectors.
+	// Seed drives the random Lanczos starting vectors.
 	Seed int64
 }
+
+// lanczosSteps bounds the Lanczos basis built per split. A group of
+// fewer members spans its whole space in as many steps.
+const lanczosSteps = 100
 
 // SpectralCommunities detects communities by recursive leading-
 // eigenvector bisection of the modularity matrix, splitting while the
@@ -33,9 +33,6 @@ type SpectralOptions struct {
 // greedy pMA/pLA heuristics with a spectrally-informed partition and
 // is a reference implementation of the paper's "future work" item.
 func SpectralCommunities(g *graph.Graph, opt SpectralOptions) Clustering {
-	if opt.MaxIterations <= 0 {
-		opt.MaxIterations = 500
-	}
 	n := g.NumVertices()
 	m := float64(g.NumEdges())
 	if n == 0 || m == 0 {
@@ -43,20 +40,20 @@ func SpectralCommunities(g *graph.Graph, opt SpectralOptions) Clustering {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	assign := make([]int32, n)
-	// Work queue of community ids to try splitting; ids are assigned
-	// densely as splits succeed.
-	next := int32(1)
+	// Work queue of community ids to try splitting; members[c] lists
+	// community c, and ids are assigned densely as splits succeed.
 	queue := []int32{0}
-	members := map[int32][]int32{}
 	all := make([]int32, n)
 	for i := range all {
 		all[i] = int32(i)
 	}
-	members[0] = all
+	members := [][]int32{all}
 
 	deg := make([]float64, n)
+	pos := make([]int32, n) // member -> index in the group being split, -1 outside
 	for v := 0; v < n; v++ {
 		deg[v] = float64(g.Degree(int32(v)))
+		pos[v] = -1
 	}
 
 	for len(queue) > 0 {
@@ -66,7 +63,13 @@ func SpectralCommunities(g *graph.Graph, opt SpectralOptions) Clustering {
 		if len(group) < 2 {
 			continue
 		}
-		side, gain := spectralSplit(g, group, deg, m, opt, rng)
+		for i, v := range group {
+			pos[v] = int32(i)
+		}
+		side, gain := spectralSplit(g, group, pos, deg, m, rng)
+		for _, v := range group {
+			pos[v] = -1
+		}
 		if gain <= 1e-12 || side == nil {
 			continue // indivisible community
 		}
@@ -81,49 +84,45 @@ func SpectralCommunities(g *graph.Graph, opt SpectralOptions) Clustering {
 		if len(s0) == 0 || len(s1) == 0 {
 			continue
 		}
-		nc := next
-		next++
+		nc := int32(len(members))
 		for _, v := range s1 {
 			assign[v] = nc
 		}
 		members[c] = s0
-		members[nc] = s1
+		members = append(members, s1)
 		queue = append(queue, c, nc)
 	}
 	return densify(g, assign, 0)
 }
 
 // spectralSplit computes the leading eigenvector of the generalized
-// modularity matrix B^(g) restricted to group, proposes the sign
-// split, refines it, and returns the per-member side plus the
-// modularity gain of the split.
-func spectralSplit(g *graph.Graph, group []int32, deg []float64, m float64, opt SpectralOptions, rng *rand.Rand) ([]int8, float64) {
+// modularity matrix B^(g) restricted to group (pos maps a vertex to
+// its index in group, -1 outside), proposes the sign split, refines
+// it, and returns the per-member side plus the modularity gain of the
+// split.
+func spectralSplit(g *graph.Graph, group, pos []int32, deg []float64, m float64, rng *rand.Rand) ([]int8, float64) {
 	ng := len(group)
-	pos := make(map[int32]int, ng) // vertex -> index in group
-	for i, v := range group {
-		pos[v] = i
-	}
 	// Generalized modularity matrix for a subgraph (Newman 2006 eq. 6):
 	// B^(g)_ij = A_ij − k_i k_j / 2m − δ_ij (k^(g)_i − k_i * K_g / 2m)
 	// where k^(g)_i is i's degree within the group and K_g the total
 	// group degree.
+	twoM := 2 * m
 	var totalDeg float64
-	kin := make([]float64, ng)
-	for i, v := range group {
+	for _, v := range group {
 		totalDeg += deg[v]
-		for _, u := range g.Neighbors(v) {
-			if _, ok := pos[u]; ok {
-				kin[i]++
-			}
-		}
 	}
 	diag := make([]float64, ng)
 	for i, v := range group {
-		diag[i] = kin[i] - deg[v]*totalDeg/(2*m)
+		var kin float64
+		for _, u := range g.Neighbors(v) {
+			if pos[u] >= 0 {
+				kin++
+			}
+		}
+		diag[i] = kin - deg[v]*totalDeg/twoM
 	}
-	// Multiply y = B^(g) x without materializing B. A positive shift
-	// makes the dominant eigenvalue of (B + cI) correspond to B's most
-	// positive one.
+	// y = −B^(g) x without materializing B: the leading eigenvector of
+	// B is the smallest one of −B.
 	mul := func(x, y []float64) {
 		var kx float64
 		for i, v := range group {
@@ -132,55 +131,18 @@ func spectralSplit(g *graph.Graph, group []int32, deg []float64, m float64, opt 
 		for i, v := range group {
 			var ax float64
 			for _, u := range g.Neighbors(v) {
-				if j, ok := pos[u]; ok {
+				if j := pos[u]; j >= 0 {
 					ax += x[j]
 				}
 			}
-			y[i] = ax - deg[v]*kx/(2*m) - diag[i]*x[i]
+			y[i] = deg[v]*kx/twoM + diag[i]*x[i] - ax
 		}
 	}
-	// Shift: Gershgorin-ish bound on |lambda_min|.
-	shift := 0.0
-	for i, v := range group {
-		r := kin[i] + deg[v]*totalDeg/(2*m) + math.Abs(diag[i])
-		if r > shift {
-			shift = r
-		}
-	}
-	x := make([]float64, ng)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	normalizeVec(x)
-	y := make([]float64, ng)
-	var lambda float64
-	for it := 0; it < opt.MaxIterations; it++ {
-		mul(x, y)
-		lambda = dotVec(x, y)
-		for i := range y {
-			y[i] += shift * x[i]
-		}
-		if !normalizeVec(y) {
-			return nil, 0
-		}
-		x, y = y, x
-		if it%32 == 31 {
-			// Cheap residual check on the unshifted operator.
-			mul(x, y)
-			rq := dotVec(x, y)
-			var res float64
-			for i := range x {
-				d := y[i] - rq*x[i]
-				res += d * d
-			}
-			if math.Sqrt(res) < 1e-6*(math.Abs(rq)+1) {
-				lambda = rq
-				break
-			}
-		}
-	}
-	if lambda <= 0 {
-		return nil, 0 // no positive eigenvalue: indivisible
+	// One attempt: an unconverged Ritz vector still proposes a split,
+	// and the caller's gain test decides whether it is taken.
+	lam, x, ok := eigen.Lanczos(ng, min(lanczosSteps, ng), mul, nil, rng)
+	if !ok || lam >= 0 {
+		return nil, 0 // no positive eigenvalue of B: indivisible
 	}
 	side := make([]int8, ng)
 	for i, xv := range x {
@@ -188,19 +150,18 @@ func spectralSplit(g *graph.Graph, group []int32, deg []float64, m float64, opt 
 			side[i] = 1
 		}
 	}
-	gain := splitGain(g, group, pos, side, deg, m)
-	if opt.Refine {
-		gain = refineSplit(g, group, pos, side, deg, m, gain)
-	}
-	return side, gain
+	return side, refineSplit(g, group, pos, side, deg, m)
 }
 
-// splitGain computes the modularity change of splitting group by side,
-// relative to keeping it whole: ΔQ = (1/m)(−m_cross) + (K²−K0²−K1²)/4m²
-// rearranged from the standard decomposition.
-func splitGain(g *graph.Graph, group []int32, pos map[int32]int, side []int8, deg []float64, m float64) float64 {
-	var cross float64
-	var k0, k1, kAll float64
+// refineSplit scores the split of group by side and greedily flips
+// single vertices between the two sides while the gain improves
+// (Newman's KL-style refinement). The gain relative to keeping the
+// group whole is ΔQ = −m_cross/m + (K²−K0²−K1²)/4m². The cut count and
+// side volumes are running totals, so a trial flip costs the flipped
+// vertex's degree; every term is an integer-valued float64, so each
+// gain has the bits a from-scratch recount would give.
+func refineSplit(g *graph.Graph, group, pos []int32, side []int8, deg []float64, m float64) float64 {
+	var cross, k0, k1, kAll float64
 	for i, v := range group {
 		kAll += deg[v]
 		if side[i] == 0 {
@@ -209,8 +170,8 @@ func splitGain(g *graph.Graph, group []int32, pos map[int32]int, side []int8, de
 			k1 += deg[v]
 		}
 		for _, u := range g.Neighbors(v) {
-			j, ok := pos[u]
-			if !ok || u <= v {
+			j := pos[u]
+			if j < 0 || u <= v {
 				continue
 			}
 			if side[i] != side[j] {
@@ -219,22 +180,34 @@ func splitGain(g *graph.Graph, group []int32, pos map[int32]int, side []int8, de
 		}
 	}
 	twoM := 2 * m
-	return -cross/m + (kAll*kAll-k0*k0-k1*k1)/(twoM*twoM)
-}
-
-// refineSplit greedily flips single vertices between the two sides
-// while the split gain improves (Newman's KL-style refinement).
-func refineSplit(g *graph.Graph, group []int32, pos map[int32]int, side []int8, deg []float64, m float64, gain float64) float64 {
+	gainOf := func(cross, k0, k1 float64) float64 {
+		return -cross/m + (kAll*kAll-k0*k0-k1*k1)/(twoM*twoM)
+	}
+	gain := gainOf(cross, k0, k1)
 	for pass := 0; pass < 8; pass++ {
 		improved := false
-		for i := range group {
-			side[i] ^= 1
-			ng := splitGain(g, group, pos, side, deg, m)
-			if ng > gain+1e-15 {
-				gain = ng
-				improved = true
-			} else {
+		for i, v := range group {
+			// Flipping v cuts its same-side edges and joins the rest.
+			var same, other float64
+			for _, u := range g.Neighbors(v) {
+				j := pos[u]
+				if j < 0 || u == v {
+					continue
+				}
+				if side[j] == side[i] {
+					same++
+				} else {
+					other++
+				}
+			}
+			c, n0, n1 := cross+same-other, k0-deg[v], k1+deg[v]
+			if side[i] == 1 {
+				n0, n1 = k0+deg[v], k1-deg[v]
+			}
+			if ng := gainOf(c, n0, n1); ng > gain+1e-15 {
+				gain, cross, k0, k1 = ng, c, n0, n1
 				side[i] ^= 1
+				improved = true
 			}
 		}
 		if !improved {
@@ -242,28 +215,4 @@ func refineSplit(g *graph.Graph, group []int32, pos map[int32]int, side []int8, 
 		}
 	}
 	return gain
-}
-
-func normalizeVec(x []float64) bool {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	s = math.Sqrt(s)
-	if s < 1e-300 {
-		return false
-	}
-	inv := 1 / s
-	for i := range x {
-		x[i] *= inv
-	}
-	return true
-}
-
-func dotVec(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

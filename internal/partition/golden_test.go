@@ -100,3 +100,49 @@ func TestKWayGoldenPartitions(t *testing.T) {
 		}
 	}
 }
+
+// Golden partitions of the recursive bisectors (Table 1's METIS-recur,
+// Chaco-RQI and Chaco-LAN columns), recorded at commit 9fd2ea9, before
+// the Lanczos loop and its tridiagonal helpers moved to internal/eigen.
+// Every floating-point step of the eigensolvers kept its order, so
+// these hashes hold bit for bit.
+var recursiveGoldens = []struct {
+	name   string
+	method string
+	g      func() *graph.Graph
+	k      int
+	seed   int64
+	hash   uint64
+	cut    int64
+}{
+	{name: "mesh40x40", method: "recur", g: goldenCases[0].g, k: 8, seed: 1, hash: 0xa2ce9f853eaa2587, cut: 278},
+	{name: "mesh40x40", method: "rqi", g: goldenCases[0].g, k: 8, seed: 1, hash: 0x8608db0713d2fea5, cut: 172},
+	{name: "mesh40x40", method: "lanczos", g: goldenCases[0].g, k: 8, seed: 1, hash: 0xf41a7c1787e8fa75, cut: 180},
+	{name: "rmat12", method: "recur", g: rmat12, k: 8, seed: 3, hash: 0xfd77a60618fae5b7, cut: 7757},
+	{name: "rmat12", method: "rqi", g: rmat12, k: 8, seed: 3, hash: 0x236265df303dfa85, cut: 8507},
+	{name: "rmat12", method: "lanczos", g: rmat12, k: 8, seed: 3, hash: 0xf9bef3936fe653e5, cut: 10374},
+}
+
+func rmat12() *graph.Graph { return generate.RMAT(1<<12, 4<<12, generate.DefaultRMAT(), 3) }
+
+func TestRecursiveGoldenPartitions(t *testing.T) {
+	for _, tc := range recursiveGoldens {
+		g := tc.g()
+		var r Result
+		var err error
+		switch tc.method {
+		case "recur":
+			r, err = MultilevelRecursive(g, tc.k, MultilevelOptions{Seed: tc.seed})
+		case "rqi":
+			r, err = SpectralRQI(g, tc.k, SpectralOptions{Seed: tc.seed})
+		case "lanczos":
+			r, err = SpectralLanczos(g, tc.k, SpectralOptions{Seed: tc.seed})
+		}
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.name, tc.method, err)
+		}
+		if h := partHash(r.Part); h != tc.hash || r.EdgeCut != tc.cut {
+			t.Errorf("%s/%s: hash %#x cut %d, want %#x / %d", tc.name, tc.method, h, r.EdgeCut, tc.hash, tc.cut)
+		}
+	}
+}

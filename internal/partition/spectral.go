@@ -1,9 +1,12 @@
 package partition
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 
+	"snap/internal/eigen"
 	"snap/internal/graph"
 	"snap/internal/sketch"
 )
@@ -20,7 +23,8 @@ type SpectralOptions struct {
 	// paper reports on small-world instances.
 	Tolerance float64
 	// Refine applies boundary refinement after each median split
-	// (Chaco's spectral+KL mode). Default true.
+	// (Chaco's spectral+KL mode). The zero value leaves it off, as
+	// Table 1's Chaco columns run.
 	Refine bool
 	// Seed drives the random starting vectors.
 	Seed int64
@@ -120,7 +124,9 @@ func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedle
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sortByValue(order, fv)
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(fv[a], fv[b]), cmp.Compare(a, b))
+	})
 	total := w.totalVW()
 	target := int64(frac * float64(total))
 	var acc int64
@@ -137,42 +143,6 @@ func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedle
 		refineBisection(w, side, frac, mlOpt, rng)
 	}
 	return side, nil
-}
-
-func sortByValue(order []int32, val []float64) {
-	// Heapsort on (val, id) to stay allocation-free and deterministic.
-	less := func(a, b int32) bool {
-		if val[a] != val[b] {
-			return val[a] < val[b]
-		}
-		return a < b
-	}
-	nh := len(order)
-	for i := nh/2 - 1; i >= 0; i-- {
-		siftDown(order, i, nh, less)
-	}
-	for end := nh - 1; end > 0; end-- {
-		order[0], order[end] = order[end], order[0]
-		siftDown(order, 0, end, less)
-	}
-}
-
-func siftDown(a []int32, start, end int, less func(x, y int32) bool) {
-	root := start
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && less(a[child], a[child+1]) {
-			child++
-		}
-		if !less(a[root], a[child]) {
-			return
-		}
-		a[root], a[child] = a[child], a[root]
-		root = child
-	}
 }
 
 // lapMul computes y = L x for the weighted Laplacian of w.
@@ -210,26 +180,6 @@ func deflateOnes(x []float64) {
 	}
 }
 
-func norm(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-func normalize(x []float64) bool {
-	nm := norm(x)
-	if nm < 1e-300 {
-		return false
-	}
-	inv := 1 / nm
-	for i := range x {
-		x[i] *= inv
-	}
-	return true
-}
-
 // fiedlerRQI approximates the Fiedler vector with multilevel
 // acceleration: the vector is computed on a coarsened graph first,
 // interpolated upward, and polished at each level by power iteration
@@ -237,7 +187,7 @@ func normalize(x []float64) bool {
 func fiedlerRQI(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, error) {
 	levels, maps := coarsenHierarchy(w, 64, int64(rng.Uint64()))
 	coarsest := levels[len(levels)-1]
-	x := randomVector(coarsest.n(), rng)
+	x := eigen.RandomVector(coarsest.n(), rng)
 	if _, err := polish(coarsest, x, opt.MaxIterations, opt.Tolerance); err != nil {
 		return nil, err
 	}
@@ -274,7 +224,7 @@ func polish(w *wgraph, x []float64, maxIter int, tol float64) (float64, error) {
 	c := 2*maxWeightedDegree(w) + 1
 	y := make([]float64, n)
 	deflateOnes(x)
-	if !normalize(x) {
+	if !eigen.Normalize(x) {
 		return 0, ErrNoConvergence
 	}
 	lambda := 0.0
@@ -282,10 +232,7 @@ func polish(w *wgraph, x []float64, maxIter int, tol float64) (float64, error) {
 	for it := 0; it < maxIter; it++ {
 		lapMul(w, x, y)
 		// Rayleigh quotient and residual on L.
-		var rq float64
-		for i := range x {
-			rq += x[i] * y[i]
-		}
+		rq := eigen.Dot(x, y)
 		var res float64
 		for i := range x {
 			d := y[i] - rq*x[i]
@@ -310,19 +257,11 @@ func polish(w *wgraph, x []float64, maxIter int, tol float64) (float64, error) {
 			x[i] = c*x[i] - y[i]
 		}
 		deflateOnes(x)
-		if !normalize(x) {
+		if !eigen.Normalize(x) {
 			return 0, ErrNoConvergence
 		}
 	}
 	return lambda, ErrNoConvergence
-}
-
-func randomVector(n int, rng *rand.Rand) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.Float64()*2 - 1
-	}
-	return x
 }
 
 // fiedlerLanczos computes the Fiedler vector by the Lanczos process
@@ -338,71 +277,16 @@ func fiedlerLanczos(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, 
 	if steps < 2 {
 		steps = 2
 	}
-	q := make([][]float64, 0, steps+1)
-	alpha := make([]float64, 0, steps)
-	beta := make([]float64, 0, steps)
-
-	q0 := randomVector(n, rng)
-	deflateOnes(q0)
-	if !normalize(q0) {
-		return nil, ErrNoConvergence
-	}
-	q = append(q, q0)
-	y := make([]float64, n)
-	for j := 0; j < steps; j++ {
-		lapMul(w, q[j], y)
-		a := dot(q[j], y)
-		alpha = append(alpha, a)
-		for i := range y {
-			y[i] -= a * q[j][i]
-		}
-		if j > 0 {
-			b := beta[j-1]
-			for i := range y {
-				y[i] -= b * q[j-1][i]
-			}
-		}
-		// Full reorthogonalization (against ones and all basis
-		// vectors) keeps the Ritz values honest.
-		deflateOnes(y)
-		for _, qi := range q {
-			d := dot(qi, y)
-			for i := range y {
-				y[i] -= d * qi[i]
-			}
-		}
-		b := norm(y)
-		if b < 1e-12 {
-			break // invariant subspace found (happy breakdown)
-		}
-		beta = append(beta, b)
-		qn := make([]float64, n)
-		inv := 1 / b
-		for i := range y {
-			qn[i] = y[i] * inv
-		}
-		q = append(q, qn)
-	}
-	k := len(alpha)
-	if k == 0 {
-		return nil, ErrNoConvergence
-	}
-	lam := smallestEigTri(alpha[:k], beta[:min(k-1, len(beta))])
-	z, ok := eigvecTri(alpha[:k], beta[:min(k-1, len(beta))], lam)
+	mul := func(x, y []float64) { lapMul(w, x, y) }
+	lam, fv, ok := eigen.Lanczos(n, steps, mul, deflateOnes, rng)
 	if !ok {
 		return nil, ErrNoConvergence
 	}
-	// Map back: fv = sum z_j q_j.
-	fv := make([]float64, n)
-	for j := 0; j < k; j++ {
-		for i := range fv {
-			fv[i] += z[j] * q[j][i]
-		}
-	}
 	// Convergence check: residual of (lam, fv) on L.
+	y := make([]float64, n)
 	lapMul(w, fv, y)
 	var res float64
-	nrm := norm(fv)
+	nrm := eigen.Norm(fv)
 	if nrm < 1e-300 {
 		return nil, ErrNoConvergence
 	}
@@ -414,120 +298,4 @@ func fiedlerLanczos(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, 
 		return nil, ErrNoConvergence
 	}
 	return fv, nil
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// smallestEigTri finds the smallest eigenvalue of the symmetric
-// tridiagonal matrix (alpha, beta) by bisection with Sturm sequences.
-func smallestEigTri(alpha, beta []float64) float64 {
-	// Gershgorin bounds.
-	lo, hi := alpha[0], alpha[0]
-	for i := range alpha {
-		r := 0.0
-		if i > 0 {
-			r += math.Abs(beta[i-1])
-		}
-		if i < len(beta) {
-			r += math.Abs(beta[i])
-		}
-		if alpha[i]-r < lo {
-			lo = alpha[i] - r
-		}
-		if alpha[i]+r > hi {
-			hi = alpha[i] + r
-		}
-	}
-	countBelow := func(x float64) int {
-		// Sturm sequence: number of eigenvalues < x.
-		count := 0
-		d := alpha[0] - x
-		if d < 0 {
-			count++
-		}
-		for i := 1; i < len(alpha); i++ {
-			b2 := beta[i-1] * beta[i-1]
-			if d == 0 {
-				d = 1e-300
-			}
-			d = alpha[i] - x - b2/d
-			if d < 0 {
-				count++
-			}
-		}
-		return count
-	}
-	for it := 0; it < 200 && hi-lo > 1e-12*(1+math.Abs(lo)); it++ {
-		mid := (lo + hi) / 2
-		if countBelow(mid) >= 1 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// eigvecTri computes an eigenvector of the tridiagonal (alpha, beta)
-// for eigenvalue lam by inverse iteration with a Thomas solve.
-func eigvecTri(alpha, beta []float64, lam float64) ([]float64, bool) {
-	k := len(alpha)
-	x := make([]float64, k)
-	for i := range x {
-		x[i] = 1 / float64(k+i+1) // deterministic non-degenerate start
-	}
-	shift := lam - 1e-8
-	for iter := 0; iter < 4; iter++ {
-		nx, ok := thomasSolve(alpha, beta, shift, x)
-		if !ok {
-			shift -= 1e-8
-			continue
-		}
-		x = nx
-		nm := norm(x)
-		if nm < 1e-300 {
-			return nil, false
-		}
-		for i := range x {
-			x[i] /= nm
-		}
-	}
-	return x, true
-}
-
-// thomasSolve solves (T − shift I) y = b for tridiagonal T.
-func thomasSolve(alpha, beta []float64, shift float64, b []float64) ([]float64, bool) {
-	k := len(alpha)
-	c := make([]float64, k) // modified super-diagonal
-	d := make([]float64, k) // modified rhs
-	den := alpha[0] - shift
-	if math.Abs(den) < 1e-300 {
-		return nil, false
-	}
-	if k > 1 {
-		c[0] = beta[0] / den
-	}
-	d[0] = b[0] / den
-	for i := 1; i < k; i++ {
-		den = alpha[i] - shift - beta[i-1]*c[i-1]
-		if math.Abs(den) < 1e-300 {
-			return nil, false
-		}
-		if i < k-1 {
-			c[i] = beta[i] / den
-		}
-		d[i] = (b[i] - beta[i-1]*d[i-1]) / den
-	}
-	y := make([]float64, k)
-	y[k-1] = d[k-1]
-	for i := k - 2; i >= 0; i-- {
-		y[i] = d[i] - c[i]*y[i+1]
-	}
-	return y, true
 }

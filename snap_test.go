@@ -187,7 +187,7 @@ func TestFacadeModularityMatchesManual(t *testing.T) {
 
 func TestFacadeSpectralCommunities(t *testing.T) {
 	g, truth := PlantedPartition(3, 30, 0.5, 0.01, 9)
-	c := SpectralCommunities(g, CommunitySpectralOptions{Seed: 1, Refine: true})
+	c := SpectralCommunities(g, CommunitySpectralOptions{Seed: 1})
 	if c.Q < Modularity(g, truth)*0.9 {
 		t.Fatalf("spectral communities Q = %.3f too low", c.Q)
 	}

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -60,10 +61,18 @@ func main() {
 			Samples: *samples, Seed: *seed, Approx: *approx, Registers: *regs,
 		})
 		bip := metrics.IsBipartite(g)
+		knn := metrics.AvgNeighborDegree(g)
+		rc := metrics.RichClub(g)
 		fmt.Printf("\n-- metrics (%.2fs) --\n", time.Since(start).Seconds())
 		fmt.Printf("degree: min %d, max %d, mean %.2f\n", st.Min, st.Max, st.Mean)
 		fmt.Printf("clustering coefficient: %.4f (transitivity %.4f)\n", cc, tr)
 		fmt.Printf("assortativity: %+.4f\n", r)
+		fmt.Printf("avg neighbor degree: %.2f (mean knn(k) over present degrees)\n", finiteMean(knn))
+		fmt.Printf("rich-club phi(k):")
+		for k := 1; k < len(rc); k *= 4 {
+			fmt.Printf(" k=%d %.4f", k, rc[k])
+		}
+		fmt.Println()
 		if *approx {
 			eff := metrics.DiameterWithOptions(g, metrics.DiameterOptions{
 				Approx: true, Registers: *regs, Seed: *seed,
@@ -80,6 +89,7 @@ func main() {
 		start := time.Now()
 		lab := components.Connected(g, nil)
 		bc := components.Biconnected(g)
+		mst := components.BoruvkaMST(g, 0)
 		_, largest := lab.Largest()
 		fmt.Printf("\n-- connectivity (%.2fs) --\n", time.Since(start).Seconds())
 		fmt.Printf("connected components: %d (largest %d vertices, %.1f%%)\n",
@@ -87,6 +97,7 @@ func main() {
 		fmt.Printf("biconnected components: %d\n", bc.CompCount)
 		fmt.Printf("articulation points: %d, bridges: %d\n",
 			len(bc.ArticulationPoints()), len(bc.Bridges()))
+		fmt.Printf("minimum spanning forest: %d edges, total weight %g\n", len(mst.EdgeIDs), mst.TotalWeight)
 	}
 
 	if *cent != "" {
@@ -124,6 +135,23 @@ func main() {
 			fmt.Printf("%3d. vertex %8d  score %.4g\n", rank+1, v, scores[v])
 		}
 	}
+}
+
+// finiteMean averages the entries that are not NaN (AvgNeighborDegree
+// marks absent degree classes with NaN).
+func finiteMean(xs []float64) float64 {
+	var sum float64
+	n := 0
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			sum += x
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }
 
 func load(in, dataset string, scale float64, directed bool) (*graph.Graph, error) {

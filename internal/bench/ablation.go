@@ -17,7 +17,7 @@ import (
 //     (optional step 1 of Algorithm 1).
 //  2. pBD approximate vs exact betweenness (the paper's core
 //     algorithm-engineering claim).
-//  3. Parallel BFS with vs without degree-aware frontier partitioning.
+//  3. Direction-optimizing BFS against the serial queue-loop reference.
 //  4. The pMA ΔQ row structure (multilevel buckets) vs a naive linear
 //     scan for the row maximum.
 //  5. Dynamic-graph adjacency: hybrid treap representation vs plain

@@ -1,11 +1,11 @@
 // Package centrality implements SNAP's centrality kernels: degree and
 // closeness centrality, exact betweenness centrality (Brandes'
-// algorithm) for vertices and edges, unweighted (BFS) and weighted
-// (Dijkstra), and the adaptive-sampling approximate betweenness of
-// Bader, Kintali, Madduri & Mihail (WAW 2007) that powers the pBD
-// community detection algorithm.
+// algorithm over BFS sweeps) for vertices and edges, and the
+// adaptive-sampling approximate betweenness of Bader, Kintali, Madduri
+// & Mihail (WAW 2007) that powers the pBD community detection
+// algorithm.
 //
-// Every betweenness kernel runs on one driver, brandes: the paper's
+// Every betweenness kernel runs on one driver, Betweenness: the paper's
 // coarse-grained form, whole traversals in parallel, one per source.
 // Each source's dependencies are folded into the totals strictly in
 // source order, so every vertex and edge receives the same additions in
@@ -54,29 +54,6 @@ type BetweennessOptions struct {
 	Sources []int32
 }
 
-// Betweenness computes exact (or source-sampled) betweenness
-// centrality on an unweighted graph via Brandes' dependency
-// accumulation.
-func Betweenness(g *graph.Graph, opt BetweennessOptions) Scores {
-	return brandes(g, opt, acquireBrandesState)
-}
-
-// A sweeper is one pooled Brandes traversal state. sweep and fold
-// alternate: sweep leaves a source's dependencies in the state, and
-// fold adds them into the totals and restores the state's clean
-// invariant.
-type sweeper interface {
-	// sweep traverses from s and accumulates its dependencies. Edge
-	// dependencies go straight into edge when it is non-nil, and are
-	// logged in sweep order for fold when logEdges is set.
-	sweep(g *graph.Graph, s int32, alive []bool, edge []float64, logEdges bool)
-	// fold adds the last sweep's vertex dependencies into vertex and
-	// its logged edge dependencies into edge (either may be nil).
-	fold(vertex, edge []float64)
-	// release returns the state to its pool.
-	release()
-}
-
 // edgeDep is one logged edge dependency: c is added to edge id.
 type edgeDep struct {
 	id int32
@@ -92,9 +69,11 @@ func foldLog(log []edgeDep, edge []float64) []edgeDep {
 	return log[:0]
 }
 
-// brandes runs one sweep per source on workers goroutines and folds
-// the sources into the totals in source order (see brandesRun).
-func brandes(g *graph.Graph, opt BetweennessOptions, acquire func(n int) sweeper) Scores {
+// Betweenness computes exact (or source-sampled) betweenness
+// centrality on an unweighted graph via Brandes' dependency
+// accumulation: one BFS sweep per source on workers goroutines, folded
+// into the totals in source order (see brandesRun).
+func Betweenness(g *graph.Graph, opt BetweennessOptions) Scores {
 	if !opt.ComputeVertex && !opt.ComputeEdge {
 		opt.ComputeVertex = true
 		opt.ComputeEdge = true
@@ -112,9 +91,9 @@ func brandes(g *graph.Graph, opt BetweennessOptions, acquire func(n int) sweeper
 		workers = par.Workers()
 	}
 	r := &brandesRun{
-		g: g, alive: opt.Alive, sources: sources, acquire: acquire,
-		free:   make(chan sweeper, 2*workers),
-		parked: make([]sweeper, 2*workers),
+		g: g, alive: opt.Alive, sources: sources,
+		free:   make(chan *brandesState, 2*workers),
+		parked: make([]*brandesState, 2*workers),
 	}
 	r.out.Sources = len(sources)
 	if opt.ComputeVertex {
@@ -151,13 +130,12 @@ type brandesRun struct {
 	g       *graph.Graph
 	alive   []bool
 	sources []int32
-	acquire func(n int) sweeper
 	out     Scores
-	free    chan sweeper // idle states; nil until first use
-	parked  []sweeper    // swept sources awaiting their turn, by index mod window
-	next    atomic.Int64 // next source index to claim
-	mu      sync.Mutex   // guards turn, parked and folding into out
-	turn    int          // index of the next source to fold
+	free    chan *brandesState // idle states; nil until first use
+	parked  []*brandesState    // swept sources awaiting their turn, by index mod window
+	next    atomic.Int64       // next source index to claim
+	mu      sync.Mutex         // guards turn, parked and folding into out
+	turn    int                // index of the next source to fold
 }
 
 func (r *brandesRun) work() {
@@ -170,7 +148,7 @@ func (r *brandesRun) work() {
 			return
 		}
 		if st == nil {
-			st = r.acquire(r.g.NumVertices())
+			st = acquireBrandesState(r.g.NumVertices())
 		}
 		r.mu.Lock()
 		inTurn := i == r.turn
@@ -206,9 +184,9 @@ func halve(xs []float64) {
 	}
 }
 
-// brandesState is the BFS sweeper. The forward BFS phase lives in a
-// shared frontier engine (epoch-stamped distances, O(1) reset);
-// sigma/delta maintain a clean-between-runs invariant — every entry is
+// brandesState is one pooled Brandes traversal state; sweep and fold
+// alternate. The forward BFS phase lives in a shared frontier engine
+// (epoch-stamped distances, O(1) reset); sigma/delta maintain a clean-between-runs invariant — every entry is
 // 0 whenever no sweep is pending — so a sweep resets nothing up front
 // and fold instead sparsely restores exactly the vertices it touched
 // (the engine's visitation order): O(touched) per source instead of
@@ -228,7 +206,7 @@ var brandesPool = par.NewPool(func() *brandesState { return &brandesState{} })
 
 // acquireBrandesState returns a pooled state sized for n vertices,
 // satisfying the clean invariant.
-func acquireBrandesState(n int) sweeper {
+func acquireBrandesState(n int) *brandesState {
 	st := brandesPool.Get()
 	if st.eng == nil {
 		st.eng = frontier.NewEngine(n)
@@ -250,9 +228,12 @@ func acquireBrandesState(n int) sweeper {
 
 func (st *brandesState) release() { brandesPool.Put(st) }
 
-// sweep performs one source traversal. The forward BFS phase is the
-// shared frontier engine's serial run; path counts are then
-// accumulated by one push sweep over the visitation order. Distances
+// sweep performs one source traversal and leaves its dependencies in
+// the state. Edge dependencies go straight into edge when it is
+// non-nil, and are logged in sweep order for fold when logEdges is
+// set. The forward BFS phase is the shared frontier engine's serial
+// run; path counts are then accumulated by one push sweep over the
+// visitation order. Distances
 // are read through the engine's raw array, which is safe here: every
 // alive-arc neighbor of a reached vertex is itself reached, so no
 // stale-epoch entry is ever consulted.

@@ -41,7 +41,6 @@ func everyFifthDead(g *graph.Graph) []bool {
 
 func TestBetweennessGoldens(t *testing.T) {
 	rmat := generate.RMAT(300, 2400, generate.DefaultRMAT(), 1)
-	weighted := generate.RandomWeights(rmat, 10, 2)
 	big := generate.RMAT(1000, 4000, generate.DefaultRMAT(), 3)
 	cases := []struct {
 		name string
@@ -53,12 +52,6 @@ func TestBetweennessGoldens(t *testing.T) {
 		}},
 		{"exact/rmat300-masked", 0x17fa5c506019088f, func(w int) Scores {
 			return Betweenness(rmat, BetweennessOptions{Workers: w, Alive: everyFifthDead(rmat)})
-		}},
-		{"weighted/rmat300", 0xbf7a348e5680ce7e, func(w int) Scores {
-			return WeightedBetweenness(weighted, BetweennessOptions{Workers: w})
-		}},
-		{"weighted/rmat300-masked", 0x46f27e7e3d129726, func(w int) Scores {
-			return WeightedBetweenness(weighted, BetweennessOptions{Workers: w, Alive: everyFifthDead(weighted)})
 		}},
 		{"approx/rmat1000", 0xda817386936e6656, func(w int) Scores {
 			return ApproxBetweenness(big, ApproxOptions{Workers: w, Seed: 1})

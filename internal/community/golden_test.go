@@ -163,3 +163,53 @@ func TestSpectralGoldens(t *testing.T) {
 		}
 	}
 }
+
+// Golden agglomerative clusterings, recorded at commit acc06e0 with
+// Workers 1 before any change that touches pMA or pLA. pMA's parallel
+// ΔQ updates (ParallelThreshold 16 makes E-mail's larger merges take
+// that arm) and pLA's concurrent component aggregation must not change
+// the answer, so every worker count must reproduce these hashes of
+// Assign, the Q bits and Count.
+var agglomerativeGoldens = map[string]uint64{
+	"pma/karate": 0xb2d97f428c8b4ef7,
+	"pma/email":  0xe485fc91e25751da,
+	"pla/karate": 0x7d5f5fc3748a115e,
+	"pla/email":  0xd0964e07a0f94cbc,
+}
+
+func TestAgglomerativeGoldens(t *testing.T) {
+	karate := datasets.Karate()
+	net, err := datasets.ByLabel("E-mail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	email := net.Build(1)
+	runs := []struct {
+		name string
+		g    *graph.Graph
+		run  func(g *graph.Graph, workers int) Clustering
+	}{
+		{"pma/karate", karate, func(g *graph.Graph, w int) Clustering {
+			c, _ := PMA(g, PMAOptions{Workers: w, StopWhenNegative: true})
+			return c
+		}},
+		{"pma/email", email, func(g *graph.Graph, w int) Clustering {
+			c, _ := PMA(g, PMAOptions{Workers: w, StopWhenNegative: true, ParallelThreshold: 16})
+			return c
+		}},
+		{"pla/karate", karate, func(g *graph.Graph, w int) Clustering {
+			return PLA(g, PLAOptions{Workers: w, Seed: 1})
+		}},
+		{"pla/email", email, func(g *graph.Graph, w int) Clustering {
+			return PLA(g, PLAOptions{Workers: w, Seed: 1})
+		}},
+	}
+	for _, r := range runs {
+		for _, workers := range []int{1, 2, 4} {
+			c := r.run(r.g, workers)
+			if h := clusteringHash(c); h != agglomerativeGoldens[r.name] {
+				t.Errorf("%s workers=%d: hash %#x (Q %.17g, count %d), want %#x", r.name, workers, h, c.Q, c.Count, agglomerativeGoldens[r.name])
+			}
+		}
+	}
+}

@@ -2,109 +2,45 @@ package community
 
 import (
 	"math"
-
-	"snap/internal/graph"
+	"slices"
 )
-
-// Quality measures beyond modularity, used to evaluate clusterings —
-// including conductance, the measure the paper contrasts modularity
-// against when discussing partitioning-based clustering heuristics
-// (Section 2.2), and NMI for comparing against planted ground truth.
-
-// Coverage is the fraction of edges that are intra-community.
-// Coverage 1 means no inter-community edges.
-func Coverage(g *graph.Graph, assign []int32) float64 {
-	m := g.NumEdges()
-	if m == 0 {
-		return 0
-	}
-	intra := 0
-	for _, e := range g.EdgeEndpoints() {
-		if assign[e.U] == assign[e.V] {
-			intra++
-		}
-	}
-	return float64(intra) / float64(m)
-}
-
-// Conductance returns the conductance of every community: the number
-// of boundary edges divided by the smaller of the community's and the
-// complement's total degree. Lower is better; isolated communities
-// (no boundary) get 0; degenerate communities (zero volume on either
-// side) get 1 (the standard worst-case convention).
-func Conductance(g *graph.Graph, assign []int32, count int) []float64 {
-	volume := make([]float64, count)
-	boundary := make([]float64, count)
-	var totalVol float64
-	for v := 0; v < g.NumVertices(); v++ {
-		d := float64(g.Degree(int32(v)))
-		volume[assign[v]] += d
-		totalVol += d
-	}
-	for _, e := range g.EdgeEndpoints() {
-		if assign[e.U] != assign[e.V] {
-			boundary[assign[e.U]]++
-			boundary[assign[e.V]]++
-		}
-	}
-	out := make([]float64, count)
-	for c := 0; c < count; c++ {
-		minVol := volume[c]
-		if other := totalVol - volume[c]; other < minVol {
-			minVol = other
-		}
-		switch {
-		case boundary[c] == 0:
-			out[c] = 0
-		case minVol == 0:
-			out[c] = 1
-		default:
-			out[c] = boundary[c] / minVol
-		}
-	}
-	return out
-}
 
 // NMI computes the normalized mutual information between two
 // clusterings of the same vertex set (1 = identical partitions up to
 // relabeling, ~0 = independent). Standard for scoring recovered
-// communities against planted ground truth.
+// communities against planted ground truth. Labels may be any int32
+// values: only the label pairs that occur are counted, so memory is
+// O(n) however sparse or wide the labels are.
 func NMI(a, b []int32) float64 {
 	n := len(a)
 	if n == 0 || len(b) != n {
 		return 0
 	}
-	ka, kb := maxLabel(a)+1, maxLabel(b)+1
-	joint := make([]float64, ka*kb)
-	ca := make([]float64, ka)
-	cb := make([]float64, kb)
-	for i := 0; i < n; i++ {
-		joint[int(a[i])*int(kb)+int(b[i])]++
-		ca[a[i]]++
-		cb[b[i]]++
+	la, ca := labelCounts(a)
+	lb, cb := labelCounts(b)
+	// One key per vertex, its (a, b) pair with the sign bits flipped so
+	// that unsigned key order is signed label order: sorted, equal pairs
+	// form runs, visited in (a, b) label order.
+	const flip = 1 << 31
+	pairs := make([]uint64, n)
+	for i := range a {
+		pairs[i] = uint64(uint32(a[i])^flip)<<32 | uint64(uint32(b[i])^flip)
 	}
+	slices.Sort(pairs)
 	fn := float64(n)
-	var mi, ha, hb float64
-	for i := int32(0); i < ka; i++ {
-		for j := int32(0); j < kb; j++ {
-			p := joint[int(i)*int(kb)+int(j)] / fn
-			if p > 0 {
-				mi += p * math.Log(p/((ca[i]/fn)*(cb[j]/fn)))
-			}
+	var mi float64
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && pairs[j] == pairs[i] {
+			j++
 		}
+		ia, _ := slices.BinarySearch(la, int32(uint32(pairs[i]>>32)^flip))
+		ib, _ := slices.BinarySearch(lb, int32(uint32(pairs[i])^flip))
+		p := float64(j-i) / fn
+		mi += p * math.Log(p/((ca[ia]/fn)*(cb[ib]/fn)))
+		i = j
 	}
-	for _, c := range ca {
-		if c > 0 {
-			p := c / fn
-			ha -= p * math.Log(p)
-		}
-	}
-	for _, c := range cb {
-		if c > 0 {
-			p := c / fn
-			hb -= p * math.Log(p)
-		}
-	}
+	ha, hb := entropy(ca, fn), entropy(cb, fn)
 	if ha == 0 && hb == 0 {
 		return 1 // both trivial single-cluster partitions
 	}
@@ -115,12 +51,31 @@ func NMI(a, b []int32) float64 {
 	return mi / denom
 }
 
-func maxLabel(xs []int32) int32 {
-	var mx int32
-	for _, x := range xs {
-		if x > mx {
-			mx = x
+// labelCounts returns the distinct labels of xs in ascending order and
+// how many times each occurs.
+func labelCounts(xs []int32) ([]int32, []float64) {
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	labels := sorted[:0]
+	var counts []float64
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j] == sorted[i] {
+			j++
 		}
+		labels = append(labels, sorted[i])
+		counts = append(counts, float64(j-i))
+		i = j
 	}
-	return mx
+	return labels, counts
+}
+
+// entropy is the Shannon entropy of a labeling from its label counts.
+func entropy(counts []float64, fn float64) float64 {
+	var h float64
+	for _, c := range counts {
+		p := c / fn
+		h -= p * math.Log(p)
+	}
+	return h
 }

@@ -2,38 +2,11 @@ package community
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"snap/internal/generate"
 )
-
-func TestCoverage(t *testing.T) {
-	g := twoTriangles(t)
-	perfect := []int32{0, 0, 0, 1, 1, 1}
-	// 6 of 7 edges intra.
-	if c := Coverage(g, perfect); math.Abs(c-6.0/7) > 1e-12 {
-		t.Fatalf("coverage = %g", c)
-	}
-	if c := Coverage(g, []int32{0, 0, 0, 0, 0, 0}); c != 1 {
-		t.Fatalf("single-community coverage = %g", c)
-	}
-}
-
-func TestConductance(t *testing.T) {
-	g := twoTriangles(t)
-	perfect := []int32{0, 0, 0, 1, 1, 1}
-	cs := Conductance(g, perfect, 2)
-	// Each triangle: boundary 1, volume 7 -> 1/7.
-	for c, v := range cs {
-		if math.Abs(v-1.0/7) > 1e-12 {
-			t.Fatalf("conductance[%d] = %g, want 1/7", c, v)
-		}
-	}
-	// Whole graph as one community: no boundary -> 0.
-	if cs := Conductance(g, []int32{0, 0, 0, 0, 0, 0}, 1); cs[0] != 0 {
-		t.Fatalf("closed community conductance = %g", cs[0])
-	}
-}
 
 func TestNMI(t *testing.T) {
 	a := []int32{0, 0, 0, 1, 1, 1}
@@ -55,6 +28,34 @@ func TestNMI(t *testing.T) {
 	d := []int32{0, 0, 0, 0, 0, 0}
 	if v := NMI(d, d); v != 1 {
 		t.Fatalf("NMI(trivial) = %g", v)
+	}
+	// Negative labels are labels like any other: the same partition
+	// under an order-preserving shift scores the same bits.
+	neg := []int32{-2, -2, -2, 5, 5, 5}
+	shifted := []int32{0, 0, 0, 7, 7, 7}
+	if v, w := NMI(neg, c), NMI(shifted, c); v != w {
+		t.Fatalf("NMI(negative labels) = %g, shifted %g", v, w)
+	}
+	if v := NMI(neg, a); math.Abs(v-1) > 1e-12 {
+		t.Fatalf("NMI(negative relabel) = %g", v)
+	}
+	// Two all-singleton labelings of 2 000 vertices: a dense ka × kb
+	// table would take 32 MB; counting the pairs that occur takes O(n).
+	const n = 2000
+	s1, s2 := make([]int32, n), make([]int32, n)
+	for i := range s1 {
+		s1[i] = int32(i)
+		s2[i] = int32(n - 1 - i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v := NMI(s1, s2)
+	runtime.ReadMemStats(&after)
+	if math.Abs(v-1) > 1e-12 {
+		t.Fatalf("NMI(singletons, reversed singletons) = %g", v)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("NMI on %d singletons allocated %d bytes, want <= 1 MB", n, got)
 	}
 }
 

@@ -301,56 +301,3 @@ func RandomWeights(g *graph.Graph, maxW int, seed int64) *graph.Graph {
 		Weighted: true,
 	})
 }
-
-// RewireDegreePreserving returns a copy of g rewired by `swaps` random
-// double-edge swaps: edges (a,b) and (c,d) become (a,d) and (c,b)
-// when that creates no self-loop or duplicate. The result has exactly
-// the degree sequence of g but randomized structure — the
-// configuration-model null graph behind the modularity measure's
-// "expected by random chance" term.
-func RewireDegreePreserving(g *graph.Graph, swaps int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	edges := g.EdgeEndpoints()
-	m := len(edges)
-	if m < 2 {
-		return g
-	}
-	present := make(map[uint64]struct{}, m)
-	key := func(u, v int32) uint64 {
-		if u > v {
-			u, v = v, u
-		}
-		return uint64(u)<<32 | uint64(uint32(v))
-	}
-	for _, e := range edges {
-		present[key(e.U, e.V)] = struct{}{}
-	}
-	done := 0
-	for tries := 0; done < swaps && tries < 20*swaps; tries++ {
-		i := rng.Intn(m)
-		j := rng.Intn(m)
-		if i == j {
-			continue
-		}
-		a, b := edges[i].U, edges[i].V
-		c, d := edges[j].U, edges[j].V
-		// Candidate: (a,d) and (c,b).
-		if a == d || c == b {
-			continue
-		}
-		if _, dup := present[key(a, d)]; dup {
-			continue
-		}
-		if _, dup := present[key(c, b)]; dup {
-			continue
-		}
-		delete(present, key(a, b))
-		delete(present, key(c, d))
-		present[key(a, d)] = struct{}{}
-		present[key(c, b)] = struct{}{}
-		edges[i].V = d
-		edges[j].V = b
-		done++
-	}
-	return graph.MustBuild(g.NumVertices(), edges, graph.BuildOptions{})
-}

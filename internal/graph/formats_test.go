@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -206,52 +207,6 @@ func TestWriteDOT(t *testing.T) {
 	}
 }
 
-func TestAttributes(t *testing.T) {
-	g := smallGraph(t)
-	at := NewAttributes(g)
-	if err := at.SetVertexString("name", 0, "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if err := at.SetVertexFloat("score", 1, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if err := at.SetVertexInt("age", 2, 30); err != nil {
-		t.Fatal(err)
-	}
-	if err := at.SetEdgeString("kind", 0, "friend"); err != nil {
-		t.Fatal(err)
-	}
-	if err := at.SetEdgeFloat("strength", 1, 0.7); err != nil {
-		t.Fatal(err)
-	}
-	if err := at.SetEdgeInt("year", 2, 2008); err != nil {
-		t.Fatal(err)
-	}
-	if at.VertexString("name", 0) != "alice" || at.VertexString("name", 1) != "" {
-		t.Fatal("vertex string wrong")
-	}
-	if at.VertexFloat("score", 1) != 2.5 || at.VertexInt("age", 2) != 30 {
-		t.Fatal("vertex numeric wrong")
-	}
-	if at.EdgeString("kind", 0) != "friend" || at.EdgeFloat("strength", 1) != 0.7 || at.EdgeInt("year", 2) != 2008 {
-		t.Fatal("edge attributes wrong")
-	}
-	if err := at.SetVertexString("name", 99, "x"); err == nil {
-		t.Fatal("out-of-range vertex should fail")
-	}
-	if err := at.SetEdgeInt("year", -1, 0); err == nil {
-		t.Fatal("out-of-range edge should fail")
-	}
-	s, f, i := at.VertexColumns()
-	if len(s) != 1 || len(f) != 1 || len(i) != 1 {
-		t.Fatalf("columns: %v %v %v", s, f, i)
-	}
-	sel := at.SelectVertices(func(v int32) bool { return at.VertexInt("age", v) > 0 })
-	if len(sel) != 1 || sel[0] != 2 {
-		t.Fatalf("select: %v", sel)
-	}
-}
-
 // Failure injection: malformed text inputs must return errors, never
 // panic.
 func TestQuickReadEdgeListNeverPanics(t *testing.T) {
@@ -315,6 +270,61 @@ func FuzzReadMETIS(f *testing.F) {
 			t.Fatalf("rereading %q: %v", buf.String(), err)
 		}
 		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() || g2.Weighted() != g.Weighted() {
+			t.Fatalf("round trip: %v vs %v", g2, g)
+		}
+		if !slices.Equal(g2.Offsets, g.Offsets) || !slices.Equal(g2.Adj, g.Adj) {
+			t.Fatalf("round trip changed the rows of %q", in)
+		}
+		for a := range g.Adj {
+			if math.Float64bits(g2.ArcWeight(int64(a))) != math.Float64bits(g.ArcWeight(int64(a))) {
+				t.Fatalf("round trip changed arc %d's weight: %g vs %g", a, g2.ArcWeight(int64(a)), g.ArcWeight(int64(a)))
+			}
+		}
+	})
+}
+
+// FuzzReadEdgeList throws arbitrary text at ReadEdgeList. It must never
+// panic, and any graph it accepts must come back unchanged through
+// WriteEdgeList and ReadEdgeList: same vertex and edge counts,
+// direction, rows and arc weight bits. As with DIMACS, an "n=" header
+// sizes the graph without data to check it against, so the harness
+// skips inputs with an integer token above 1<<16; that bounds the
+// fuzzer's allocations, not the reader.
+func FuzzReadEdgeList(f *testing.F) {
+	for _, seed := range []string{
+		"0 1\n1 2\n2 0\n",
+		"# snap edge list: n=6 m=2 directed\n0 1\n1 0\n",
+		"# comment\n\n0 1 2.5\n1 2 NaN\n2 3 -0\n",
+		"3 3\n0 1\n1 0\n0 1\n",
+		"0 1 +Inf\n\t1 2  7\r\n",
+		"-1 2\n",
+		"0\n",
+		"0 1 x\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		for _, tok := range strings.FieldsFunc(in, func(r rune) bool { return r < '0' || r > '9' }) {
+			if len(tok) > 6 {
+				return
+			}
+			if v, _ := strconv.Atoi(tok); v > 1<<16 {
+				return
+			}
+		}
+		g, err := ReadEdgeList(strings.NewReader(in), false)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadEdgeList(&buf, false)
+		if err != nil {
+			t.Fatalf("rereading %q: %v", buf.String(), err)
+		}
+		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() || g2.Directed() != g.Directed() {
 			t.Fatalf("round trip: %v vs %v", g2, g)
 		}
 		if !slices.Equal(g2.Offsets, g.Offsets) || !slices.Equal(g2.Adj, g.Adj) {

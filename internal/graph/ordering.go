@@ -63,20 +63,3 @@ func RCMOrder(g *Graph) []int32 {
 	}
 	return perm
 }
-
-// Bandwidth reports the maximum |u − v| over all edges — the quantity
-// RCM minimizes; lower bandwidth means adjacent vertices have nearby
-// ids and traversals touch fewer cache lines.
-func Bandwidth(g *Graph) int64 {
-	var bw int64
-	for _, e := range g.EdgeEndpoints() {
-		d := int64(e.U) - int64(e.V)
-		if d < 0 {
-			d = -d
-		}
-		if d > bw {
-			bw = d
-		}
-	}
-	return bw
-}

@@ -351,44 +351,3 @@ func IsBipartite(g *graph.Graph) bool {
 	}
 	return true
 }
-
-// PowerLawAlpha estimates the exponent of a power-law degree
-// distribution by the discrete maximum-likelihood estimator
-// (Clauset–Shalizi–Newman): alpha ≈ 1 + n / Σ ln(d_i / (dmin − 1/2)),
-// over vertices with degree >= dmin. Returns the estimate and the
-// number of samples used; NaN/0 when fewer than two qualify.
-func PowerLawAlpha(g *graph.Graph, dmin int) (float64, int) {
-	if dmin < 1 {
-		dmin = 1
-	}
-	var sum float64
-	cnt := 0
-	for v := 0; v < g.NumVertices(); v++ {
-		d := g.Degree(int32(v))
-		if d >= dmin {
-			sum += math.Log(float64(d) / (float64(dmin) - 0.5))
-			cnt++
-		}
-	}
-	if cnt < 2 || sum == 0 {
-		return math.NaN(), cnt
-	}
-	return 1 + float64(cnt)/sum, cnt
-}
-
-// CCDF returns the complementary cumulative degree distribution:
-// out[d] = fraction of vertices with degree >= d.
-func CCDF(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return nil
-	}
-	st := Degrees(g)
-	out := make([]float64, len(st.Hist)+1)
-	acc := 0
-	for d := len(st.Hist) - 1; d >= 0; d-- {
-		acc += st.Hist[d]
-		out[d] = float64(acc) / float64(n)
-	}
-	return out[:len(st.Hist)]
-}

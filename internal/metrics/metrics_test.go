@@ -168,30 +168,3 @@ func BenchmarkLocalClustering(b *testing.B) {
 		LocalClustering(g, 0)
 	}
 }
-
-func TestPowerLawAlpha(t *testing.T) {
-	g := generate.PreferentialAttachment(8000, 3, 11)
-	alpha, cnt := PowerLawAlpha(g, 3)
-	if cnt < 1000 {
-		t.Fatalf("too few samples: %d", cnt)
-	}
-	// BA graphs have alpha ~= 3.
-	if alpha < 2.0 || alpha > 4.0 {
-		t.Fatalf("alpha = %.2f, outside [2, 4]", alpha)
-	}
-	if a, n := PowerLawAlpha(generate.Ring(3), 100); !math.IsNaN(a) || n != 0 {
-		t.Fatalf("degenerate alpha should be NaN: %v %d", a, n)
-	}
-}
-
-func TestCCDF(t *testing.T) {
-	g := buildGraph(t, 4, [][2]int32{{0, 1}, {0, 2}, {0, 3}})
-	ccdf := CCDF(g)
-	// All vertices have degree >= 0 and >= 1; only the hub >= 2.
-	if ccdf[0] != 1 || ccdf[1] != 1 {
-		t.Fatalf("ccdf low: %v", ccdf)
-	}
-	if math.Abs(ccdf[3]-0.25) > 1e-12 {
-		t.Fatalf("ccdf[3] = %g, want 0.25", ccdf[3])
-	}
-}

@@ -22,7 +22,10 @@
 //     and the blocked layout it enables: BlockedPerm, Relabel.
 //
 // Each kernel has one entry point. Per-call tuning — worker count,
-// cancellation, stats — goes in that kernel's options struct.
+// cancellation, stats — goes in that kernel's options struct. An entry
+// stays only while a binary, example, serve op or workload reaches it,
+// a kept entry's signature needs it, or it is a paper capability
+// (TestFacadeEarnsEntries checks this).
 //
 // Parallelism: every kernel obeys GOMAXPROCS (or an explicit Workers
 // option). See DESIGN.md for the architecture and EXPERIMENTS.md for
@@ -78,13 +81,6 @@ func Build(n int, edges []Edge, opt BuildOptions) (*Graph, error) {
 // lowest edge id when antiparallel arcs collapse.
 func Undirected(g *Graph) *Graph { return graph.Undirected(g) }
 
-// Reverse returns the in-adjacency (transposed) CSR of a directed
-// graph, preserving per-arc edge ids and weights. The transpose is what
-// lets direction-optimizing BFS run bottom-up steps on directed graphs
-// (pass it via BFSOptions.Reverse). Undirected graphs are returned
-// unchanged.
-func Reverse(g *Graph) *Graph { return graph.Reverse(g) }
-
 // ReadEdgeList parses the text edge-list interchange format. Large
 // inputs are split at newline boundaries and parsed by parallel
 // shards; errors report the same line numbers as a serial scan.
@@ -120,11 +116,6 @@ func WriteContainer(path string, g *Graph, opt ContainerOptions) error {
 // mapping.
 func MapBinary(path string) (*Graph, error) {
 	return container.Load(path, container.LoadOptions{})
-}
-
-// MapBinaryOptions is MapBinary with explicit load options.
-func MapBinaryOptions(path string, opt MapLoadOptions) (*Graph, error) {
-	return container.Load(path, opt)
 }
 
 // EncodeContainer writes the SNP2 byte stream to w (Save without the
@@ -189,21 +180,6 @@ type BFSResult = bfs.Result
 // adjacency order.
 func BFS(g *Graph, src int32) BFSResult {
 	return bfs.DirectionOptimizing(g, src, bfs.Options{})
-}
-
-// BFSOptions tunes the shared frontier engine behind BFSWithOptions:
-// the worker count of bottom-up sweeps, an alive-edge mask, the
-// direction-optimizing Alpha/Beta switch thresholds, the reverse
-// (in-adjacency) graph that enables bottom-up steps on directed graphs,
-// and a Cancel hook polled once per level.
-type BFSOptions = bfs.Options
-
-// BFSWithOptions runs the direction-optimizing (top-down / bottom-up
-// hybrid) BFS with explicit engine tuning; the zero options select the
-// default switch thresholds. A run that Cancel stopped returns partial
-// results, which callers must discard.
-func BFSWithOptions(g *Graph, src int32, opt BFSOptions) BFSResult {
-	return bfs.DirectionOptimizing(g, src, opt)
 }
 
 // BFSWorkspace is the epoch-stamped traversal state BFSMultiSource
@@ -272,9 +248,6 @@ func AcquireSSSPWorkspace() *SSSPWorkspace { return sssp.AcquireWorkspace() }
 
 // ReleaseSSSPWorkspace returns a workspace to the shared pool.
 func ReleaseSSSPWorkspace(ws *SSSPWorkspace) { sssp.ReleaseWorkspace(ws) }
-
-// Dijkstra computes SSSP with the serial reference algorithm.
-func Dijkstra(g *Graph, src int32) SSSPResult { return sssp.Dijkstra(g, src) }
 
 // Centrality.
 
@@ -540,16 +513,6 @@ func SpectralCommunities(g *Graph, opt CommunitySpectralOptions) Clustering {
 	return community.SpectralCommunities(g, opt)
 }
 
-// IncrementalConnectivity maintains connected components of a growing
-// network online — the paper's dynamic-network analysis direction.
-type IncrementalConnectivity = components.Incremental
-
-// NewIncrementalConnectivity returns an incremental connectivity index
-// over n isolated vertices.
-func NewIncrementalConnectivity(n int) *IncrementalConnectivity {
-	return components.NewIncremental(n)
-}
-
 // PageRankOptions configures the PageRank power iteration.
 type PageRankOptions = centrality.PageRankOptions
 
@@ -565,12 +528,6 @@ func EigenvectorCentrality(g *Graph) []float64 {
 	return centrality.EigenvectorCentrality(g, 0, 0)
 }
 
-// WeightedBetweenness computes exact betweenness on positively
-// weighted graphs (Brandes with Dijkstra traversals).
-func WeightedBetweenness(g *Graph, opt BetweennessOptions) CentralityScores {
-	return centrality.WeightedBetweenness(g, opt)
-}
-
 // STConnectivity answers an s-t connectivity query with bidirectional
 // search, returning reachability and hop distance (along out-arcs on a
 // directed graph).
@@ -584,14 +541,6 @@ func KCore(g *Graph) []int32 { return metrics.KCore(g) }
 // Degeneracy returns the maximum core number.
 func Degeneracy(g *Graph) int { return metrics.Degeneracy(g) }
 
-// Coverage is the fraction of intra-community edges of a clustering.
-func Coverage(g *Graph, assign []int32) float64 { return community.Coverage(g, assign) }
-
-// Conductance returns per-community conductance (lower is better).
-func Conductance(g *Graph, c Clustering) []float64 {
-	return community.Conductance(g, c.Assign, c.Count)
-}
-
 // NMI scores two clusterings' agreement (1 = identical partitions).
 func NMI(a, b []int32) float64 { return community.NMI(a, b) }
 
@@ -604,17 +553,6 @@ type LouvainOptions = community.LouvainOptions
 func Louvain(g *Graph, opt LouvainOptions) Clustering {
 	return community.Louvain(g, opt)
 }
-
-// CommunityGraph contracts a clustering into its weighted quotient.
-func CommunityGraph(g *Graph, c Clustering) *Graph {
-	return community.MakeQuotient(g, c.Assign, c.Count).Graph
-}
-
-// Attributes is a typed vertex/edge attribute side table.
-type Attributes = graph.Attributes
-
-// NewAttributes returns an empty attribute table for g.
-func NewAttributes(g *Graph) *Attributes { return graph.NewAttributes(g) }
 
 // WriteMETIS / ReadMETIS interoperate with the METIS/Chaco graph format.
 func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }
@@ -639,37 +577,9 @@ func InducedSubgraph(g *Graph, vertices []int32) (*Graph, []int32, error) {
 // (perm[newID] = oldID); Relabel applies it.
 func RCMOrder(g *Graph) []int32 { return graph.RCMOrder(g) }
 
-// Bandwidth reports the maximum id distance across any edge (the
-// quantity RCM minimizes).
-func Bandwidth(g *Graph) int64 { return graph.Bandwidth(g) }
-
-// StronglyConnectedComponents computes SCCs of a directed graph
-// (iterative Tarjan); undirected graphs yield connected components.
-func StronglyConnectedComponents(g *Graph) Components {
-	return components.StronglyConnected(g)
-}
-
-// Condensation builds the DAG of strongly connected components.
-func Condensation(g *Graph, scc Components) *Graph {
-	return components.Condensation(g, scc)
-}
-
 // LabelPropagation runs the Raghavan–Albert–Kumara community heuristic.
 func LabelPropagation(g *Graph, seed int64) Clustering {
 	return community.LabelPropagation(g, 0, seed)
-}
-
-// RewireDegreePreserving randomizes g while preserving its exact
-// degree sequence (the configuration-model null graph behind
-// modularity's "expected at random" term).
-func RewireDegreePreserving(g *Graph, swaps int, seed int64) *Graph {
-	return generate.RewireDegreePreserving(g, swaps, seed)
-}
-
-// PowerLawAlpha fits a discrete power-law exponent to the degree
-// distribution by maximum likelihood (Clauset–Shalizi–Newman).
-func PowerLawAlpha(g *Graph, dmin int) (float64, int) {
-	return metrics.PowerLawAlpha(g, dmin)
 }
 
 // Diameter computes the exact diameter of the largest component (iFUB).

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"snap/internal/bfs"
+	"snap/internal/sssp"
 )
 
 // The facade tests exercise the public API end to end the way a
@@ -38,7 +39,7 @@ func TestFacadeBuildAndKernels(t *testing.T) {
 		t.Fatalf("MST edges = %d, want n-1 = 5", len(mst.EdgeIDs))
 	}
 	sp := DeltaStepping(g, 0, DeltaSteppingOptions{})
-	dj := Dijkstra(g, 0)
+	dj := sssp.Dijkstra(g, 0)
 	for v := range sp.Dist {
 		if sp.Dist[v] != dj.Dist[v] {
 			t.Fatalf("delta-stepping differs from dijkstra at %d", v)
@@ -193,19 +194,6 @@ func TestFacadeSpectralCommunities(t *testing.T) {
 	}
 }
 
-func TestFacadeIncrementalConnectivity(t *testing.T) {
-	inc := NewIncrementalConnectivity(4)
-	inc.AddEdge(0, 1)
-	inc.AddEdge(2, 3)
-	if inc.Components() != 2 || inc.Connected(0, 2) {
-		t.Fatal("incremental connectivity wrong")
-	}
-	inc.AddEdge(1, 2)
-	if !inc.Connected(0, 3) {
-		t.Fatal("merge not reflected")
-	}
-}
-
 func TestFacadeNewKernels(t *testing.T) {
 	g := RMAT(400, 1600, DefaultRMAT(), 6)
 	pr := PageRank(g, PageRankOptions{})
@@ -226,7 +214,7 @@ func TestFacadeNewKernels(t *testing.T) {
 	if len(core) != 400 || Degeneracy(g) <= 0 {
 		t.Fatal("kcore")
 	}
-	r := BFSWithOptions(g, 0, BFSOptions{})
+	r := BFS(g, 0)
 	want := bfs.Serial(g, 0, nil)
 	for v := range want.Dist {
 		if r.Dist[v] != want.Dist[v] {
@@ -234,14 +222,9 @@ func TestFacadeNewKernels(t *testing.T) {
 		}
 	}
 	rg, _, err := Relabel(g, RCMOrder(g))
-	if err != nil || Bandwidth(rg) <= 0 || rg.NumEdges() != g.NumEdges() {
+	if err != nil || rg.NumEdges() != g.NumEdges() {
 		t.Fatalf("rcm/relabel: %v", err)
 	}
-	scc := StronglyConnectedComponents(g)
-	if scc.Count < 1 {
-		t.Fatal("scc")
-	}
-	_ = Condensation(g, scc)
 }
 
 func TestFacadeApproxAnalytics(t *testing.T) {
@@ -289,17 +272,6 @@ func TestFacadeLouvainAndQuality(t *testing.T) {
 	if NMI(truth, lv.Assign) < 0.85 {
 		t.Fatal("louvain NMI too low")
 	}
-	if Coverage(g, lv.Assign) <= 0.5 {
-		t.Fatal("coverage too low")
-	}
-	cond := Conductance(g, lv)
-	if len(cond) != lv.Count {
-		t.Fatal("conductance size")
-	}
-	cg := CommunityGraph(g, lv)
-	if cg.NumVertices() != lv.Count {
-		t.Fatal("community graph size")
-	}
 }
 
 func TestFacadeFormats(t *testing.T) {
@@ -327,10 +299,6 @@ func TestFacadeFormats(t *testing.T) {
 	if err != nil || sub.NumVertices() != 4 {
 		t.Fatalf("induced: %v", err)
 	}
-	at := NewAttributes(g)
-	if err := at.SetVertexString("label", 0, "x"); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestFacadeLatestExtensions(t *testing.T) {
@@ -343,17 +311,11 @@ func TestFacadeLatestExtensions(t *testing.T) {
 	if len(ac.Scores) != g.NumVertices() {
 		t.Fatal("approx closeness size")
 	}
-	rw := RewireDegreePreserving(g, 5000, 4)
-	if rw.NumEdges() != g.NumEdges() {
-		t.Fatal("rewire changed m")
-	}
 	if d := Diameter(g); d < 2 {
 		t.Fatalf("diameter = %d", d)
 	}
-	ba := PreferentialAttachment(3000, 3, 5)
-	alpha, cnt := PowerLawAlpha(ba, 3)
-	if cnt == 0 || alpha < 1.5 || alpha > 5 {
-		t.Fatalf("alpha = %g (%d samples)", alpha, cnt)
+	if ba := PreferentialAttachment(3000, 3, 5); ba.NumVertices() != 3000 {
+		t.Fatalf("preferential attachment n = %d", ba.NumVertices())
 	}
 }
 
@@ -389,7 +351,7 @@ func TestFacadeContainer(t *testing.T) {
 		if err != nil || d.NumArcs() != g.NumArcs() {
 			t.Fatalf("decode (compress=%v): %v", compress, err)
 		}
-		v, err := MapBinaryOptions(p, MapLoadOptions{ForceCopy: true, Validate: true})
+		v, err := DecodeContainer(buf.Bytes(), MapLoadOptions{ForceCopy: true, Validate: true})
 		if err != nil || v.NumArcs() != g.NumArcs() {
 			t.Fatalf("forced-copy load (compress=%v): %v", compress, err)
 		}

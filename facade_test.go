@@ -47,6 +47,7 @@ var facadeAllowlist = map[string]string{
 	"Epoch":                  "Stream's pin type (an alias's methods are invisible to this scan)",
 	"CommitStats":            "Stream.Commit's result (an alias's methods are invisible to this scan)",
 	"ANFStats":               "the type of ANFOptions.Stats (an alias's fields are invisible to this scan)",
+	"SSSPStats":              "the type of DeltaSteppingOptions.Stats (an alias's fields are invisible to this scan)",
 	"ErrGraphClosed":         "the error a closed graph's kernels and serve return",
 }
 

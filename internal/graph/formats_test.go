@@ -286,7 +286,7 @@ func FuzzReadMETIS(f *testing.F) {
 // FuzzReadEdgeList throws arbitrary text at ReadEdgeList. It must never
 // panic, and any graph it accepts must come back unchanged through
 // WriteEdgeList and ReadEdgeList: same vertex and edge counts,
-// direction, rows and arc weight bits. As with DIMACS, an "n=" header
+// direction, weightedness, rows and arc weight bits. As with DIMACS, an "n=" header
 // sizes the graph without data to check it against, so the harness
 // skips inputs with an integer token above 1<<16; that bounds the
 // fuzzer's allocations, not the reader.
@@ -324,7 +324,8 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("rereading %q: %v", buf.String(), err)
 		}
-		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() || g2.Directed() != g.Directed() {
+		if g2.NumVertices() != g.NumVertices() || g2.NumEdges() != g.NumEdges() ||
+			g2.Directed() != g.Directed() || g2.Weighted() != g.Weighted() {
 			t.Fatalf("round trip: %v vs %v", g2, g)
 		}
 		if !slices.Equal(g2.Offsets, g.Offsets) || !slices.Equal(g2.Adj, g.Adj) {

@@ -135,6 +135,42 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEdgeListRoundTripWeightedNoEdges: weightedness travels in the
+// header, so a weighted graph with no edge lines reads back weighted,
+// and an unweighted header stays byte-identical to the old format.
+func TestEdgeListRoundTripWeightedNoEdges(t *testing.T) {
+	for _, weighted := range []bool{true, false} {
+		g, err := Build(1, nil, BuildOptions{Weighted: weighted})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if !weighted && buf.String() != "# snap edge list: n=1 m=0 undirected\n" {
+			t.Fatalf("unweighted header changed: %q", buf.String())
+		}
+		g2, err := ReadEdgeList(&buf, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g2.NumVertices() != 1 || g2.NumEdges() != 0 || g2.Weighted() != weighted {
+			t.Fatalf("weighted=%v: read back n=%d m=%d weighted=%v",
+				weighted, g2.NumVertices(), g2.NumEdges(), g2.Weighted())
+		}
+	}
+	// "unweighted" does not match "weighted", as "undirected" does not
+	// match "directed".
+	g, err := ReadEdgeList(strings.NewReader("# n=2 unweighted\n"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Weighted() {
+		t.Fatal("an unweighted header read as weighted")
+	}
+}
+
 func TestReadEdgeListErrors(t *testing.T) {
 	if _, err := ReadEdgeList(strings.NewReader("0\n"), false); err == nil {
 		t.Fatal("want parse error for single field")

@@ -13,8 +13,10 @@ import (
 )
 
 // Edge-list text format: one edge per line, "u v" or "u v w", with '#'
-// comment lines and an optional header comment recording n, m, and
-// directedness. This is the interchange format of the cmd/ tools.
+// comment lines and an optional header comment recording n, m,
+// directedness and, for weighted graphs, a "weighted" token, so a
+// weighted graph with no edge lines still reads back weighted. This is
+// the interchange format of the cmd/ tools.
 
 // WriteEdgeList writes g in the text edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error {
@@ -25,6 +27,9 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 	kind := "undirected"
 	if g.Directed() {
 		kind = "directed"
+	}
+	if g.Weighted() {
+		kind += " weighted"
 	}
 	fmt.Fprintf(bw, "# snap edge list: n=%d m=%d %s\n", g.NumVertices(), g.NumEdges(), kind)
 	for _, e := range g.EdgeEndpoints() {
@@ -154,6 +159,9 @@ func parseShard(data []byte) edgeListShard {
 			}
 			if strings.Contains(hdr, "directed") && !strings.Contains(hdr, "undirected") {
 				s.directed = true
+			}
+			if strings.Contains(hdr, "weighted") && !strings.Contains(hdr, "unweighted") {
+				s.weighted = true
 			}
 			continue
 		}

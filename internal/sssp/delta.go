@@ -51,16 +51,6 @@ type Workspace struct {
 	distBits []uint64 // atomic float64 bit casts
 	touched  []int32  // vertices reached by the last run
 
-	// Light/heavy arc partition, cached per (graph, delta): arcs of v
-	// occupy arcAdj/arcW[g.Offsets[v]:g.Offsets[v+1]] with light arcs
-	// (w <= delta) packed before lightEnd[v] and heavy after, so the
-	// light-phase inner loop never re-tests w > delta.
-	arcAdj      []int32
-	arcW        []float64
-	lightEnd    []int64
-	cachedPart  *graph.Graph
-	cachedDelta float64
-
 	// Max edge weight, computed once per run and cached per graph: it
 	// feeds both the default delta heuristic and the window size.
 	cachedMaxWG *graph.Graph
@@ -71,12 +61,9 @@ type Workspace struct {
 	far   []int32
 
 	// Bucket processing scratch.
-	live    []int32
-	settled []int32
-	stampD  []uint32 // drain dedup stamps
-	stampS  []uint32 // per-bucket settled dedup stamps
-	epochD  uint32
-	epochS  uint32
+	live   []int32
+	stampD []uint32 // drain dedup stamps
+	epochD uint32
 
 	// Per-worker insertion buffers.
 	wk []deltaWorker
@@ -157,15 +144,12 @@ func (ws *Workspace) resize(n int) {
 			ws.distBits[i] = infBits
 		}
 		ws.stampD = make([]uint32, cap(ws.dist))
-		ws.stampS = make([]uint32, cap(ws.dist))
 		ws.epochD = 0
-		ws.epochS = 0
 	}
 	ws.dist = ws.dist[:n]
 	ws.parent = ws.parent[:n]
 	ws.distBits = ws.distBits[:n]
 	ws.stampD = ws.stampD[:n]
-	ws.stampS = ws.stampS[:n]
 }
 
 // reset restores the clean invariant from the previous run's reach set.
@@ -178,10 +162,8 @@ func (ws *Workspace) reset() {
 	ws.touched = ws.touched[:0]
 }
 
-// maxWeight returns the maximum edge weight of g, computed once and
-// cached per graph (the satellite fix for defaultDelta rescanning all
-// of g.W on every call): both the delta heuristic and the cyclic
-// window size reuse it.
+// maxWeight returns the maximum edge weight of g, cached per graph:
+// both the delta heuristic and the cyclic window size use it.
 func (ws *Workspace) maxWeight(g *graph.Graph, workers int) float64 {
 	if ws.cachedMaxWG == g {
 		return ws.cachedMaxW
@@ -214,49 +196,6 @@ func (ws *Workspace) maxWeight(g *graph.Graph, workers int) float64 {
 	ws.cachedMaxWG = g
 	ws.cachedMaxW = mx
 	return mx
-}
-
-// preparePartition builds (or reuses) the light/heavy arc partition
-// for (g, delta).
-func (ws *Workspace) preparePartition(g *graph.Graph, delta float64, workers int) {
-	if ws.cachedPart == g && ws.cachedDelta == delta {
-		return
-	}
-	n := g.NumVertices()
-	nA := g.NumArcs()
-	if cap(ws.arcAdj) < nA {
-		ws.arcAdj = make([]int32, nA)
-		ws.arcW = make([]float64, nA)
-	}
-	ws.arcAdj = ws.arcAdj[:nA]
-	ws.arcW = ws.arcW[:nA]
-	if cap(ws.lightEnd) < n {
-		ws.lightEnd = make([]int64, n)
-	}
-	ws.lightEnd = ws.lightEnd[:n]
-	par.ForChunkedN(n, workers, func(_, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			alo, ahi := g.Offsets[v], g.Offsets[v+1]
-			e := alo
-			for a := alo; a < ahi; a++ {
-				if w := g.W[a]; w <= delta {
-					ws.arcAdj[e] = g.Adj[a]
-					ws.arcW[e] = w
-					e++
-				}
-			}
-			ws.lightEnd[v] = e
-			for a := alo; a < ahi; a++ {
-				if w := g.W[a]; w > delta {
-					ws.arcAdj[e] = g.Adj[a]
-					ws.arcW[e] = w
-					e++
-				}
-			}
-		}
-	})
-	ws.cachedPart = g
-	ws.cachedDelta = delta
 }
 
 // sizeBuckets sizes the cyclic window and per-worker state for k slots
@@ -303,6 +242,38 @@ func bucketOf(d, delta float64) int64 {
 	return int64(q)
 }
 
+// Stats is the engine's record of one Run: point
+// DeltaSteppingOptions.Stats at one and read it after Run returns. Run
+// zeroes it first; the unweighted path leaves it zero. Fixed-size and
+// caller-owned; nil is off, and recording steers nothing. Counts are
+// added once per phase, from the drain's lengths and the live degrees.
+type Stats struct {
+	// Buckets counts bucket drains; Phases the passes over a bucket's
+	// slot, each one drain plus one relax loop, so Phases/Buckets is the
+	// mean number of times a bucket refilled itself.
+	Buckets, Phases int64
+	// Drained counts slot entries drained; Dropped those dropped as
+	// stale or same-batch duplicates; Visits the live vertices left,
+	// Drained − Dropped; Arcs every out-arc of every visit. A vertex
+	// visited twice was drained before its distance was final.
+	Drained, Dropped, Visits, Arcs int64
+	// FarRedistributions counts the times the window ran dry and the
+	// far list was redistributed.
+	FarRedistributions int64
+}
+
+// record adds one phase: drained slot entries and the live vertices the
+// stale and duplicate drops left.
+func (st *Stats) record(g *graph.Graph, drained int, live []int32) {
+	st.Phases++
+	st.Drained += int64(drained)
+	st.Dropped += int64(drained - len(live))
+	st.Visits += int64(len(live))
+	for _, v := range live {
+		st.Arcs += g.Offsets[v+1] - g.Offsets[v]
+	}
+}
+
 // deltaRun is the per-run view of the engine: immutable parameters plus
 // the window base and current bucket (both fixed for the duration of
 // any parallel phase). The window covers absolute buckets
@@ -317,6 +288,7 @@ type deltaRun struct {
 	cur     int64
 	queued  int64
 	workers int
+	stats   *Stats
 }
 
 // Run computes SSSP from src into the workspace. Results are exposed
@@ -327,8 +299,14 @@ type deltaRun struct {
 // dist[v] = min over arcs (u,v) of fl(dist[u] + w), evaluated in the
 // same float64 arithmetic. Parent follows a deterministic documented
 // tie-break: Parent[v] is the tail of the minimum-index arc a with
-// dist[tail(a)] + w[a] == dist[v], resolved by a CAS-min post-pass
-// over the reached subgraph.
+// dist[tail(a)] + w[a] == dist[v]. Arcs are numbered row-major, so that
+// is the smallest certifying tail. At Workers 1 the relax loop keeps
+// it: a strict improvement sets the tail, an exact tie keeps the
+// smaller one. fl(·+w) is monotone, so an offer equal to the final
+// dist[v] comes only from a certifying tail, and every certifying tail
+// relaxes its arcs once its own distance is final. At Workers > 1,
+// where relaxations race, a CAS-min sweep over the reached subgraph
+// resolves it in finalize.
 //
 // Unweighted graphs (g.W == nil) skip the bucket machinery: every edge
 // weighs 1, delta-stepping degenerates to level-synchronous BFS, and
@@ -338,6 +316,9 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 	n := g.NumVertices()
 	ws.reset() // restore the clean invariant before any resize can shrink the arrays
 	ws.resize(n)
+	if opt.Stats != nil {
+		*opt.Stats = Stats{}
+	}
 	if n == 0 {
 		return
 	}
@@ -354,7 +335,6 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 	if !(delta > 0) {
 		delta = defaultDeltaFor(g, maxW)
 	}
-	ws.preparePartition(g, delta, workers)
 	k := maxSlots
 	if ratio := maxW / delta; ratio < float64(maxSlots-2) {
 		k = int64(math.Ceil(ratio)) + 2
@@ -362,7 +342,7 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 	ws.sizeBuckets(k, workers)
 
 	r := &ws.run
-	*r = deltaRun{ws: ws, g: g, delta: delta, k: k, workers: workers}
+	*r = deltaRun{ws: ws, g: g, delta: delta, k: k, workers: workers, stats: opt.Stats}
 	atomic.StoreUint64(&ws.distBits[src], 0) // Float64bits(0) == 0
 	ws.touched = append(ws.touched, src)
 	ws.slots[0] = append(ws.slots[0][:0], src)
@@ -377,13 +357,14 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 		// Relaxations never produce a bucket below cur, so cur advances
 		// monotonically and the scan never needs to look back; anything
 		// at or past base+k sits in the far list. cur is deliberately
-		// NOT advanced past a drained bucket: a heavy-phase relaxation
-		// (w > delta) can still round fl(dv+w) back into bucket cur when
-		// dv sits just below the bucket's upper edge, and slot cur%k
-		// next recurs at bucket cur+k — outside the window — so
-		// skipping it would strand the entry (hanging the queued count,
-		// or dropping the improved vertex's relaxations as stale).
-		// Rescanning from cur re-drains the slot until it stays empty.
+		// NOT advanced past a drained bucket: a heavy arc (w > delta)
+		// can round fl(dv+w) back into bucket cur when dv sits just
+		// below the bucket's upper edge, and slot cur%k next recurs at
+		// bucket cur+k — outside the window — so skipping it would
+		// strand the entry (hanging the queued count, or dropping the
+		// improved vertex's relaxations as stale). processBucket
+		// re-drains the slot until it stays empty, and the scan
+		// rechecks it from cur.
 		found := false
 		for b := r.cur; b < r.base+r.k; b++ {
 			if len(ws.slots[b%r.k]) > 0 {
@@ -399,7 +380,7 @@ func (ws *Workspace) Run(g *graph.Graph, src int32, opt DeltaSteppingOptions) {
 		r.processBucket()
 	}
 	r.finalize(src)
-	r.g = nil // drop the graph reference while pooled
+	*r = deltaRun{} // drop the graph and Stats references while pooled
 }
 
 // abort cleans up a cancelled run: the bucket window and overflow list
@@ -412,8 +393,7 @@ func (ws *Workspace) abort(r *deltaRun) {
 		ws.slots[i] = ws.slots[i][:0]
 	}
 	ws.far = ws.far[:0]
-	ws.settled = ws.settled[:0]
-	r.g = nil
+	*r = deltaRun{}
 }
 
 // runUnweighted is the degenerate all-weights-1 case on the shared
@@ -471,7 +451,8 @@ func (r *deltaRun) relax(wk *deltaWorker, v int32, nd float64) {
 // bucket slots: per-slot totals become write cursors (bucket-major,
 // worker-minor — the par.CursorsFromCounts layout), then each worker
 // scatters its entries into its disjoint range. Only slots touched
-// this phase are visited. Returns the number of entries added.
+// this phase are visited. Only the Workers > 1 arm calls it. Returns
+// the number of entries added.
 func (r *deltaRun) merge() int64 {
 	ws := r.ws
 	epoch := nextEpoch(&ws.slotEpoch, ws.slotStamp)
@@ -496,11 +477,8 @@ func (r *deltaRun) merge() int64 {
 		added += acc - int64(len(ws.slots[s]))
 		ws.slots[s] = growInt32(ws.slots[s], int(acc))
 	}
-	// Duplicated serial/parallel scatter: a shared func literal would
-	// escape into ForEachN and allocate on every merge, even when the
-	// serial arm runs (see the note in processBucket).
-	if r.workers == 1 {
-		wk := &ws.wk[0]
+	par.ForEachN(r.workers, r.workers, func(w int) {
+		wk := &ws.wk[w]
 		for i, s := range wk.slot {
 			idx := wk.counts[s]
 			wk.counts[s] = idx + 1
@@ -512,22 +490,7 @@ func (r *deltaRun) merge() int64 {
 		wk.slot = wk.slot[:0]
 		wk.vert = wk.vert[:0]
 		wk.slotsUsed = wk.slotsUsed[:0]
-	} else {
-		par.ForEachN(r.workers, r.workers, func(w int) {
-			wk := &ws.wk[w]
-			for i, s := range wk.slot {
-				idx := wk.counts[s]
-				wk.counts[s] = idx + 1
-				ws.slots[s][idx] = wk.vert[i]
-			}
-			for _, s := range wk.slotsUsed {
-				wk.counts[s] = 0
-			}
-			wk.slot = wk.slot[:0]
-			wk.vert = wk.vert[:0]
-			wk.slotsUsed = wk.slotsUsed[:0]
-		})
-	}
+	})
 	ws.unionSlots = union[:0]
 	for w := 0; w < r.workers; w++ {
 		wk := &ws.wk[w]
@@ -540,17 +503,21 @@ func (r *deltaRun) merge() int64 {
 	return added
 }
 
-// processBucket runs the light-edge phases of bucket cur until it
-// stops refilling, then relaxes the heavy edges of everything settled
-// in it. When the bucket empties, the distances of its members are
-// final (no relaxation can produce a value below (cur+1)*delta from
-// outside, and light closure exhausts the inside), which is the
-// classic delta-stepping invariant the heavy phase relies on.
+// processBucket drains bucket cur until it stays empty. A phase drains
+// the slot, drops stale entries (the vertex was re-relaxed into another
+// bucket after this entry was queued) and same-batch duplicates, and
+// relaxes every out-arc of each live vertex; light arcs (w <= delta)
+// may refill the slot. There is no separate heavy phase: a vertex
+// drained before its distance is final relaxes its heavy arcs in vain,
+// but nearly every first visit already holds the final distance, so
+// that costs less than a second visit of every settled vertex.
 func (r *deltaRun) processBucket() {
 	ws := r.ws
 	g := r.g
 	s := r.cur % r.k
-	epochS := nextEpoch(&ws.epochS, ws.stampS)
+	if r.stats != nil {
+		r.stats.Buckets++
+	}
 	for len(ws.slots[s]) > 0 {
 		entries := ws.slots[s]
 		ws.slots[s] = entries[:0]
@@ -558,9 +525,6 @@ func (r *deltaRun) processBucket() {
 		epochD := nextEpoch(&ws.epochD, ws.stampD)
 		live := ws.live[:0]
 		for _, v := range entries {
-			// Drop stale entries (the vertex was re-relaxed into a
-			// different bucket after this entry was queued) and
-			// same-batch duplicates.
 			if bucketOf(math.Float64frombits(ws.distBits[v]), r.delta) != r.cur {
 				continue
 			}
@@ -569,35 +533,39 @@ func (r *deltaRun) processBucket() {
 			}
 			ws.stampD[v] = epochD
 			live = append(live, v)
-			if ws.stampS[v] != epochS {
-				ws.stampS[v] = epochS
-				ws.settled = append(ws.settled, v)
-			}
 		}
 		ws.live = live
+		if r.stats != nil {
+			r.stats.record(g, len(entries), live)
+		}
 		if len(live) == 0 {
 			continue
 		}
-		// The workers == 1 arms take a different, cheaper route than the
-		// parallel closures: no atomics (single goroutine), the stale
-		// test inlined into the arc loop so non-improving arcs — the
-		// vast majority — never pay a call, entries appended straight
-		// into the bucket slots (no insertion buffers, no merge), and
-		// no func literals evaluated (closures passed to par escape,
-		// and one heap allocation per phase would break the
-		// zero-allocation steady state).
+		// The workers == 1 arm is cheaper than the parallel closure: no
+		// atomics, the improvement test inlined so non-improving arcs
+		// never pay a call, entries appended straight into the slots
+		// (no insertion buffers, no merge), parents kept as it relaxes,
+		// and no func literal evaluated (closures passed to par escape,
+		// and one allocation per phase would break the zero-allocation
+		// steady state).
 		if r.workers == 1 {
 			for _, v := range live {
 				dv := math.Float64frombits(ws.distBits[v])
-				for a, end := g.Offsets[v], ws.lightEnd[v]; a < end; a++ {
-					u := ws.arcAdj[a]
-					nd := dv + ws.arcW[a]
+				for a, end := g.Offsets[v], g.Offsets[v+1]; a < end; a++ {
+					u := g.Adj[a]
+					nd := dv + g.W[a]
 					bits := math.Float64bits(nd)
 					old := ws.distBits[u]
-					if old <= bits {
-						continue
+					if old > bits {
+						r.commitSerial(u, nd, bits, old)
+						ws.parent[u] = v
+					} else if old == bits && v < ws.parent[u] {
+						// An offer equal to u's distance certifies it; keep
+						// the smaller tail. An unreached u's parent -1 is
+						// below every tail, so an offer that overflowed to
+						// +Inf never parents it.
+						ws.parent[u] = v
 					}
-					r.commitSerial(u, nd, bits, old)
 				}
 			}
 		} else {
@@ -606,120 +574,14 @@ func (r *deltaRun) processBucket() {
 				for i := lo; i < hi; i++ {
 					v := live[i]
 					dv := math.Float64frombits(atomic.LoadUint64(&ws.distBits[v]))
-					for a, end := g.Offsets[v], ws.lightEnd[v]; a < end; a++ {
-						r.relax(wk, ws.arcAdj[a], dv+ws.arcW[a])
+					for a, end := g.Offsets[v], g.Offsets[v+1]; a < end; a++ {
+						r.relax(wk, g.Adj[a], dv+g.W[a])
 					}
 				}
 			})
 			r.queued += r.merge()
 		}
 	}
-	settled := ws.settled
-	switch {
-	case r.workers == 1 && !g.Directed():
-		// Fused heavy phase + parent resolution. The two concerns split
-		// an arc's neighbors disjointly: old > dvBits means u cannot
-		// certify v (du + w > dv) but may be relaxable, while
-		// old <= dvBits means u is final (its bucket already drained)
-		// and cannot be improved, but may certify v. So the parent
-		// scan rides the heavy sweep's loads for free instead of
-		// re-streaming every settled vertex's adjacency in a second
-		// pass; only the light segment needs its own (certify-only)
-		// walk. See resolveParents for why the certification test
-		// against current distances is exact here.
-		for _, v := range settled {
-			dvBits := ws.distBits[v]
-			dv := math.Float64frombits(dvBits)
-			p := int32(-1)
-			for a, le := g.Offsets[v], ws.lightEnd[v]; a < le; a++ {
-				u := ws.arcAdj[a]
-				if old := ws.distBits[u]; old <= dvBits {
-					if math.Float64frombits(old)+ws.arcW[a] == dv && (p < 0 || u < p) {
-						p = u
-					}
-				}
-			}
-			for a, end := ws.lightEnd[v], g.Offsets[v+1]; a < end; a++ {
-				u := ws.arcAdj[a]
-				w := ws.arcW[a]
-				old := ws.distBits[u]
-				if old > dvBits {
-					nd := dv + w
-					bits := math.Float64bits(nd)
-					if old > bits {
-						r.commitSerial(u, nd, bits, old)
-					}
-				} else if math.Float64frombits(old)+w == dv && (p < 0 || u < p) {
-					p = u
-				}
-			}
-			ws.parent[v] = p
-		}
-		ws.settled = ws.settled[:0]
-		return
-	case r.workers == 1:
-		for _, v := range settled {
-			dv := math.Float64frombits(ws.distBits[v])
-			for a, end := ws.lightEnd[v], g.Offsets[v+1]; a < end; a++ {
-				u := ws.arcAdj[a]
-				nd := dv + ws.arcW[a]
-				bits := math.Float64bits(nd)
-				old := ws.distBits[u]
-				if old <= bits {
-					continue
-				}
-				r.commitSerial(u, nd, bits, old)
-			}
-		}
-	default:
-		par.ForChunkedN(len(settled), r.workers, func(w, lo, hi int) {
-			wk := &ws.wk[w]
-			for i := lo; i < hi; i++ {
-				v := settled[i]
-				dv := math.Float64frombits(atomic.LoadUint64(&ws.distBits[v]))
-				for a, end := ws.lightEnd[v], g.Offsets[v+1]; a < end; a++ {
-					r.relax(wk, ws.arcAdj[a], dv+ws.arcW[a])
-				}
-			}
-		})
-		r.queued += r.merge()
-	}
-	if !g.Directed() {
-		r.resolveParents(settled)
-	}
-	ws.settled = ws.settled[:0]
-}
-
-// resolveParents assigns deterministic parents to the vertices settled
-// by the bucket that just completed, for undirected graphs. Every
-// certifying neighbor u of a settled v (dist[u] + w == dist[v], exact
-// equality) has dist[u] <= dist[v], hence a bucket at or below the one
-// just finished, hence an already-final distance — so the test against
-// current distances is exact. On an undirected CSR the in-arc (u, v)
-// mirrors an arc in v's own adjacency with the same weight, and global
-// in-arc indices order by tail first, so the documented minimum-index
-// certifying arc is simply the minimum certifying neighbor: one warm
-// scan of v's arcs right after the heavy phase touched them, instead
-// of finalize's cold sweep over the whole reached subgraph. Only the
-// parallel path lands here — the single-worker path fuses the same
-// certification into its heavy sweep in processBucket.
-func (r *deltaRun) resolveParents(settled []int32) {
-	ws := r.ws
-	g := r.g
-	par.ForChunkedN(len(settled), r.workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := settled[i]
-			dv := math.Float64frombits(atomic.LoadUint64(&ws.distBits[v]))
-			p := int32(-1)
-			for a, end := g.Offsets[v], g.Offsets[v+1]; a < end; a++ {
-				u := ws.arcAdj[a]
-				if math.Float64frombits(atomic.LoadUint64(&ws.distBits[u]))+ws.arcW[a] == dv && (p < 0 || u < p) {
-					p = u
-				}
-			}
-			ws.parent[v] = p
-		}
-	})
 }
 
 // commitSerial finishes a single-worker relaxation after the caller's
@@ -755,6 +617,9 @@ func (r *deltaRun) commitSerial(v int32, nd float64, bits, old uint64) {
 // and cur never passes base+k without landing here first.
 func (r *deltaRun) redistributeFar() {
 	ws := r.ws
+	if r.stats != nil {
+		r.stats.FarRedistributions++
+	}
 	minB := int64(math.MaxInt64)
 	for _, v := range ws.far {
 		b := bucketOf(math.Float64frombits(ws.distBits[v]), r.delta)
@@ -787,9 +652,9 @@ func (r *deltaRun) redistributeFar() {
 }
 
 // finalize converts the converged distance bits to the output arrays
-// and, for directed graphs, resolves deterministic parents (undirected
-// graphs resolved them bucket by bucket in resolveParents) in the same
-// sweep over the reached vertices; see finalizeRange.
+// and, at Workers > 1, resolves deterministic parents in the same sweep
+// over the reached vertices (the Workers-1 relax loop already kept
+// them); see finalizeRange.
 func (r *deltaRun) finalize(src int32) {
 	ws := r.ws
 	touched := ws.touched
@@ -804,22 +669,22 @@ func (r *deltaRun) finalize(src int32) {
 }
 
 // finalizeRange converts the distance bits of the reached vertices us
-// and, on a directed graph, offers each u in us as the parent of every
+// and, at Workers > 1, offers each u in us as the parent of every
 // out-neighbor v its arc certifies (dist[u] + w == dist[v], exact float
 // equality — the arc of the last successful relaxation always
 // qualifies) by CAS-minning u into parent[v], where -1 (unset) compares
 // as uint32 above every vertex. Arcs are numbered row-major, so among
 // the arcs certifying v the minimum index has the minimum tail: the
 // smallest certifying tail is the documented minimum-index parent, at
-// any arc count.
+// any arc count. On an undirected graph the out-arc u→v mirrors the
+// in-arc v←u with the same weight, so the same sweep covers both.
 func (r *deltaRun) finalizeRange(us []int32) {
 	ws := r.ws
 	g := r.g
-	directed := g.Directed()
 	for _, u := range us {
 		du := math.Float64frombits(ws.distBits[u])
 		ws.dist[u] = du
-		if !directed {
+		if r.workers == 1 {
 			continue
 		}
 		for a, end := g.Offsets[u], g.Offsets[u+1]; a < end; a++ {

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -95,6 +96,7 @@ func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 			tc{base.name + "/uniform", reweight(base.g, uniformW, 11)},
 			tc{base.name + "/heavytail", reweight(base.g, heavyTailW, 12)},
 			tc{base.name + "/allequal", reweight(base.g, equalW, 13)},
+			tc{base.name + "/ties", reweight(base.g, tieW, 15)},
 		)
 	}
 	// Directed multigraph: every ER edge three times with the distinct
@@ -211,7 +213,7 @@ func TestDeltaSteppingFarOverflow(t *testing.T) {
 // runs on that graph allocate nothing. The inputs cover weights 1–10
 // (default delta below the minimum weight: no light arcs), the
 // benchmark's weights 1–100 (light and heavy arcs), and a directed
-// graph (parents resolved in finalize).
+// graph, each with Stats off and on.
 func TestDeltaSteppingSteadyStateAllocs(t *testing.T) {
 	rmat := generate.RMAT(1<<10, 1<<13, generate.DefaultRMAT(), 9)
 	directed := graph.MustBuild(rmat.NumVertices(), rmat.EdgeEndpoints(), graph.BuildOptions{Directed: true})
@@ -223,23 +225,27 @@ func TestDeltaSteppingSteadyStateAllocs(t *testing.T) {
 		{"wide", reweight(rmat, wideW, 32)},
 		{"directed", reweight(directed, uniformW, 33)},
 	} {
-		g := c.g
-		ws := AcquireWorkspace()
-		// Warm the buffers over the same source cycle the measurement
-		// uses: steady state means the per-slot arrays and worker
-		// buffers have grown to the high-water mark of the workload.
-		for s, i := int32(0), 0; i < 12; i++ {
-			ws.Run(g, s, DeltaSteppingOptions{Workers: 1})
-			s = (s + 41) % int32(g.NumVertices())
-		}
-		src := int32(0)
-		allocs := testing.AllocsPerRun(10, func() {
-			ws.Run(g, src, DeltaSteppingOptions{Workers: 1})
-			src = (src + 41) % int32(g.NumVertices())
-		})
-		ReleaseWorkspace(ws)
-		if allocs != 0 {
-			t.Fatalf("%s: steady-state Run allocates %.1f times per run, want 0", c.name, allocs)
+		for _, st := range []*Stats{nil, new(Stats)} {
+			g := c.g
+			opt := DeltaSteppingOptions{Workers: 1, Stats: st}
+			ws := AcquireWorkspace()
+			// Warm the buffers over the same source cycle the measurement
+			// uses: steady state means the per-slot arrays and worker
+			// buffers have grown to the high-water mark of the workload.
+			for s, i := int32(0), 0; i < 12; i++ {
+				ws.Run(g, s, opt)
+				s = (s + 41) % int32(g.NumVertices())
+			}
+			src := int32(0)
+			allocs := testing.AllocsPerRun(10, func() {
+				ws.Run(g, src, opt)
+				src = (src + 41) % int32(g.NumVertices())
+			})
+			ReleaseWorkspace(ws)
+			if allocs != 0 {
+				t.Fatalf("%s stats=%v: steady-state Run allocates %.1f times per run, want 0",
+					c.name, st != nil, allocs)
+			}
 		}
 	}
 }
@@ -267,7 +273,7 @@ func TestDeltaSteppingUnweightedWorkspace(t *testing.T) {
 // Rounding triple for the re-entry regressions below, found by search:
 // w1 sits in bucket 5 of delta, w2 is heavy (w2 > delta), yet
 // fl(w1+w2) floors back into bucket 5 — the float edge where a
-// heavy-phase relaxation re-enters the bucket being processed. Typed
+// relaxation over a heavy arc re-enters the bucket being processed. Typed
 // variables, not constants: the scenario depends on float64 rounding
 // at every step, and untyped constant arithmetic would evaluate the
 // guard's sum in arbitrary precision instead. Each test re-verifies
@@ -291,13 +297,13 @@ func requireReentryTriple(t *testing.T) {
 	}
 }
 
-// TestDeltaSteppingHeavyRoundingReentry pins the general-path handling
-// of a heavy relaxation that rounds back into the current bucket:
-// after bucket 5's heavy phase queues vertex 2 into slot 5, the run
+// TestDeltaSteppingHeavyRoundingReentry pins the handling of a heavy
+// relaxation that rounds back into the current bucket: after vertex
+// 1's heavy arc queues vertex 2 into slot 5 during bucket 5, the run
 // must re-drain that slot before advancing (slot 5 next recurs at
 // bucket 5+k, outside the window), or 2's onward relaxations are lost
 // and vertex 3 comes out unreached. The light 2-3 arc gives the run a
-// light phase, and the far arc 0-4 overflows the capped window so a
+// light arc, and the far arc 0-4 overflows the capped window so a
 // regression surfaces as a wrong answer rather than a livelock on a
 // non-empty queue.
 func TestDeltaSteppingHeavyRoundingReentry(t *testing.T) {
@@ -333,14 +339,13 @@ func TestDeltaSteppingHeavyRoundingReentry(t *testing.T) {
 
 // TestDeltaSteppingAllHeavyReentryAliasing pins the single-worker
 // bucket drain against requeues outpacing the batch scan: bucket 5's
-// batch is [1, 2], and the heavy phase of vertex 1 rounds two
-// relaxations (to 3 and 4) back into bucket 5. If the drained batch
-// still shared storage with slot 5, the second requeue would overwrite
-// the unread entry for vertex 2, which then never settles — no parent,
-// and its pendant neighbor 6 never reached. Every arc is heavy (no
-// light phase refills the slot), the graph undirected, and workers 1,
-// so the requeues come from processBucket's fused heavy-plus-parent
-// sweep.
+// batch is [1, 2], and vertex 1's heavy arcs round two relaxations (to
+// 3 and 4) back into bucket 5. If the relax loop still read the batch
+// from slot 5's storage, the second requeue would overwrite the unread
+// entry for vertex 2, which then never settles — no parent, and its
+// pendant neighbor 6 never reached. Every arc is heavy (no light arc
+// refills the slot), the graph undirected, and workers 1, so the
+// requeues come from processBucket's serial relax loop.
 func TestDeltaSteppingAllHeavyReentryAliasing(t *testing.T) {
 	requireReentryTriple(t)
 	edges := []graph.Edge{
@@ -365,5 +370,51 @@ func TestDeltaSteppingAllHeavyReentryAliasing(t *testing.T) {
 		if got.Parent[v] != oracle[v] {
 			t.Fatalf("parent[%d] = %d, want %d", v, got.Parent[v], oracle[v])
 		}
+	}
+}
+
+// TestDeltaSteppingStats checks the counts' identities against the
+// run they describe, and that recording them steers nothing: Dist and
+// Parent hash the same with Stats on and off.
+func TestDeltaSteppingStats(t *testing.T) {
+	g := reweight(generate.RMAT(1<<10, 1<<13, generate.DefaultRMAT(), 9), wideW, 32)
+	for _, workers := range []int{1, 3} {
+		for _, delta := range []float64{0, 0.01} {
+			var st Stats
+			hashes := [2]uint64{}
+			for i, sp := range []*Stats{nil, &st} {
+				ws := AcquireWorkspace()
+				ws.Run(g, 0, DeltaSteppingOptions{Workers: workers, Delta: delta, Stats: sp})
+				h := fnv.New64a()
+				resultHash(h, ws.Dist(), ws.Parent())
+				hashes[i] = h.Sum64()
+				var reachedArcs int64
+				for _, v := range ws.Reached() {
+					reachedArcs += g.Offsets[v+1] - g.Offsets[v]
+				}
+				reached := int64(len(ws.Reached()))
+				ReleaseWorkspace(ws)
+				if sp == nil {
+					continue
+				}
+				if hashes[0] != hashes[1] {
+					t.Fatalf("workers=%d delta=%g: Stats changed the result", workers, delta)
+				}
+				if st.Visits != st.Drained-st.Dropped || st.Visits < reached || st.Arcs < reachedArcs ||
+					st.Buckets < 1 || st.Phases < st.Buckets {
+					t.Fatalf("workers=%d delta=%g: inconsistent %+v (reached %d, reached arcs %d)",
+						workers, delta, st, reached, reachedArcs)
+				}
+				if delta == 0.01 && st.FarRedistributions == 0 {
+					t.Fatalf("workers=%d delta=%g: %d far redistributions", workers, delta, st.FarRedistributions)
+				}
+			}
+		}
+	}
+	// Run zeroes the record; the unweighted path leaves it zero.
+	st := Stats{Buckets: 7}
+	DeltaStepping(generate.RMAT(64, 256, generate.DefaultRMAT(), 1), 0, DeltaSteppingOptions{Stats: &st})
+	if st != (Stats{}) {
+		t.Fatalf("unweighted run left %+v", st)
 	}
 }

@@ -2,9 +2,11 @@
 // Dijkstra reference and the lock-free parallel delta-stepping
 // algorithm (Meyer & Sanders) that SNAP uses for weighted small-world
 // graphs, where the low diameter keeps the number of bucket phases
-// small. The delta-stepping engine relaxes edges by CAS-min over
-// atomic float64 bit patterns and recycles a cyclic bucket window —
-// no mutex anywhere on the hot path; see delta.go and DESIGN.md §5e.
+// small. The delta-stepping engine visits each drained vertex once per
+// bucket phase and relaxes all of its arcs there, straight from the
+// graph's CSR arrays; it relaxes by CAS-min over atomic float64 bit
+// patterns and recycles a cyclic bucket window — no mutex anywhere on
+// the hot path; see delta.go and DESIGN.md §5e.
 package sssp
 
 import (
@@ -64,7 +66,7 @@ func arcWeight(g *graph.Graph, a int64) float64 {
 	return g.W[a]
 }
 
-// DeltaSteppingOptions configures DeltaStepping.
+// DeltaSteppingOptions configures DeltaStepping and Workspace.Run.
 type DeltaSteppingOptions struct {
 	// Delta is the bucket width. <= 0 selects delta = maxWeight/avgDegree
 	// heuristically (and 1 for unweighted graphs, which degenerates to
@@ -79,16 +81,21 @@ type DeltaSteppingOptions struct {
 	// it remains poolable — abandoned server requests stop consuming
 	// CPU within one bucket phase without poisoning the pool.
 	Cancel func() bool
+	// Stats, when non-nil, receives the run's bucket, phase, drain,
+	// visit and arc counts (see Stats); nil records nothing.
+	Stats *Stats
 }
 
 // DeltaStepping computes SSSP with the lock-free parallel
 // delta-stepping label-correcting algorithm. Vertices are kept in
-// buckets of width delta; each phase relaxes all light edges
-// (w <= delta) of the current bucket in parallel until it stabilizes,
-// then relaxes its heavy edges once. Dist matches Dijkstra
-// bit-identically on non-negative weights for any delta and worker
-// count; Parent follows the deterministic minimum-arc tie-break
-// documented on Workspace.Run.
+// buckets of width delta; each phase drains the current bucket and
+// relaxes every arc of its vertices in parallel, and the bucket is
+// drained again until no light edge (w <= delta) refills it. Dist
+// matches Dijkstra bit-identically on non-negative weights for any
+// delta and worker count; Parent is the smallest certifying tail (the
+// deterministic minimum-arc tie-break documented on Workspace.Run),
+// kept at relax time at Workers 1 and resolved by a finalize sweep
+// above that.
 //
 // This convenience wrapper acquires a pooled Workspace and copies the
 // results out (two allocations). Multi-source loops should hold a

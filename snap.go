@@ -224,9 +224,17 @@ type SSSPResult = sssp.Result
 
 // DeltaSteppingOptions tunes the bucket width (Delta) and parallelism
 // (Workers) of the delta-stepping engine, and carries a Cancel hook
-// polled at every bucket phase; the zero value selects the
-// maxWeight/avgDegree heuristic and the full worker pool.
+// polled at every bucket phase and an optional Stats record; the zero
+// value selects the maxWeight/avgDegree heuristic and the full worker
+// pool.
 type DeltaSteppingOptions = sssp.DeltaSteppingOptions
+
+// SSSPStats is the delta-stepping engine's record of one run (buckets,
+// phases, drained and dropped entries, vertex visits, arcs relaxed,
+// far-list redistributions): point DeltaSteppingOptions.Stats at one
+// and read it after the run returns. Fixed-size and caller-owned; nil
+// is off.
+type SSSPStats = sssp.Stats
 
 // DeltaStepping computes SSSP with the lock-free parallel
 // delta-stepping engine. Dist is bit-identical to Dijkstra for any

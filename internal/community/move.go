@@ -24,6 +24,9 @@ import (
 //     identical for EVERY worker count (including 1), each applied
 //     move strictly increases Q, and the propose phase is race-free
 //     because it only reads shared state.
+//   - an active set: after the first pass a pass examines only the
+//     vertices whose neighbourhood changed, and a level ends with a
+//     full pass that moves nothing, or at the pass cap (localMove).
 //   - the Louvain level hierarchy lives in two ping-ponged CSR buffers
 //     inside the workspace, so contraction does not call graph.Build
 //     and a warm workspace runs the full multilevel heuristic with
@@ -194,6 +197,11 @@ type MoveWorkspace struct {
 	sc   []*moveScatter
 	cand [][]int32
 
+	// Active set of local moving, one bit per current-level vertex:
+	// active is read by the propose phase, nextActive collects the
+	// neighbours of the vertices the apply phase moved.
+	active, nextActive []uint64
+
 	rel relabeler
 
 	// Louvain: original-vertex mapping and the ping-ponged level CSR.
@@ -299,43 +307,69 @@ func (ws *MoveWorkspace) applyMove(vw moveView, v, d int32, detach bool) {
 	ws.assign[v] = d
 }
 
+// isActive reports whether vertex v of the current level is in the
+// active set.
+func (ws *MoveWorkspace) isActive(v int32) bool {
+	return ws.active[v>>6]&(1<<(v&63)) != 0
+}
+
+// applyBatch re-validates a batch's candidates against the live state
+// in batch order, applies the moves that still improve Q, and marks
+// every neighbour of a moved vertex active for the next pass. Both
+// arms run it serially, so the active set is the same at every worker
+// count. Returns the number of moves applied.
+func (ws *MoveWorkspace) applyBatch(vw moveView, cand []int32, allowDetach bool) int {
+	sc := ws.sc[0]
+	next := ws.nextActive
+	moves := 0
+	for _, v := range cand {
+		d, gain, detach := ws.bestMove(sc, vw, v, allowDetach)
+		if gain <= 0 {
+			continue
+		}
+		ws.applyMove(vw, v, d, detach)
+		for _, u := range vw.adj[vw.off[v]:vw.off[v+1]] {
+			next[u>>6] |= 1 << (u & 63)
+		}
+		moves++
+	}
+	return moves
+}
+
 // runPassSerial is the workers==1 arm: same propose-then-apply batch
 // structure as the parallel arm (so results match it exactly), written
 // without closures so nothing escapes and a warm pass is alloc-free.
-func (ws *MoveWorkspace) runPassSerial(vw moveView, n int, allowDetach bool) int {
+// Returns the proposals made and the moves applied.
+func (ws *MoveWorkspace) runPassSerial(vw moveView, n int, allowDetach bool) (proposed, moves int) {
 	sc := ws.sc[0]
-	moves := 0
 	for base := 0; base < n; base += moveBatch {
 		end := min(base+moveBatch, n)
 		cand := ws.cand[0][:0]
 		for i := base; i < end; i++ {
 			v := ws.order[i]
+			if !ws.isActive(v) {
+				continue
+			}
 			if _, gain, _ := ws.bestMove(sc, vw, v, allowDetach); gain > 0 {
 				cand = append(cand, v)
 			}
 		}
 		ws.cand[0] = cand
-		for _, v := range cand {
-			d, gain, detach := ws.bestMove(sc, vw, v, allowDetach)
-			if gain <= 0 {
-				continue
-			}
-			ws.applyMove(vw, v, d, detach)
-			moves++
-		}
+		proposed += len(cand)
+		moves += ws.applyBatch(vw, cand, allowDetach)
 	}
-	return moves
+	return proposed, moves
 }
 
 // runPassParallel proposes each batch across the workers against the
 // frozen batch-start state (per-worker scatters and candidate buffers,
-// no shared writes), then re-validates and applies serially in batch
-// order. ForChunkedN chunks are contiguous, so concatenating the
-// per-worker candidate buffers in worker order IS the batch order, and
-// the candidate set depends only on the frozen state — the applied
-// move sequence is therefore identical for every worker count.
-func (ws *MoveWorkspace) runPassParallel(vw moveView, n int, allowDetach bool, workers int) int {
-	moves := 0
+// no shared writes; the active set is read-only during a pass), then
+// re-validates and applies serially in batch order. ForChunkedN chunks
+// are contiguous, so concatenating the per-worker candidate buffers in
+// worker order IS the batch order, and the candidate set depends only
+// on the frozen state — the applied move sequence is therefore
+// identical for every worker count.
+func (ws *MoveWorkspace) runPassParallel(vw moveView, n int, allowDetach bool, workers int) (proposed, moves int) {
 	for base := 0; base < n; base += moveBatch {
 		end := min(base+moveBatch, n)
 		bn := end - base
@@ -344,6 +378,9 @@ func (ws *MoveWorkspace) runPassParallel(vw moveView, n int, allowDetach bool, w
 			cand := ws.cand[wk][:0]
 			for i := lo; i < hi; i++ {
 				v := ws.order[base+i]
+				if !ws.isActive(v) {
+					continue
+				}
 				if _, gain, _ := ws.bestMove(sc, vw, v, allowDetach); gain > 0 {
 					cand = append(cand, v)
 				}
@@ -357,35 +394,57 @@ func (ws *MoveWorkspace) runPassParallel(vw moveView, n int, allowDetach bool, w
 			ws.cand[wk] = ws.cand[wk][:0]
 		}
 		for wk := 0; wk < used; wk++ {
-			for _, v := range ws.cand[wk] {
-				d, gain, detach := ws.bestMove(ws.sc[0], vw, v, allowDetach)
-				if gain <= 0 {
-					continue
-				}
-				ws.applyMove(vw, v, d, detach)
-				moves++
-			}
+			proposed += len(ws.cand[wk])
+			moves += ws.applyBatch(vw, ws.cand[wk], allowDetach)
 		}
 	}
-	return moves
+	return proposed, moves
+}
+
+// activateAll puts vertices [0, n) in the active set and nothing else.
+func (ws *MoveWorkspace) activateAll(n int) {
+	for i := range ws.active {
+		ws.active[i] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		ws.active[len(ws.active)-1] = 1<<r - 1
+	}
 }
 
 // localMove runs batch-synchronous local moving to convergence (or the
 // pass cap) on the view. Callers prime ws.assign, ws.degsum, and (for
-// detach moves) ws.free. Returns whether any move was applied.
+// detach moves) ws.free. Returns whether any move was applied; ls,
+// when non-nil, receives one row per pass.
+//
+// Pruning: pass 0 examines every vertex. After that a pass examines
+// only the active set — the neighbours of the vertices the previous
+// pass moved — since a vertex none of whose neighbours changed
+// community sees the same neighbour weights as when it last declined
+// to move (Ozaki, Tezuka and Inaba 2016; Leiden's queue of Traag et
+// al.). Its gains can still shift through the community totals, so
+// the set is a heuristic, not a proof.
 //
 // Convergence: every applied move is re-validated against the live
 // state with the full argmax, so it strictly increases Q (weights are
-// integral, sums exact) — the move count is finite. A pass that
-// applies no move saw live state throughout (nothing changed it), so
-// its empty candidate set certifies a fixpoint of the serial greedy.
-func (ws *MoveWorkspace) localMove(vw moveView, n int, m float64, seed int64, workers, maxPasses int, allowDetach bool) bool {
+// integral, sums exact) — the move count is finite. When a pruned pass
+// applies no move, one more pass runs with every vertex active; local
+// moving stops only when such a full pass applies no move (or at the
+// pass cap). A full pass that applies no move saw live state
+// throughout (nothing changed it), so its empty candidate set
+// certifies a fixpoint of the serial greedy.
+func (ws *MoveWorkspace) localMove(vw moveView, n int, m float64, seed int64, workers, maxPasses int, allowDetach bool, ls *MoveLevelStats) bool {
 	ws.m = m
 	ws.rng = moveSeed(seed)
 	order := ws.order[:n]
 	for i := range order {
 		order[i] = int32(i)
 	}
+	words := (n + 63) / 64
+	ws.active = scratch(ws.active, words)
+	ws.nextActive = scratch(ws.nextActive, words)
+	ws.activateAll(n)
+	clear(ws.nextActive)
+	full := true
 	improved := false
 	for pass := 0; pass < maxPasses; pass++ {
 		// The seed engine's deterministic LCG pseudo-shuffle.
@@ -394,16 +453,27 @@ func (ws *MoveWorkspace) localMove(vw moveView, n int, m float64, seed int64, wo
 			j := int(ws.rng % uint64(i+1))
 			order[i], order[j] = order[j], order[i]
 		}
-		var moves int
+		var proposed, moves int
 		if workers > 1 {
-			moves = ws.runPassParallel(vw, n, allowDetach, workers)
+			proposed, moves = ws.runPassParallel(vw, n, allowDetach, workers)
 		} else {
-			moves = ws.runPassSerial(vw, n, allowDetach)
+			proposed, moves = ws.runPassSerial(vw, n, allowDetach)
 		}
-		if moves == 0 {
-			break
+		if ls != nil {
+			ls.record(ws.active, full, proposed, moves)
 		}
-		improved = true
+		switch {
+		case moves > 0:
+			improved = true
+			ws.active, ws.nextActive = ws.nextActive, ws.active
+			clear(ws.nextActive)
+			full = false
+		case full:
+			return improved
+		default:
+			ws.activateAll(n)
+			full = true
+		}
 	}
 	return improved
 }
@@ -604,6 +674,9 @@ func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering 
 	if maxLevels <= 0 {
 		maxLevels = 16
 	}
+	if opt.Stats != nil {
+		*opt.Stats = MoveStats{}
+	}
 	n := g.NumVertices()
 	if n == 0 || g.NumEdges() == 0 {
 		return Singletons(g)
@@ -627,7 +700,7 @@ func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering 
 			assign[v] = int32(v)
 			degsum[v] = vw.strength(int32(v))
 		}
-		if !ws.localMove(vw, nLvl, m, opt.Seed+int64(lv), workers, louvainPasses, false) {
+		if !ws.localMove(vw, nLvl, m, opt.Seed+int64(lv), workers, louvainPasses, false, opt.Stats.level(lv, nLvl)) {
 			break
 		}
 		qc := ws.relabelAssign(nLvl)
@@ -686,7 +759,7 @@ func (ws *MoveWorkspace) Refine(g *graph.Graph, c Clustering, maxPasses int, see
 		ws.free = append(ws.free, id)
 	}
 	vw := moveView{off: g.Offsets, adj: g.Adj}
-	ws.localMove(vw, n, float64(g.NumEdges()), seed, workers, maxPasses, true)
+	ws.localMove(vw, n, float64(g.NumEdges()), seed, workers, maxPasses, true, nil)
 	count := ws.relabelAssign(n)
 	return Clustering{
 		Assign: assign,

@@ -1,8 +1,10 @@
 package community
 
 import (
+	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"snap/internal/datasets"
@@ -32,6 +34,9 @@ func communityRMAT(scale int) *graph.Graph {
 	return generate.RMAT(n, 8*n, generate.DefaultRMAT(), 1)
 }
 
+// BenchmarkLouvainRMAT times one cold Louvain call. Under -v it then
+// logs one untimed call's per-level MoveStats table, once per -count
+// round (the b.N == 1 probe; Go keeps every round's log).
 func BenchmarkLouvainRMAT(b *testing.B) {
 	g := communityRMAT(moveBenchScale(b))
 	b.ReportAllocs()
@@ -39,6 +44,38 @@ func BenchmarkLouvainRMAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Louvain(g, LouvainOptions{Seed: 1})
 	}
+	b.StopTimer()
+	if b.N == 1 {
+		var st MoveStats
+		c := Louvain(g, LouvainOptions{Seed: 1, Stats: &st})
+		b.Logf("Louvain levels: Q %.6f, %d communities\n%s", c.Q, c.Count, moveLevelTable(&st))
+	}
+}
+
+// moveLevelTable formats one run's per-level record: passes run (full
+// ones among them), vertices examined (share = examined over
+// passes·n, the rest being what the active set skipped), proposals and
+// applied moves.
+func moveLevelTable(st *MoveStats) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%5s %9s %7s %5s %10s %6s %9s %9s\n",
+		"level", "n", "passes", "full", "examined", "share", "proposed", "applied")
+	for lv := 0; lv < min(st.Levels, MaxMoveStatsLevels); lv++ {
+		ls := &st.Level[lv]
+		var full int
+		var examined, proposed, applied int64
+		for _, ps := range ls.Pass[:ls.Passes] {
+			if ps.Full {
+				full++
+			}
+			examined += ps.Examined
+			proposed += ps.Proposed
+			applied += ps.Applied
+		}
+		fmt.Fprintf(&sb, "%5d %9d %7d %5d %10d %6.2f %9d %9d\n", lv, ls.N, ls.Passes, full,
+			examined, float64(examined)/float64(int64(ls.Passes)*ls.N), proposed, applied)
+	}
+	return sb.String()
 }
 
 func BenchmarkRefineRMAT(b *testing.B) {

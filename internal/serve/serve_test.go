@@ -352,7 +352,7 @@ func TestAnalyticsOps(t *testing.T) {
 	if st := s.Snapshot(); st.ArtifactBuilds != 6 || st.ArtifactWarmBuilds != 0 {
 		t.Fatalf("artifact_builds=%d artifact_warm_builds=%d, want 6 and 0", st.ArtifactBuilds, st.ArtifactWarmBuilds)
 	}
-	// Malformed requests fail cleanly.
+	// Malformed requests fail cleanly, and before any build.
 	for q, want := range map[string]int{
 		"/graphs/g/bfs":                   http.StatusBadRequest, // no src
 		"/graphs/g/bfs?src=x":             http.StatusBadRequest,
@@ -361,10 +361,14 @@ func TestAnalyticsOps(t *testing.T) {
 		"/graphs/nosuchgraph/bfs?src=1":   http.StatusNotFound,
 		"/graphs/g/bfs?src=99999999":      http.StatusBadRequest,
 		"/graphs/d/estimate?src=1&dst=9":  http.StatusBadRequest, // the oracle needs an undirected graph
+		"/graphs/d/community":             http.StatusBadRequest, // so does modularity
 	} {
 		if code := getJSON(t, ts.URL+q, nil); code != want {
 			t.Fatalf("GET %s: status %d, want %d", q, code, want)
 		}
+	}
+	if st := s.Snapshot(); st.ArtifactBuilds != 6 {
+		t.Fatalf("artifact_builds=%d after the malformed requests, want 6", st.ArtifactBuilds)
 	}
 }
 

@@ -426,7 +426,12 @@ func (s *Server) compute(ctx context.Context, h *handle, op string, sc *scratch)
 		if algo == "" {
 			algo = "louvain"
 		}
-		val, seq, err := s.pinArtifact(h, "community/"+algo, nil)
+		val, seq, err := s.pinArtifact(h, "community/"+algo, func(g *graph.Graph) error {
+			if g.Directed() {
+				return badRequest("community: modularity clustering needs an undirected graph")
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, seq, err
 		}

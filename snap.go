@@ -558,6 +558,8 @@ type LouvainOptions = community.LouvainOptions
 // Louvain runs the multilevel local-moving modularity heuristic
 // (Blondel et al. 2008), included as the modern comparison baseline.
 // For a fixed Seed the partition is identical at every worker count.
+// Undirected graphs only: on a directed graph the partition and its Q
+// mean nothing.
 func Louvain(g *Graph, opt LouvainOptions) Clustering {
 	return community.Louvain(g, opt)
 }

@@ -106,9 +106,20 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "snap-serve: listening on %s\n", *addr)
-	srv := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       idleTimeout,
+	}
 	fatal(srv.ListenAndServe())
 }
+
+// idleTimeout closes a keep-alive connection that has waited this long
+// for its next request, releasing its goroutine and buffers. There is
+// no WriteTimeout: a cold kernel can legitimately run for seconds, and
+// the per-query -timeout bounds it instead.
+const idleTimeout = 2 * time.Minute
 
 // loadSpec parses "name=path" and loads the graph by extension: .snp2
 // maps zero-copy, anything else parses as a text edge list.

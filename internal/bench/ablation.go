@@ -79,7 +79,7 @@ func Ablations(cfg Config) {
 		label string
 		run   func()
 	}{
-		{"direction-optimizing", func() { bfs.DirectionOptimizing(sw, 0, bfs.Options{}) }},
+		{"direction-optimizing", func() { bfs.DirectionOptimizing(sw, 0) }},
 		{"serial reference", func() { bfs.Serial(sw, 0, nil) }},
 	}
 	for _, v := range bfsVariants {

@@ -20,29 +20,6 @@ import (
 // unreached, and Parent[src] == src).
 type Result = frontier.Result
 
-// Options configures a direction-optimizing traversal.
-type Options struct {
-	// Workers bounds the parallelism of bottom-up sweeps; <= 0 means
-	// par.Workers(). Top-down levels run serially at any worker count.
-	Workers int
-	// Alive, when non-nil, restricts traversal to arcs whose edge id
-	// has Alive[eid] == true. Used by the divisive clustering
-	// algorithm, which logically deletes edges.
-	Alive []bool
-	// Alpha and Beta tune the direction-optimizing heuristic; <= 0
-	// means the frontier package defaults.
-	Alpha, Beta float64
-	// Reverse supplies the in-adjacency CSR required for bottom-up
-	// steps on directed graphs (see graph.Reverse); nil makes
-	// directed direction-optimizing traversals fall back to top-down.
-	Reverse *graph.Graph
-	// Cancel, when non-nil, is polled once per level; reporting true
-	// aborts the traversal early with partial results (see
-	// frontier.Options.Cancel). The hook servers use to stop abandoned
-	// queries from burning cores.
-	Cancel func() bool
-}
-
 // Serial runs a textbook serial BFS through a pooled engine; the
 // reference oracle for the direction-optimizing kernel, and the fast
 // path for small fragments.
@@ -61,24 +38,12 @@ func Serial(g *graph.Graph, src int32, alive []bool) Result {
 // middle levels contain most of the graph, and bottom-up sweeps touch
 // each unvisited vertex once instead of scanning the frontier's entire
 // (huge) neighborhood. Top-down levels run the serial queue loop;
-// opt.Workers splits the bottom-up sweeps. Directed graphs run
-// bottom-up only when opt.Reverse supplies the in-adjacency CSR.
-func DirectionOptimizing(g *graph.Graph, src int32, opt Options) Result {
+// par.Workers() goroutines split the bottom-up sweeps. Directed graphs
+// run top-down throughout.
+func DirectionOptimizing(g *graph.Graph, src int32) Result {
 	e := frontier.AcquireEngine(g.NumVertices())
 	defer frontier.ReleaseEngine(e)
-	alpha := opt.Alpha
-	if !(alpha > 0) {
-		alpha = frontier.DefaultAlpha
-	}
-	e.RunOptions(g, src, frontier.Options{
-		Workers:  opt.Workers,
-		Alive:    opt.Alive,
-		MaxDepth: -1,
-		Alpha:    alpha,
-		Beta:     opt.Beta,
-		Reverse:  opt.Reverse,
-		Cancel:   opt.Cancel,
-	})
+	e.RunOptions(g, src, frontier.Options{MaxDepth: -1, Alpha: frontier.DefaultAlpha})
 	return e.Export()
 }
 

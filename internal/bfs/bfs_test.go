@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"snap/internal/frontier"
 	"snap/internal/generate"
 	"snap/internal/graph"
 )
@@ -21,6 +22,37 @@ func pathGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
+// directionOptimizing runs DirectionOptimizing's traversal under
+// opt's Workers, Alive and Cancel, through the engine entry the
+// kernels that set those call.
+func directionOptimizing(g *graph.Graph, src int32, opt frontier.Options) Result {
+	e := frontier.AcquireEngine(g.NumVertices())
+	defer frontier.ReleaseEngine(e)
+	opt.MaxDepth, opt.Alpha = -1, frontier.DefaultAlpha
+	e.RunOptions(g, src, opt)
+	return e.Export()
+}
+
+// maxDist is r's source eccentricity (0 for an isolated source).
+func maxDist(r Result) int32 {
+	var mx int32
+	for _, d := range r.Dist {
+		mx = max(mx, d)
+	}
+	return mx
+}
+
+// reached counts the vertices r reached, the source included.
+func reached(r Result) int {
+	c := 0
+	for _, d := range r.Dist {
+		if d != frontier.Unreached {
+			c++
+		}
+	}
+	return c
+}
+
 func TestSerialOnPath(t *testing.T) {
 	g := pathGraph(t, 5)
 	r := Serial(g, 0, nil)
@@ -32,8 +64,8 @@ func TestSerialOnPath(t *testing.T) {
 	if r.Parent[0] != 0 || r.Parent[3] != 2 {
 		t.Fatalf("parents wrong: %v", r.Parent)
 	}
-	if r.MaxDist() != 4 || r.Reached() != 5 {
-		t.Fatalf("summary wrong: %d %d", r.MaxDist(), r.Reached())
+	if maxDist(r) != 4 || reached(r) != 5 {
+		t.Fatalf("summary wrong: %d %d", maxDist(r), reached(r))
 	}
 }
 
@@ -43,8 +75,8 @@ func TestSerialDisconnected(t *testing.T) {
 	if r.Dist[2] != -1 || r.Parent[2] != -1 {
 		t.Fatal("unreached vertex should stay marked")
 	}
-	if r.Reached() != 2 {
-		t.Fatalf("Reached = %d", r.Reached())
+	if reached(r) != 2 {
+		t.Fatalf("reached = %d", reached(r))
 	}
 }
 
@@ -69,7 +101,7 @@ func TestParallelMatchesSerialOnRandomGraphs(t *testing.T) {
 		src := int32(rng.Intn(g.NumVertices()))
 		want := Serial(g, src, nil)
 		for _, workers := range []int{2, 3, 4} {
-			got := DirectionOptimizing(g, src, Options{Workers: workers})
+			got := directionOptimizing(g, src, frontier.Options{Workers: workers})
 			for v := range want.Dist {
 				if got.Dist[v] != want.Dist[v] {
 					t.Fatalf("trial %d workers %d: dist[%d] = %d, want %d",
@@ -82,7 +114,7 @@ func TestParallelMatchesSerialOnRandomGraphs(t *testing.T) {
 
 func TestParallelParentsFormValidTree(t *testing.T) {
 	g := generate.RMAT(1000, 5000, generate.DefaultRMAT(), 99)
-	r := DirectionOptimizing(g, 0, Options{Workers: 4})
+	r := directionOptimizing(g, 0, frontier.Options{Workers: 4})
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
 		if r.Dist[v] == -1 {
 			continue
@@ -113,7 +145,7 @@ func TestParallelAliveMask(t *testing.T) {
 		alive[i] = true
 	}
 	alive[g.EdgeIDOf(1, 2)] = false
-	r := DirectionOptimizing(g, 0, Options{Alive: alive, Workers: 3})
+	r := directionOptimizing(g, 0, frontier.Options{Alive: alive, Workers: 3})
 	if r.Dist[1] != 1 || r.Dist[2] != -1 {
 		t.Fatalf("alive mask broken: %v", r.Dist)
 	}

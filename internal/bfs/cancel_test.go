@@ -28,7 +28,7 @@ func TestParallelCancel(t *testing.T) {
 			return ws.Export()
 		}},
 		{"diropt", func(cancel func() bool) Result {
-			return DirectionOptimizing(g, src, Options{Workers: 2, Cancel: cancel})
+			return directionOptimizing(g, src, frontier.Options{Workers: 2, Cancel: cancel})
 		}},
 	} {
 		never := run.bfs(func() bool { return false })

@@ -1,10 +1,10 @@
 package bfs
 
 import (
-	"math"
 	"slices"
 	"testing"
 
+	"snap/internal/frontier"
 	"snap/internal/generate"
 )
 
@@ -13,7 +13,7 @@ func TestDirectionOptimizingMatchesSerial(t *testing.T) {
 		g := generate.RMAT(2000, 16000, generate.DefaultRMAT(), int64(trial))
 		want := Serial(g, 1, nil)
 		for _, workers := range []int{1, 4} {
-			got := DirectionOptimizing(g, 1, Options{Workers: workers})
+			got := directionOptimizing(g, 1, frontier.Options{Workers: workers})
 			for v := range want.Dist {
 				if got.Dist[v] != want.Dist[v] {
 					t.Fatalf("trial %d workers %d: dist[%d] = %d, want %d",
@@ -21,27 +21,15 @@ func TestDirectionOptimizingMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// NaN switch thresholds mean the defaults, as 0 does: the same levels
-// run bottom-up, so the parents are the same.
-func TestDirectionOptimizingNaNThresholdsAreDefaults(t *testing.T) {
-	g := generate.RMAT(3000, 24000, generate.DefaultRMAT(), 3)
-	want := DirectionOptimizing(g, 0, Options{Workers: 1})
-	for _, opt := range []Options{
-		{Workers: 1, Alpha: math.NaN()},
-		{Workers: 1, Beta: math.NaN()},
-	} {
-		if got := DirectionOptimizing(g, 0, opt); !slices.Equal(got.Parent, want.Parent) {
-			t.Fatalf("%+v: parents differ from the defaults'", opt)
+		if got := DirectionOptimizing(g, 1); !slices.Equal(got.Dist, want.Dist) {
+			t.Fatalf("trial %d: DirectionOptimizing distances differ from Serial's", trial)
 		}
 	}
 }
 
 func TestDirectionOptimizingParentsValid(t *testing.T) {
 	g := generate.RMAT(3000, 24000, generate.DefaultRMAT(), 3)
-	r := DirectionOptimizing(g, 0, Options{Workers: 3})
+	r := directionOptimizing(g, 0, frontier.Options{Workers: 3})
 	for v := int32(0); int(v) < g.NumVertices(); v++ {
 		if r.Dist[v] == -1 || v == 0 {
 			continue
@@ -57,7 +45,7 @@ func TestDirectionOptimizingOnPath(t *testing.T) {
 	// A path never triggers bottom-up (frontier stays tiny); make sure
 	// the top-down path is still exact.
 	g := pathGraph(t, 64)
-	r := DirectionOptimizing(g, 0, Options{})
+	r := DirectionOptimizing(g, 0)
 	for v := int32(0); v < 64; v++ {
 		if r.Dist[v] != v {
 			t.Fatalf("dist[%d] = %d", v, r.Dist[v])
@@ -69,6 +57,6 @@ func BenchmarkBFSDirectionOptimizing(b *testing.B) {
 	g := generate.RMAT(1<<15, 1<<17, generate.DefaultRMAT(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DirectionOptimizing(g, 0, Options{})
+		DirectionOptimizing(g, 0)
 	}
 }

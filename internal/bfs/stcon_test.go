@@ -101,8 +101,8 @@ func TestSTSearchReuseWithAliveMask(t *testing.T) {
 		if side[0] == t2 {
 			comp = Serial(g, t2, alive)
 		}
-		if side[0] != s && side[0] != t2 || len(side) != comp.Reached() {
-			t.Fatalf("query %d: side of %d vertices from %d, component has %d", q, len(side), side[0], comp.Reached())
+		if side[0] != s && side[0] != t2 || len(side) != reached(comp) {
+			t.Fatalf("query %d: side of %d vertices from %d, component has %d", q, len(side), side[0], reached(comp))
 		}
 		for _, v := range side {
 			if comp.Dist[v] < 0 {

@@ -14,21 +14,13 @@ type ApproxOptions struct {
 	// reports <20% error on the top-1% entities with 5% sampling;
 	// 0 selects 0.05.
 	SampleFraction float64
-	// MinSamples is the floor on source samples (default 8). Small
-	// graphs below this are computed exactly.
-	MinSamples int
 	// Alpha is the adaptive-stopping multiplier: sampling stops early
 	// once the running maximum accumulated dependency exceeds
 	// Alpha * n (Bader et al. use cutoffs of this form for
 	// high-centrality entities). 0 selects 5.
 	Alpha float64
-	// BatchSize is the number of sources drawn between adaptive-stop
-	// tests (default 4).
-	BatchSize int
 	// Workers bounds parallelism; <= 0 means par.Workers().
 	Workers int
-	// Alive restricts traversal to edges with Alive[eid] == true.
-	Alive []bool
 	// Seed makes source sampling deterministic.
 	Seed int64
 	// ComputeVertex/ComputeEdge select accumulation targets (both
@@ -37,18 +29,20 @@ type ApproxOptions struct {
 	ComputeEdge   bool
 }
 
-func (o *ApproxOptions) fill(n int) {
+// Sampling draws approxBatch sources between adaptive-stop tests and
+// at least approxMinSamples in all; a graph with no more vertices than
+// the budget is computed exactly.
+const (
+	approxBatch      = 4
+	approxMinSamples = 8
+)
+
+func (o *ApproxOptions) fill() {
 	if !(o.SampleFraction > 0) {
 		o.SampleFraction = 0.05
 	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = 8
-	}
 	if !(o.Alpha > 0) {
 		o.Alpha = 5
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 4
 	}
 	if o.Workers <= 0 {
 		o.Workers = par.Workers()
@@ -69,16 +63,12 @@ func (o *ApproxOptions) fill(n int) {
 // n/samples), so they are directly comparable with Betweenness output.
 func ApproxBetweenness(g *graph.Graph, opt ApproxOptions) Scores {
 	n := g.NumVertices()
-	opt.fill(n)
-	budget := int(opt.SampleFraction * float64(n))
-	if budget < opt.MinSamples {
-		budget = opt.MinSamples
-	}
+	opt.fill()
+	budget := max(int(opt.SampleFraction*float64(n)), approxMinSamples)
 	if budget >= n {
 		// Cheaper to be exact.
 		return Betweenness(g, BetweennessOptions{
 			Workers:       opt.Workers,
-			Alive:         opt.Alive,
 			ComputeVertex: opt.ComputeVertex,
 			ComputeEdge:   opt.ComputeEdge,
 		})
@@ -101,17 +91,13 @@ func ApproxBetweenness(g *graph.Graph, opt ApproxOptions) Scores {
 	// no per-batch rescan of the full score arrays.
 	mx := 0.0
 	for used < budget {
-		batch := opt.BatchSize
-		if used+batch > budget {
-			batch = budget - used
-		}
+		batch := min(approxBatch, budget-used)
 		sources := make([]int32, batch)
 		for i := 0; i < batch; i++ {
 			sources[i] = int32(perm[used+i])
 		}
 		part := Betweenness(g, BetweennessOptions{
 			Workers:       opt.Workers,
-			Alive:         opt.Alive,
 			ComputeVertex: opt.ComputeVertex,
 			ComputeEdge:   opt.ComputeEdge,
 			Sources:       sources,
@@ -133,7 +119,7 @@ func ApproxBetweenness(g *graph.Graph, opt ApproxOptions) Scores {
 			}
 		}
 		used += batch
-		if used >= opt.MinSamples && mx >= threshold {
+		if used >= approxMinSamples && mx >= threshold {
 			break
 		}
 	}
@@ -141,35 +127,4 @@ func ApproxBetweenness(g *graph.Graph, opt ApproxOptions) Scores {
 	ScaleSampled(out.Vertex, n, used)
 	ScaleSampled(out.Edge, n, used)
 	return out
-}
-
-// ApproxVertexBetweenness estimates the betweenness of a single vertex
-// of interest using the original adaptive formulation: sample sources
-// until the dependency accumulated on that vertex exceeds Alpha*n,
-// then return (n/samples) * accumulated dependency.
-func ApproxVertexBetweenness(g *graph.Graph, v int32, opt ApproxOptions) (score float64, samples int) {
-	n := g.NumVertices()
-	opt.fill(n)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	perm := rng.Perm(n)
-	threshold := opt.Alpha * float64(n)
-	st := acquireBrandesState(n)
-	defer st.release()
-	acc := make([]float64, n)
-	budget := n // the adaptive test is the primary stop; exactness the fallback
-	used := 0
-	for used < budget {
-		s := int32(perm[used])
-		st.sweep(g, s, opt.Alive, nil, false)
-		st.fold(acc, nil)
-		used++
-		if used >= opt.MinSamples && acc[v] >= threshold {
-			break
-		}
-	}
-	score = acc[v] * float64(n) / float64(used)
-	if !g.Directed() {
-		score /= 2
-	}
-	return score, used
 }

@@ -8,6 +8,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func buildGraph(t *testing.T, n int, pairs [][2]int32) *graph.Graph {
@@ -153,7 +154,7 @@ func TestApproxBetweennessExactWhenBudgetExceedsN(t *testing.T) {
 // graph where the adaptive stop (Alpha) ends sampling before the
 // budget does.
 func TestApproxBetweennessNaNOptionsAreDefaults(t *testing.T) {
-	for _, g := range []*graph.Graph{generate.Ring(1000), generate.RMAT(1000, 4000, generate.DefaultRMAT(), 7)} {
+	for _, g := range []*graph.Graph{oracle.Ring(1000), generate.RMAT(1000, 4000, generate.DefaultRMAT(), 7)} {
 		want := ApproxBetweenness(g, ApproxOptions{Seed: 1, Workers: 1})
 		for _, opt := range []ApproxOptions{
 			{Seed: 1, Workers: 1, SampleFraction: math.NaN()},
@@ -163,22 +164,6 @@ func TestApproxBetweennessNaNOptionsAreDefaults(t *testing.T) {
 				t.Fatalf("n=%d %+v: scores differ from the defaults'", g.NumVertices(), opt)
 			}
 		}
-	}
-}
-
-func TestApproxVertexBetweenness(t *testing.T) {
-	// Path graph: middle vertex has the highest BC; the adaptive
-	// estimator must get within a reasonable factor.
-	g := buildGraph(t, 9, [][2]int32{
-		{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}, {6, 7}, {7, 8},
-	})
-	exact := Betweenness(g, BetweennessOptions{ComputeVertex: true})
-	got, samples := ApproxVertexBetweenness(g, 4, ApproxOptions{Seed: 3, MinSamples: 4})
-	if samples <= 0 {
-		t.Fatal("no samples taken")
-	}
-	if got < exact.Vertex[4]*0.3 || got > exact.Vertex[4]*3 {
-		t.Fatalf("approx BC(4) = %g, exact %g: out of band", got, exact.Vertex[4])
 	}
 }
 
@@ -210,17 +195,6 @@ func TestDegreeAndCloseness(t *testing.T) {
 	// Center: distances 1+1+1 = 3 -> 1/3. Leaf: 1+2+2 = 5 -> 1/5.
 	if !approxEq(cc[0], 1.0/3) || !approxEq(cc[1], 0.2) {
 		t.Fatalf("closeness wrong: %v", cc)
-	}
-}
-
-func TestClosenessSources(t *testing.T) {
-	g := buildGraph(t, 4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
-	cc := Closeness(g, ClosenessOptions{Sources: []int32{1}})
-	if cc[0] != 0 || cc[2] != 0 {
-		t.Fatal("non-source entries should be 0")
-	}
-	if !approxEq(cc[1], 1.0/4) {
-		t.Fatalf("closeness(1) = %g", cc[1])
 	}
 }
 

@@ -71,7 +71,7 @@ func (ws *seidelWorkspace) polish(g *graph.Graph, rank []float64, opt PageRankOp
 	sinceExtrap := 0
 	for it := 0; it < opt.MaxIterations; it++ {
 		copy(prev, rank)
-		base := outShares(g, rank, share, opt.Damping)
+		base := outShares(g, rank, share)
 		var delta float64
 		for vi := 0; vi < n; vi++ {
 			lo, hi := g.Offsets[vi], g.Offsets[vi+1]
@@ -81,7 +81,7 @@ func (ws *seidelWorkspace) polish(g *graph.Graph, rank []float64, opt PageRankOp
 				for a := lo; a < hi; a++ {
 					s += share[g.Adj[a]]
 				}
-				nv += opt.Damping * s
+				nv += damping * s
 				share[vi] = nv / float64(hi-lo)
 			}
 			delta += math.Abs(nv - rank[vi])

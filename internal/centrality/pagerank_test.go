@@ -7,6 +7,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func TestPageRankSumsToOne(t *testing.T) {
@@ -22,7 +23,7 @@ func TestPageRankSumsToOne(t *testing.T) {
 }
 
 func TestPageRankUniformOnRegularGraph(t *testing.T) {
-	g := generate.Ring(20)
+	g := oracle.Ring(20)
 	pr := PageRank(g, PageRankOptions{})
 	for v := 1; v < 20; v++ {
 		if math.Abs(pr[v]-pr[0]) > 1e-9 {
@@ -81,7 +82,7 @@ func TestPageRankDirectedChain(t *testing.T) {
 // A directed graph holding both arcs of every edge is the undirected
 // graph as far as PageRank can tell: same scores, bit for bit.
 func TestPageRankDirectedFallsBackUndirected(t *testing.T) {
-	g := generate.Ring(10)
+	g := oracle.Ring(10)
 	var arcs []graph.Edge
 	for _, e := range g.EdgeEndpoints() {
 		arcs = append(arcs, e, graph.Edge{U: e.V, V: e.U, W: e.W})

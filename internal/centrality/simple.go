@@ -21,13 +21,10 @@ func DegreeCentrality(g *graph.Graph) []float64 {
 type ClosenessOptions struct {
 	// Workers bounds parallelism; <= 0 means par.Workers().
 	Workers int
-	// Sources, when non-nil, computes closeness only for these
-	// vertices (the remaining entries are 0).
-	Sources []int32
 }
 
 // Closeness computes closeness centrality CC(v) = 1 / sum_u d(v, u) on
-// an unweighted graph, running one BFS per requested vertex with
+// an unweighted graph, running one BFS per vertex with
 // coarse-grained parallelism. Unreachable pairs are skipped (the
 // standard convention for disconnected graphs); isolated vertices get
 // score 0.
@@ -37,12 +34,9 @@ func Closeness(g *graph.Graph, opt ClosenessOptions) []float64 {
 		workers = par.Workers()
 	}
 	n := g.NumVertices()
-	sources := opt.Sources
-	if sources == nil {
-		sources = make([]int32, n)
-		for i := range sources {
-			sources[i] = int32(i)
-		}
+	sources := make([]int32, n)
+	for i := range sources {
+		sources[i] = int32(i)
 	}
 	out := make([]float64, n)
 	// One epoch-stamped workspace per worker: O(reached) work per

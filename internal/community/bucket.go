@@ -71,9 +71,6 @@ func newBucketPQ() *bucketPQ {
 	}
 }
 
-// Len reports the number of stored entries.
-func (b *bucketPQ) Len() int { return len(b.loc) }
-
 // Set inserts or updates the value of id.
 func (b *bucketPQ) Set(id int32, v float64) {
 	if b.maxValid {

@@ -363,8 +363,8 @@ func TestBucketPQ(t *testing.T) {
 	if id, _, _ := pq.Max(); id != 2 {
 		t.Fatalf("Max after delete = %d, want 2", id)
 	}
-	if pq.Len() != 2 {
-		t.Fatalf("Len = %d", pq.Len())
+	if len(pq.loc) != 2 {
+		t.Fatalf("Len = %d", len(pq.loc))
 	}
 }
 
@@ -390,7 +390,7 @@ func TestQuickBucketPQMatchesOracle(t *testing.T) {
 				oracle[id] = v
 			}
 		}
-		if pq.Len() != len(oracle) {
+		if len(pq.loc) != len(oracle) {
 			return false
 		}
 		if len(oracle) == 0 {

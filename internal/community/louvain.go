@@ -8,8 +8,6 @@ type LouvainOptions struct {
 	// fixed Seed the partition is identical for EVERY worker count —
 	// see the batch-synchronous engine in move.go.
 	Workers int
-	// MaxLevels caps the contraction hierarchy depth. 0 => 16.
-	MaxLevels int
 	// Seed drives the deterministic vertex-order pseudo-shuffle.
 	Seed int64
 	// Stats, when non-nil, receives the per-level, per-pass record of

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"snap/internal/generate"
+	"snap/internal/oracle"
 )
 
 func TestLabelPropagationTwoTriangles(t *testing.T) {
@@ -38,7 +39,7 @@ func TestLabelPropagationDeterministic(t *testing.T) {
 }
 
 func TestLabelPropagationEdgeless(t *testing.T) {
-	g := generate.Ring(1) // single vertex, zero edges after self-loop drop
+	g := oracle.Ring(1) // single vertex, zero edges after self-loop drop
 	c := LabelPropagation(g, 0, 1)
 	if len(c.Assign) != 1 {
 		t.Fatal("size")

@@ -670,10 +670,6 @@ func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering 
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	maxLevels := opt.MaxLevels
-	if maxLevels <= 0 {
-		maxLevels = 16
-	}
 	if opt.Stats != nil {
 		*opt.Stats = MoveStats{}
 	}
@@ -693,7 +689,7 @@ func (ws *MoveWorkspace) Louvain(g *graph.Graph, opt LouvainOptions) Clustering 
 	vw := moveView{off: g.Offsets, adj: g.Adj}
 	nLvl := n
 	slot := 0
-	for lv := 0; lv < maxLevels; lv++ {
+	for lv := 0; lv < MaxLouvainLevels; lv++ {
 		assign := ws.assign[:nLvl]
 		degsum := ws.degsum[:nLvl]
 		for v := 0; v < nLvl; v++ {

@@ -60,7 +60,7 @@ func moveLevelTable(st *MoveStats) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%5s %9s %7s %5s %10s %6s %9s %9s\n",
 		"level", "n", "passes", "full", "examined", "share", "proposed", "applied")
-	for lv := 0; lv < min(st.Levels, MaxMoveStatsLevels); lv++ {
+	for lv := 0; lv < st.Levels; lv++ {
 		ls := &st.Level[lv]
 		var full int
 		var examined, proposed, applied int64

@@ -188,7 +188,7 @@ func TestLouvainStatsCertifyFixpoint(t *testing.T) {
 			if h := clusteringHash(got); h != moveGoldens[name].louvain {
 				t.Errorf("%s workers=%d: Stats on changed the clustering (hash %#x)", name, workers, h)
 			}
-			if st.Levels < 1 || st.Levels > MaxMoveStatsLevels {
+			if st.Levels < 1 || st.Levels > MaxLouvainLevels {
 				t.Fatalf("%s workers=%d: Levels = %d", name, workers, st.Levels)
 			}
 			for lv := 0; lv < st.Levels; lv++ {
@@ -206,7 +206,7 @@ func TestLouvainStatsCertifyFixpoint(t *testing.T) {
 					t.Errorf("%s workers=%d level %d: last of %d passes %+v neither certifies a fixpoint nor hits the cap", name, workers, lv, ls.Passes, last)
 				}
 			}
-			if st.Levels < MaxMoveStatsLevels && st.Level[st.Levels] != (MoveLevelStats{}) {
+			if st.Levels < MaxLouvainLevels && st.Level[st.Levels] != (MoveLevelStats{}) {
 				t.Errorf("%s workers=%d: a row past Levels was written", name, workers)
 			}
 			if workers == 1 {
@@ -301,7 +301,7 @@ func TestPLARowsMatchMemberScan(t *testing.T) {
 				metric[v] = float64(g.Degree(int32(v)))
 			}
 			rng := rand.New(rand.NewSource(int64(ci)))
-			st.aggregate(comp, metric, 8, rng)
+			st.aggregate(comp, metric, rng)
 		})
 		checkPLARows(t, name+"/aggregated", st)
 		st.skipEdge = nil

@@ -32,9 +32,6 @@ type PLAOptions struct {
 	Workers int
 	// Metric is the local attachment measure.
 	Metric LocalMetric
-	// MaxPasses bounds the number of aggregation sweeps per component
-	// (each pass visits every vertex once in random order). 0 => 8.
-	MaxPasses int
 	// Seed makes the random seed-vertex ordering deterministic.
 	Seed int64
 }
@@ -49,9 +46,6 @@ func PLA(g *graph.Graph, opt PLAOptions) Clustering {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = par.Workers()
-	}
-	if opt.MaxPasses <= 0 {
-		opt.MaxPasses = 8
 	}
 	n := g.NumVertices()
 	mEdges := g.NumEdges()
@@ -97,7 +91,7 @@ func PLA(g *graph.Graph, opt PLAOptions) Clustering {
 			return
 		}
 		rng := rand.New(rand.NewSource(opt.Seed + int64(ci)*7919))
-		st.aggregate(comp, metric, opt.MaxPasses, rng)
+		st.aggregate(comp, metric, rng)
 	})
 
 	// Top-level amalgamation (serial): the bridge edges become visible
@@ -306,13 +300,17 @@ func rowRemove(ids []int32, wts []int32, x int32) ([]int32, []int32, int32) {
 	return ids[:len(ids)-1], wts[:len(wts)-1], w
 }
 
+// plaPasses bounds the aggregation sweeps per component; each visits
+// every vertex once in random order.
+const plaPasses = 8
+
 // aggregate runs random-seed greedy aggregation passes over one
-// component until a pass makes no merge or the pass budget is spent.
-func (st *plaState) aggregate(comp []int32, metric []float64, maxPasses int, rng *rand.Rand) {
+// component until a pass makes no merge or plaPasses are spent.
+func (st *plaState) aggregate(comp []int32, metric []float64, rng *rand.Rand) {
 	order := append([]int32(nil), comp...)
 	sc := plaScratchPool.Get()
 	sc.ensure(st.g.NumVertices())
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < plaPasses; pass++ {
 		rng.Shuffle(len(order), func(i, j int) {
 			order[i], order[j] = order[j], order[i]
 		})

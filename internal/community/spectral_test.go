@@ -6,6 +6,7 @@ import (
 
 	"snap/internal/datasets"
 	"snap/internal/generate"
+	"snap/internal/oracle"
 )
 
 func TestSpectralCommunitiesTwoTriangles(t *testing.T) {
@@ -40,13 +41,13 @@ func TestSpectralCommunitiesPlanted(t *testing.T) {
 
 func TestSpectralCommunitiesEdgeCases(t *testing.T) {
 	// Empty graph.
-	gEmpty := generate.Ring(5)
+	gEmpty := oracle.Ring(5)
 	c := SpectralCommunities(gEmpty, SpectralOptions{Seed: 1})
 	if len(c.Assign) != 5 {
 		t.Fatal("assign size")
 	}
 	// A clique is indivisible: one community.
-	k := generate.Complete(8)
+	k := oracle.Complete(8)
 	c = SpectralCommunities(k, SpectralOptions{Seed: 1})
 	if c.Count != 1 {
 		t.Fatalf("K8 split into %d communities", c.Count)

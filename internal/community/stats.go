@@ -2,10 +2,9 @@ package community
 
 import "math/bits"
 
-// MaxMoveStatsLevels is the number of Louvain levels a MoveStats has
-// room for: LouvainOptions.MaxLevels' default. A deeper run keeps
-// counting in Levels and drops the per-level rows past the end.
-const MaxMoveStatsLevels = 16
+// MaxLouvainLevels caps Louvain's contraction hierarchy; a MoveStats
+// has one row per level.
+const MaxLouvainLevels = 16
 
 // MoveStats is a caller-owned, fixed-size record of one Louvain run:
 // point LouvainOptions.Stats at one and read it after the call. It is
@@ -16,7 +15,7 @@ type MoveStats struct {
 	// Levels counts the levels local moving ran on, the last one
 	// included even when it moved nothing and so ended the hierarchy.
 	Levels int
-	Level  [MaxMoveStatsLevels]MoveLevelStats
+	Level  [MaxLouvainLevels]MoveLevelStats
 }
 
 // MoveLevelStats describes local moving on one Louvain level.
@@ -40,15 +39,12 @@ type MovePassStats struct {
 }
 
 // level starts the record of level lv with n vertices and returns it,
-// nil when statistics are off or the level is past the end.
+// nil when statistics are off.
 func (st *MoveStats) level(lv, n int) *MoveLevelStats {
 	if st == nil {
 		return nil
 	}
 	st.Levels++
-	if lv >= MaxMoveStatsLevels {
-		return nil
-	}
 	ls := &st.Level[lv]
 	ls.N = int64(n)
 	return ls

@@ -11,6 +11,7 @@ import (
 	"snap/internal/frontier"
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func buildGraph(t *testing.T, n int, pairs [][2]int32) *graph.Graph {
@@ -243,7 +244,7 @@ func TestBiconnectedBridgesOnPath(t *testing.T) {
 }
 
 func TestBiconnectedRingHasNoBridges(t *testing.T) {
-	g := generate.Ring(12)
+	g := oracle.Ring(12)
 	bc := Biconnected(g)
 	if len(bc.Bridges()) != 0 {
 		t.Fatalf("ring has bridges: %v", bc.Bridges())
@@ -325,7 +326,7 @@ func TestBiconnectedEdgePartition(t *testing.T) {
 func TestBoruvkaMatchesPrim(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := generate.RandomWeights(generate.ErdosRenyi(120, 400, int64(trial)), 20, int64(trial+100))
-		want := PrimMST(g)
+		want := oracle.PrimMST(g)
 		got := BoruvkaMST(g, 3)
 		if len(want.EdgeIDs) != len(got.EdgeIDs) {
 			t.Fatalf("trial %d: forest sizes differ: %d vs %d", trial, len(want.EdgeIDs), len(got.EdgeIDs))
@@ -376,22 +377,6 @@ func TestBoruvkaDeterministic(t *testing.T) {
 				t.Fatalf("rep %d workers=%d: TotalWeight %v, first run %v", rep, workers, got.TotalWeight, want.TotalWeight)
 			}
 		}
-	}
-}
-
-func TestSpanningForest(t *testing.T) {
-	g := buildGraph(t, 5, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {3, 4}})
-	pe := SpanningForest(g)
-	roots, treeEdges := 0, 0
-	for _, e := range pe {
-		if e == -1 {
-			roots++
-		} else {
-			treeEdges++
-		}
-	}
-	if roots != 2 || treeEdges != 3 {
-		t.Fatalf("roots=%d treeEdges=%d", roots, treeEdges)
 	}
 }
 

@@ -119,136 +119,3 @@ func (u *UnionFind) findRO(v int32) int32 {
 	}
 	return v
 }
-
-// PrimMST is the serial reference MST (lazy Prim over a binary heap),
-// used to validate BoruvkaMST: both must produce forests of identical
-// total weight on any graph with distinct weights, and identical weight
-// on ties as well (weight, not edge set, is the invariant).
-func PrimMST(g *graph.Graph) MST {
-	n := g.NumVertices()
-	inTree := make([]bool, n)
-	var chosen []int32
-	var total float64
-	h := &edgeHeap{}
-	for root := int32(0); int(root) < n; root++ {
-		if inTree[root] {
-			continue
-		}
-		inTree[root] = true
-		pushArcs(g, root, inTree, h)
-		for h.len() > 0 {
-			it := h.pop()
-			if inTree[it.to] {
-				continue
-			}
-			inTree[it.to] = true
-			chosen = append(chosen, it.eid)
-			total += it.w
-			pushArcs(g, it.to, inTree, h)
-		}
-	}
-	return MST{EdgeIDs: chosen, TotalWeight: total}
-}
-
-func pushArcs(g *graph.Graph, v int32, inTree []bool, h *edgeHeap) {
-	lo, hi := g.Offsets[v], g.Offsets[v+1]
-	for a := lo; a < hi; a++ {
-		u := g.Adj[a]
-		if inTree[u] {
-			continue
-		}
-		w := g.ArcWeight(a)
-		if !g.Weighted() {
-			w = 1
-		}
-		h.push(heapItem{w: w, eid: g.EID[a], to: u})
-	}
-}
-
-type heapItem struct {
-	w   float64
-	eid int32
-	to  int32
-}
-
-// edgeHeap is a minimal binary min-heap on (w, eid).
-type edgeHeap struct{ items []heapItem }
-
-func (h *edgeHeap) len() int { return len(h.items) }
-
-func (h *edgeHeap) push(it heapItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.lessAt(i, p) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *edgeHeap) pop() heapItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.lessAt(l, small) {
-			small = l
-		}
-		if r < last && h.lessAt(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-	return top
-}
-
-func (h *edgeHeap) lessAt(i, j int) bool {
-	a, b := h.items[i], h.items[j]
-	if a.w != b.w {
-		return a.w < b.w
-	}
-	return a.eid < b.eid
-}
-
-// SpanningForest returns a BFS spanning forest as parent edge ids
-// (-1 at roots and unreached-impossible positions).
-func SpanningForest(g *graph.Graph) []int32 {
-	n := g.NumVertices()
-	parentEdge := make([]int32, n)
-	visited := make([]bool, n)
-	for i := range parentEdge {
-		parentEdge[i] = -1
-	}
-	queue := make([]int32, 0, 256)
-	for root := int32(0); int(root) < n; root++ {
-		if visited[root] {
-			continue
-		}
-		visited[root] = true
-		queue = append(queue[:0], root)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			lo, hi := g.Offsets[v], g.Offsets[v+1]
-			for a := lo; a < hi; a++ {
-				u := g.Adj[a]
-				if !visited[u] {
-					visited[u] = true
-					parentEdge[u] = g.EID[a]
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	return parentEdge
-}

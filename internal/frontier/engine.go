@@ -8,13 +8,13 @@ import (
 // Unreached marks vertices not reachable from the source.
 const Unreached = int32(-1)
 
-// Default direction-switching thresholds (Beamer et al., SC'12): expand
+// Direction-switching thresholds (Beamer et al., SC'12): expand
 // bottom-up when the frontier's out-degree sum exceeds 1/Alpha of the
-// unexplored edges, and return to top-down when the frontier shrinks
-// below 1/Beta of the vertices.
+// unexplored edges (callers pass DefaultAlpha), and return to top-down
+// when the frontier shrinks below 1/beta of the vertices.
 const (
 	DefaultAlpha = 14.0
-	DefaultBeta  = 24.0
+	beta         = 24.0
 )
 
 // Result holds a BFS tree: hop distances and parents (both -1 when
@@ -22,29 +22,6 @@ const (
 type Result struct {
 	Dist   []int32
 	Parent []int32
-}
-
-// MaxDist reports the eccentricity of the source in r (the largest
-// finite distance), or 0 for an isolated source.
-func (r Result) MaxDist() int32 {
-	var mx int32
-	for _, d := range r.Dist {
-		if d > mx {
-			mx = d
-		}
-	}
-	return mx
-}
-
-// Reached reports the number of vertices reached (including the source).
-func (r Result) Reached() int {
-	c := 0
-	for _, d := range r.Dist {
-		if d != Unreached {
-			c++
-		}
-	}
-	return c
 }
 
 // Options configures one Engine traversal.
@@ -55,23 +32,17 @@ type Options struct {
 	// Alive, when non-nil, restricts traversal to arcs whose edge id
 	// has Alive[eid] == true (logical edge deletion, used by divisive
 	// clustering). Honored by both directions: the two arcs of an
-	// undirected edge share an id, and reverse CSRs preserve arc ids,
-	// so the pull side filters the same edges the push side would.
+	// undirected edge share an id, so the pull side filters the same
+	// edges the push side would.
 	Alive []bool
 	// MaxDepth bounds the traversal to that many levels (path-limited
 	// search); < 0 means unlimited, 0 reaches only the source.
 	MaxDepth int32
-	// Alpha > 0 enables direction optimization: a level runs bottom-up
-	// when frontierEdges·Alpha > unexploredEdges. Zero keeps the
-	// traversal always top-down (the exact-parent serial semantics).
+	// Alpha > 0 enables direction optimization on undirected graphs: a
+	// level runs bottom-up when frontierEdges·Alpha > unexploredEdges.
+	// Zero keeps the traversal always top-down (the exact-parent serial
+	// semantics), as directed traversals always are.
 	Alpha float64
-	// Beta sets the top-down resume threshold (frontier < n/Beta);
-	// <= 0 means DefaultBeta.
-	Beta float64
-	// Reverse supplies the in-adjacency CSR (graph.Reverse) that
-	// bottom-up steps scan on directed graphs. When nil, directed
-	// traversals silently fall back to always-top-down.
-	Reverse *graph.Graph
 	// ForceBottomUp, when non-nil, overrides the Alpha/Beta heuristic:
 	// the level discovering depth d runs bottom-up iff
 	// ForceBottomUp(d) (still subject to direction eligibility).
@@ -190,17 +161,9 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 		workers = par.Workers()
 	}
 	n := g.NumVertices()
-	beta := opt.Beta
-	if !(beta > 0) {
-		beta = DefaultBeta
-	}
-	// Bottom-up needs in-adjacency: the graph itself when undirected,
-	// an explicit reverse CSR when directed, else top-down only.
-	pull := g
-	if g.Directed() {
-		pull = opt.Reverse
-	}
-	eligible := pull != nil && (opt.Alpha > 0 || opt.ForceBottomUp != nil)
+	// Bottom-up probes a vertex's in-arcs, which only an undirected
+	// graph's own rows list: directed traversals stay top-down.
+	eligible := !g.Directed() && (opt.Alpha > 0 || opt.ForceBottomUp != nil)
 
 	e.begin()
 	ep := e.epoch
@@ -246,7 +209,7 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 				// be growing: on high-diameter graphs the shrinking
 				// tail frontiers eventually dominate the unexplored
 				// remainder, yet pull sweeps would rescan all of V
-				// every level. It must exceed the Beta switch-back
+				// every level. It must exceed the beta switch-back
 				// threshold, or the very next level would flip straight
 				// back (hysteresis — stops one-off O(n) sweeps for
 				// sparse tail up-ticks). And its out-arcs must
@@ -271,7 +234,7 @@ func (e *Engine) RunOptions(g *graph.Graph, src int32, opt Options) {
 			}
 		}
 		if bottomUp {
-			e.stepBottomUp(g, pull, opt.Alive, depth+1, levelStart, levelEnd, workers)
+			e.stepBottomUp(g, opt.Alive, depth+1, levelStart, levelEnd, workers)
 		} else {
 			e.stepTopDown(g, opt.Alive, depth+1, levelStart, levelEnd)
 		}
@@ -312,12 +275,12 @@ func (e *Engine) stepTopDown(g *graph.Graph, alive []bool, depth int32, lo, hi i
 }
 
 // stepBottomUp discovers the level after order[lo:hi] by scanning
-// unvisited vertices: each probes its in-arcs (pull's adjacency) for a
-// member of the frozen frontier bitmap and adopts the first alive one
-// as parent. Writes are owner-only per vertex, so chunks need no
+// unvisited vertices: each probes its in-arcs (its own row, the graph
+// being undirected) for a member of the frozen frontier bitmap and
+// adopts the first alive one as parent. Writes are owner-only per vertex, so chunks need no
 // atomics, and the parent choice is adjacency-order deterministic
 // regardless of worker count.
-func (e *Engine) stepBottomUp(g, pull *graph.Graph, alive []bool, depth int32, lo, hi, workers int) {
+func (e *Engine) stepBottomUp(g *graph.Graph, alive []bool, depth int32, lo, hi, workers int) {
 	n := g.NumVertices()
 	e.cur.Set(e.order[lo:hi], n)
 	workers = min(workers, n) // ForChunkedN then runs every worker's chunk
@@ -325,14 +288,14 @@ func (e *Engine) stepBottomUp(g, pull *graph.Graph, alive []bool, depth int32, l
 		// Direct call: the pull loop is the hot path of serial
 		// direction-optimizing traversals (multi-source kernels), so it
 		// must not pay scheduler or closure overhead per level.
-		e.order = e.pullRange(pull, alive, depth, 0, n, e.order)
+		e.order = e.pullRange(g, alive, depth, 0, n, e.order)
 		return
 	}
 	for len(e.nexts) < workers {
 		e.nexts = append(e.nexts, make([]int32, 0, 256))
 	}
 	par.ForChunkedN(n, workers, func(w, vlo, vhi int) {
-		e.nexts[w] = e.pullRange(pull, alive, depth, vlo, vhi, e.nexts[w][:0])
+		e.nexts[w] = e.pullRange(g, alive, depth, vlo, vhi, e.nexts[w][:0])
 	})
 	// Worker order keeps the level sorted by vertex id.
 	for _, next := range e.nexts[:workers] {
@@ -342,7 +305,7 @@ func (e *Engine) stepBottomUp(g, pull *graph.Graph, alive []bool, depth int32, l
 
 // pullRange runs the bottom-up probe for the vertices in [lo, hi),
 // appending each one it discovers to next in ascending vertex order.
-func (e *Engine) pullRange(pull *graph.Graph, alive []bool, depth int32, lo, hi int, next []int32) []int32 {
+func (e *Engine) pullRange(g *graph.Graph, alive []bool, depth int32, lo, hi int, next []int32) []int32 {
 	ep := e.epoch
 	stamp, dist, parent := e.stamp, e.dist, e.parent
 	cur := e.cur // a local copy, so the stores below do not force a reload
@@ -350,12 +313,12 @@ func (e *Engine) pullRange(pull *graph.Graph, alive []bool, depth int32, lo, hi 
 		if stamp[vi] == ep {
 			continue
 		}
-		alo, ahi := pull.Offsets[vi], pull.Offsets[vi+1]
+		alo, ahi := g.Offsets[vi], g.Offsets[vi+1]
 		for a := alo; a < ahi; a++ {
-			if alive != nil && !alive[pull.EID[a]] {
+			if alive != nil && !alive[g.EID[a]] {
 				continue
 			}
-			if u := pull.Adj[a]; cur.Has(u) {
+			if u := g.Adj[a]; cur.Has(u) {
 				stamp[vi] = ep
 				dist[vi] = depth
 				parent[vi] = u

@@ -2,6 +2,7 @@ package frontier_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"snap/internal/bfs"
@@ -141,7 +142,7 @@ func engineConfigs() map[string]frontier.Options {
 		"parallel-topdown": {Workers: 4, MaxDepth: -1},
 		"do-serial":        {Workers: 1, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
 		"do-parallel":      {Workers: 4, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
-		"do-aggressive":    {Workers: 4, MaxDepth: -1, Alpha: 1000, Beta: 1000},
+		"do-aggressive":    {Workers: 4, MaxDepth: -1, Alpha: 1000},
 		"force-bottomup":   {Workers: 4, MaxDepth: -1, ForceBottomUp: alwaysUp},
 		"force-alternate":  {Workers: 1, MaxDepth: -1, ForceBottomUp: alternate},
 	}
@@ -320,18 +321,17 @@ func randomDirected(t *testing.T, n, m int, seed int64) *graph.Graph {
 	return g
 }
 
-// Directed graphs: bottom-up needs the reverse CSR; without it the
-// engine must silently stay top-down. Both must match the oracle.
+// Directed graphs stay top-down under any direction option, and must
+// match the oracle.
 func TestEngineDirected(t *testing.T) {
 	g := randomDirected(t, 300, 2400, 41)
-	rg := graph.Reverse(g)
 	e := frontier.NewEngine(g.NumVertices())
 	rng := rand.New(rand.NewSource(43))
 	cases := map[string]frontier.Options{
-		"do-with-reverse":    {Workers: 4, MaxDepth: -1, Alpha: frontier.DefaultAlpha, Reverse: rg},
 		"do-without-reverse": {Workers: 4, MaxDepth: -1, Alpha: frontier.DefaultAlpha},
-		"forced-bottomup":    {Workers: 4, MaxDepth: -1, Reverse: rg, ForceBottomUp: func(int32) bool { return true }},
+		"forced-bottomup":    {Workers: 4, MaxDepth: -1, ForceBottomUp: func(int32) bool { return true }},
 	}
+	topDown := frontier.NewEngine(g.NumVertices())
 	for cname, opt := range cases {
 		t.Run(cname, func(t *testing.T) {
 			for trial := 0; trial < 6; trial++ {
@@ -342,6 +342,10 @@ func TestEngineDirected(t *testing.T) {
 					if e.Dist(v) != want[v] {
 						t.Fatalf("src %d: Dist(%d) = %d, want %d", src, v, e.Dist(v), want[v])
 					}
+				}
+				topDown.RunOptions(g, src, frontier.Options{Workers: 1, MaxDepth: -1})
+				if !slices.Equal(e.Export().Parent, topDown.Export().Parent) {
+					t.Fatalf("src %d: parents differ from the top-down run's", src)
 				}
 			}
 		})

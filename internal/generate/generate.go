@@ -253,41 +253,6 @@ func PreferentialAttachment(n, k int, seed int64) *graph.Graph {
 	return graph.MustBuild(n, edges, graph.BuildOptions{})
 }
 
-// Tree generates a uniformly random labelled tree on n vertices via a
-// random Prüfer-like attachment (each vertex i>0 attaches to a uniform
-// random predecessor). Useful for testing bridge/articulation kernels:
-// every edge of a tree is a bridge.
-func Tree(n int, seed int64) *graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	edges := make([]graph.Edge, 0, n-1)
-	for v := 1; v < n; v++ {
-		u := rng.Intn(v)
-		edges = append(edges, graph.Edge{U: int32(u), V: int32(v), W: 1})
-	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{})
-}
-
-// Ring generates the n-cycle. Every vertex has degree 2 and the graph
-// is biconnected; useful as a no-bridges test case.
-func Ring(n int) *graph.Graph {
-	edges := make([]graph.Edge, 0, n)
-	for v := 0; v < n; v++ {
-		edges = append(edges, graph.Edge{U: int32(v), V: int32((v + 1) % n), W: 1})
-	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{})
-}
-
-// Complete generates the complete graph K_n.
-func Complete(n int) *graph.Graph {
-	var edges []graph.Edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, graph.Edge{U: int32(i), V: int32(j), W: 1})
-		}
-	}
-	return graph.MustBuild(n, edges, graph.BuildOptions{})
-}
-
 // RandomWeights returns a copy of g with integer edge weights drawn
 // uniformly from [1, maxW], for exercising weighted-path kernels.
 func RandomWeights(g *graph.Graph, maxW int, seed int64) *graph.Graph {

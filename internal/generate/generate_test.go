@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func TestRMATSizesAndDeterminism(t *testing.T) {
@@ -128,25 +129,25 @@ func TestPreferentialAttachment(t *testing.T) {
 }
 
 func TestTreeIsAcyclicConnected(t *testing.T) {
-	g := Tree(100, 6)
+	g := oracle.Tree(100, 6)
 	if g.NumEdges() != 99 {
 		t.Fatalf("m = %d, want 99", g.NumEdges())
 	}
 }
 
 func TestRingAndComplete(t *testing.T) {
-	r := Ring(10)
+	r := oracle.Ring(10)
 	if r.NumEdges() != 10 || r.MaxDegree() != 2 {
 		t.Fatalf("ring wrong: %v", r)
 	}
-	k := Complete(6)
+	k := oracle.Complete(6)
 	if k.NumEdges() != 15 {
 		t.Fatalf("K6 edges = %d", k.NumEdges())
 	}
 }
 
 func TestRandomWeights(t *testing.T) {
-	g := Ring(10)
+	g := oracle.Ring(10)
 	wg := RandomWeights(g, 5, 1)
 	if !wg.Weighted() {
 		t.Fatal("not weighted")

@@ -181,9 +181,9 @@ func assembleMulti(n int, clean []Edge, opt BuildOptions, workers int) *Graph {
 // assembleDedup builds the CSR collapsing duplicate endpoint pairs.
 // Cleaned edges are counting-sorted into per-tail buckets (preserving
 // cleaned order within each bucket), each bucket is sorted by
-// (head, position) and compacted — first weight wins, or weights sum
-// under SumWeights — and edge ids are the ranks of the unique pairs in
-// (tail, head) order, exactly the ids a stable global sort assigns.
+// (head, position) and compacted — first weight wins — and edge ids
+// are the ranks of the unique pairs in (tail, head) order, exactly the
+// ids a stable global sort assigns.
 // Undirected graphs get their mirror arcs from a second counting-sort
 // scatter that preserves sorted adjacency.
 func assembleDedup(n int, clean []Edge, opt BuildOptions, workers int) *Graph {
@@ -253,7 +253,7 @@ func assembleDedup(n int, clean []Edge, opt BuildOptions, workers int) *Graph {
 				s.w, s.pos = nil, nil
 			}
 			s.sort()
-			uniq[v] = int64(s.compact(opt.SumWeights))
+			uniq[v] = int64(s.compact())
 		}
 	})
 
@@ -537,9 +537,9 @@ func (s *dedupSorter) sort() {
 }
 
 // compact collapses runs of equal heads to the run's first entry
-// (ascending position = first occurrence in cleaned order), summing
-// weights in position order when sum is set. Returns the unique count.
-func (s *dedupSorter) compact(sum bool) int {
+// (ascending position = first occurrence in cleaned order), weight
+// included. Returns the unique count.
+func (s *dedupSorter) compact() int {
 	k := 0
 	for i := 0; i < len(s.v); {
 		j := i + 1
@@ -548,13 +548,7 @@ func (s *dedupSorter) compact(sum bool) int {
 		}
 		s.v[k] = s.v[i]
 		if s.w != nil {
-			acc := s.w[i]
-			if sum {
-				for t := i + 1; t < j; t++ {
-					acc += s.w[t]
-				}
-			}
-			s.w[k] = acc
+			s.w[k] = s.w[i]
 		}
 		k++
 		i = j

@@ -50,9 +50,6 @@ func buildOracle(n int, edges []Edge, opt BuildOptions) (*Graph, error) {
 		var dedup []tagged
 		for _, t := range clean {
 			if len(dedup) > 0 && t.e.U == dedup[len(dedup)-1].e.U && t.e.V == dedup[len(dedup)-1].e.V {
-				if opt.SumWeights {
-					dedup[len(dedup)-1].e.W += t.e.W
-				}
 				continue
 			}
 			dedup = append(dedup, t)
@@ -238,12 +235,6 @@ func optionMatrix() []BuildOptions {
 						Directed: directed, Weighted: weighted,
 						AllowSelfLoops: loops, AllowMulti: multi,
 					})
-					if !multi {
-						opts = append(opts, BuildOptions{
-							Directed: directed, Weighted: weighted,
-							AllowSelfLoops: loops, SumWeights: true,
-						})
-					}
 				}
 			}
 		}
@@ -252,8 +243,8 @@ func optionMatrix() []BuildOptions {
 }
 
 func optTag(o BuildOptions) string {
-	return fmt.Sprintf("dir=%v,w=%v,loops=%v,multi=%v,sum=%v",
-		o.Directed, o.Weighted, o.AllowSelfLoops, o.AllowMulti, o.SumWeights)
+	return fmt.Sprintf("dir=%v,w=%v,loops=%v,multi=%v",
+		o.Directed, o.Weighted, o.AllowSelfLoops, o.AllowMulti)
 }
 
 // TestBuildParallelBitIdentical is the tentpole property test: the
@@ -374,25 +365,5 @@ func TestUndirectedMatchesEdgeListSymmetrization(t *testing.T) {
 	und := MustBuild(4, []Edge{{0, 1, 1}, {1, 2, 1}}, BuildOptions{})
 	if Undirected(und) != und {
 		t.Fatal("Undirected(undirected) should return the same graph")
-	}
-}
-
-// TestBuildSumWeights pins the aggregation semantics used by community
-// quotients: duplicates collapse with weights summed in input order.
-func TestBuildSumWeights(t *testing.T) {
-	g, err := Build(3, []Edge{
-		{1, 0, 1.5}, {0, 1, 2}, {2, 0, 4}, {0, 1, 0.5}, {0, 2, 8},
-	}, BuildOptions{Weighted: true, SumWeights: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 {
-		t.Fatalf("NumEdges = %d, want 2", g.NumEdges())
-	}
-	if w := g.W[g.Offsets[0]]; w != 4 { // 1.5 + 2 + 0.5 on edge {0,1}
-		t.Fatalf("weight of {0,1} = %v, want 4", w)
-	}
-	if w := g.W[g.Offsets[2]]; w != 12 { // 4 + 8 on edge {0,2}
-		t.Fatalf("weight of {0,2} = %v, want 12", w)
 	}
 }

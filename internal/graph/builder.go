@@ -16,11 +16,6 @@ type BuildOptions struct {
 	// AllowMulti keeps parallel edges; by default duplicates (same
 	// endpoint pair) collapse to one edge, keeping the first weight.
 	AllowMulti bool
-	// SumWeights changes the duplicate collapse (AllowMulti false) to
-	// sum the duplicates' weights, in input order, instead of keeping
-	// the first — the aggregation mode used by community quotients and
-	// other graph contractions. Ignored when AllowMulti is set.
-	SumWeights bool
 }
 
 // Build constructs a CSR graph with n vertices from edges.

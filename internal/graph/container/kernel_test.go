@@ -7,10 +7,21 @@ import (
 	"snap/internal/bfs"
 	"snap/internal/community"
 	"snap/internal/components"
+	"snap/internal/frontier"
 	"snap/internal/generate"
 	"snap/internal/graph"
 	"snap/internal/sssp"
 )
+
+// twoWorkerBFS runs the direction-optimizing traversal of
+// bfs.DirectionOptimizing at two workers, so bottom-up levels take the
+// parallel pull arm.
+func twoWorkerBFS(g *graph.Graph, src int32) bfs.Result {
+	ws := bfs.AcquireWorkspace(g.NumVertices())
+	defer bfs.ReleaseWorkspace(ws)
+	ws.RunOptions(g, src, frontier.Options{Workers: 2, MaxDepth: -1, Alpha: frontier.DefaultAlpha})
+	return ws.Export()
+}
 
 // TestKernelEquivalenceMapped pins the acceptance criterion that every
 // kernel class runs bit-identically on a mapped graph: the
@@ -48,8 +59,8 @@ func TestKernelEquivalenceMapped(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, src := range []int32{0, 1, 511} {
-				hb := bfs.DirectionOptimizing(heap, src, bfs.Options{Workers: 2})
-				mb := bfs.DirectionOptimizing(mapped, src, bfs.Options{Workers: 2})
+				hb := twoWorkerBFS(heap, src)
+				mb := twoWorkerBFS(mapped, src)
 				for v := range hb.Dist {
 					if hb.Dist[v] != mb.Dist[v] || hb.Parent[v] != mb.Parent[v] {
 						t.Fatalf("BFS from %d differs at %d: (%d,%d) vs (%d,%d)",

@@ -65,8 +65,8 @@ func TestMETISRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if !g2.Weighted() || g2.TotalWeight() != g.TotalWeight() {
-			t.Fatalf("weights lost: %g vs %g", g2.TotalWeight(), g.TotalWeight())
+		if !g2.Weighted() || totalWeight(g2) != totalWeight(g) {
+			t.Fatalf("weights lost: %g vs %g", totalWeight(g2), totalWeight(g))
 		}
 	}
 }

@@ -85,15 +85,6 @@ func (g *Graph) EdgeIDs(v int32) []int32 {
 	return g.EID[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// Weights returns the per-arc weight slice of v, parallel to
-// Neighbors(v), or nil for unweighted graphs.
-func (g *Graph) Weights(v int32) []float64 {
-	if g.W == nil {
-		return nil
-	}
-	return g.W[g.Offsets[v]:g.Offsets[v+1]]
-}
-
 // ArcWeight returns the weight of arc index a (1 for unweighted graphs).
 func (g *Graph) ArcWeight(a int64) float64 {
 	if g.W == nil {
@@ -140,18 +131,6 @@ func (g *Graph) EdgeEndpoints() []Edge {
 	return out
 }
 
-// TotalWeight reports the sum of edge weights (m for unweighted graphs).
-func (g *Graph) TotalWeight() float64 {
-	if g.W == nil {
-		return float64(g.numEdges)
-	}
-	var s float64
-	for _, e := range g.EdgeEndpoints() {
-		s += e.W
-	}
-	return s
-}
-
 // MaxDegree reports the largest out-degree in the graph.
 func (g *Graph) MaxDegree() int {
 	mx := 0
@@ -161,17 +140,6 @@ func (g *Graph) MaxDegree() int {
 		}
 	}
 	return mx
-}
-
-// Degrees returns the out-degree of every vertex as int64 work
-// estimates, the input expected by par.DegreeAware.
-func (g *Graph) Degrees() []int64 {
-	n := g.NumVertices()
-	out := make([]int64, n)
-	for v := 0; v < n; v++ {
-		out[v] = g.Offsets[v+1] - g.Offsets[v]
-	}
-	return out
 }
 
 // String summarizes the graph.

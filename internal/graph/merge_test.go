@@ -131,7 +131,7 @@ func TestMergeDeltaSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		if id := out.EdgeIDOf(3, 4); id < 0 || out.W[out.Offsets[3]+1] != 9 {
-			t.Fatalf("want last-wins weight 9, got graph %v weights %v", out, out.Weights(3))
+			t.Fatalf("want last-wins weight 9, got graph %v weights %v", out, arcWeights(out, 3))
 		}
 	})
 	t.Run("delete then re-add keeps pair", func(t *testing.T) {
@@ -142,7 +142,7 @@ func TestMergeDeltaSemantics(t *testing.T) {
 		if !out.HasEdge(1, 2) || out.NumEdges() != 3 {
 			t.Fatalf("pair in both add and del must survive: %v", out)
 		}
-		if w := out.Weights(1)[1]; w != 8 {
+		if w := arcWeights(out, 1)[1]; w != 8 {
 			t.Fatalf("re-add weight = %g, want 8", w)
 		}
 	})
@@ -151,8 +151,8 @@ func TestMergeDeltaSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.NumEdges() != 3 || out.Weights(0)[0] != 42 {
-			t.Fatalf("weight override failed: m=%d w=%v", out.NumEdges(), out.Weights(0))
+		if out.NumEdges() != 3 || arcWeights(out, 0)[0] != 42 {
+			t.Fatalf("weight override failed: m=%d w=%v", out.NumEdges(), arcWeights(out, 0))
 		}
 	})
 	t.Run("delete absent pair is a no-op", func(t *testing.T) {

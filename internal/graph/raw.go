@@ -52,13 +52,6 @@ func (g *Graph) Close() error {
 	return fn()
 }
 
-// Closed reports whether Close released the graph's backing resource.
-// A closed graph's slice fields alias a dead mapping: any kernel run
-// against it faults on first touch, so query layers must refuse it —
-// see CheckOpen. Heap-built graphs (no backing resource) are never
-// closed and stay valid for their whole lifetime.
-func (g *Graph) Closed() bool { return g.closed }
-
 // CheckOpen returns ErrClosed when the graph has been Closed, nil
 // otherwise — the guard every error-returning facade and serving entry
 // point runs before touching the CSR, turning a use-after-Close from a

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"snap/internal/bfs"
+	"snap/internal/frontier"
 	"snap/internal/sssp"
 )
 
@@ -168,10 +169,14 @@ func TestServerShapedPinQueryRelease(t *testing.T) {
 					bfs.ReleaseWorkspace(ws)
 				case 1: // BFS torn down mid-run (deadline/disconnect shape)
 					polls := 0
-					bfs.DirectionOptimizing(g, src, bfs.Options{
-						Workers: 2,
-						Cancel:  func() bool { polls++; return polls > 2 },
+					ws := bfs.AcquireWorkspace(g.NumVertices())
+					ws.RunOptions(g, src, frontier.Options{
+						Workers:  2,
+						MaxDepth: -1,
+						Alpha:    frontier.DefaultAlpha,
+						Cancel:   func() bool { polls++; return polls > 2 },
 					})
+					bfs.ReleaseWorkspace(ws)
 				case 2: // weighted SSSP, pooled workspace
 					ws := sssp.AcquireWorkspace()
 					ws.Run(g, src, sssp.DeltaSteppingOptions{})

@@ -33,9 +33,6 @@ import (
 
 // Options configures a Stream.
 type Options struct {
-	// MaxPending, when > 0, auto-commits whenever the pending delta
-	// reaches that many distinct edge operations.
-	MaxPending int
 	// Workers bounds commit-time merge parallelism; <= 0 means
 	// par.Workers(). The published snapshot is identical either way.
 	Workers int
@@ -102,12 +99,6 @@ func NewEmpty(n int, directed, weighted bool, opt Options) (*Stream, error) {
 	}
 	return New(g, opt), nil
 }
-
-// NumVertices reports the fixed vertex-set size.
-func (s *Stream) NumVertices() int { return s.n }
-
-// Directed reports the stream's edge orientation.
-func (s *Stream) Directed() bool { return s.directed }
 
 // Pin returns the current epoch with a reference taken, or nil after
 // Close. The fast path is one atomic load and one CAS — no locks, and
@@ -200,11 +191,6 @@ func (s *Stream) apply(op pendingOp) error {
 		return errors.New("ingest: stream closed")
 	}
 	s.pending[s.key(op.u, op.v)] = op
-	if s.opt.MaxPending > 0 && len(s.pending) >= s.opt.MaxPending {
-		_, err := s.commitLocked()
-		s.mu.Unlock()
-		return err
-	}
 	s.mu.Unlock()
 	return nil
 }
@@ -220,10 +206,6 @@ func (s *Stream) Commit() (CommitStats, error) {
 	if s.closed {
 		return CommitStats{}, errors.New("ingest: stream closed")
 	}
-	return s.commitLocked()
-}
-
-func (s *Stream) commitLocked() (CommitStats, error) {
 	old := s.cur.Load()
 	if len(s.pending) == 0 {
 		return CommitStats{

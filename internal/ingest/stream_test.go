@@ -340,27 +340,8 @@ func TestStreamLastWriteWins(t *testing.T) {
 	if e.Graph().HasEdge(0, 1) {
 		t.Fatal("delete-after-add must win")
 	}
-	if w := e.Graph().Weights(2); len(w) != 1 || w[0] != 7 {
-		t.Fatalf("weights(2) = %v, want [7]", w)
-	}
-}
-
-func TestStreamAutoCommit(t *testing.T) {
-	s, err := NewEmpty(100, false, false, Options{MaxPending: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := int32(0); i < 25; i++ {
-		if err := s.Add(i, i+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Seq() != 2 {
-		t.Fatalf("seq = %d, want 2 auto-commits", s.Seq())
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", s.Pending())
+	if g := e.Graph(); g.W[g.Offsets[2]] != 7 || g.Degree(2) != 1 {
+		t.Fatalf("vertex 2's arc weights = %v, want [7]", g.W[g.Offsets[2]:g.Offsets[3]])
 	}
 }
 

@@ -41,9 +41,9 @@ func TestDiameterWithOptions(t *testing.T) {
 	if got, want := DiameterWithOptions(g, DiameterOptions{}), float64(Diameter(g)); got != want {
 		t.Fatalf("exact route: %v, want %v", got, want)
 	}
-	opt := DiameterOptions{Approx: true, Quantile: 0.95, Registers: 128, Seed: 4}
+	opt := DiameterOptions{Approx: true, Registers: 128, Seed: 4}
 	got := DiameterWithOptions(g, opt)
-	want := sketch.ANF(g, sketch.ANFOptions{Registers: 128, Seed: 4, Quantile: 0.95}).EffectiveDiameter
+	want := sketch.ANF(g, sketch.ANFOptions{Registers: 128, Seed: 4}).EffectiveDiameter
 	if got != want {
 		t.Fatalf("approx route: %v, want %v", got, want)
 	}

@@ -10,15 +10,11 @@ import (
 // DiameterOptions configures DiameterWithOptions.
 type DiameterOptions struct {
 	// Approx routes to the HyperANF sketch tier, returning the
-	// interpolated effective diameter at Quantile instead of the exact
+	// interpolated 90% effective diameter instead of the exact
 	// iFUB diameter. On large small-world graphs the sketch needs one
 	// union sweep per distance level while iFUB may re-run many full
 	// traversals — see EXPERIMENTS.md for measured ratios.
 	Approx bool
-	// Quantile is the effective-diameter quantile under Approx
-	// (0 means 0.9). Quantile 1.0 approaches the true diameter of the
-	// reachable-pair relation.
-	Quantile float64
 	// Registers is the per-vertex HLL register count under Approx
 	// (0 means 64).
 	Registers int
@@ -31,9 +27,9 @@ type DiameterOptions struct {
 }
 
 // DiameterWithOptions computes the graph diameter, exactly (iFUB, the
-// default) or approximately (HyperANF effective diameter at the given
-// quantile). The exact tier returns an integer-valued float64; the
-// approximate tier interpolates between sweep levels.
+// default) or approximately (HyperANF's 90% effective diameter). The
+// exact tier returns an integer-valued float64; the approximate tier
+// interpolates between sweep levels.
 func DiameterWithOptions(g *graph.Graph, opt DiameterOptions) float64 {
 	if !opt.Approx {
 		return float64(Diameter(g))
@@ -42,7 +38,6 @@ func DiameterWithOptions(g *graph.Graph, opt DiameterOptions) float64 {
 		Registers: opt.Registers,
 		Seed:      opt.Seed,
 		Workers:   opt.Workers,
-		Quantile:  opt.Quantile,
 	})
 	return r.EffectiveDiameter
 }

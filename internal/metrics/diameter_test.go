@@ -6,6 +6,7 @@ import (
 	"snap/internal/bfs"
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 // diameterOracle runs BFS from every vertex of the largest component.
@@ -15,8 +16,8 @@ func diameterOracle(g *graph.Graph) int {
 		if g.Degree(v) == 0 {
 			continue
 		}
-		if e := int(bfs.Serial(g, v, nil).MaxDist()); e > best {
-			best = e
+		for _, d := range bfs.Serial(g, v, nil).Dist {
+			best = max(best, int(d))
 		}
 	}
 	return best
@@ -32,11 +33,11 @@ func TestDiameterPath(t *testing.T) {
 }
 
 func TestDiameterRing(t *testing.T) {
-	g := generate.Ring(12)
+	g := oracle.Ring(12)
 	if d := Diameter(g); d != 6 {
 		t.Fatalf("C12 diameter = %d, want 6", d)
 	}
-	odd := generate.Ring(13)
+	odd := oracle.Ring(13)
 	if d := Diameter(odd); d != 6 {
 		t.Fatalf("C13 diameter = %d, want 6", d)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func TestKCoreCliqueWithTail(t *testing.T) {
@@ -28,7 +29,7 @@ func TestKCoreCliqueWithTail(t *testing.T) {
 }
 
 func TestKCoreRing(t *testing.T) {
-	g := generate.Ring(9)
+	g := oracle.Ring(9)
 	for v, c := range KCore(g) {
 		if c != 2 {
 			t.Fatalf("ring core[%d] = %d, want 2", v, c)
@@ -37,7 +38,7 @@ func TestKCoreRing(t *testing.T) {
 }
 
 func TestKCoreTree(t *testing.T) {
-	g := generate.Tree(50, 3)
+	g := oracle.Tree(50, 3)
 	for v, c := range KCore(g) {
 		if c != 1 {
 			t.Fatalf("tree core[%d] = %d, want 1", v, c)

@@ -6,6 +6,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func buildGraph(t *testing.T, n int, pairs [][2]int32) *graph.Graph {
@@ -71,7 +72,7 @@ func TestTransitivity(t *testing.T) {
 }
 
 func TestTransitivityCompleteGraph(t *testing.T) {
-	g := generate.Complete(6)
+	g := oracle.Complete(6)
 	if got := Transitivity(g, 3); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("K6 transitivity = %g", got)
 	}
@@ -87,7 +88,7 @@ func TestAssortativityStarIsNegative(t *testing.T) {
 
 func TestAssortativityRegularGraphUndefined(t *testing.T) {
 	// On a cycle every endpoint degree is 2: denominator 0 -> 0.
-	g := generate.Ring(8)
+	g := oracle.Ring(8)
 	if r := Assortativity(g); r != 0 {
 		t.Fatalf("ring assortativity = %g, want 0 (degenerate)", r)
 	}
@@ -147,11 +148,11 @@ func TestAvgPathLengthSmallWorldIsShort(t *testing.T) {
 }
 
 func TestIsBipartite(t *testing.T) {
-	even := generate.Ring(8)
+	even := oracle.Ring(8)
 	if !IsBipartite(even) {
 		t.Fatal("even cycle should be bipartite")
 	}
-	odd := generate.Ring(7)
+	odd := oracle.Ring(7)
 	if IsBipartite(odd) {
 		t.Fatal("odd cycle should not be bipartite")
 	}

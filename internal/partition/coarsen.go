@@ -472,7 +472,7 @@ func cursorsSerial(c []int64, off []int64, cn int) int64 {
 // Returns the number of levels (≥ 1).
 func (ws *Workspace) coarsenToSize(target int, seed int64, workers int) int {
 	// Cluster weight cap: the ideal coarsest vertex weight if the
-	// target is hit exactly. A cluster at the cap is ~1/CoarsenTarget
+	// target is hit exactly. A cluster at the cap is ~1/coarsenTarget
 	// of one part's weight, well inside the refinement window.
 	maxCluster := max(ws.lv[0].view.totalVW()/int64(max(target, 1)), 4)
 	levels := 1

@@ -29,7 +29,6 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 	if err := validateK(g, k); err != nil {
 		return Result{}, err
 	}
-	opt.fill()
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = par.Workers()
@@ -48,21 +47,21 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 		root.ew = ws.w0
 	}
 	ws.primeLevel0(root, opt.Stats)
-	levels := ws.coarsenToSize(k*opt.CoarsenTarget, seed, workers)
+	levels := ws.coarsenToSize(k*coarsenTarget, seed, workers)
 	if ws.stats != nil {
 		ws.stats.Levels = levels
 	}
 
 	total := ws.lv[0].view.totalVW()
 	ideal := float64(total) / float64(k)
-	maxW := int64(ideal * (1 + opt.Imbalance))
-	minW := int64(ideal * (1 - opt.Imbalance))
+	maxW := int64(ideal * (1 + imbalance))
+	minW := int64(ideal * (1 - imbalance))
 
 	coarsest := &ws.lv[levels-1]
 	coarsest.part = scratch(coarsest.part, coarsest.view.n())
 	ws.greedyGrow(coarsest.view, coarsest.part, k, total)
 	ws.ensureWorkers(workers, k)
-	ws.refineLevel(levels-1, k, maxW, minW, opt.RefinePasses, workers)
+	ws.refineLevel(levels-1, k, maxW, minW, workers)
 
 	// Uncoarsen: project and refine.
 	for li := levels - 2; li >= 0; li-- {
@@ -79,7 +78,7 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 		} else {
 			projectRange(finePart, coarsePart, coarseOf, 0, n)
 		}
-		ws.refineLevel(li, k, maxW, minW, opt.RefinePasses, workers)
+		ws.refineLevel(li, k, maxW, minW, workers)
 	}
 	ws.stats = nil // a held workspace must not keep the caller's record alive
 	return ws.resultFor(g, ws.lv[0].part, k, workers), nil
@@ -167,7 +166,7 @@ func (ws *Workspace) assignVertex(v wview, part []int32, x, p int32, ulen int) i
 
 // refineLevel runs batch-synchronous boundary refinement passes over
 // level li, then enforces the balance cap.
-func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, passes, workers int) {
+func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, workers int) {
 	v, part := ws.lv[li].view, ws.lv[li].part
 	n := v.n()
 	weights := ws.weights[:k]
@@ -186,7 +185,7 @@ func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, passes, workers in
 	if ls != nil {
 		ls.N, ls.Arcs = int64(n), int64(len(v.adj))
 	}
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		ws.shuffleOrder(order)
 		moves, evaluated := ws.runKWayPass(v, part, maxW, minW, workers)
 		if ls != nil {

@@ -200,7 +200,7 @@ func TestKWayMinimisesWeightedCut(t *testing.T) {
 }
 
 // The balance window is a hard cap: no part may exceed
-// ideal*(1+Imbalance), with one vertex of integer slack.
+// ideal*(1+imbalance), with one vertex of integer slack.
 func TestKWayBalanceRespected(t *testing.T) {
 	for _, tc := range kwayTestGraphs() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,15 +9,6 @@ import (
 
 // MultilevelOptions configures the Metis-style partitioners.
 type MultilevelOptions struct {
-	// CoarsenTarget is the coarsest-graph size per part (default 30:
-	// coarsening stops near K*30 vertices).
-	CoarsenTarget int
-	// Imbalance is the allowed part-weight overrun (default 0.05,
-	// i.e. parts may weigh up to 1.05x the ideal).
-	Imbalance float64
-	// RefinePasses bounds boundary-refinement sweeps per level
-	// (default 8).
-	RefinePasses int
 	// Seed drives matching and seeding randomness; 0 means the pinned
 	// repo default (sketch.EffectiveSeed). The partition is the same
 	// for a given seed at every worker count.
@@ -31,17 +22,15 @@ type MultilevelOptions struct {
 	Stats *Stats
 }
 
-func (o *MultilevelOptions) fill() {
-	if o.CoarsenTarget <= 0 {
-		o.CoarsenTarget = 30
-	}
-	if !(o.Imbalance > 0) {
-		o.Imbalance = 0.05
-	}
-	if o.RefinePasses <= 0 {
-		o.RefinePasses = 8
-	}
-}
+// The multilevel schemes' fixed parameters: coarsening stops near
+// k·coarsenTarget vertices, parts may weigh up to 1+imbalance times the
+// ideal, and each level runs at most refinePasses boundary-refinement
+// sweeps.
+const (
+	coarsenTarget = 30
+	imbalance     = 0.05
+	refinePasses  = 8
+)
 
 // MultilevelKWay partitions g into k parts with the multilevel k-way
 // scheme (the pmetis/kmetis analogue): parallel heavy-edge handshake
@@ -63,7 +52,6 @@ func MultilevelRecursive(g *graph.Graph, k int, opt MultilevelOptions) (Result, 
 	if err := validateK(g, k); err != nil {
 		return Result{}, err
 	}
-	opt.fill()
 	part := make([]int32, g.NumVertices())
 	w := fromGraph(g)
 	verts := make([]int32, g.NumVertices())
@@ -71,7 +59,6 @@ func MultilevelRecursive(g *graph.Graph, k int, opt MultilevelOptions) (Result, 
 		verts[i] = int32(i)
 	}
 	rb := &recursiveBisector{
-		opt:    opt,
 		seed:   sketch.EffectiveSeed(opt.Seed),
 		part:   part,
 		bisect: multilevelBisect,
@@ -83,12 +70,11 @@ func MultilevelRecursive(g *graph.Graph, k int, opt MultilevelOptions) (Result, 
 // recursiveBisector drives recursive bisection over induced weighted
 // subgraphs, writing final part ids into part.
 type recursiveBisector struct {
-	opt  MultilevelOptions
 	seed int64 // effective seed; each split derives its own stream
 	part []int32
 	// bisect computes a 2-way split of w with the given target weight
 	// fraction for side 0; returns side ids (0/1) per wgraph vertex.
-	bisect func(w *wgraph, frac float64, opt MultilevelOptions, rng *rand.Rand) ([]int32, error)
+	bisect func(w *wgraph, frac float64, rng *rand.Rand) ([]int32, error)
 	err    error
 }
 
@@ -113,7 +99,7 @@ func (rb *recursiveBisector) split(w *wgraph, verts []int32, base, k int) {
 	kr := k - kl
 	frac := float64(kl) / float64(k)
 	rng := sketch.NewRNG(rb.splitSeed(base, k))
-	side, err := rb.bisect(w, frac, rb.opt, rng)
+	side, err := rb.bisect(w, frac, rng)
 	if err != nil {
 		rb.err = err
 		return
@@ -188,11 +174,11 @@ func inducedSplit(w *wgraph, verts []int32, side []int32) (*wgraph, []int32, *wg
 
 // multilevelBisect bisects a weighted graph with the full multilevel
 // pipeline, aiming for weight fraction frac on side 0.
-func multilevelBisect(w *wgraph, frac float64, opt MultilevelOptions, rng *rand.Rand) ([]int32, error) {
-	levels, maps := coarsenHierarchy(w, 2*opt.CoarsenTarget, int64(rng.Uint64()))
+func multilevelBisect(w *wgraph, frac float64, rng *rand.Rand) ([]int32, error) {
+	levels, maps := coarsenHierarchy(w, 2*coarsenTarget, int64(rng.Uint64()))
 	coarsest := levels[len(levels)-1]
 	side := growBisection(coarsest, frac, rng)
-	refineBisection(coarsest, side, frac, opt, rng)
+	refineBisection(coarsest, side, frac, rng)
 	for li := len(levels) - 2; li >= 0; li-- {
 		fine := levels[li]
 		coarseOf := maps[li]
@@ -201,7 +187,7 @@ func multilevelBisect(w *wgraph, frac float64, opt MultilevelOptions, rng *rand.
 			fineSide[v] = side[coarseOf[v]]
 		}
 		side = fineSide
-		refineBisection(fine, side, frac, opt, rng)
+		refineBisection(fine, side, frac, rng)
 	}
 	return side, nil
 }

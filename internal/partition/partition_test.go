@@ -2,11 +2,11 @@ package partition
 
 import (
 	"errors"
-
 	"testing"
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func validPartition(t *testing.T, name string, g *graph.Graph, r Result, k int) {
@@ -52,7 +52,7 @@ func TestEdgeCutAndBalance(t *testing.T) {
 }
 
 func TestValidateK(t *testing.T) {
-	g := generate.Ring(8)
+	g := oracle.Ring(8)
 	if _, err := MultilevelKWay(g, 1, MultilevelOptions{}); err == nil {
 		t.Fatal("k=1 should error")
 	}
@@ -119,14 +119,14 @@ func TestSpectralOnTwoCliques(t *testing.T) {
 	edges = append(edges, graph.Edge{U: 0, V: 10})
 	g, _ := graph.Build(20, edges, graph.BuildOptions{})
 
-	r, err := SpectralRQI(g, 2, SpectralOptions{Seed: 4, Refine: true})
+	r, err := SpectralRQI(g, 2, SpectralOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.EdgeCut != 1 {
 		t.Fatalf("spectral RQI two-clique cut = %d, want 1", r.EdgeCut)
 	}
-	r2, err := SpectralLanczos(g, 2, SpectralOptions{Seed: 4, Refine: true})
+	r2, err := SpectralLanczos(g, 2, SpectralOptions{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestSpectralOnTwoCliques(t *testing.T) {
 
 func TestSpectralRQIOnMesh(t *testing.T) {
 	g := generate.RoadMesh(24, 24, 0, 5)
-	r, err := SpectralRQI(g, 4, SpectralOptions{Seed: 5, Refine: true})
+	r, err := SpectralRQI(g, 4, SpectralOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSpectralRQIOnMesh(t *testing.T) {
 
 func TestSpectralLanczosOnMesh(t *testing.T) {
 	g := generate.RoadMesh(16, 16, 0, 6)
-	r, err := SpectralLanczos(g, 2, SpectralOptions{Seed: 6, Refine: true})
+	r, err := SpectralLanczos(g, 2, SpectralOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

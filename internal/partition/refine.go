@@ -69,12 +69,12 @@ func growBisection(w *wgraph, frac float64, rng *rand.Rand) []int32 {
 
 // refineBisection is two-part boundary refinement with a weight target
 // of frac for side 0.
-func refineBisection(w *wgraph, side []int32, frac float64, opt MultilevelOptions, rng *rand.Rand) {
+func refineBisection(w *wgraph, side []int32, frac float64, rng *rand.Rand) {
 	n := w.n()
 	total := w.totalVW()
 	target0 := float64(total) * frac
-	max0 := int64(target0 * (1 + opt.Imbalance))
-	min0 := int64(target0 * (1 - opt.Imbalance))
+	max0 := int64(target0 * (1 + imbalance))
+	min0 := int64(target0 * (1 - imbalance))
 	var w0 int64
 	for v := 0; v < n; v++ {
 		if side[v] == 0 {
@@ -82,7 +82,7 @@ func refineBisection(w *wgraph, side []int32, frac float64, opt MultilevelOption
 		}
 	}
 	order := rng.Perm(n)
-	for pass := 0; pass < opt.RefinePasses; pass++ {
+	for pass := 0; pass < refinePasses; pass++ {
 		moves := 0
 		for _, vi := range order {
 			v := int32(vi)

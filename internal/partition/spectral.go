@@ -22,15 +22,8 @@ type SpectralOptions struct {
 	// budget yields ErrNoConvergence, mirroring the Chaco failures the
 	// paper reports on small-world instances.
 	Tolerance float64
-	// Refine applies boundary refinement after each median split
-	// (Chaco's spectral+KL mode). The zero value leaves it off, as
-	// Table 1's Chaco columns run.
-	Refine bool
 	// Seed drives the random starting vectors.
 	Seed int64
-
-	refinePasses int
-	imbalance    float64
 }
 
 func (o *SpectralOptions) fill(defaultIter int) {
@@ -40,8 +33,6 @@ func (o *SpectralOptions) fill(defaultIter int) {
 	if !(o.Tolerance > 0) {
 		o.Tolerance = 1e-4
 	}
-	o.refinePasses = 4
-	o.imbalance = 0.05
 }
 
 // SpectralRQI partitions g into k parts by recursive spectral
@@ -77,12 +68,10 @@ func spectralRecursive(g *graph.Graph, k int, opt SpectralOptions, fiedler fiedl
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	mlOpt := MultilevelOptions{Imbalance: opt.imbalance, RefinePasses: opt.refinePasses, Seed: opt.Seed}
 	rb := &recursiveBisector{
-		opt:  mlOpt,
 		seed: sketch.EffectiveSeed(opt.Seed),
 		part: part,
-		bisect: func(w *wgraph, frac float64, _ MultilevelOptions, rng *rand.Rand) ([]int32, error) {
+		bisect: func(w *wgraph, frac float64, rng *rand.Rand) ([]int32, error) {
 			return spectralBisect(w, frac, opt, fiedler, rng)
 		},
 	}
@@ -137,10 +126,6 @@ func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedle
 		} else {
 			side[v] = 1
 		}
-	}
-	if opt.Refine {
-		mlOpt := MultilevelOptions{Imbalance: opt.imbalance, RefinePasses: opt.refinePasses, Seed: opt.Seed}
-		refineBisection(w, side, frac, mlOpt, rng)
 	}
 	return side, nil
 }

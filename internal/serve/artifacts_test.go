@@ -50,8 +50,8 @@ func commitRandomBatch(t *testing.T, st *ingest.Stream, rng *rand.Rand, adds, de
 	t.Helper()
 	e := st.Pin()
 	ends := e.Graph().EdgeEndpoints()
+	n := int32(e.Graph().NumVertices())
 	e.Close()
-	n := int32(st.NumVertices())
 	for i := 0; i < dels; i++ {
 		d := ends[rng.Intn(len(ends))]
 		if err := st.Delete(d.U, d.V); err != nil {

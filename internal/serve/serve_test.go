@@ -20,7 +20,7 @@ import (
 	"snap/internal/generate"
 	"snap/internal/graph"
 	"snap/internal/ingest"
-	"snap/internal/sssp"
+	"snap/internal/oracle"
 )
 
 func testGraph(t *testing.T) *graph.Graph {
@@ -129,7 +129,7 @@ func TestSSSPMatchesKernel(t *testing.T) {
 	g := weightedGraph(t)
 	_, ts := newTestServer(t, Config{CoalesceWindow: 100 * time.Microsecond}, g)
 	for _, src := range []int32{0, 17, 400} {
-		want := sssp.Dijkstra(g, src)
+		want := oracle.Dijkstra(g, src)
 		var got distResp
 		url := fmt.Sprintf("%s/graphs/g/sssp?src=%d&dst=1,2,3,499", ts.URL, src)
 		if code := getJSON(t, url, &got); code != 200 {

@@ -30,9 +30,6 @@ type ANFOptions struct {
 	// graphs where that is a handful; on mesh-like graphs with huge
 	// diameters, bound it or use the exact tier.
 	MaxSweeps int
-	// Quantile is the effective-diameter quantile (0 means 0.9, the
-	// conventional "90% of reachable pairs" definition).
-	Quantile float64
 	// Stats, when non-nil, receives a per-sweep record of the run. It
 	// changes nothing about the result.
 	Stats *ANFStats
@@ -51,7 +48,7 @@ type ANFResult struct {
 	// neighborhood (reachable-set) size at convergence.
 	Reach []float64
 	// EffectiveDiameter is the interpolated smallest t such that NF(t)
-	// covers Quantile of all reachable pairs.
+	// covers 90% of all reachable pairs, the conventional definition.
 	EffectiveDiameter float64
 	// AvgPathLength is the mean distance over reachable ordered pairs
 	// (self-pairs excluded), estimated from successive NF differences.
@@ -126,13 +123,6 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 		workers = n
 	}
 	p := makeParams(opt.Registers)
-	quantile := opt.Quantile
-	if !(quantile > 0) {
-		quantile = 0.9
-	}
-	if quantile > 1 {
-		quantile = 1
-	}
 	ws.resize(n, p, workers)
 	st := opt.Stats
 	if st != nil {
@@ -255,7 +245,7 @@ func (ws *ANFWorkspace) Run(g *graph.Graph, opt ANFOptions) ANFResult {
 		Sweeps:    sweeps,
 		Registers: p.regs,
 	}
-	res.EffectiveDiameter = effectiveDiameter(ws.nf, quantile)
+	res.EffectiveDiameter = effectiveDiameter(ws.nf, 0.9)
 	res.AvgPathLength = anfAvgPath(ws.nf)
 	for t := len(ws.nf) - 1; t >= 1; t-- {
 		if ws.nf[t] > ws.nf[t-1] {

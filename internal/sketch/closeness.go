@@ -11,17 +11,11 @@ import (
 // ClosenessOptions configures the Eppstein–Wang sampled closeness
 // estimator.
 type ClosenessOptions struct {
-	// Samples is the number of BFS pivots. <= 0 derives the count from
-	// Epsilon and Confidence via the Hoeffding bound below.
+	// Samples is the number of BFS pivots. <= 0 derives the count
+	// from the Hoeffding bound below: every vertex's estimated average
+	// distance within 0.1·Δ, the graph's diameter (Eppstein–Wang's
+	// error unit), with probability 0.95 for all n vertices at once.
 	Samples int
-	// Epsilon is the target additive error of each vertex's estimated
-	// average distance, as a fraction of the graph's diameter Δ
-	// (Eppstein–Wang's error unit). 0 means 0.1.
-	Epsilon float64
-	// Confidence is the probability that EVERY vertex's estimate is
-	// within Epsilon·Δ (a union bound over the n per-vertex Hoeffding
-	// events). 0 means 0.95.
-	Confidence float64
 	// Seed drives pivot sampling; 0 means the documented deterministic
 	// default (DefaultSeed).
 	Seed int64
@@ -42,7 +36,7 @@ type ClosenessResult struct {
 	// vertex's estimated average distance is within Epsilon·Δ of the
 	// truth with probability Confidence.
 	Epsilon float64
-	// Confidence echoes the confidence level the bound was solved at.
+	// Confidence is the confidence level the bound was solved at, 0.95.
 	Confidence float64
 }
 
@@ -107,13 +101,10 @@ func Closeness(g *graph.Graph, opt ClosenessOptions) ClosenessResult {
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	confidence := opt.Confidence
-	if !(confidence > 0 && confidence < 1) {
-		confidence = 0.95
-	}
+	const confidence = 0.95
 	samples := opt.Samples
 	if samples <= 0 {
-		samples = ClosenessSamples(n, opt.Epsilon, confidence)
+		samples = ClosenessSamples(n, 0.1, confidence)
 	}
 	if samples > n {
 		samples = n

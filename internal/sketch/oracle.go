@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"snap/internal/bfs"
-	"snap/internal/frontier"
 	"snap/internal/graph"
 	"snap/internal/par"
 )
@@ -14,18 +13,6 @@ type OracleOptions struct {
 	// Landmarks is the number of pivot vertices k; 0 means 16. Build
 	// cost is one BFS sweep per landmark; queries cost O(k).
 	Landmarks int
-	// Strategy selects the pivots:
-	//   "degree"   — the k highest-degree vertices (default; hubs sit
-	//                on many shortest paths, tightening upper bounds).
-	//   "farthest" — greedy k-center sweep: each landmark is the
-	//                vertex farthest from those already chosen, so
-	//                landmarks spread across the graph (and across
-	//                components), tightening lower bounds.
-	//   "random"   — seeded uniform sample (the unbiased baseline).
-	Strategy string
-	// Seed drives the "random" strategy (and tie-breaking is
-	// deterministic everywhere); 0 means the documented default.
-	Seed int64
 	// Workers bounds parallelism of the build sweeps; <= 0 means
 	// par.Workers().
 	Workers int
@@ -46,11 +33,13 @@ type Oracle struct {
 	dist      []int32 // row i = distances from landmarks[i]; -1 unreached
 }
 
-// BuildOracle selects k landmarks and runs one multi-source BFS sweep
-// to record their distance vectors. Directed graphs are rejected: the
-// two-sided triangle-inequality bracket needs a symmetric metric (wrap
-// the graph with graph.Undirected first, or serve one-sided bounds
-// from a future directed variant).
+// BuildOracle selects the k highest-degree vertices as landmarks (hubs
+// sit on many shortest paths, tightening upper bounds; ties toward the
+// smaller id) and runs one multi-source BFS sweep to record their
+// distance vectors. Directed graphs are rejected: the two-sided
+// triangle-inequality bracket needs a symmetric metric (wrap the graph
+// with graph.Undirected first, or serve one-sided bounds from a future
+// directed variant).
 func BuildOracle(g *graph.Graph, opt OracleOptions) (*Oracle, error) {
 	if g.Directed() {
 		return nil, fmt.Errorf("sketch: landmark oracle requires an undirected graph (triangle-inequality bounds need a symmetric metric); symmetrize with graph.Undirected first")
@@ -71,27 +60,11 @@ func BuildOracle(g *graph.Graph, opt OracleOptions) (*Oracle, error) {
 	if n == 0 || k == 0 {
 		return o, nil
 	}
-	if opt.Strategy == "farthest" {
-		// The k-center sweep fills the distance rows as it selects, one
-		// BFS per landmark.
-		o.buildFarthest(g, k, workers)
-		return o, nil
-	}
-
-	var landmarks []int32
-	switch opt.Strategy {
-	case "", "degree":
-		landmarks = topDegree(g, k)
-	case "random":
-		landmarks = SampleVertices(n, k, opt.Seed)
-	default:
-		return nil, fmt.Errorf("sketch: unknown landmark strategy %q (want degree, farthest, or random)", opt.Strategy)
-	}
-	o.landmarks = landmarks
-	o.dist = make([]int32, len(landmarks)*n)
+	o.landmarks = topDegree(g, k)
+	o.dist = make([]int32, len(o.landmarks)*n)
 	// One pooled-workspace BFS per landmark, landmarks processed
 	// concurrently; each fills its own disjoint row.
-	bfs.MultiSourceWorkspace(g, landmarks, -1, workers, func(_, i int, ws *bfs.Workspace) {
+	bfs.MultiSourceWorkspace(g, o.landmarks, -1, workers, func(_, i int, ws *bfs.Workspace) {
 		o.fillRow(i, ws)
 	})
 	return o, nil
@@ -106,69 +79,6 @@ func (o *Oracle) fillRow(i int, ws *bfs.Workspace) {
 	}
 	for _, v := range ws.Order() {
 		row[v] = ws.Dist(v)
-	}
-}
-
-// buildFarthest runs the greedy k-center selection: start from the
-// max-degree vertex, then repeatedly take the vertex maximizing the
-// distance to the chosen set (unreached vertices count as infinitely
-// far, so each new component is covered before refinement continues).
-// Ties break toward the smaller vertex id, making the selection
-// deterministic. The selection BFS runs double as the oracle rows.
-func (o *Oracle) buildFarthest(g *graph.Graph, k, workers int) {
-	n := o.n
-	o.dist = make([]int32, 0, k*n)
-	minDist := make([]int32, n) // distance to the chosen landmark set; -1 = unreached
-	for i := range minDist {
-		minDist[i] = -1
-	}
-	ws := bfs.AcquireWorkspace(n)
-	defer bfs.ReleaseWorkspace(ws)
-	opt := frontier.Options{Workers: workers, MaxDepth: -1, Alpha: frontier.DefaultAlpha}
-
-	next := int32(0)
-	for v := int32(1); int(v) < n; v++ {
-		if g.Degree(v) > g.Degree(next) {
-			next = v
-		}
-	}
-	for len(o.landmarks) < k {
-		o.landmarks = append(o.landmarks, next)
-		ws.RunOptions(g, next, opt)
-		row := o.dist[len(o.dist) : len(o.dist)+n]
-		o.dist = o.dist[:len(o.dist)+n]
-		for j := range row {
-			row[j] = -1
-		}
-		for _, v := range ws.Order() {
-			d := ws.Dist(v)
-			row[v] = d
-			if minDist[v] == -1 || d < minDist[v] {
-				minDist[v] = d
-			}
-		}
-		// Farthest-from-set vertex: the first still-unreached vertex if
-		// any (a fresh component), else the max finite distance (ties
-		// toward the smaller id — the ascending scan keeps the first).
-		next = -1
-		for v := 0; v < n; v++ {
-			if minDist[v] == -1 {
-				next = int32(v)
-				break
-			}
-		}
-		if next == -1 {
-			var bestD int32
-			for v := 0; v < n; v++ {
-				if minDist[v] > bestD {
-					bestD = minDist[v]
-					next = int32(v)
-				}
-			}
-			if next == -1 {
-				break // every vertex is at distance 0 from the set
-			}
-		}
 	}
 }
 
@@ -235,16 +145,6 @@ func topDegree(g *graph.Graph, k int) []int32 {
 	return out
 }
 
-// Landmarks returns the selected pivot vertices (read-only).
-func (o *Oracle) Landmarks() []int32 { return o.landmarks }
-
-// NumVertices reports the vertex count the oracle was built for.
-func (o *Oracle) NumVertices() int { return o.n }
-
-// LandmarkDist reports the exact BFS distance from landmark index i to
-// v (-1 when unreached).
-func (o *Oracle) LandmarkDist(i int, v int32) int32 { return o.dist[i*o.n+int(v)] }
-
 // Estimate brackets d(s, t) by the triangle inequality over every
 // landmark: lo <= d(s, t) <= hi. Exact (lo == hi) whenever s or t is a
 // landmark or some landmark lies on a shortest s–t path. Returns
@@ -280,15 +180,4 @@ func (o *Oracle) Estimate(s, t int32) (lo, hi int32) {
 		}
 	}
 	return lo, hi
-}
-
-// Distance returns the midpoint point estimate from Estimate's
-// bracket, or -1 for pairs the landmarks prove (or cannot refute as)
-// disconnected. The serving-path convenience: one number per query.
-func (o *Oracle) Distance(s, t int32) int32 {
-	lo, hi := o.Estimate(s, t)
-	if lo < 0 {
-		return -1
-	}
-	return (lo + hi) / 2
 }

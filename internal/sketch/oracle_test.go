@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"slices"
 	"testing"
 
 	"snap/internal/bfs"
@@ -55,8 +56,9 @@ func twoComponentGraph(t testing.TB) *graph.Graph {
 }
 
 // TestOracleBoundsBracketExact checks lo <= d <= hi for every pair on
-// several families and all three strategies, and that disconnected
-// pairs are reported as such.
+// several families, that disconnected pairs are reported as such, and
+// that a connected pair in a component holding no landmark (twocomp's
+// ring: its degrees are all 2, below every blob hub's) is unresolved.
 func TestOracleBoundsBracketExact(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -70,43 +72,51 @@ func TestOracleBoundsBracketExact(t *testing.T) {
 	for _, tc := range graphs {
 		exact := exactDistances(tc.g)
 		n := tc.g.NumVertices()
-		for _, strat := range []string{"degree", "farthest", "random"} {
-			o, err := BuildOracle(tc.g, OracleOptions{Landmarks: 8, Strategy: strat, Seed: 1})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", tc.name, strat, err)
-			}
-			for s := int32(0); int(s) < n; s++ {
-				for u := int32(0); int(u) < n; u++ {
-					d := exact[s][u]
-					lo, hi := o.Estimate(s, u)
-					if d < 0 {
-						// Disconnected pair: the oracle must never return a
-						// finite bracket (a landmark reaching both would
-						// prove connectivity).
-						if hi >= 0 {
-							t.Fatalf("%s/%s: disconnected pair (%d,%d) got bracket [%d,%d]", tc.name, strat, s, u, lo, hi)
-						}
-						continue
+		o, err := BuildOracle(tc.g, OracleOptions{Landmarks: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		unresolved := 0
+		for s := int32(0); int(s) < n; s++ {
+			for u := int32(0); int(u) < n; u++ {
+				d := exact[s][u]
+				lo, hi := o.Estimate(s, u)
+				if d < 0 {
+					// Disconnected pair: the oracle must never return a
+					// finite bracket (a landmark reaching both would
+					// prove connectivity).
+					if hi >= 0 {
+						t.Fatalf("%s: disconnected pair (%d,%d) got bracket [%d,%d]", tc.name, s, u, lo, hi)
 					}
-					if hi < 0 {
-						// Connected pair in a component with no landmark —
-						// only possible when the strategy doesn't cover
-						// components; farthest must always cover.
-						if strat == "farthest" {
-							t.Fatalf("%s/farthest: connected pair (%d,%d) unresolved", tc.name, s, u)
-						}
-						continue
+					continue
+				}
+				if hi < 0 {
+					// Connected pair in a component with no landmark.
+					if lo != -1 || hi != -1 || landmarkReaches(o, s) || landmarkReaches(o, u) {
+						t.Fatalf("%s: connected pair (%d,%d) unresolved as [%d,%d] although a landmark reaches it", tc.name, s, u, lo, hi)
 					}
-					if lo > d || d > hi {
-						t.Fatalf("%s/%s: pair (%d,%d) d=%d outside [%d,%d]", tc.name, strat, s, u, d, lo, hi)
-					}
-					if est := o.Distance(s, u); est < lo || est > hi {
-						t.Fatalf("%s/%s: midpoint %d outside [%d,%d]", tc.name, strat, est, lo, hi)
-					}
+					unresolved++
+					continue
+				}
+				if lo > d || d > hi {
+					t.Fatalf("%s: pair (%d,%d) d=%d outside [%d,%d]", tc.name, s, u, d, lo, hi)
 				}
 			}
 		}
+		if tc.name == "twocomp" && unresolved != 10*9 {
+			t.Fatalf("twocomp: %d unresolved pairs, want the ring's 90 ordered pairs", unresolved)
+		}
 	}
+}
+
+// landmarkReaches reports whether some landmark of o reaches v.
+func landmarkReaches(o *Oracle, v int32) bool {
+	for i := range o.landmarks {
+		if o.dist[i*o.n+int(v)] >= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // TestOracleExactAtLandmarks pins that queries touching a landmark are
@@ -118,7 +128,7 @@ func TestOracleExactAtLandmarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, l := range o.Landmarks() {
+	for i, l := range o.landmarks {
 		for v := int32(0); int(v) < g.NumVertices(); v++ {
 			d := exact[l][v]
 			lo, hi := o.Estimate(l, v)
@@ -131,19 +141,18 @@ func TestOracleExactAtLandmarks(t *testing.T) {
 			if lo != d || hi != d {
 				t.Fatalf("landmark %d to %d: [%d,%d], want exact %d", l, v, lo, hi, d)
 			}
-			if got := o.LandmarkDist(i, v); got != d {
-				t.Fatalf("LandmarkDist(%d,%d) = %d, want %d", i, v, got, d)
+			if got := o.dist[i*o.n+int(v)]; got != d {
+				t.Fatalf("landmark row %d at %d = %d, want %d", i, v, got, d)
 			}
 		}
 	}
 }
 
-// TestOracleStrategies pins strategy-specific selection behavior.
+// TestOracleStrategies pins landmark selection: the k highest-degree
+// vertices, the max-degree vertex first, all in twocomp's blob.
 func TestOracleStrategies(t *testing.T) {
 	g := twoComponentGraph(t)
-
-	// Degree: first landmark is the max-degree vertex.
-	o, err := BuildOracle(g, OracleOptions{Landmarks: 4, Strategy: "degree"})
+	o, err := BuildOracle(g, OracleOptions{Landmarks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,45 +162,13 @@ func TestOracleStrategies(t *testing.T) {
 			best = v
 		}
 	}
-	found := false
-	for _, l := range o.Landmarks() {
-		if l == best {
-			found = true
+	if len(o.landmarks) != 4 || o.landmarks[0] != best {
+		t.Fatalf("landmarks %v, want 4 led by the max-degree vertex %d", o.landmarks, best)
+	}
+	for _, l := range o.landmarks {
+		if l >= 30 {
+			t.Fatalf("landmark %d lies in the ring, whose degrees are all 2", l)
 		}
-	}
-	if !found {
-		t.Fatalf("degree strategy skipped the max-degree vertex %d (landmarks %v)", best, o.Landmarks())
-	}
-
-	// Farthest: with k >= 2 it must place a landmark in each component.
-	o, err = BuildOracle(g, OracleOptions{Landmarks: 2, Strategy: "farthest"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var inA, inB bool
-	for _, l := range o.Landmarks() {
-		if l < 30 {
-			inA = true
-		} else {
-			inB = true
-		}
-	}
-	if !inA || !inB {
-		t.Fatalf("farthest strategy left a component uncovered: landmarks %v", o.Landmarks())
-	}
-
-	// Random: deterministic per seed, differs across seeds (usually).
-	a1, _ := BuildOracle(g, OracleOptions{Landmarks: 5, Strategy: "random", Seed: 3})
-	a2, _ := BuildOracle(g, OracleOptions{Landmarks: 5, Strategy: "random", Seed: 3})
-	for i := range a1.Landmarks() {
-		if a1.Landmarks()[i] != a2.Landmarks()[i] {
-			t.Fatal("random strategy not deterministic for a fixed seed")
-		}
-	}
-
-	// Unknown strategy errors.
-	if _, err = BuildOracle(g, OracleOptions{Strategy: "bogus"}); err == nil {
-		t.Fatal("unknown strategy accepted")
 	}
 
 	// Directed graphs are rejected.
@@ -204,29 +181,29 @@ func TestOracleStrategies(t *testing.T) {
 	}
 }
 
-// TestOracleWorkerInvariance pins bitwise-identical distance rows at
-// every worker count.
+// TestOracleWorkerInvariance pins bitwise-identical landmarks and
+// distance rows at every worker count, on all four bracket graphs.
 func TestOracleWorkerInvariance(t *testing.T) {
-	g := generate.RMAT(500, 2000, generate.DefaultRMAT(), 6)
-	for _, strat := range []string{"degree", "farthest", "random"} {
-		base, err := BuildOracle(g, OracleOptions{Landmarks: 6, Strategy: strat, Seed: 2, Workers: 1})
+	for _, g := range []*graph.Graph{
+		generate.RMAT(500, 2000, generate.DefaultRMAT(), 6),
+		generate.ErdosRenyi(150, 600, 4),
+		pathGraph(t, 64),
+		twoComponentGraph(t),
+	} {
+		base, err := BuildOracle(g, OracleOptions{Landmarks: 6, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, 4} {
-			got, err := BuildOracle(g, OracleOptions{Landmarks: 6, Strategy: strat, Seed: 2, Workers: w})
+			got, err := BuildOracle(g, OracleOptions{Landmarks: 6, Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := range base.Landmarks() {
-				if base.Landmarks()[i] != got.Landmarks()[i] {
-					t.Fatalf("%s workers=%d: landmark %d differs", strat, w, i)
-				}
+			if !slices.Equal(base.landmarks, got.landmarks) {
+				t.Fatalf("n=%d workers=%d: landmarks %v, want %v", g.NumVertices(), w, got.landmarks, base.landmarks)
 			}
-			for i := range base.dist {
-				if base.dist[i] != got.dist[i] {
-					t.Fatalf("%s workers=%d: dist[%d] differs", strat, w, i)
-				}
+			if !slices.Equal(base.dist, got.dist) {
+				t.Fatalf("n=%d workers=%d: distance rows differ", g.NumVertices(), w)
 			}
 		}
 	}
@@ -261,8 +238,8 @@ func TestOracleEmptyAndSingleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.NumVertices() != 0 || len(o.Landmarks()) != 0 {
-		t.Fatalf("empty oracle: %d vertices, %d landmarks", o.NumVertices(), len(o.Landmarks()))
+	if o.n != 0 || len(o.landmarks) != 0 {
+		t.Fatalf("empty oracle: %d vertices, %d landmarks", o.n, len(o.landmarks))
 	}
 	single, err := graph.Build(1, nil, graph.BuildOptions{})
 	if err != nil {

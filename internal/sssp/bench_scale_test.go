@@ -8,6 +8,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 // benchScale returns the RMAT scale for the weighted SSSP benchmarks:
@@ -51,7 +52,7 @@ func BenchmarkDijkstraRMAT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Dijkstra(g, 0)
+		oracle.Dijkstra(g, 0)
 	}
 }
 

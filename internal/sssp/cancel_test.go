@@ -6,6 +6,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 // TestDeltaSteppingCancelThenReuse pins the abort path's clean-state
@@ -22,7 +23,7 @@ func TestDeltaSteppingCancelThenReuse(t *testing.T) {
 	defer ReleaseWorkspace(ws)
 
 	check := func(stage string, g *graph.Graph, delta float64, src int32) {
-		want := Dijkstra(g, src)
+		want := oracle.Dijkstra(g, src)
 		ws.Run(g, src, DeltaSteppingOptions{Delta: delta, Workers: 2})
 		for v := range want.Dist {
 			if math.Float64bits(ws.Dist()[v]) != math.Float64bits(want.Dist[v]) {

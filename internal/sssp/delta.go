@@ -108,15 +108,6 @@ func ReleaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
 // vertices. The slice is workspace-owned: valid until the next Run.
 func (ws *Workspace) Dist() []float64 { return ws.dist }
 
-// Parent returns the shortest-path-tree parent array of the last Run:
-// Parent[src] = src, unreachable vertices -1, and every other reached
-// vertex the deterministic minimum-arc-index certifying parent (see
-// Run). Workspace-owned; valid until the next Run.
-func (ws *Workspace) Parent() []int32 { return ws.parent }
-
-// Result bundles the workspace-owned Dist and Parent slices.
-func (ws *Workspace) Result() Result { return Result{Dist: ws.dist, Parent: ws.parent} }
-
 // Reached returns the vertices reached by the last Run (including the
 // source), in no particular order. Serving layers summarize a run —
 // reached count, distance sum, maximum — in O(reached) from this slice

@@ -9,6 +9,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 // reweight returns a weighted copy of g with weights drawn by pick.
@@ -120,7 +121,7 @@ func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 	workerCounts := []int{1, 2, 3, runtime.NumCPU()}
 	for _, c := range cases {
 		src := int32(1)
-		want := Dijkstra(c.g, src)
+		want := oracle.Dijkstra(c.g, src)
 		oracle := parentOracle(c.g, src, want.Dist)
 		for _, delta := range deltas {
 			for _, workers := range workerCounts {
@@ -147,7 +148,7 @@ func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 func TestDeltaSteppingWorkspaceReuseManySources(t *testing.T) {
 	g1 := reweight(generate.RMAT(300, 1200, generate.DefaultRMAT(), 5), uniformW, 21)
 	g2 := reweight(generate.ErdosRenyi(140, 500, 6), heavyTailW, 22)
-	want1, want2 := map[int32]Result{}, map[int32]Result{}
+	want1, want2 := map[int32]oracle.Paths{}, map[int32]oracle.Paths{}
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
 	for i := 0; i < 64; i++ {
@@ -157,7 +158,7 @@ func TestDeltaSteppingWorkspaceReuseManySources(t *testing.T) {
 		}
 		src := int32((i * 17) % g.NumVertices())
 		if _, ok := want[src]; !ok {
-			want[src] = Dijkstra(g, src)
+			want[src] = oracle.Dijkstra(g, src)
 		}
 		delta := 0.0
 		if i%5 == 4 {
@@ -170,8 +171,8 @@ func TestDeltaSteppingWorkspaceReuseManySources(t *testing.T) {
 			if math.Float64bits(ws.Dist()[v]) != math.Float64bits(exp.Dist[v]) {
 				t.Fatalf("run %d src %d: dist[%d] = %g, want %g", i, src, v, ws.Dist()[v], exp.Dist[v])
 			}
-			if ws.Parent()[v] != oracle[v] {
-				t.Fatalf("run %d src %d: parent[%d] = %d, want %d", i, src, v, ws.Parent()[v], oracle[v])
+			if ws.parent[v] != oracle[v] {
+				t.Fatalf("run %d src %d: parent[%d] = %d, want %d", i, src, v, ws.parent[v], oracle[v])
 			}
 		}
 	}
@@ -193,7 +194,7 @@ func TestDeltaSteppingFarOverflow(t *testing.T) {
 		}
 	}
 	g := graph.MustBuild(120, edges, graph.BuildOptions{Weighted: true})
-	want := Dijkstra(g, 0)
+	want := oracle.Dijkstra(g, 0)
 	oracle := parentOracle(g, 0, want.Dist)
 	for _, workers := range []int{1, 3} {
 		got := DeltaStepping(g, 0, DeltaSteppingOptions{Delta: 0.5, Workers: workers})
@@ -258,14 +259,14 @@ func TestDeltaSteppingUnweightedWorkspace(t *testing.T) {
 	defer ReleaseWorkspace(ws)
 	for _, src := range []int32{0, 7, 123, 7} {
 		ws.Run(g, src, DeltaSteppingOptions{})
-		want := Dijkstra(g, src)
+		want := oracle.Dijkstra(g, src)
 		for v := range want.Dist {
 			if ws.Dist()[v] != want.Dist[v] {
 				t.Fatalf("src %d: dist[%d] = %g, want %g", src, v, ws.Dist()[v], want.Dist[v])
 			}
 		}
-		if ws.Parent()[src] != src {
-			t.Fatalf("src %d: parent[src] = %d", src, ws.Parent()[src])
+		if ws.parent[src] != src {
+			t.Fatalf("src %d: parent[src] = %d", src, ws.parent[src])
 		}
 	}
 }
@@ -316,7 +317,7 @@ func TestDeltaSteppingHeavyRoundingReentry(t *testing.T) {
 	}
 	for _, directed := range []bool{true, false} {
 		g := graph.MustBuild(5, edges, graph.BuildOptions{Directed: directed, Weighted: true})
-		want := Dijkstra(g, 0)
+		want := oracle.Dijkstra(g, 0)
 		if math.IsInf(want.Dist[3], 1) {
 			t.Fatal("scenario lost its path to vertex 3")
 		}
@@ -357,7 +358,7 @@ func TestDeltaSteppingAllHeavyReentryAliasing(t *testing.T) {
 		{U: 0, V: 5, W: reentryDelta * 20000}, // far list: regression fails loud, not livelocked
 	}
 	g := graph.MustBuild(7, edges, graph.BuildOptions{Weighted: true})
-	want := Dijkstra(g, 0)
+	want := oracle.Dijkstra(g, 0)
 	if math.IsInf(want.Dist[6], 1) {
 		t.Fatal("scenario lost its path to vertex 6")
 	}
@@ -386,7 +387,7 @@ func TestDeltaSteppingStats(t *testing.T) {
 				ws := AcquireWorkspace()
 				ws.Run(g, 0, DeltaSteppingOptions{Workers: workers, Delta: delta, Stats: sp})
 				h := fnv.New64a()
-				resultHash(h, ws.Dist(), ws.Parent())
+				resultHash(h, ws.Dist(), ws.parent)
 				hashes[i] = h.Sum64()
 				var reachedArcs int64
 				for _, v := range ws.Reached() {

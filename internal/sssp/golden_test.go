@@ -60,7 +60,7 @@ func TestDeltaSteppingGoldens(t *testing.T) {
 			h := fnv.New64a()
 			for _, src := range []int32{0, n / 3, 2 * n / 3} {
 				ws.Run(tc.g, src, DeltaSteppingOptions{Workers: workers})
-				resultHash(h, ws.Dist(), ws.Parent())
+				resultHash(h, ws.Dist(), ws.parent)
 			}
 			if got := h.Sum64(); got != tc.hash {
 				t.Errorf("%s workers=%d: hash %#x, want %#x", tc.name, workers, got, tc.hash)

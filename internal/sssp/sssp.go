@@ -1,12 +1,11 @@
-// Package sssp implements single-source shortest paths: a binary-heap
-// Dijkstra reference and the lock-free parallel delta-stepping
-// algorithm (Meyer & Sanders) that SNAP uses for weighted small-world
-// graphs, where the low diameter keeps the number of bucket phases
-// small. The delta-stepping engine visits each drained vertex once per
-// bucket phase and relaxes all of its arcs there, straight from the
-// graph's CSR arrays; it relaxes by CAS-min over atomic float64 bit
-// patterns and recycles a cyclic bucket window — no mutex anywhere on
-// the hot path; see delta.go and DESIGN.md §5e.
+// Package sssp implements single-source shortest paths with the
+// lock-free parallel delta-stepping algorithm (Meyer & Sanders) that
+// SNAP uses for weighted small-world graphs, where the low diameter
+// keeps the number of bucket phases small. The engine visits each
+// drained vertex once per bucket phase and relaxes all of its arcs
+// there, straight from the graph's CSR arrays; it relaxes by CAS-min
+// over atomic float64 bit patterns and recycles a cyclic bucket window
+// — no mutex anywhere on the hot path; see delta.go and DESIGN.md §5e.
 package sssp
 
 import (
@@ -23,47 +22,6 @@ var Inf = math.Inf(1)
 type Result struct {
 	Dist   []float64
 	Parent []int32
-}
-
-// Dijkstra is the serial reference implementation (lazy deletion over a
-// binary heap). Negative weights are not supported.
-func Dijkstra(g *graph.Graph, src int32) Result {
-	n := g.NumVertices()
-	dist := make([]float64, n)
-	parent := make([]int32, n)
-	for i := range dist {
-		dist[i] = Inf
-		parent[i] = -1
-	}
-	dist[src] = 0
-	parent[src] = src
-	h := &distHeap{}
-	h.push(distItem{d: 0, v: src})
-	for h.len() > 0 {
-		it := h.pop()
-		if it.d > dist[it.v] {
-			continue // stale entry
-		}
-		v := it.v
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		for a := lo; a < hi; a++ {
-			u := g.Adj[a]
-			nd := it.d + arcWeight(g, a)
-			if nd < dist[u] {
-				dist[u] = nd
-				parent[u] = v
-				h.push(distItem{d: nd, v: u})
-			}
-		}
-	}
-	return Result{Dist: dist, Parent: parent}
-}
-
-func arcWeight(g *graph.Graph, a int64) float64 {
-	if g.W == nil {
-		return 1
-	}
-	return g.W[a]
 }
 
 // DeltaSteppingOptions configures DeltaStepping and Workspace.Run.
@@ -126,50 +84,4 @@ func defaultDeltaFor(g *graph.Graph, maxW float64) float64 {
 		d = 1
 	}
 	return d
-}
-
-type distItem struct {
-	d float64
-	v int32
-}
-
-type distHeap struct{ items []distItem }
-
-func (h *distHeap) len() int { return len(h.items) }
-
-func (h *distHeap) push(it distItem) {
-	h.items = append(h.items, it)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[i].d >= h.items[p].d {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *distHeap) pop() distItem {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.items[l].d < h.items[small].d {
-			small = l
-		}
-		if r < last && h.items[r].d < h.items[small].d {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.items[i], h.items[small] = h.items[small], h.items[i]
-		i = small
-	}
-	return top
 }

@@ -6,6 +6,7 @@ import (
 
 	"snap/internal/generate"
 	"snap/internal/graph"
+	"snap/internal/oracle"
 )
 
 func TestDijkstraOnWeightedPath(t *testing.T) {
@@ -15,7 +16,7 @@ func TestDijkstraOnWeightedPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Dijkstra(g, 0)
+	r := oracle.Dijkstra(g, 0)
 	want := []float64{0, 2, 5, 6}
 	for v, d := range want {
 		if r.Dist[v] != d {
@@ -29,7 +30,7 @@ func TestDijkstraOnWeightedPath(t *testing.T) {
 
 func TestDijkstraUnreachable(t *testing.T) {
 	g, _ := graph.Build(3, []graph.Edge{{U: 0, V: 1, W: 1}}, graph.BuildOptions{Weighted: true})
-	r := Dijkstra(g, 0)
+	r := oracle.Dijkstra(g, 0)
 	if !math.IsInf(r.Dist[2], 1) || r.Parent[2] != -1 {
 		t.Fatal("unreachable vertex should be Inf/-1")
 	}
@@ -39,7 +40,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := generate.RandomWeights(
 			generate.RMAT(300, 1200, generate.DefaultRMAT(), int64(trial)), 10, int64(trial))
-		want := Dijkstra(g, 0)
+		want := oracle.Dijkstra(g, 0)
 		for _, delta := range []float64{0, 0.5, 2, 100} {
 			for _, workers := range []int{1, 3} {
 				got := DeltaStepping(g, 0, DeltaSteppingOptions{Delta: delta, Workers: workers})
@@ -56,7 +57,7 @@ func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 
 func TestDeltaSteppingUnweightedMatchesBFSDistances(t *testing.T) {
 	g := generate.RMAT(500, 2000, generate.DefaultRMAT(), 4)
-	want := Dijkstra(g, 7)
+	want := oracle.Dijkstra(g, 7)
 	got := DeltaStepping(g, 7, DeltaSteppingOptions{})
 	for v := range want.Dist {
 		if want.Dist[v] != got.Dist[v] {
@@ -95,7 +96,7 @@ func BenchmarkDijkstra(b *testing.B) {
 	g := generate.RandomWeights(generate.RMAT(1<<14, 1<<16, generate.DefaultRMAT(), 1), 10, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Dijkstra(g, 0)
+		oracle.Dijkstra(g, 0)
 	}
 }
 

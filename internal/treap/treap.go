@@ -29,11 +29,6 @@ func New(seed int64) *Treap {
 	return &Treap{rng: rand.New(rand.NewSource(seed))}
 }
 
-// Len reports the number of keys stored.
-func (t *Treap) Len() int {
-	return int(size(t.root))
-}
-
 func size(n *node) int32 {
 	if n == nil {
 		return 0

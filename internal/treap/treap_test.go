@@ -15,13 +15,13 @@ func TestInsertContainsDelete(t *testing.T) {
 	if !tr.Insert(5) || tr.Insert(5) {
 		t.Fatal("insert semantics wrong")
 	}
-	if !tr.Contains(5) || tr.Len() != 1 {
+	if !tr.Contains(5) || int(size(tr.root)) != 1 {
 		t.Fatal("contains/len after insert wrong")
 	}
 	if !tr.Delete(5) || tr.Delete(5) {
 		t.Fatal("delete semantics wrong")
 	}
-	if tr.Contains(5) || tr.Len() != 0 {
+	if tr.Contains(5) || int(size(tr.root)) != 0 {
 		t.Fatal("contains/len after delete wrong")
 	}
 }
@@ -87,7 +87,7 @@ func TestQuickSetSemantics(t *testing.T) {
 				}
 			}
 		}
-		if tr.Len() != len(oracle) {
+		if int(size(tr.root)) != len(oracle) {
 			return false
 		}
 		for _, k := range inorder(tr) {
@@ -124,7 +124,7 @@ func TestQuickOrderInvariant(t *testing.T) {
 				return false
 			}
 		}
-		return len(keys) == tr.Len()
+		return len(keys) == int(size(tr.root))
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

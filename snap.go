@@ -61,9 +61,9 @@ var ErrGraphClosed = graph.ErrClosed
 // Edge is an input edge for graph construction.
 type Edge = graph.Edge
 
-// BuildOptions controls CSR construction. SumWeights makes duplicate
-// edges accumulate their weights (in input order) instead of keeping
-// the first; AllowMulti keeps parallel edges distinct.
+// BuildOptions controls CSR construction. Duplicate edges collapse to
+// the first one, weight included; AllowMulti keeps parallel edges
+// distinct.
 type BuildOptions = graph.BuildOptions
 
 // Build constructs a CSR graph from an edge list. Large inputs are
@@ -179,7 +179,7 @@ type BFSResult = bfs.Result
 // bottom-up level gives each vertex its first frontier neighbor in
 // adjacency order.
 func BFS(g *Graph, src int32) BFSResult {
-	return bfs.DirectionOptimizing(g, src, bfs.Options{})
+	return bfs.DirectionOptimizing(g, src)
 }
 
 // BFSWorkspace is the epoch-stamped traversal state BFSMultiSource
@@ -344,8 +344,8 @@ func ApproxNeighborhood(g *Graph, opt ANFOptions) ANFResult {
 }
 
 // SampledClosenessOptions configures the Eppstein–Wang sampled
-// closeness estimator (pivot count, or an epsilon/confidence target it
-// is derived from).
+// closeness estimator (its pivot count, by default the one that holds
+// every estimate within 0.1·diameter at confidence 0.95).
 type SampledClosenessOptions = sketch.ClosenessOptions
 
 // SampledClosenessResult carries the estimated scores and the realized
@@ -360,7 +360,8 @@ func SampledCloseness(g *Graph, opt SampledClosenessOptions) SampledClosenessRes
 	return sketch.Closeness(g, opt)
 }
 
-// DistanceOracleOptions configures landmark selection.
+// DistanceOracleOptions configures the landmark count (landmarks are
+// the highest-degree vertices) and the build's worker count.
 type DistanceOracleOptions = sketch.OracleOptions
 
 // DistanceOracle answers point-to-point distance queries in O(k) from
@@ -473,8 +474,6 @@ type PartitionOptions struct {
 	// Seed drives matching and seeding randomness; 0 means the pinned
 	// repo default.
 	Seed int64
-	// Imbalance is the allowed part-weight overrun (default 0.05).
-	Imbalance float64
 	// Stats, when non-nil, receives the engine's per-level record of
 	// the run.
 	Stats *PartitionStats
@@ -486,10 +485,9 @@ type PartitionOptions struct {
 // for a given seed regardless of worker count.
 func Partition(g *Graph, opt PartitionOptions) (PartitionResult, error) {
 	return partition.MultilevelKWay(g, opt.K, MultilevelOptions{
-		Imbalance: opt.Imbalance,
-		Seed:      opt.Seed,
-		Workers:   opt.Workers,
-		Stats:     opt.Stats,
+		Seed:    opt.Seed,
+		Workers: opt.Workers,
+		Stats:   opt.Stats,
 	})
 }
 
@@ -605,8 +603,7 @@ func Diameter(g *Graph) int { return metrics.Diameter(g) }
 // PageRankFrom chains PageRank from one epoch to the next.
 type Stream = ingest.Stream
 
-// StreamOptions configures a Stream (auto-commit threshold, merge
-// worker count).
+// StreamOptions configures a Stream (its merge worker count).
 type StreamOptions = ingest.Options
 
 // Epoch is one pinned immutable snapshot of a Stream; Close releases

@@ -7,7 +7,8 @@ import (
 	"testing"
 
 	"snap/internal/bfs"
-	"snap/internal/sssp"
+	"snap/internal/frontier"
+	"snap/internal/oracle"
 )
 
 // The facade tests exercise the public API end to end the way a
@@ -39,7 +40,7 @@ func TestFacadeBuildAndKernels(t *testing.T) {
 		t.Fatalf("MST edges = %d, want n-1 = 5", len(mst.EdgeIDs))
 	}
 	sp := DeltaStepping(g, 0, DeltaSteppingOptions{})
-	dj := sssp.Dijkstra(g, 0)
+	dj := oracle.Dijkstra(g, 0)
 	for v := range sp.Dist {
 		if sp.Dist[v] != dj.Dist[v] {
 			t.Fatalf("delta-stepping differs from dijkstra at %d", v)
@@ -122,11 +123,6 @@ func TestFacadePartitioning(t *testing.T) {
 	ks, err := Partition(sw, PartitionOptions{K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	// A NaN Imbalance means the default, as 0 does.
-	kn, err := Partition(sw, PartitionOptions{K: 4, Seed: 1, Imbalance: math.NaN()})
-	if err != nil || !slices.Equal(kn.Part, ks.Part) {
-		t.Fatalf("Imbalance NaN: err %v, partition differs from the default's", err)
 	}
 	if ks.EdgeCut <= km.EdgeCut {
 		t.Fatalf("small-world cut %d should exceed mesh cut %d", ks.EdgeCut, km.EdgeCut)
@@ -434,7 +430,11 @@ func TestFacadeBFSMatchesSerial(t *testing.T) {
 			if !slices.Equal(got.Dist, bfs.Serial(g, src, nil).Dist) {
 				t.Fatalf("%s src %d: BFS distances differ from the serial reference", name, src)
 			}
-			if !slices.Equal(got.Parent, bfs.DirectionOptimizing(g, src, bfs.Options{Workers: 1}).Parent) {
+			one := bfs.AcquireWorkspace(g.NumVertices())
+			one.RunOptions(g, src, frontier.Options{Workers: 1, MaxDepth: -1, Alpha: frontier.DefaultAlpha})
+			wantParent := one.Export().Parent
+			bfs.ReleaseWorkspace(one)
+			if !slices.Equal(got.Parent, wantParent) {
 				t.Fatalf("%s src %d: BFS parents differ from the single-worker run", name, src)
 			}
 			if got.Parent[src] != src {
@@ -457,10 +457,7 @@ func TestFacadeBFSMatchesSerial(t *testing.T) {
 // commit 3643b0f.
 func TestFacadeANFEffectiveDiameter(t *testing.T) {
 	g := RMAT(600, 2400, DefaultRMAT(), 8)
-	// A NaN Quantile means the default, as 0 does.
-	for _, q := range []float64{0, math.NaN()} {
-		if got := ApproxNeighborhood(g, ANFOptions{Quantile: q}).EffectiveDiameter; got != 4.62542684434802 {
-			t.Fatalf("Quantile %v: effective diameter %v, want 4.62542684434802", q, got)
-		}
+	if got := ApproxNeighborhood(g, ANFOptions{}).EffectiveDiameter; got != 4.62542684434802 {
+		t.Fatalf("effective diameter %v, want 4.62542684434802", got)
 	}
 }

@@ -178,7 +178,7 @@ func adversarialCases() []buildCase {
 	for i := 1; i < 600; i++ {
 		hub.edges = append(hub.edges, Edge{0, int32(i), float64(i)})
 		if i%3 == 0 {
-			hub.edges = append(hub.edges, Edge{int32(i), 0, float64(-i)})
+			hub.edges = append(hub.edges, Edge{int32(i), 0, float64(i) + 0.5})
 		}
 		if i%17 == 0 {
 			hub.edges = append(hub.edges, Edge{0, 0, 1})

@@ -2,6 +2,7 @@ package container
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -89,7 +90,9 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 		for _, weighted := range []bool{false, true} {
 			edges := make([]graph.Edge, 4000)
 			for i := range edges {
-				edges[i] = graph.Edge{U: rng.Int31n(800), V: rng.Int31n(800), W: rng.NormFloat64()}
+				// Weights are finite and non-negative: Validate, which
+				// the validating load runs, rejects any other.
+				edges[i] = graph.Edge{U: rng.Int31n(800), V: rng.Int31n(800), W: math.Abs(rng.NormFloat64())}
 			}
 			name := "rand"
 			if directed {

@@ -45,15 +45,16 @@ func WriteMETIS(w io.Writer, g *Graph) error {
 }
 
 // ReadMETIS parses the METIS graph format (optionally with edge
-// weights, fmt code 1 or 001). Blank lines before the header are
-// skipped; after it, every line but a % comment is a vertex, so a
-// blank one is a vertex without neighbors.
+// weights, fmt code 1 or 001, each finite and non-negative). Blank
+// lines before the header are skipped; after it, every line but a %
+// comment is a vertex, so a blank one is a vertex without neighbors.
 func ReadMETIS(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	var n, m int
 	weighted := false
-	line, err := nextDataLine(sc, true)
+	lineNo := 0
+	line, err := nextDataLine(sc, true, &lineNo)
 	if err != nil {
 		return nil, fmt.Errorf("graph: METIS: missing header: %v", err)
 	}
@@ -83,7 +84,7 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 	// m sizes nothing: a header that lies must not allocate.
 	var edges []Edge
 	for v := 0; v < n; v++ {
-		line, err := nextDataLine(sc, false)
+		line, err := nextDataLine(sc, false, &lineNo)
 		if err != nil {
 			return nil, fmt.Errorf("graph: METIS: vertex %d: %v", v+1, err)
 		}
@@ -105,6 +106,9 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 				if wgt, err = strconv.ParseFloat(fs[i+1], 64); err != nil {
 					return nil, fmt.Errorf("graph: METIS: vertex %d: %v", v+1, err)
 				}
+				if err := checkWeight(wgt); err != nil {
+					return nil, fmt.Errorf("graph: METIS: line %d (vertex %d): %w", lineNo, v+1, err)
+				}
 			}
 			if u-1 > v { // each undirected edge appears twice; keep one
 				edges = append(edges, Edge{U: int32(v), V: int32(u - 1), W: wgt})
@@ -115,9 +119,11 @@ func ReadMETIS(r io.Reader) (*Graph, error) {
 }
 
 // nextDataLine returns the next line that is not a % comment, and
-// with skipBlank not a blank line either.
-func nextDataLine(sc *bufio.Scanner, skipBlank bool) (string, error) {
+// with skipBlank not a blank line either. *lineNo counts the lines
+// scanned, so it holds the returned line's 1-based number.
+func nextDataLine(sc *bufio.Scanner, skipBlank bool, lineNo *int) (string, error) {
 	for sc.Scan() {
+		*lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" && skipBlank || strings.HasPrefix(line, "%") {
 			continue

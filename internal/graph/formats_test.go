@@ -147,6 +147,33 @@ func TestMETISErrors(t *testing.T) {
 	}
 }
 
+// TestReadersRejectBadWeights: a negative, infinite or NaN weight never
+// reaches a graph (delta-stepping indexes its buckets by distance), and
+// the error names the line that holds it.
+func TestReadersRejectBadWeights(t *testing.T) {
+	for _, w := range []string{"-5", "-0.5", "+Inf", "-Inf", "NaN"} {
+		in := "0 1 2\n# comment\n1 2 " + w + "\n"
+		_, err := ReadEdgeList(strings.NewReader(in), false)
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("ReadEdgeList(%q): err = %v, want a weight error on line 3", in, err)
+		}
+		in = "3 2 1\n% comment\n2 2\n1 2 3 " + w + "\n2 " + w + "\n"
+		_, err = ReadMETIS(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 4") || !strings.Contains(err.Error(), "weight") {
+			t.Errorf("ReadMETIS(%q): err = %v, want a weight error on line 4", in, err)
+		}
+	}
+	// Zero, negative zero and the largest finite weight are accepted.
+	for _, w := range []string{"0", "-0", "1.7976931348623157e308"} {
+		if _, err := ReadEdgeList(strings.NewReader("0 1 "+w+"\n"), false); err != nil {
+			t.Errorf("ReadEdgeList weight %s: %v", w, err)
+		}
+		if _, err := ReadMETIS(strings.NewReader("2 1 1\n2 " + w + "\n1 " + w + "\n")); err != nil {
+			t.Errorf("ReadMETIS weight %s: %v", w, err)
+		}
+	}
+}
+
 func TestDIMACSRoundTrip(t *testing.T) {
 	g := smallGraph(t)
 	var buf bytes.Buffer
@@ -241,8 +268,9 @@ func TestQuickReadMETISNeverPanics(t *testing.T) {
 
 // FuzzReadMETIS throws arbitrary text at ReadMETIS. It must never
 // panic (nor size anything from a lying header), and any graph it
-// accepts must come back unchanged through WriteMETIS and ReadMETIS:
-// same vertex and edge counts, rows and weight bits.
+// accepts must hold only finite non-negative weights and come back
+// unchanged through WriteMETIS and ReadMETIS: same vertex and edge
+// counts, rows and weight bits.
 func FuzzReadMETIS(f *testing.F) {
 	for _, seed := range []string{
 		"% comment\n3 2\n% another\n2 3\n1\n1\n",
@@ -276,6 +304,9 @@ func FuzzReadMETIS(f *testing.F) {
 			t.Fatalf("round trip changed the rows of %q", in)
 		}
 		for a := range g.Adj {
+			if w := g.ArcWeight(int64(a)); !(w >= 0 && w <= math.MaxFloat64) {
+				t.Fatalf("accepted weight %g on arc %d of %q", w, a, in)
+			}
 			if math.Float64bits(g2.ArcWeight(int64(a))) != math.Float64bits(g.ArcWeight(int64(a))) {
 				t.Fatalf("round trip changed arc %d's weight: %g vs %g", a, g2.ArcWeight(int64(a)), g.ArcWeight(int64(a)))
 			}
@@ -284,9 +315,10 @@ func FuzzReadMETIS(f *testing.F) {
 }
 
 // FuzzReadEdgeList throws arbitrary text at ReadEdgeList. It must never
-// panic, and any graph it accepts must come back unchanged through
-// WriteEdgeList and ReadEdgeList: same vertex and edge counts,
-// direction, weightedness, rows and arc weight bits. As with DIMACS, an "n=" header
+// panic, and any graph it accepts must hold only finite non-negative
+// weights and come back unchanged through WriteEdgeList and
+// ReadEdgeList: same vertex and edge counts, direction, weightedness,
+// rows and arc weight bits. As with DIMACS, an "n=" header
 // sizes the graph without data to check it against, so the harness
 // skips inputs with an integer token above 1<<16; that bounds the
 // fuzzer's allocations, not the reader.
@@ -332,6 +364,9 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatalf("round trip changed the rows of %q", in)
 		}
 		for a := range g.Adj {
+			if w := g.ArcWeight(int64(a)); !(w >= 0 && w <= math.MaxFloat64) {
+				t.Fatalf("accepted weight %g on arc %d of %q", w, a, in)
+			}
 			if math.Float64bits(g2.ArcWeight(int64(a))) != math.Float64bits(g.ArcWeight(int64(a))) {
 				t.Fatalf("round trip changed arc %d's weight: %g vs %g", a, g2.ArcWeight(int64(a)), g.ArcWeight(int64(a)))
 			}

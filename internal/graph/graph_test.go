@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -31,6 +32,30 @@ func TestBuildTriangle(t *testing.T) {
 	}
 	if err := Validate(g); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateRejectsBadWeights: Build keeps whatever weights it is
+// given, and Validate (the SNP2 container's validating load) refuses a
+// negative, infinite or NaN one.
+func TestValidateRejectsBadWeights(t *testing.T) {
+	for _, w := range []float64{-5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, directed := range []bool{false, true} {
+			g, err := Build(3, []Edge{{0, 1, 2}, {1, 2, w}}, BuildOptions{Weighted: true, Directed: directed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(g); err == nil || !strings.Contains(err.Error(), "weight") {
+				t.Errorf("weight %v directed=%v: Validate = %v, want a weight error", w, directed, err)
+			}
+		}
+	}
+	g, err := Build(3, []Edge{{0, 1, 0}, {1, 2, math.MaxFloat64}}, BuildOptions{Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Validate(g); err != nil {
+		t.Errorf("weights 0 and MaxFloat64: %v", err)
 	}
 }
 

@@ -186,6 +186,9 @@ func parseShard(data []byte) edgeListShard {
 		e := Edge{U: u, V: v, W: 1}
 		if f2 != nil {
 			w, err := strconv.ParseFloat(string(f2), 64)
+			if err == nil {
+				err = checkWeight(w)
+			}
 			if err != nil {
 				s.err, s.errLine = err, s.lines
 				return s

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // InducedSubgraph returns the subgraph of g induced by the given
 // vertices, together with the mapping from new vertex ids to the
@@ -55,8 +58,9 @@ func InducedSubgraph(g *Graph, vertices []int32) (*Graph, []int32, error) {
 
 // Validate checks the structural invariants of a CSR graph: monotone
 // offsets, in-range adjacency, sorted neighbor lists, in-range edge
-// ids, and — for undirected graphs — arc symmetry with matching edge
-// ids. It is used by tests and by the SNP2 container's validating load.
+// ids, finite non-negative weights, and — for undirected graphs — arc
+// symmetry with matching edge ids. It is used by tests and by the SNP2
+// container's validating load.
 func Validate(g *Graph) error {
 	n := g.NumVertices()
 	if len(g.Offsets) != n+1 {
@@ -87,6 +91,11 @@ func Validate(g *Graph) error {
 			if id := g.EID[a]; id < 0 || int(id) >= g.numEdges {
 				return fmt.Errorf("graph: edge id %d out of range [0,%d)", id, g.numEdges)
 			}
+			if g.W != nil {
+				if err := checkWeight(g.W[a]); err != nil {
+					return fmt.Errorf("graph: arc %d->%d: %w", v, u, err)
+				}
+			}
 		}
 	}
 	if !g.Directed() {
@@ -101,4 +110,13 @@ func Validate(g *Graph) error {
 		}
 	}
 	return nil
+}
+
+// checkWeight rejects an edge weight delta-stepping cannot take: a
+// negative, infinite or NaN one.
+func checkWeight(w float64) error {
+	if w >= 0 && w <= math.MaxFloat64 {
+		return nil
+	}
+	return fmt.Errorf("edge weight %v is not finite and non-negative", w)
 }

@@ -445,9 +445,10 @@ func (spaces) Read(p []byte) (int, error) {
 }
 
 // TestStreamEdgesRejectsBadRows: a batch holding an endpoint that is
-// not an int32 vertex id or a weight that is not finite and
-// non-negative is answered 400 and stages nothing; a body over the
-// 64 MiB cap is answered 413.
+// not a vertex id of the stream or a weight that is not finite and
+// non-negative is answered 400 and stages nothing, not even the valid
+// rows before the bad one or beside it in the other list; a body over
+// the 64 MiB cap is answered 413.
 func TestStreamEdgesRejectsBadRows(t *testing.T) {
 	st, err := ingest.NewEmpty(8, false, true, ingest.Options{})
 	if err != nil {
@@ -476,6 +477,9 @@ func TestStreamEdgesRejectsBadRows(t *testing.T) {
 		{`{"add":[[0,1],[1.7,2]]}`, http.StatusBadRequest},
 		{`{"add":[[0,1],[2,3,-4]]}`, http.StatusBadRequest},
 		{`{"del":[[0,1],[4294967296,1]]}`, http.StatusBadRequest},
+		{`{"add":[[4,5],[0,8]]}`, http.StatusBadRequest},
+		{`{"del":[[2,3],[0,9]]}`, http.StatusBadRequest},
+		{`{"add":[[4,5]],"del":[[0,9]]}`, http.StatusBadRequest},
 		{`{"add":[[0,1],[2,3,2.5]]}`, http.StatusOK},
 	} {
 		if code := post(strings.NewReader(tc.body)); code != tc.want {

@@ -653,12 +653,15 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 		writeBody(w, code, errJSON(err))
 		return
 	}
-	del, err := edgeRows(batch.Del, true)
+	e := h.stream.Pin()
+	n := e.Graph().NumVertices() // a stream's vertex set is fixed for its lifetime
+	e.Close()
+	del, err := edgeRows(batch.Del, true, n)
 	if err != nil {
 		writeBody(w, http.StatusBadRequest, errJSON(err))
 		return
 	}
-	add, err := edgeRows(batch.Add, false)
+	add, err := edgeRows(batch.Add, false, n)
 	if err != nil {
 		writeBody(w, http.StatusBadRequest, errJSON(err))
 		return
@@ -678,18 +681,18 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 }
 
 // edgeRows converts the JSON rows of one batch into edges before any
-// is staged. An endpoint must be an integer in int32 range and a weight
-// finite and non-negative (delta-stepping's precondition); the stream
-// itself checks the vertex range.
-func edgeRows(rows [][]float64, del bool) ([]graph.Edge, error) {
+// is staged, so a rejected batch stages nothing. An endpoint must be an
+// integer vertex id below n and a weight finite and non-negative
+// (delta-stepping's precondition).
+func edgeRows(rows [][]float64, del bool, n int) ([]graph.Edge, error) {
 	edges := make([]graph.Edge, 0, len(rows))
 	for _, row := range rows {
 		if len(row) < 2 || (del && len(row) != 2) || len(row) > 3 {
 			return nil, badRequest("edge row wants [u,v] or [u,v,w], got %v", row)
 		}
 		for _, x := range row[:2] {
-			if x != math.Trunc(x) || x < math.MinInt32 || x > math.MaxInt32 {
-				return nil, badRequest("edge endpoint %v is not an int32 vertex id", x)
+			if x != math.Trunc(x) || x < 0 || x >= float64(n) {
+				return nil, badRequest("edge endpoint %v is not a vertex id in [0, %d)", x, n)
 			}
 		}
 		e := graph.Edge{U: int32(row[0]), V: int32(row[1]), W: 1}

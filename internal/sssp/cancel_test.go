@@ -37,9 +37,10 @@ func TestDeltaSteppingCancelThenReuse(t *testing.T) {
 	}
 
 	// Cancel on the very first poll: nothing beyond the source is
-	// touched. An aborted run's Dist() is unspecified (finalize never
-	// runs — partial results must not be served); what abort guarantees
-	// is the touched list stays complete so the next reset is exact.
+	// touched. An aborted run's Dist() is unspecified (the run stops
+	// between phases — partial results must not be served); what abort
+	// guarantees is the touched list stays complete so the next reset
+	// is exact.
 	ws.Run(gw, 7, DeltaSteppingOptions{Delta: 0.5, Workers: 2,
 		Cancel: func() bool { return true }})
 	if r := ws.Reached(); len(r) != 1 || r[0] != 7 {

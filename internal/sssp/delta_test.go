@@ -67,10 +67,10 @@ func parentOracle(g *graph.Graph, src int32, dist []float64) []int32 {
 	return parent
 }
 
-// TestDeltaSteppingEquivalenceMatrix drives the lock-free engine
-// across graph families, weight distributions, bucket widths, and
-// worker counts: Dist must be bit-identical to Dijkstra and Parent
-// must equal the deterministic minimum-arc oracle in every cell.
+// TestDeltaSteppingEquivalenceMatrix drives the engine across graph
+// families, weight distributions, bucket widths, and worker counts:
+// Dist must be bit-identical to Dijkstra and Parent must equal the
+// deterministic minimum-arc oracle in every cell.
 func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 	type tc struct {
 		name string
@@ -144,7 +144,7 @@ func TestDeltaSteppingEquivalenceMatrix(t *testing.T) {
 // TestDeltaSteppingWorkspaceReuseManySources reuses one pooled
 // workspace for 60+ runs alternating between two graphs of different
 // sizes and weight ranges, exercising the sparse reset, the per-graph
-// partition/max-weight caches, and cross-graph resizing.
+// max-weight cache, and cross-graph resizing.
 func TestDeltaSteppingWorkspaceReuseManySources(t *testing.T) {
 	g1 := reweight(generate.RMAT(300, 1200, generate.DefaultRMAT(), 5), uniformW, 21)
 	g2 := reweight(generate.ErdosRenyi(140, 500, 6), heavyTailW, 22)
@@ -210,11 +210,11 @@ func TestDeltaSteppingFarOverflow(t *testing.T) {
 }
 
 // TestDeltaSteppingSteadyStateAllocs pins the zero-allocation claim:
-// once a workspace has run a source on a graph, further single-worker
-// runs on that graph allocate nothing. The inputs cover weights 1–10
-// (default delta below the minimum weight: no light arcs), the
-// benchmark's weights 1–100 (light and heavy arcs), and a directed
-// graph, each with Stats off and on.
+// once a workspace has run a source on a graph, further runs on that
+// graph allocate nothing, at any worker count. The inputs cover
+// weights 1–10 (default delta below the minimum weight: no light
+// arcs), the benchmark's weights 1–100 (light and heavy arcs), and a
+// directed graph, each at Workers 1, 2 and 4 with Stats off and on.
 func TestDeltaSteppingSteadyStateAllocs(t *testing.T) {
 	rmat := generate.RMAT(1<<10, 1<<13, generate.DefaultRMAT(), 9)
 	directed := graph.MustBuild(rmat.NumVertices(), rmat.EdgeEndpoints(), graph.BuildOptions{Directed: true})
@@ -226,26 +226,28 @@ func TestDeltaSteppingSteadyStateAllocs(t *testing.T) {
 		{"wide", reweight(rmat, wideW, 32)},
 		{"directed", reweight(directed, uniformW, 33)},
 	} {
-		for _, st := range []*Stats{nil, new(Stats)} {
-			g := c.g
-			opt := DeltaSteppingOptions{Workers: 1, Stats: st}
-			ws := AcquireWorkspace()
-			// Warm the buffers over the same source cycle the measurement
-			// uses: steady state means the per-slot arrays and worker
-			// buffers have grown to the high-water mark of the workload.
-			for s, i := int32(0), 0; i < 12; i++ {
-				ws.Run(g, s, opt)
-				s = (s + 41) % int32(g.NumVertices())
-			}
-			src := int32(0)
-			allocs := testing.AllocsPerRun(10, func() {
-				ws.Run(g, src, opt)
-				src = (src + 41) % int32(g.NumVertices())
-			})
-			ReleaseWorkspace(ws)
-			if allocs != 0 {
-				t.Fatalf("%s stats=%v: steady-state Run allocates %.1f times per run, want 0",
-					c.name, st != nil, allocs)
+		for _, workers := range []int{1, 2, 4} {
+			for _, st := range []*Stats{nil, new(Stats)} {
+				g := c.g
+				opt := DeltaSteppingOptions{Workers: workers, Stats: st}
+				ws := AcquireWorkspace()
+				// Warm the buffers over the same source cycle the
+				// measurement uses: steady state means the per-slot arrays
+				// have grown to the high-water mark of the workload.
+				for s, i := int32(0), 0; i < 12; i++ {
+					ws.Run(g, s, opt)
+					s = (s + 41) % int32(g.NumVertices())
+				}
+				src := int32(0)
+				allocs := testing.AllocsPerRun(10, func() {
+					ws.Run(g, src, opt)
+					src = (src + 41) % int32(g.NumVertices())
+				})
+				ReleaseWorkspace(ws)
+				if allocs != 0 {
+					t.Fatalf("%s workers=%d stats=%v: steady-state Run allocates %.1f times per run, want 0",
+						c.name, workers, st != nil, allocs)
+				}
 			}
 		}
 	}

@@ -1,11 +1,12 @@
 // Package sssp implements single-source shortest paths with the
-// lock-free parallel delta-stepping algorithm (Meyer & Sanders) that
-// SNAP uses for weighted small-world graphs, where the low diameter
-// keeps the number of bucket phases small. The engine visits each
-// drained vertex once per bucket phase and relaxes all of its arcs
-// there, straight from the graph's CSR arrays; it relaxes by CAS-min
-// over atomic float64 bit patterns and recycles a cyclic bucket window
-// — no mutex anywhere on the hot path; see delta.go and DESIGN.md §5e.
+// delta-stepping algorithm (Meyer & Sanders) that SNAP uses for
+// weighted small-world graphs, where the low diameter keeps the number
+// of bucket phases small. The engine visits each drained vertex once
+// per bucket phase and relaxes all of its arcs there, straight from
+// the graph's CSR arrays, into a recycled cyclic bucket window. One
+// goroutine relaxes: a parallel arm with CAS-min relaxation lost to
+// this loop on two cores, so callers parallelise across sources
+// instead; see delta.go and DESIGN.md §5e.
 package sssp
 
 import (
@@ -30,7 +31,9 @@ type DeltaSteppingOptions struct {
 	// heuristically (and 1 for unweighted graphs, which degenerates to
 	// level-synchronous BFS).
 	Delta float64
-	// Workers bounds parallelism; <= 0 means par.Workers().
+	// Workers bounds the parallelism of the unweighted path's bottom-up
+	// sweeps; <= 0 means par.Workers(). Weighted runs relax on one
+	// goroutine whatever it says.
 	Workers int
 	// Cancel, when non-nil, is polled at every bucket-phase boundary
 	// (and per BFS level on the unweighted path). When it reports true
@@ -44,16 +47,14 @@ type DeltaSteppingOptions struct {
 	Stats *Stats
 }
 
-// DeltaStepping computes SSSP with the lock-free parallel
-// delta-stepping label-correcting algorithm. Vertices are kept in
-// buckets of width delta; each phase drains the current bucket and
-// relaxes every arc of its vertices in parallel, and the bucket is
-// drained again until no light edge (w <= delta) refills it. Dist
-// matches Dijkstra bit-identically on non-negative weights for any
-// delta and worker count; Parent is the smallest certifying tail (the
-// deterministic minimum-arc tie-break documented on Workspace.Run),
-// kept at relax time at Workers 1 and resolved by a finalize sweep
-// above that.
+// DeltaStepping computes SSSP with the delta-stepping
+// label-correcting algorithm. Vertices are kept in buckets of width
+// delta; each phase drains the current bucket and relaxes every arc of
+// its vertices, and the bucket is drained again until no light edge
+// (w <= delta) refills it. Dist matches Dijkstra bit-identically on
+// non-negative weights for any delta; Parent is the smallest
+// certifying tail (the deterministic minimum-arc tie-break documented
+// on Workspace.Run), kept at relax time.
 //
 // This convenience wrapper acquires a pooled Workspace and copies the
 // results out (two allocations). Multi-source loops should hold a

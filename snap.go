@@ -222,11 +222,12 @@ func MST(g *Graph) MSTResult { return components.BoruvkaMST(g, 0) }
 // SSSPResult holds single-source shortest-path distances and parents.
 type SSSPResult = sssp.Result
 
-// DeltaSteppingOptions tunes the bucket width (Delta) and parallelism
-// (Workers) of the delta-stepping engine, and carries a Cancel hook
-// polled at every bucket phase and an optional Stats record; the zero
-// value selects the maxWeight/avgDegree heuristic and the full worker
-// pool.
+// DeltaSteppingOptions tunes the bucket width (Delta) of the
+// delta-stepping engine and the parallelism (Workers) of its unweighted
+// path, and carries a Cancel hook polled at every bucket phase and an
+// optional Stats record; the zero value selects the maxWeight/avgDegree
+// heuristic and the full worker pool. Weighted runs relax on one
+// goroutine whatever Workers says.
 type DeltaSteppingOptions = sssp.DeltaSteppingOptions
 
 // SSSPStats is the delta-stepping engine's record of one run (buckets,
@@ -236,10 +237,11 @@ type DeltaSteppingOptions = sssp.DeltaSteppingOptions
 // is off.
 type SSSPStats = sssp.Stats
 
-// DeltaStepping computes SSSP with the lock-free parallel
-// delta-stepping engine. Dist is bit-identical to Dijkstra for any
-// delta and worker count; unweighted graphs degenerate to the
-// direction-optimizing BFS engine. A run that Cancel stopped returns
+// DeltaStepping computes SSSP with the delta-stepping engine, which
+// relaxes on the calling goroutine; callers parallelise across
+// sources. Dist is bit-identical to Dijkstra for any delta; unweighted
+// graphs degenerate to the direction-optimizing BFS engine, whose
+// bottom-up sweeps use Workers. A run that Cancel stopped returns
 // partial distances, which callers must discard.
 func DeltaStepping(g *Graph, src int32, opt DeltaSteppingOptions) SSSPResult {
 	return sssp.DeltaStepping(g, src, opt)

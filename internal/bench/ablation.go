@@ -156,7 +156,7 @@ func bucketMaxWorkload(useBuckets bool) float64 {
 		vals[i] = rng.Float64()*2 - 1
 	}
 	if useBuckets {
-		pq := community.NewBucketPQForBench()
+		pq := community.NewBucketPQ()
 		for i, v := range vals {
 			pq.Set(int32(i), v)
 		}

@@ -2,8 +2,9 @@ package community
 
 import "math"
 
-// bucketPQ is the multilevel-bucket maximum tracker the paper attaches
-// to every ΔQ matrix row: entries (community id, ΔQ value) are binned
+// BucketPQ is the multilevel-bucket maximum tracker the paper attaches
+// to every ΔQ matrix row (pMA's deltaRow; snap-bench's ablations time
+// it against a linear scan): entries (community id, ΔQ value) are binned
 // by quantized value so the row maximum is found by scanning only the
 // highest non-empty bucket, and inserts/deletes are O(1) expected.
 //
@@ -11,7 +12,7 @@ import "math"
 // logarithmic: sign, then binary exponent, then 3 mantissa bits. Two
 // values share a bin only when they are within ~12.5%% of each other,
 // which keeps the top bin small for the exact within-bin max scan.
-type bucketPQ struct {
+type BucketPQ struct {
 	buckets [][]bucketEntry
 	loc     map[int32]bucketLoc
 	hi      int // index of the highest possibly-non-empty bucket
@@ -63,8 +64,9 @@ func bucketIndex(v float64) int {
 	return zeroBucket - 1 - mag
 }
 
-func newBucketPQ() *bucketPQ {
-	return &bucketPQ{
+// NewBucketPQ returns an empty tracker.
+func NewBucketPQ() *BucketPQ {
+	return &BucketPQ{
 		buckets: make([][]bucketEntry, bucketCount),
 		loc:     make(map[int32]bucketLoc),
 		hi:      -1,
@@ -72,7 +74,7 @@ func newBucketPQ() *bucketPQ {
 }
 
 // Set inserts or updates the value of id.
-func (b *bucketPQ) Set(id int32, v float64) {
+func (b *BucketPQ) Set(id int32, v float64) {
 	if b.maxValid {
 		switch {
 		case id == b.maxEntry.id:
@@ -101,7 +103,7 @@ func (b *bucketPQ) Set(id int32, v float64) {
 }
 
 // Delete removes id, reporting whether it was present.
-func (b *bucketPQ) Delete(id int32) bool {
+func (b *BucketPQ) Delete(id int32) bool {
 	old, ok := b.loc[id]
 	if !ok {
 		return false
@@ -116,7 +118,7 @@ func (b *bucketPQ) Delete(id int32) bool {
 
 // removeFromBucket swap-deletes the entry at l, fixing the moved
 // entry's recorded position.
-func (b *bucketPQ) removeFromBucket(l bucketLoc) {
+func (b *BucketPQ) removeFromBucket(l bucketLoc) {
 	bk := b.buckets[l.bucket]
 	last := len(bk) - 1
 	if l.pos != last {
@@ -129,7 +131,7 @@ func (b *bucketPQ) removeFromBucket(l bucketLoc) {
 
 // Max returns the id with the largest value (smallest id on ties) and
 // its value. ok is false when empty.
-func (b *bucketPQ) Max() (id int32, v float64, ok bool) {
+func (b *BucketPQ) Max() (id int32, v float64, ok bool) {
 	if b.maxValid {
 		return b.maxEntry.id, b.maxEntry.val, true
 	}
@@ -214,16 +216,3 @@ func (h *pairHeap) greater(i, j int) bool {
 	}
 	return a.with < b.with
 }
-
-// BucketPQ exposes the multilevel-bucket row-maximum structure for the
-// benchmark harness's ablation study (buckets vs naive linear scan).
-type BucketPQ struct{ inner *bucketPQ }
-
-// NewBucketPQForBench returns an empty exported bucket structure.
-func NewBucketPQForBench() *BucketPQ { return &BucketPQ{inner: newBucketPQ()} }
-
-// Set inserts or updates the value of id.
-func (b *BucketPQ) Set(id int32, v float64) { b.inner.Set(id, v) }
-
-// Max returns the id with the largest value.
-func (b *BucketPQ) Max() (int32, float64, bool) { return b.inner.Max() }

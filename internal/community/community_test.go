@@ -343,7 +343,7 @@ func TestClusteringAccessors(t *testing.T) {
 }
 
 func TestBucketPQ(t *testing.T) {
-	pq := newBucketPQ()
+	pq := NewBucketPQ()
 	if _, _, ok := pq.Max(); ok {
 		t.Fatal("empty Max should fail")
 	}
@@ -370,7 +370,7 @@ func TestBucketPQ(t *testing.T) {
 
 func TestQuickBucketPQMatchesOracle(t *testing.T) {
 	check := func(ops []int16) bool {
-		pq := newBucketPQ()
+		pq := NewBucketPQ()
 		oracle := map[int32]float64{}
 		for _, op := range ops {
 			id := int32(op % 16)

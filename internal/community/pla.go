@@ -2,6 +2,7 @@ package community
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 
 	"snap/internal/components"
@@ -246,58 +247,25 @@ func newPLAState(g *graph.Graph, skipEdge []bool) *plaState {
 	return st
 }
 
-// rowFind returns the index of x in the sorted ids, or -1.
-func rowFind(ids []int32, x int32) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == x {
-		return lo
-	}
-	return -1
-}
-
 // rowAdd accumulates weight w onto entry x, inserting it in sorted
 // position when absent.
 func rowAdd(ids []int32, wts []int32, x int32, w int32) ([]int32, []int32) {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ids[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ids) && ids[lo] == x {
-		wts[lo] += w
+	i, found := slices.BinarySearch(ids, x)
+	if found {
+		wts[i] += w
 		return ids, wts
 	}
-	ids = append(ids, 0)
-	wts = append(wts, 0)
-	copy(ids[lo+1:], ids[lo:])
-	copy(wts[lo+1:], wts[lo:])
-	ids[lo] = x
-	wts[lo] = w
-	return ids, wts
+	return slices.Insert(ids, i, x), slices.Insert(wts, i, w)
 }
 
 // rowRemove deletes entry x, returning its weight (0 if absent).
 func rowRemove(ids []int32, wts []int32, x int32) ([]int32, []int32, int32) {
-	i := rowFind(ids, x)
-	if i < 0 {
+	i, found := slices.BinarySearch(ids, x)
+	if !found {
 		return ids, wts, 0
 	}
 	w := wts[i]
-	copy(ids[i:], ids[i+1:])
-	copy(wts[i:], wts[i+1:])
-	return ids[:len(ids)-1], wts[:len(wts)-1], w
+	return slices.Delete(ids, i, i+1), slices.Delete(wts, i, i+1), w
 }
 
 // plaPasses bounds the aggregation sweeps per component; each visits
@@ -380,7 +348,7 @@ func (st *plaState) tryMerge(c, d int32) bool {
 		small, other = other, small
 	}
 	var between int64
-	if i := rowFind(st.rowID[small], other); i >= 0 {
+	if i, found := slices.BinarySearch(st.rowID[small], other); found {
 		between = int64(st.rowW[small][i])
 	}
 	twoM := 2 * st.m

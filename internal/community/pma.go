@@ -1,7 +1,7 @@
 package community
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"snap/internal/graph"
@@ -33,39 +33,30 @@ type PMAOptions struct {
 type deltaRow struct {
 	ids  []int32 // sorted ascending
 	vals []float64
-	pq   *bucketPQ
+	pq   *BucketPQ
 }
 
 func newDeltaRow() *deltaRow {
-	return &deltaRow{pq: newBucketPQ()}
-}
-
-func (r *deltaRow) find(id int32) int {
-	return sort.Search(len(r.ids), func(i int) bool { return r.ids[i] >= id })
+	return &deltaRow{pq: NewBucketPQ()}
 }
 
 func (r *deltaRow) set(id int32, v float64) {
-	i := r.find(id)
-	if i < len(r.ids) && r.ids[i] == id {
+	if i, found := slices.BinarySearch(r.ids, id); found {
 		r.vals[i] = v
 	} else {
-		r.ids = append(r.ids, 0)
-		r.vals = append(r.vals, 0)
-		copy(r.ids[i+1:], r.ids[i:])
-		copy(r.vals[i+1:], r.vals[i:])
-		r.ids[i] = id
-		r.vals[i] = v
+		r.ids = slices.Insert(r.ids, i, id)
+		r.vals = slices.Insert(r.vals, i, v)
 	}
 	r.pq.Set(id, v)
 }
 
 func (r *deltaRow) delete(id int32) {
-	i := r.find(id)
-	if i >= len(r.ids) || r.ids[i] != id {
+	i, found := slices.BinarySearch(r.ids, id)
+	if !found {
 		return
 	}
-	r.ids = append(r.ids[:i], r.ids[i+1:]...)
-	r.vals = append(r.vals[:i], r.vals[i+1:]...)
+	r.ids = slices.Delete(r.ids, i, i+1)
+	r.vals = slices.Delete(r.vals, i, i+1)
 	r.pq.Delete(id)
 }
 

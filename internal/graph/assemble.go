@@ -52,8 +52,9 @@ func buildParallel(n int, edges []Edge, opt BuildOptions, workers int) (*Graph, 
 		workers = 1
 	}
 
-	// Phase 1: parallel validation. The earliest offending edge wins so
-	// the error message does not depend on workers.
+	// Phase 1: parallel validation of endpoints and, when weights are
+	// kept, of weights. The earliest offending edge wins so the error
+	// message does not depend on workers.
 	badAt := make([]int, workers)
 	for w := range badAt {
 		badAt[w] = -1
@@ -61,7 +62,8 @@ func buildParallel(n int, edges []Edge, opt BuildOptions, workers int) (*Graph, 
 	par.ForChunkedN(len(edges), workers, func(w, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
-			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n ||
+				opt.Weighted && !validWeight(e.W) {
 				badAt[w] = i
 				return
 			}
@@ -70,7 +72,10 @@ func buildParallel(n int, edges []Edge, opt BuildOptions, workers int) (*Graph, 
 	for w := 0; w < workers; w++ {
 		if badAt[w] >= 0 {
 			e := edges[badAt[w]]
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+				return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+			}
+			return nil, fmt.Errorf("graph: edge (%d,%d): %w", e.U, e.V, checkWeight(e.W))
 		}
 	}
 

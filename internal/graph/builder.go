@@ -19,7 +19,8 @@ type BuildOptions struct {
 }
 
 // Build constructs a CSR graph with n vertices from edges.
-// Endpoints outside [0, n) are an error.
+// Endpoints outside [0, n) are an error, and with opt.Weighted so is a
+// negative, infinite or NaN weight.
 //
 // Construction runs the parallel assembly kernel (see assemble.go) at
 // every size; its output is the same at any worker count: edge ids are

@@ -35,15 +35,21 @@ func TestBuildTriangle(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsBadWeights: Build keeps whatever weights it is
-// given, and Validate (the SNP2 container's validating load) refuses a
-// negative, infinite or NaN one.
+// TestValidateRejectsBadWeights: Validate (the SNP2 container's
+// validating load) refuses a negative, infinite or NaN weight in a
+// graph it did not build. Build refuses one too, so the bad weight is
+// written into the built graph's arcs.
 func TestValidateRejectsBadWeights(t *testing.T) {
 	for _, w := range []float64{-5, math.Inf(1), math.Inf(-1), math.NaN()} {
 		for _, directed := range []bool{false, true} {
-			g, err := Build(3, []Edge{{0, 1, 2}, {1, 2, w}}, BuildOptions{Weighted: true, Directed: directed})
+			g, err := Build(3, []Edge{{0, 1, 2}, {1, 2, 1}}, BuildOptions{Weighted: true, Directed: directed})
 			if err != nil {
 				t.Fatal(err)
+			}
+			for a := g.Offsets[1]; a < g.Offsets[3]; a++ {
+				if g.Adj[a] == 1 || g.Adj[a] == 2 {
+					g.W[a] = w
+				}
 			}
 			if err := Validate(g); err == nil || !strings.Contains(err.Error(), "weight") {
 				t.Errorf("weight %v directed=%v: Validate = %v, want a weight error", w, directed, err)
@@ -55,6 +61,35 @@ func TestValidateRejectsBadWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := Validate(g); err != nil {
+		t.Errorf("weights 0 and MaxFloat64: %v", err)
+	}
+}
+
+// Build with Weighted refuses a negative, infinite or NaN weight and
+// names the earliest offending edge at every worker count, whichever
+// check it fails; without Weighted the weights are dropped unread.
+func TestBuildRejectsBadWeights(t *testing.T) {
+	for _, w := range []float64{-5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		edges := []Edge{{0, 1, 1}, {1, 2, w}, {2, 3, 1}, {0, 3, w}, {0, 9, 1}}
+		for _, directed := range []bool{false, true} {
+			for workers := 1; workers <= 4; workers++ {
+				_, err := buildParallel(4, edges, BuildOptions{Weighted: true, Directed: directed}, workers)
+				if err == nil || !strings.Contains(err.Error(), "(1,2)") || !strings.Contains(err.Error(), "weight") {
+					t.Errorf("weight %v directed=%v workers=%d: err = %v, want a weight error naming (1,2)",
+						w, directed, workers, err)
+				}
+			}
+		}
+		if _, err := Build(4, edges[:4], BuildOptions{}); err != nil {
+			t.Errorf("weight %v unweighted: %v", w, err)
+		}
+	}
+	_, err := buildParallel(4, []Edge{{0, 9, 1}, {1, 2, -1}}, BuildOptions{Weighted: true}, 2)
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("range error first: err = %v", err)
+	}
+	g, err := Build(3, []Edge{{0, 1, 0}, {1, 2, math.MaxFloat64}}, BuildOptions{Weighted: true})
+	if err != nil || g.NumEdges() != 2 {
 		t.Errorf("weights 0 and MaxFloat64: %v", err)
 	}
 }

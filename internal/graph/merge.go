@@ -41,7 +41,8 @@ import (
 // g must be a simple graph (the Build default: no self-loops, no
 // parallel edges); weights in add are ignored when g is unweighted.
 // Endpoints outside [0, NumVertices()) are an error — the vertex set of
-// a snapshot sequence is fixed.
+// a snapshot sequence is fixed — and so is a negative, infinite or NaN
+// weight in add when g is weighted.
 func MergeDelta(g *Graph, add, del []Edge) (*Graph, error) {
 	return MergeDeltaWorkers(g, add, del, par.Workers())
 }
@@ -62,11 +63,11 @@ func MergeDeltaWorkers(g *Graph, add, del []Edge, workers int) (*Graph, error) {
 	directed := g.Directed()
 	weighted := g.Weighted()
 
-	adds, err := canonDelta(n, add, directed)
+	adds, err := canonDelta(n, add, directed, weighted)
 	if err != nil {
 		return nil, err
 	}
-	dels, err := canonDelta(n, del, directed)
+	dels, err := canonDelta(n, del, directed, false)
 	if err != nil {
 		return nil, err
 	}
@@ -166,12 +167,18 @@ func MergeDeltaWorkers(g *Graph, add, del []Edge, workers int) (*Graph, error) {
 }
 
 // canonDelta validates and canonicalizes one side of a delta: endpoints
-// range-checked, self-loops dropped, undirected pairs oriented U <= V.
-func canonDelta(n int, in []Edge, directed bool) ([]Edge, error) {
+// range-checked, weights checked when they are kept, self-loops
+// dropped, undirected pairs oriented U <= V.
+func canonDelta(n int, in []Edge, directed, weighted bool) ([]Edge, error) {
 	out := make([]Edge, 0, len(in))
 	for _, e := range in {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: delta edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+		}
+		if weighted {
+			if err := checkWeight(e.W); err != nil {
+				return nil, fmt.Errorf("graph: delta edge (%d,%d): %w", e.U, e.V, err)
+			}
 		}
 		if e.U == e.V {
 			continue

@@ -2,8 +2,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -209,4 +212,96 @@ func TestMergeDeltaOnEmptyGraph(t *testing.T) {
 		want := MustBuild(6, add, BuildOptions{Directed: directed})
 		requireIdentical(t, fmt.Sprintf("empty-base/dir=%v", directed), out, want)
 	}
+}
+
+// MergeDelta refuses a negative, infinite or NaN weight among the
+// insertions of a weighted graph, naming the edge, and stages nothing.
+// Deletion weights are never read, and neither are insertion weights
+// of an unweighted graph.
+func TestMergeDeltaRejectsBadWeights(t *testing.T) {
+	for _, directed := range []bool{false, true} {
+		g := MustBuild(4, []Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 2}}, BuildOptions{Weighted: true, Directed: directed})
+		for _, w := range []float64{-5, math.Inf(1), math.Inf(-1), math.NaN()} {
+			add := []Edge{{U: 2, V: 3, W: 1}, {U: 0, V: 3, W: w}, {U: 1, V: 3, W: w}}
+			if _, err := MergeDelta(g, add, nil); err == nil ||
+				!strings.Contains(err.Error(), "(0,3)") || !strings.Contains(err.Error(), "weight") {
+				t.Errorf("directed=%v weight %v: err = %v, want a weight error naming (0,3)", directed, w, err)
+			}
+			if _, err := MergeDelta(g, nil, []Edge{{U: 0, V: 1, W: w}}); err != nil {
+				t.Errorf("directed=%v weight %v on a deletion: %v", directed, w, err)
+			}
+			u := MustBuild(4, []Edge{{U: 0, V: 1}}, BuildOptions{Directed: directed})
+			if _, err := MergeDelta(u, add, nil); err != nil {
+				t.Errorf("directed=%v weight %v on an unweighted graph: %v", directed, w, err)
+			}
+		}
+	}
+}
+
+// fuzzWeights are the weights FuzzMergeDelta draws from: ordinary ones,
+// the finite extremes, and every kind MergeDelta must refuse.
+var fuzzWeights = []float64{0.5, 1, 2, 7.25, 0, math.Copysign(0, -1), math.MaxFloat64,
+	-1, math.Inf(1), math.Inf(-1), math.NaN()}
+
+// FuzzMergeDelta decodes a small vertex count, a base edge set and an
+// add/del batch from the input, endpoints reaching a little past both
+// ends of the vertex range. MergeDelta must never panic. When it
+// accepts the batch, the result must equal Build of the expected edge
+// set (the base's pairs, deletions applied first, then insertions with
+// the last write of a pair winning) and carry only finite non-negative
+// weights; when it refuses, the batch must hold an endpoint out of
+// range or, on a weighted graph, an insertion weight out of bounds.
+func FuzzMergeDelta(f *testing.F) {
+	f.Add([]byte{0, 6, 3, 2, 1, 1, 2, 0, 2, 3, 1, 4, 5, 2, 2, 5, 3, 3, 4, 0, 2, 3, 0})
+	f.Add([]byte{3, 5, 2, 3, 1, 0, 1, 1, 1, 2, 2, 2, 3, 8, 3, 2, 9, 4, 4, 0, 1, 2, 0})
+	f.Add([]byte{1, 4, 1, 1, 1, 0, 1, 3, 6, 1, 5, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		flags := next()
+		directed, weighted := flags&1 != 0, flags&2 != 0
+		n := next() % 17
+		edges := func(count int) []Edge {
+			out := make([]Edge, count)
+			for i := range out {
+				out[i] = Edge{U: int32(next()%20 - 2), V: int32(next()%20 - 2), W: fuzzWeights[next()%len(fuzzWeights)]}
+			}
+			return out
+		}
+		base, add, del := edges(next()%24), edges(next()%12), edges(next()%12)
+		opt := BuildOptions{Directed: directed, Weighted: weighted}
+		g, err := Build(n, base, opt)
+		if err != nil {
+			return
+		}
+		got, err := MergeDelta(g, add, del)
+		if err != nil {
+			bad := false
+			for _, e := range slices.Concat(add, del) {
+				bad = bad || e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n
+			}
+			for _, e := range add {
+				bad = bad || weighted && !validWeight(e.W)
+			}
+			if !bad {
+				t.Fatalf("refused a valid batch: %v", err)
+			}
+			return
+		}
+		model := newMergeModel(n, directed, weighted)
+		model.apply(g.EdgeEndpoints(), nil)
+		model.apply(add, del)
+		requireIdentical(t, "fuzz", got, model.build(t))
+		for a, w := range got.W {
+			if !validWeight(w) {
+				t.Fatalf("accepted weight %g on arc %d", w, a)
+			}
+		}
+	})
 }

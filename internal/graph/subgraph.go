@@ -115,8 +115,11 @@ func Validate(g *Graph) error {
 // checkWeight rejects an edge weight delta-stepping cannot take: a
 // negative, infinite or NaN one.
 func checkWeight(w float64) error {
-	if w >= 0 && w <= math.MaxFloat64 {
+	if validWeight(w) {
 		return nil
 	}
 	return fmt.Errorf("edge weight %v is not finite and non-negative", w)
 }
+
+// validWeight reports whether w is finite and non-negative.
+func validWeight(w float64) bool { return w >= 0 && w <= math.MaxFloat64 }

@@ -24,9 +24,10 @@ import (
 // order (see contract). Weight sums are integers, so the result is
 // exact and worker-count independent.
 
-// wview is the weighted graph a multilevel pass runs on: either the
-// original CSR (ew == nil means unit edge weights, vw == nil means unit
-// vertex weights) or a contracted coarse level (both materialized).
+// wview is the one weighted graph type of the package: the original
+// CSR or an induced subgraph of it in recursive bisection (ew == nil
+// means unit edge weights, vw == nil means unit vertex weights), or a
+// contracted coarse level (both materialized).
 type wview struct {
 	off []int64
 	adj []int32
@@ -44,6 +45,13 @@ func (v wview) vweight(x int32) int64 {
 		return 1
 	}
 	return v.vw[x]
+}
+
+func (v wview) eweight(a int64) int64 {
+	if v.ew == nil {
+		return 1
+	}
+	return v.ew[a]
 }
 
 func (v wview) totalVW() int64 {
@@ -243,11 +251,7 @@ func (ws *Workspace) assignCoarse(li int, maxCluster int64) int {
 			if c == -1 || cvw[c]+vwx > maxCluster {
 				continue
 			}
-			w := int64(1)
-			if v.ew != nil {
-				w = v.ew[a]
-			}
-			if w > bestW || (w == bestW && (best == -1 || c < best)) {
+			if w := v.eweight(a); w > bestW || (w == bestW && (best == -1 || c < best)) {
 				best, bestW = c, w
 			}
 		}

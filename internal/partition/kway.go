@@ -33,10 +33,7 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	seed := sketch.EffectiveSeed(opt.Seed)
-	ws.seedRNG(seed)
-
-	root := wview{off: g.Offsets, adj: g.Adj, directed: g.Directed()}
+	root := fromGraph(g)
 	if g.Weighted() {
 		// The objective is the cut resultFor reports: g.W truncated
 		// per arc, as cutRange does.
@@ -46,22 +43,51 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 		}
 		root.ew = ws.w0
 	}
-	ws.primeLevel0(root, opt.Stats)
+	ws.shares = scratch(ws.shares, k)
+	for p := range ws.shares {
+		ws.shares[p] = 1
+	}
+	part := ws.multilevel(root, ws.shares, sketch.EffectiveSeed(opt.Seed), workers, opt.Stats)
+	return ws.resultFor(g, part, k, workers), nil
+}
+
+// multilevel partitions root into len(shares) parts with the
+// multilevel scheme: coarsen to about len(shares)·coarsenTarget
+// vertices, grow the coarsest level greedily, then project and refine
+// level by level. Part p aims at shares[p]/Σshares of the total vertex
+// weight, within ±imbalance of it: all ones is the k-way scheme, {kl,
+// kr} one split of recursive bisection. Returns the level-0 part array
+// (workspace memory).
+func (ws *Workspace) multilevel(root wview, shares []int64, seed int64, workers int, st *Stats) []int32 {
+	k := len(shares)
+	ws.seedRNG(seed)
+	ws.primeLevel0(root, st)
 	levels := ws.coarsenToSize(k*coarsenTarget, seed, workers)
 	if ws.stats != nil {
 		ws.stats.Levels = levels
 	}
 
 	total := ws.lv[0].view.totalVW()
-	ideal := float64(total) / float64(k)
-	maxW := int64(ideal * (1 + imbalance))
-	minW := int64(ideal * (1 - imbalance))
+	var sum int64
+	for _, s := range shares {
+		sum += s
+	}
+	ws.maxW = scratch(ws.maxW, k)
+	ws.minW = scratch(ws.minW, k)
+	for p, s := range shares {
+		// The cap is at least one unit above the ideal: on parts under
+		// 1/imbalance vertices a truncated window is no wider than
+		// exact balance, and there no single move fits.
+		ideal := float64(total) * float64(s) / float64(sum)
+		ws.maxW[p] = max(int64(ideal*(1+imbalance)), int64(ideal)+1)
+		ws.minW[p] = int64(ideal * (1 - imbalance))
+	}
 
 	coarsest := &ws.lv[levels-1]
 	coarsest.part = scratch(coarsest.part, coarsest.view.n())
-	ws.greedyGrow(coarsest.view, coarsest.part, k, total)
+	ws.greedyGrow(coarsest.view, coarsest.part, shares, sum, total)
 	ws.ensureWorkers(workers, k)
-	ws.refineLevel(levels-1, k, maxW, minW, workers)
+	ws.refineLevel(levels-1, k, workers)
 
 	// Uncoarsen: project and refine.
 	for li := levels - 2; li >= 0; li-- {
@@ -78,10 +104,10 @@ func (ws *Workspace) KWay(g *graph.Graph, k int, opt MultilevelOptions) (Result,
 		} else {
 			projectRange(finePart, coarsePart, coarseOf, 0, n)
 		}
-		ws.refineLevel(li, k, maxW, minW, workers)
+		ws.refineLevel(li, k, workers)
 	}
 	ws.stats = nil // a held workspace must not keep the caller's record alive
-	return ws.resultFor(g, ws.lv[0].part, k, workers), nil
+	return ws.lv[0].part
 }
 
 func projectRange(fine, coarse, coarseOf []int32, lo, hi int) {
@@ -90,15 +116,15 @@ func projectRange(fine, coarse, coarseOf []int32, lo, hi int) {
 	}
 }
 
-// greedyGrow produces the initial k-way partition of the coarsest
-// graph by greedy graph growing: each part grows a BFS region from a
-// random unassigned seed until it reaches its (adaptive) share of the
+// greedyGrow produces the initial partition of the coarsest graph by
+// greedy graph growing: each part grows a BFS region from a random
+// unassigned seed until it reaches its (adaptive) share of the
 // remaining weight; leftovers join the last part. Seeds are drawn in
 // O(1) from a maintained unassigned list (swap-remove on assignment) —
 // the seed engine's 64-try rejection sampling silently degraded to
 // first-unassigned scan order on nearly-full graphs.
-func (ws *Workspace) greedyGrow(v wview, part []int32, k int, total int64) {
-	n := v.n()
+func (ws *Workspace) greedyGrow(v wview, part []int32, shares []int64, sum, total int64) {
+	n, k := v.n(), len(shares)
 	fill32(part[:n], -1)
 	ws.ulist = scratch(ws.ulist, n)
 	ws.upos = scratch(ws.upos, n)
@@ -115,9 +141,10 @@ func (ws *Workspace) greedyGrow(v wview, part []int32, k int, total int64) {
 	var assignedW int64
 	for p := 0; p < k-1 && ulen > 0; p++ {
 		// Adaptive target: divide the remaining weight over the
-		// remaining parts so early overshoot cannot starve the last
-		// parts into (near-)emptiness.
-		ideal := float64(total-assignedW) / float64(k-p)
+		// remaining parts' shares so early overshoot cannot starve the
+		// last parts into (near-)emptiness.
+		ideal := float64(total-assignedW) * float64(shares[p]) / float64(sum)
+		sum -= shares[p]
 		// Re-seed whenever the BFS frontier exhausts before the part
 		// reaches its target — disconnected or hub-capped regions
 		// otherwise starve the part and dump their weight on part k-1,
@@ -166,7 +193,7 @@ func (ws *Workspace) assignVertex(v wview, part []int32, x, p int32, ulen int) i
 
 // refineLevel runs batch-synchronous boundary refinement passes over
 // level li, then enforces the balance cap.
-func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, workers int) {
+func (ws *Workspace) refineLevel(li, k, workers int) {
 	v, part := ws.lv[li].view, ws.lv[li].part
 	n := v.n()
 	weights := ws.weights[:k]
@@ -187,7 +214,7 @@ func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, workers int) {
 	}
 	for pass := 0; pass < refinePasses; pass++ {
 		ws.shuffleOrder(order)
-		moves, evaluated := ws.runKWayPass(v, part, maxW, minW, workers)
+		moves, evaluated := ws.runKWayPass(v, part, workers)
 		if ls != nil {
 			ls.Passes++
 			ls.Evaluated += evaluated
@@ -197,11 +224,12 @@ func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, workers int) {
 			break
 		}
 	}
-	ws.enforceBalance(v, part, k, maxW)
+	ws.enforceBalance(v, part, k)
 }
 
 // bestKMove gathers x's per-part incident edge weights into sc and
-// returns the best cut-gain move target with its gain. Returns the
+// returns the best cut-gain move target with its gain, keeping every
+// part inside its weight window [ws.minW, ws.maxW]. Returns the
 // current part when no strictly-improving feasible move exists. Ties
 // on gain break toward the lighter part, then the smaller part id, so
 // the answer is independent of the gather (touched-list) order.
@@ -213,10 +241,10 @@ func (ws *Workspace) refineLevel(li, k int, maxW, minW int64, workers int) {
 //
 // Reads shared state only — safe to run concurrently with other
 // bestKMove calls.
-func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32, maxW, minW int64) (dest int32, gain int64, pulled bool) {
+func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32) (dest int32, gain int64, pulled bool) {
 	pv := part[x]
 	vwx := v.vweight(x)
-	if ws.weights[pv]-vwx < minW {
+	if ws.weights[pv]-vwx < ws.minW[pv] {
 		return pv, 0, true
 	}
 	sc.begin()
@@ -239,7 +267,7 @@ func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32, 
 			continue
 		}
 		pulled = true
-		if ws.weights[p]+vwx > maxW {
+		if ws.weights[p]+vwx > ws.maxW[p] {
 			continue
 		}
 		if gain > bestGain ||
@@ -263,7 +291,7 @@ func (ws *Workspace) bestKMove(sc *partScatter, v wview, part []int32, x int32, 
 // count. The lone-worker arm calls the same two functions without a
 // closure, so nothing escapes and a warm pass is alloc-free. Returns
 // the moves applied and the vertices evaluated.
-func (ws *Workspace) runKWayPass(v wview, part []int32, maxW, minW int64, workers int) (moves int, evaluated int64) {
+func (ws *Workspace) runKWayPass(v wview, part []int32, workers int) (moves int, evaluated int64) {
 	n := v.n()
 	clear(ws.partial[:workers])
 	for base := 0; base < n; base += kwayBatch {
@@ -272,16 +300,16 @@ func (ws *Workspace) runKWayPass(v wview, part []int32, maxW, minW int64, worker
 		if workers > 1 {
 			batch := ws.order[base:end]
 			par.ForChunkedN(len(batch), workers, func(wk, lo, hi int) {
-				ws.proposeMoves(wk, v, part, batch[lo:hi], maxW, minW)
+				ws.proposeMoves(wk, v, part, batch[lo:hi])
 			})
 			// ForChunkedN clamps to len(batch) workers on short batches;
 			// the buffers past that hold an earlier batch's candidates.
 			used = min(workers, len(batch))
 		} else {
-			ws.proposeMoves(0, v, part, ws.order[base:end], maxW, minW)
+			ws.proposeMoves(0, v, part, ws.order[base:end])
 		}
 		for wk := 0; wk < used; wk++ {
-			moves += ws.applyMoves(v, part, ws.cand[wk], maxW, minW)
+			moves += ws.applyMoves(v, part, ws.cand[wk])
 		}
 	}
 	for _, e := range ws.partial[:workers] {
@@ -304,7 +332,7 @@ func (ws *Workspace) runKWayPass(v wview, part []int32, maxW, minW int64, worker
 // back by the weight window or the minW floor stay dirty: weights move
 // with every applied move. On a directed view a mover cannot name the
 // vertices that read its part (its in-neighbors), so nothing is marked.
-func (ws *Workspace) proposeMoves(wk int, v wview, part []int32, batch []int32, maxW, minW int64) {
+func (ws *Workspace) proposeMoves(wk int, v wview, part []int32, batch []int32) {
 	sc := ws.psc[wk]
 	cand := ws.cand[wk][:0]
 	clean := ws.clean
@@ -314,7 +342,7 @@ func (ws *Workspace) proposeMoves(wk int, v wview, part []int32, batch []int32, 
 			continue
 		}
 		evaluated++
-		d, gain, pulled := ws.bestKMove(sc, v, part, x, maxW, minW)
+		d, gain, pulled := ws.bestKMove(sc, v, part, x)
 		if gain > 0 && d != part[x] {
 			cand = append(cand, x)
 		} else if !pulled && !v.directed {
@@ -328,10 +356,10 @@ func (ws *Workspace) proposeMoves(wk int, v wview, part []int32, batch []int32, 
 // applyMoves re-evaluates each candidate against the live state and
 // commits the moves that still strictly decrease the cut, marking each
 // mover's neighbors dirty. Returns the number applied.
-func (ws *Workspace) applyMoves(v wview, part []int32, cand []int32, maxW, minW int64) int {
+func (ws *Workspace) applyMoves(v wview, part []int32, cand []int32) int {
 	moves := 0
 	for _, x := range cand {
-		d, gain, _ := ws.bestKMove(ws.psc[0], v, part, x, maxW, minW)
+		d, gain, _ := ws.bestKMove(ws.psc[0], v, part, x)
 		if gain <= 0 || d == part[x] {
 			continue
 		}
@@ -347,19 +375,19 @@ func (ws *Workspace) applyMoves(v wview, part []int32, cand []int32, maxW, minW 
 	return moves
 }
 
-// enforceBalance fixes any part exceeding the weight cap by shedding
+// enforceBalance fixes any part exceeding its weight cap by shedding
 // its cheapest boundary vertices into the lightest adjacent part (or,
-// failing that, force-moving to the globally lightest part). This
+// failing that, force-moving to the part with the most room). This
 // sacrifices cut for balance, which is the contract of the pass. It is
 // a serial no-op when every part is already inside the cap — the
 // common case, since refinement moves respect the window.
-func (ws *Workspace) enforceBalance(v wview, part []int32, k int, maxW int64) {
+func (ws *Workspace) enforceBalance(v wview, part []int32, k int) {
 	n := v.n()
-	weights := ws.weights[:k]
+	weights, maxW := ws.weights[:k], ws.maxW[:k]
 	sc := ws.psc[0]
 	for p := int32(0); int(p) < k; p++ {
 		guard := 0
-		for weights[p] > maxW && guard < n {
+		for weights[p] > maxW[p] && guard < n {
 			guard++
 			// Find the boundary vertex of p with the best (least bad)
 			// move gain.
@@ -375,10 +403,7 @@ func (ws *Workspace) enforceBalance(v wview, part []int32, k int, maxW int64) {
 				extPart := int32(-1)
 				sc.begin()
 				for a := v.off[x]; a < v.off[x+1]; a++ {
-					w := int64(1)
-					if v.ew != nil {
-						w = v.ew[a]
-					}
+					w := v.eweight(a)
 					if q := part[v.adj[a]]; q == p {
 						internal += w
 					} else {
@@ -387,7 +412,7 @@ func (ws *Workspace) enforceBalance(v wview, part []int32, k int, maxW int64) {
 				}
 				vwx := v.vweight(x)
 				for _, q := range sc.touched {
-					if weights[q]+vwx > maxW {
+					if weights[q]+vwx > maxW[q] {
 						continue
 					}
 					ext := sc.wsum[q]
@@ -409,15 +434,15 @@ func (ws *Workspace) enforceBalance(v wview, part []int32, k int, maxW int64) {
 			}
 			if bestV == -1 {
 				// No adjacent feasible destination: force-move the
-				// first boundary vertex of p to the globally lightest
-				// part.
-				lightest := int32(0)
+				// first vertex of p to the part with the most room
+				// under its cap (the lightest, when the caps agree).
+				roomiest := int32(0)
 				for q := int32(1); int(q) < k; q++ {
-					if weights[q] < weights[lightest] {
-						lightest = q
+					if maxW[q]-weights[q] > maxW[roomiest]-weights[roomiest] {
+						roomiest = q
 					}
 				}
-				if lightest == p {
+				if roomiest == p {
 					break
 				}
 				for x := int32(0); int(x) < n; x++ {
@@ -429,7 +454,7 @@ func (ws *Workspace) enforceBalance(v wview, part []int32, k int, maxW int64) {
 				if bestV == -1 {
 					break
 				}
-				bestP = lightest
+				bestP = roomiest
 			}
 			vwx := v.vweight(bestV)
 			weights[p] -= vwx

@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"math/rand"
-
 	"snap/internal/graph"
 	"snap/internal/sketch"
 )
@@ -14,7 +12,7 @@ type MultilevelOptions struct {
 	// for a given seed at every worker count.
 	Seed int64
 	// Workers caps the worker count for the k-way engine (default
-	// par.Workers()).
+	// par.Workers()); MultilevelRecursive runs its splits on one.
 	Workers int
 	// Stats, when non-nil, receives the k-way engine's per-level
 	// record of the run (MultilevelKWay and Workspace.KWay only). It
@@ -47,34 +45,58 @@ func MultilevelKWay(g *graph.Graph, k int, opt MultilevelOptions) (Result, error
 
 // MultilevelRecursive partitions g into k parts (k a power of two is
 // ideal; other k are split near-evenly) by recursive multilevel
-// bisection — the pmetis-style alternative to direct k-way.
+// bisection — the pmetis-style alternative to direct k-way. Each split
+// is the k-way engine at two parts whose weight shares are the part
+// counts of its halves, run on one worker in one workspace the whole
+// recursion shares. Edge weights are ignored.
 func MultilevelRecursive(g *graph.Graph, k int, opt MultilevelOptions) (Result, error) {
 	if err := validateK(g, k); err != nil {
 		return Result{}, err
 	}
-	part := make([]int32, g.NumVertices())
-	w := fromGraph(g)
-	verts := make([]int32, g.NumVertices())
+	return recursiveBisection(g, k, opt.Seed, multilevelBisect)
+}
+
+// multilevelBisect is one split of MultilevelRecursive.
+func multilevelBisect(ws *Workspace, w wview, kl, kr int, seed int64) ([]int32, error) {
+	ws.shares = append(ws.shares[:0], int64(kl), int64(kr))
+	return ws.multilevel(w, ws.shares, seed, 1, nil), nil
+}
+
+// fromGraph views g with unit edge and vertex weights.
+func fromGraph(g *graph.Graph) wview {
+	return wview{off: g.Offsets, adj: g.Adj, directed: g.Directed()}
+}
+
+// bisectFunc splits w into sides 0 and 1 in the weight ratio kl:kr and
+// returns each vertex's side. seed is the split's own. The sides may
+// alias ws, which the whole recursion shares, so each split's sides
+// are consumed before the next split starts.
+type bisectFunc func(ws *Workspace, w wview, kl, kr int, seed int64) ([]int32, error)
+
+// recursiveBisection partitions g into k parts by recursive bisection
+// over induced subgraphs: a split gives k/2 parts to side 0 and the
+// rest to side 1, and each side is split again until it is one part.
+func recursiveBisection(g *graph.Graph, k int, seed int64, bisect bisectFunc) (Result, error) {
+	n := g.NumVertices()
+	verts := make([]int32, n)
 	for i := range verts {
 		verts[i] = int32(i)
 	}
-	rb := &recursiveBisector{
-		seed:   sketch.EffectiveSeed(opt.Seed),
-		part:   part,
-		bisect: multilevelBisect,
+	rb := &recursiveBisector{seed: sketch.EffectiveSeed(seed), part: make([]int32, n), bisect: bisect}
+	rb.split(fromGraph(g), verts, 0, k)
+	if rb.err != nil {
+		return Result{}, rb.err
 	}
-	rb.split(w, verts, 0, k)
-	return finish(g, part, k), nil
+	return finish(g, rb.part, k), nil
 }
 
-// recursiveBisector drives recursive bisection over induced weighted
-// subgraphs, writing final part ids into part.
+// recursiveBisector drives recursive bisection, writing final part ids
+// into part.
 type recursiveBisector struct {
-	seed int64 // effective seed; each split derives its own stream
-	part []int32
-	// bisect computes a 2-way split of w with the given target weight
-	// fraction for side 0; returns side ids (0/1) per wgraph vertex.
-	bisect func(w *wgraph, frac float64, rng *rand.Rand) ([]int32, error)
+	ws     Workspace
+	seed   int64 // effective seed; each split derives its own
+	part   []int32
+	bisect bisectFunc
 	err    error
 }
 
@@ -85,7 +107,7 @@ func (rb *recursiveBisector) splitSeed(base, k int) int64 {
 	return int64(splitmix64(uint64(rb.seed) ^ uint64(base)*0x9e3779b97f4a7c15 ^ uint64(k)))
 }
 
-func (rb *recursiveBisector) split(w *wgraph, verts []int32, base, k int) {
+func (rb *recursiveBisector) split(w wview, verts []int32, base, k int) {
 	if rb.err != nil {
 		return
 	}
@@ -97,9 +119,7 @@ func (rb *recursiveBisector) split(w *wgraph, verts []int32, base, k int) {
 	}
 	kl := k / 2
 	kr := k - kl
-	frac := float64(kl) / float64(k)
-	rng := sketch.NewRNG(rb.splitSeed(base, k))
-	side, err := rb.bisect(w, frac, rng)
+	side, err := rb.bisect(&rb.ws, w, kl, kr, rb.splitSeed(base, k))
 	if err != nil {
 		rb.err = err
 		return
@@ -109,107 +129,35 @@ func (rb *recursiveBisector) split(w *wgraph, verts []int32, base, k int) {
 	rb.split(wr, vr, base+kl, kr)
 }
 
-// inducedSplit builds the two induced weighted subgraphs of a bisection
-// along with the original-vertex lists of each side.
-func inducedSplit(w *wgraph, verts []int32, side []int32) (*wgraph, []int32, *wgraph, []int32) {
+// inducedSplit builds the two induced subgraphs of a bisection of the
+// unit-weight view w (so unit-weight themselves) along with the
+// original-vertex lists of each side.
+func inducedSplit(w wview, verts, side []int32) (wview, []int32, wview, []int32) {
 	n := w.n()
 	newID := make([]int32, n)
-	var n0, n1 int32
-	for v := 0; v < n; v++ {
-		if side[v] == 0 {
-			newID[v] = n0
-			n0++
-		} else {
-			newID[v] = n1
-			n1++
-		}
+	var count [2]int32
+	for v, s := range side[:n] {
+		newID[v] = count[s]
+		count[s]++
 	}
-	build := func(want int32, count int32) (*wgraph, []int32) {
-		out := &wgraph{vw: make([]int64, count), offsets: make([]int64, count+1), directed: w.directed}
-		origs := make([]int32, count)
-		// Count arcs.
-		for v := 0; v < n; v++ {
-			if side[v] != want {
+	build := func(want int32) (wview, []int32) {
+		out := wview{off: make([]int64, 1, count[want]+1), directed: w.directed}
+		origs := make([]int32, 0, count[want])
+		for v, s := range side[:n] {
+			if s != want {
 				continue
 			}
-			var deg int64
-			for a := w.offsets[v]; a < w.offsets[v+1]; a++ {
-				if side[w.adj[a]] == want {
-					deg++
+			for _, u := range w.adj[w.off[v]:w.off[v+1]] {
+				if side[u] == want {
+					out.adj = append(out.adj, newID[u])
 				}
 			}
-			out.offsets[newID[v]+1] = deg
-		}
-		for i := int32(1); i <= count; i++ {
-			out.offsets[i] += out.offsets[i-1]
-		}
-		out.adj = make([]int32, out.offsets[count])
-		out.ew = make([]int64, out.offsets[count])
-		cursor := make([]int64, count)
-		copy(cursor, out.offsets[:count])
-		for v := 0; v < n; v++ {
-			if side[v] != want {
-				continue
-			}
-			nv := newID[v]
-			out.vw[nv] = w.vw[v]
-			origs[nv] = verts[v]
-			for a := w.offsets[v]; a < w.offsets[v+1]; a++ {
-				u := w.adj[a]
-				if side[u] != want {
-					continue
-				}
-				c := cursor[nv]
-				out.adj[c] = newID[u]
-				out.ew[c] = w.ew[a]
-				cursor[nv] = c + 1
-			}
+			out.off = append(out.off, int64(len(out.adj)))
+			origs = append(origs, verts[v])
 		}
 		return out, origs
 	}
-	w0, v0 := build(0, n0)
-	w1, v1 := build(1, n1)
+	w0, v0 := build(0)
+	w1, v1 := build(1)
 	return w0, v0, w1, v1
-}
-
-// multilevelBisect bisects a weighted graph with the full multilevel
-// pipeline, aiming for weight fraction frac on side 0.
-func multilevelBisect(w *wgraph, frac float64, rng *rand.Rand) ([]int32, error) {
-	levels, maps := coarsenHierarchy(w, 2*coarsenTarget, int64(rng.Uint64()))
-	coarsest := levels[len(levels)-1]
-	side := growBisection(coarsest, frac, rng)
-	refineBisection(coarsest, side, frac, rng)
-	for li := len(levels) - 2; li >= 0; li-- {
-		fine := levels[li]
-		coarseOf := maps[li]
-		fineSide := make([]int32, fine.n())
-		for v := range fineSide {
-			fineSide[v] = side[coarseOf[v]]
-		}
-		side = fineSide
-		refineBisection(fine, side, frac, rng)
-	}
-	return side, nil
-}
-
-// coarsenHierarchy runs the workspace coarsener over a standalone
-// weighted graph and copies the hierarchy out: levels (finest first,
-// levels[0] == w) and the fine-to-coarse maps (maps[i] maps level i to
-// level i+1 ids). Used by the bisection and spectral paths, which own
-// their levels across recursive splits. The workspace is the call's
-// own, so the levels take over its per-level buffers (each level has
-// its own) and the rest of its scratch is dropped on return.
-func coarsenHierarchy(w *wgraph, target int, seed int64) (levels []*wgraph, maps [][]int32) {
-	ws := new(Workspace)
-	ws.primeLevel0(wview{off: w.offsets, adj: w.adj, ew: w.ew, vw: w.vw, directed: w.directed}, nil)
-	nl := ws.coarsenToSize(target, seed, 1)
-	levels = make([]*wgraph, nl)
-	levels[0] = w
-	maps = make([][]int32, nl-1)
-	for li := 1; li < nl; li++ {
-		lv := &ws.lv[li]
-		levels[li] = &wgraph{offsets: lv.off, adj: lv.adj, ew: lv.ew, vw: lv.vw, directed: w.directed}
-		maps[li-1] = ws.lv[li-1].coarseOf
-	}
-	return levels, maps
 }

@@ -1,10 +1,14 @@
 // Package partition implements the graph-partitioning baselines of the
 // paper's Table 1: multilevel k-way and recursive-bisection
 // partitioners in the style of Metis (heavy-edge-matching coarsening,
-// greedy growing, boundary Kernighan–Lin/Fiduccia–Mattheyses
-// refinement), and spectral bisection heuristics in the style of Chaco
-// (Fiedler vectors by multilevel power/Rayleigh-quotient iteration and
-// by Lanczos iteration). The experiment these support shows that such
+// greedy growing, boundary refinement by strictly cut-reducing moves
+// inside a balance window), and spectral bisection heuristics in the
+// style of Chaco (Fiedler vectors by multilevel power/Rayleigh-quotient
+// iteration and by Lanczos iteration). Both Metis styles run one
+// engine on one weighted-graph type (wview) in a Workspace: k-way
+// gives its k parts equal integer shares of the vertex weight, and
+// each split of recursive bisection is the same engine with two parts
+// whose shares are the part counts of its halves. The experiment these support shows that such
 // partitioners produce good cuts on near-Euclidean "physical" graphs
 // and poor, orders-of-magnitude-worse cuts on small-world networks.
 package partition

@@ -59,32 +59,19 @@ func SpectralLanczos(g *graph.Graph, k int, opt SpectralOptions) (Result, error)
 	return spectralRecursive(g, k, opt, fiedlerLanczos)
 }
 
-type fiedlerFunc func(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, error)
+// fiedlerFunc approximates the Fiedler vector of w; ws is the
+// recursion's shared workspace.
+type fiedlerFunc func(ws *Workspace, w wview, opt SpectralOptions, rng *rand.Rand) ([]float64, error)
 
 func spectralRecursive(g *graph.Graph, k int, opt SpectralOptions, fiedler fiedlerFunc) (Result, error) {
-	part := make([]int32, g.NumVertices())
-	w := fromGraph(g)
-	verts := make([]int32, g.NumVertices())
-	for i := range verts {
-		verts[i] = int32(i)
-	}
-	rb := &recursiveBisector{
-		seed: sketch.EffectiveSeed(opt.Seed),
-		part: part,
-		bisect: func(w *wgraph, frac float64, rng *rand.Rand) ([]int32, error) {
-			return spectralBisect(w, frac, opt, fiedler, rng)
-		},
-	}
-	rb.split(w, verts, 0, k)
-	if rb.err != nil {
-		return Result{}, rb.err
-	}
-	return finish(g, part, k), nil
+	return recursiveBisection(g, k, opt.Seed, func(ws *Workspace, w wview, kl, kr int, seed int64) ([]int32, error) {
+		return spectralBisect(ws, w, float64(kl)/float64(kl+kr), opt, fiedler, sketch.NewRNG(seed))
+	})
 }
 
 // spectralBisect splits one weighted graph by its Fiedler vector,
 // placing the frac-weight prefix of the sorted vector on side 0.
-func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedlerFunc, rng *rand.Rand) ([]int32, error) {
+func spectralBisect(ws *Workspace, w wview, frac float64, opt SpectralOptions, fiedler fiedlerFunc, rng *rand.Rand) ([]int32, error) {
 	n := w.n()
 	side := make([]int32, n)
 	if n <= 1 {
@@ -100,7 +87,7 @@ func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedle
 	var fv []float64
 	var err error
 	for attempt := 0; attempt < 5; attempt++ {
-		fv, err = fiedler(w, opt, rng)
+		fv, err = fiedler(ws, w, opt, rng)
 		if err == nil {
 			break
 		}
@@ -122,7 +109,7 @@ func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedle
 	for _, v := range order {
 		if acc < target {
 			side[v] = 0
-			acc += w.vw[v]
+			acc += w.vweight(v)
 		} else {
 			side[v] = 1
 		}
@@ -131,12 +118,12 @@ func spectralBisect(w *wgraph, frac float64, opt SpectralOptions, fiedler fiedle
 }
 
 // lapMul computes y = L x for the weighted Laplacian of w.
-func lapMul(w *wgraph, x, y []float64) {
+func lapMul(w wview, x, y []float64) {
 	n := w.n()
 	for v := 0; v < n; v++ {
 		var s, d float64
-		for a := w.offsets[v]; a < w.offsets[v+1]; a++ {
-			ew := float64(w.ew[a])
+		for a := w.off[v]; a < w.off[v+1]; a++ {
+			ew := float64(w.eweight(a))
 			s += ew * x[w.adj[a]]
 			d += ew
 		}
@@ -144,12 +131,14 @@ func lapMul(w *wgraph, x, y []float64) {
 	}
 }
 
-func maxWeightedDegree(w *wgraph) float64 {
+func maxWeightedDegree(w wview) float64 {
 	mx := 0.0
-	for v := int32(0); int(v) < w.n(); v++ {
-		if d := float64(w.degree(v)); d > mx {
-			mx = d
+	for v := 0; v < w.n(); v++ {
+		var d int64
+		for a := w.off[v]; a < w.off[v+1]; a++ {
+			d += w.eweight(a)
 		}
+		mx = max(mx, float64(d))
 	}
 	return mx
 }
@@ -166,19 +155,21 @@ func deflateOnes(x []float64) {
 }
 
 // fiedlerRQI approximates the Fiedler vector with multilevel
-// acceleration: the vector is computed on a coarsened graph first,
-// interpolated upward, and polished at each level by power iteration
-// on (cI − L) with a Rayleigh-quotient residual test.
-func fiedlerRQI(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, error) {
-	levels, maps := coarsenHierarchy(w, 64, int64(rng.Uint64()))
-	coarsest := levels[len(levels)-1]
+// acceleration: the vector is computed on a coarsened graph first (the
+// workspace's hierarchy over w), interpolated upward, and polished at
+// each level by power iteration on (cI − L) with a Rayleigh-quotient
+// residual test.
+func fiedlerRQI(ws *Workspace, w wview, opt SpectralOptions, rng *rand.Rand) ([]float64, error) {
+	ws.primeLevel0(w, nil)
+	levels := ws.coarsenToSize(64, int64(rng.Uint64()), 1)
+	coarsest := ws.lv[levels-1].view
 	x := eigen.RandomVector(coarsest.n(), rng)
 	if _, err := polish(coarsest, x, opt.MaxIterations, opt.Tolerance); err != nil {
 		return nil, err
 	}
-	for li := len(levels) - 2; li >= 0; li-- {
-		fine := levels[li]
-		coarseOf := maps[li]
+	for li := levels - 2; li >= 0; li-- {
+		fine := ws.lv[li].view
+		coarseOf := ws.lv[li].coarseOf
 		fx := make([]float64, fine.n())
 		for v := range fx {
 			fx[v] = x[coarseOf[v]]
@@ -201,7 +192,7 @@ func fiedlerRQI(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, erro
 // direction has stopped improving — sufficient for a median split even
 // when near-degenerate eigenvalues keep the residual from vanishing,
 // as on large meshes with tiny spectral gaps).
-func polish(w *wgraph, x []float64, maxIter int, tol float64) (float64, error) {
+func polish(w wview, x []float64, maxIter int, tol float64) (float64, error) {
 	n := w.n()
 	if n <= 2 {
 		return 0, nil
@@ -253,7 +244,7 @@ func polish(w *wgraph, x []float64, maxIter int, tol float64) (float64, error) {
 // with full reorthogonalization. The second-smallest Laplacian
 // eigenvalue is isolated by deflating the constant vector, so the
 // smallest Ritz value of the tridiagonal approximates lambda_2.
-func fiedlerLanczos(w *wgraph, opt SpectralOptions, rng *rand.Rand) ([]float64, error) {
+func fiedlerLanczos(_ *Workspace, w wview, opt SpectralOptions, rng *rand.Rand) ([]float64, error) {
 	n := w.n()
 	steps := opt.MaxIterations
 	if steps > n-1 {

@@ -1,8 +1,11 @@
 package partition
 
-// Workspace is the reusable state of the multilevel k-way engine. The
-// zero value is ready to use. A caller that partitions repeatedly holds
-// one and calls KWay; after a warm-up run on a given graph, repeated
+// Workspace is the reusable state of the multilevel engine: KWay runs
+// it once with k parts of equal share, MultilevelRecursive once per
+// split with two parts whose shares are the halves' part counts, and
+// SpectralRQI coarsens in it. The zero value
+// is ready to use. A caller that partitions repeatedly holds one and
+// calls KWay; after a warm-up run on a given graph, repeated
 // runs allocate nothing on the serial arm (workers == 1). There is no
 // package pool: a one-shot call (MultilevelKWay) builds its own
 // workspace and drops it, so the ladder's scratch is garbage as soon as
@@ -12,7 +15,8 @@ package partition
 // A workspace is not safe for concurrent use, but its methods
 // parallelize internally across the requested workers.
 type Workspace struct {
-	// Coarsening hierarchy: lv[0] views the input graph, lv[1..] own
+	// Coarsening hierarchy: lv[0] views the input graph (or the
+	// induced subgraph a bisection splits), lv[1..] own
 	// their materialized buffers. Buffers are grow-only and reused by
 	// level index across runs.
 	lv []lvl
@@ -50,6 +54,12 @@ type Workspace struct {
 	ulist []int32
 	upos  []int32
 	queue []int32
+
+	// Part targets: each part's integer share of the total weight (all
+	// ones for KWay) and the weight window [minW, maxW] derived from it.
+	shares []int64
+	maxW   []int64
+	minW   []int64
 
 	// Refinement scratch: part weight accumulators, the pass order,
 	// the skip marks of the active-set rule (see proposeMoves),
